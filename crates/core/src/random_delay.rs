@@ -21,7 +21,7 @@ use sweep_dag::{levels, SweepInstance, TaskId};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::list_schedule;
+use crate::list_schedule::schedule_by;
 use crate::schedule::Schedule;
 
 /// Draws the per-direction delays `X_i ∈ {0, …, k−1}` (step 1 of every
@@ -56,6 +56,16 @@ pub(crate) fn base_task_levels(instance: &SweepInstance) -> Vec<u32> {
         }
     }
     base
+}
+
+/// `Γ(v,i) = level_i(v) + X_i` as a function of `(task, direction)` over
+/// [`base_task_levels`] — what the list scheduler ranks by, so that
+/// Algorithm 2 never materializes its priorities.
+pub(crate) fn delayed_levels<'a>(
+    base: &'a [u32],
+    delays: &'a [u32],
+) -> impl Fn(usize, usize) -> i64 + 'a {
+    move |t, dir| base[t] as i64 + delays[dir] as i64
 }
 
 /// The priorities `Γ(v,i) = level_i(v) + X_i` of Algorithm 2, reusable by
@@ -222,8 +232,16 @@ pub fn random_delay_priorities_with(
     assignment: Assignment,
     delays: &[u32],
 ) -> Schedule {
-    let prio = delayed_level_priorities(instance, delays);
-    list_schedule(instance, assignment, &prio, None)
+    assert_eq!(
+        delays.len(),
+        instance.num_directions(),
+        "one delay per direction"
+    );
+    let base = {
+        let _span = telemetry::span!("sched.random_delay.priorities");
+        base_task_levels(instance)
+    };
+    schedule_by(instance, assignment, delayed_levels(&base, delays), None)
 }
 
 #[cfg(test)]

@@ -1,23 +1,27 @@
 //! Arena-reused trial scratch for best-of-`b` scheduling.
 //!
-//! Before this module, every trial of [`crate::best_of_trials`] paid
-//! twice: it re-derived the per-direction level structure (`k` BFS
-//! traversals) and allocated a fresh priority vector, in-degree vector,
-//! per-processor heaps, and `Schedule` — per trial. [`TrialContext`]
-//! hoists everything that depends only on `(instance, assignment,
-//! algorithm)` out of the loop, and [`TrialScratch`] keeps every
-//! per-trial buffer warm across trials (reset, never freed), threaded
-//! through the pool as one scratch slot per worker
-//! ([`sweep_pool::ThreadPool::par_map_scratch`]).
+//! [`TrialContext`] hoists everything that depends only on `(instance,
+//! assignment, algorithm)` out of the trial loop — the per-direction
+//! level structure (`k` BFS traversals) and the in-degree template — and
+//! [`TrialScratch`] keeps every per-trial buffer warm across trials
+//! (reset, never freed), threaded through the pool as one scratch slot
+//! per worker ([`sweep_pool::ThreadPool::par_map_scratch`]). For the list
+//! scheduler those buffers are the rank kernel's
+//! ([`mod@crate::list_schedule`]): the `(predecessors left, rank)` pair per
+//! task, the rank → task table, the per-processor block offsets, the
+//! counting-sort histogram and the ready bitset with its summary level.
+//! Algorithm 2's priorities `level + delay` are read straight off the
+//! hoisted levels while ranking; no per-trial priority vector exists.
 //!
 //! Steady state performs **zero heap allocations per trial**: the
-//! scratch pre-reserves every buffer to its worst case on first use
-//! (`warm-up`), and [`TrialScratch::grow_events`] counts the runs in
-//! which any buffer capacity actually changed — the
-//! `scratch_zero_allocs_after_warm_up` test asserts the count stays
-//! flat after warm-up, and the `par_speedup` bench reports it per
-//! width via the `sched.scratch.grows` / `sched.scratch.trials`
-//! telemetry counters.
+//! scratch reserves every buffer to its worst case on first use
+//! (warm-up) — the ranking buffers from the widest priority span the
+//! context can produce, `max level + k` — and
+//! [`TrialScratch::grow_events`] counts the runs in which any buffer
+//! capacity actually changed. `scratch_grows_only_during_warm_up`
+//! asserts the count stays flat after warm-up, and the `par_speedup`
+//! bench reports it per width via the `sched.scratch.grows` /
+//! `sched.scratch.trials` telemetry counters.
 //!
 //! Trials on the fast path produce *makespans only*; the winning
 //! schedule is rematerialized afterwards by re-running the single
@@ -26,15 +30,15 @@
 //! (Graham-preprocessed and heuristic-priority variants) fall back to
 //! [`Algorithm::run`] per trial, unchanged.
 
-use std::collections::BinaryHeap;
-
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
 use crate::algorithms::Algorithm;
 use crate::assignment::Assignment;
-use crate::list_schedule::{list_schedule_core, ListBuffers};
-use crate::random_delay::{base_task_levels, random_delay_core, random_delays_into, LayerBuffers};
+use crate::list_schedule::{list_schedule_core, reserve, task_in_degrees, ListBuffers};
+use crate::random_delay::{
+    base_task_levels, delayed_levels, random_delay_core, random_delays_into, LayerBuffers,
+};
 
 /// Everything about a best-of-`b` run that does not depend on the
 /// trial seed, computed once and shared (immutably) by all workers.
@@ -46,9 +50,8 @@ pub struct TrialContext<'a> {
     base_levels: Vec<u32>,
     /// In-degree template per task (copied, not recomputed, per trial).
     indeg: Vec<u32>,
-    /// Worst-case ready-heap size per processor: `cells(p) · k`.
-    heap_caps: Vec<usize>,
-    /// Worst case for Algorithm 1's layer count: `max level + k`.
+    /// Worst case for Algorithm 1's layer count, and so for the span of
+    /// Algorithm 2's priorities: `max level + k`.
     max_layers: usize,
     fast: bool,
 }
@@ -65,7 +68,6 @@ impl<'a> TrialContext<'a> {
             algorithm,
             Algorithm::RandomDelay | Algorithm::RandomDelayPriorities | Algorithm::Greedy
         );
-        let n = instance.num_cells();
         let k = instance.num_directions();
         let needs_levels = fast && !matches!(algorithm, Algorithm::Greedy);
         let base_levels = if needs_levels {
@@ -74,20 +76,11 @@ impl<'a> TrialContext<'a> {
             Vec::new()
         };
         let needs_list = fast && !matches!(algorithm, Algorithm::RandomDelay);
-        let mut indeg = Vec::new();
-        let mut heap_caps = Vec::new();
-        if needs_list {
-            indeg = vec![0u32; n * k];
-            for (i, dag) in instance.dags().iter().enumerate() {
-                for v in 0..n as u32 {
-                    indeg[sweep_dag::TaskId::pack(v, i as u32, n).index()] = dag.in_degree(v);
-                }
-            }
-            heap_caps = vec![0usize; assignment.num_procs()];
-            for v in 0..n as u32 {
-                heap_caps[assignment.proc_of(v) as usize] += k;
-            }
-        }
+        let indeg = if needs_list {
+            task_in_degrees(instance).collect()
+        } else {
+            Vec::new()
+        };
         let max_layers = base_levels.iter().copied().max().unwrap_or(0) as usize + k;
         TrialContext {
             instance,
@@ -95,7 +88,6 @@ impl<'a> TrialContext<'a> {
             algorithm,
             base_levels,
             indeg,
-            heap_caps,
             max_layers,
             fast,
         }
@@ -118,7 +110,6 @@ impl<'a> TrialContext<'a> {
                 .run(self.instance, self.assignment.clone(), seed)
                 .makespan();
         }
-        let n = self.instance.num_cells();
         let k = self.instance.num_directions();
         scratch.ensure(self);
         let caps_before = scratch.capacity_cells();
@@ -135,32 +126,23 @@ impl<'a> TrialContext<'a> {
             }
             Algorithm::RandomDelayPriorities => {
                 random_delays_into(k, seed, &mut scratch.delays);
-                scratch.prio.clear();
-                let (base, delays) = (&self.base_levels, &scratch.delays);
-                scratch
-                    .prio
-                    .extend((0..n * k).map(|t| base[t] as i64 + delays[t / n.max(1)] as i64));
                 list_schedule_core(
                     self.instance,
                     self.assignment,
-                    &scratch.prio,
+                    delayed_levels(&self.base_levels, &scratch.delays),
                     None,
                     Some(&self.indeg),
                     &mut scratch.list,
                 )
             }
-            Algorithm::Greedy => {
-                scratch.prio.clear();
-                scratch.prio.resize(n * k, 0);
-                list_schedule_core(
-                    self.instance,
-                    self.assignment,
-                    &scratch.prio,
-                    None,
-                    Some(&self.indeg),
-                    &mut scratch.list,
-                )
-            }
+            Algorithm::Greedy => list_schedule_core(
+                self.instance,
+                self.assignment,
+                |_, _| 0,
+                None,
+                Some(&self.indeg),
+                &mut scratch.list,
+            ),
             _ => unreachable!("fast flag covers exactly the arms above"),
         };
         scratch.trials += 1;
@@ -183,7 +165,6 @@ impl<'a> TrialContext<'a> {
 /// worst case, and subsequent trials allocate nothing.
 #[derive(Default)]
 pub struct TrialScratch {
-    prio: Vec<i64>,
     delays: Vec<u32>,
     list: ListBuffers,
     layer: LayerBuffers,
@@ -223,20 +204,12 @@ impl TrialScratch {
             reserve(&mut self.layer.cursor, ctx.max_layers);
             reserve(&mut self.layer.next_slot, ctx.assignment.num_procs());
         } else {
-            reserve(&mut self.prio, nk);
-            reserve(&mut self.list.indeg, nk);
-            reserve(&mut self.list.start, nk);
-            reserve(&mut self.list.completed, ctx.heap_caps.len());
-            if self.list.heaps.len() < ctx.heap_caps.len() {
-                self.list
-                    .heaps
-                    .resize_with(ctx.heap_caps.len(), BinaryHeap::new);
-            }
-            for (heap, &cap) in self.list.heaps.iter_mut().zip(&ctx.heap_caps) {
-                if heap.capacity() < cap {
-                    heap.reserve(cap - heap.len());
-                }
-            }
+            self.list.reserve(
+                ctx.instance.num_cells(),
+                k,
+                ctx.assignment.num_procs(),
+                ctx.max_layers,
+            );
         }
         if self.capacity_cells() != before {
             self.grows += 1;
@@ -247,30 +220,14 @@ impl TrialScratch {
     /// Fingerprint of every buffer's capacity (capacities never
     /// shrink, so inequality means something grew).
     fn capacity_cells(&self) -> usize {
-        self.prio.capacity()
-            + self.delays.capacity()
-            + self.list.indeg.capacity()
-            + self.list.start.capacity()
-            + self.list.completed.capacity()
-            + self.list.heaps.capacity()
-            + self
-                .list
-                .heaps
-                .iter()
-                .map(BinaryHeap::capacity)
-                .sum::<usize>()
+        self.delays.capacity()
+            + self.list.capacity_cells()
             + self.layer.start.capacity()
             + self.layer.layer_of.capacity()
             + self.layer.layer_xadj.capacity()
             + self.layer.layer_tasks.capacity()
             + self.layer.cursor.capacity()
             + self.layer.next_slot.capacity()
-    }
-}
-
-fn reserve<T>(v: &mut Vec<T>, cap: usize) {
-    if v.capacity() < cap {
-        v.reserve_exact(cap - v.len());
     }
 }
 
@@ -323,26 +280,31 @@ mod tests {
     #[test]
     fn scratch_grows_only_during_warm_up() {
         let inst = SweepInstance::random_layered(80, 5, 7, 2, 23);
-        let a = Assignment::random_cells(80, 6, 9);
-        for alg in [
-            Algorithm::RandomDelay,
-            Algorithm::RandomDelayPriorities,
-            Algorithm::Greedy,
-        ] {
-            let ctx = TrialContext::new(&inst, &a, alg);
-            let mut scratch = TrialScratch::new();
-            ctx.run_trial(rand::split_seed(1, 0), &mut scratch);
-            let warmed = scratch.grow_events();
-            assert!(warmed >= 1, "{alg:?}: warm-up must reserve");
-            for i in 1..64u64 {
-                ctx.run_trial(rand::split_seed(1, i), &mut scratch);
+        // 6 processors rank by counting sort; with 83 Algorithm 2's
+        // priorities can outgrow the histogram budget (9 values) and take
+        // the comparison sort, whose keys must be reserved up front too.
+        for m in [6, 83] {
+            let a = Assignment::random_cells(80, m, 9);
+            for alg in [
+                Algorithm::RandomDelay,
+                Algorithm::RandomDelayPriorities,
+                Algorithm::Greedy,
+            ] {
+                let ctx = TrialContext::new(&inst, &a, alg);
+                let mut scratch = TrialScratch::new();
+                ctx.run_trial(rand::split_seed(1, 0), &mut scratch);
+                let warmed = scratch.grow_events();
+                assert!(warmed >= 1, "{alg:?}: warm-up must reserve");
+                for i in 1..64u64 {
+                    ctx.run_trial(rand::split_seed(1, i), &mut scratch);
+                }
+                assert_eq!(
+                    scratch.grow_events(),
+                    warmed,
+                    "{alg:?} m={m}: buffers grew after warm-up"
+                );
+                assert_eq!(scratch.trials(), 64);
             }
-            assert_eq!(
-                scratch.grow_events(),
-                warmed,
-                "{alg:?}: buffers grew after warm-up"
-            );
-            assert_eq!(scratch.trials(), 64);
         }
     }
 

@@ -2,7 +2,7 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -50,7 +50,8 @@ impl SpanEvent {
 /// exporters in [`crate::export`].
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// All closed spans, in close order.
+    /// The closed spans still retained (the latest [`SPAN_CAPACITY`] at
+    /// most), in close order.
     pub spans: Vec<SpanEvent>,
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -115,7 +116,7 @@ impl Snapshot {
 
 #[derive(Default)]
 struct Inner {
-    spans: Vec<SpanEvent>,
+    spans: VecDeque<SpanEvent>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
@@ -139,6 +140,18 @@ impl Default for Collector {
 /// Counter that tallies histogram samples rejected for being
 /// non-finite (see [`Collector::histogram_record`]).
 pub const DROPPED_SAMPLES: &str = "telemetry.dropped_samples";
+
+/// Most span events a collector retains. A long-lived process (the
+/// server records for its whole life) would otherwise grow, and clone
+/// on every snapshot, a list of everything it ever did; past this many
+/// the oldest event is dropped and tallied in
+/// `telemetry.dropped_spans`. Only the event list is bounded: the
+/// `span.*` histograms and every counter still see every span.
+pub const SPAN_CAPACITY: usize = 1 << 18;
+
+/// Counter that tallies span events dropped from a full ring (see
+/// [`SPAN_CAPACITY`]).
+pub const DROPPED_SPANS: &str = "telemetry.dropped_spans";
 
 /// Distinct wall-clock track ids, one per recording thread.
 static NEXT_TRACK: AtomicU32 = AtomicU32::new(0);
@@ -224,15 +237,23 @@ impl Collector {
     fn record_span(&self, ev: SpanEvent) {
         // Auto-aggregate wall-span durations so Prometheus output always
         // carries latency histograms wherever spans fire.
-        if ev.clock == Clock::Wall {
-            let key = format!("span.{}", ev.name);
+        let wall = (ev.clock == Clock::Wall).then(|| format!("span.{}", ev.name));
+        let mut inner = self.lock();
+        if let Some(key) = wall {
             let secs = ev.dur_us as f64 / 1e6;
-            let mut inner = self.lock();
             inner.histograms.entry(key).or_default().record(secs);
-            inner.spans.push(ev);
-        } else {
-            self.lock().spans.push(ev);
         }
+        if inner.spans.len() == SPAN_CAPACITY {
+            inner.spans.pop_front();
+            // No `entry`: that would allocate the key on every drop.
+            match inner.counters.get_mut(DROPPED_SPANS) {
+                Some(v) => *v += 1,
+                None => {
+                    inner.counters.insert(DROPPED_SPANS.to_string(), 1);
+                }
+            }
+        }
+        inner.spans.push_back(ev);
     }
 
     /// Records a closed span on the simulated clock (`start_s`/`dur_s`
@@ -348,7 +369,7 @@ impl Collector {
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
         Snapshot {
-            spans: inner.spans.clone(),
+            spans: inner.spans.iter().cloned().collect(),
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),
             histograms: inner
@@ -491,6 +512,28 @@ mod tests {
         assert_eq!(snap.histograms["h"].count(), 2);
         assert_eq!(snap.counters[DROPPED_SAMPLES], 3);
         assert_eq!(c.counter_value(DROPPED_SAMPLES), 3);
+    }
+
+    #[test]
+    fn span_ring_drops_the_oldest_events_and_nothing_else() {
+        let c = Collector::new();
+        c.set_enabled(true);
+        let total = 10 * SPAN_CAPACITY;
+        for _ in 0..total - 1 {
+            drop(c.span("ring.wall"));
+        }
+        c.virtual_span("ring.last", 0, 0.0, 1.0);
+        let snap = c.snapshot();
+        assert_eq!(snap.spans.len(), SPAN_CAPACITY);
+        assert_eq!(snap.spans[SPAN_CAPACITY - 1].name, "ring.last");
+        assert_eq!(snap.counters[DROPPED_SPANS], (total - SPAN_CAPACITY) as u64);
+        // The aggregate saw every wall span, dropped or not.
+        assert_eq!(
+            snap.histograms["span.ring.wall"].count(),
+            (total - 1) as u64
+        );
+        c.reset();
+        assert!(c.snapshot().spans.is_empty());
     }
 
     #[test]
