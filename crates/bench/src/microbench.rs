@@ -65,124 +65,6 @@ impl Group {
     }
 }
 
-/// Frozen *uninstrumented* copy of Algorithm 1's layer-sequential core
-/// (`sweep_core::random_delay_with` as of the pre-telemetry revision).
-/// Serves as the baseline for [`telemetry_overhead_ratio`]: the only
-/// difference from the live implementation is the absence of the
-/// telemetry span/counter/histogram calls, so the measured gap is exactly
-/// the instrumentation cost. Keep this in sync if the algorithm itself
-/// changes.
-fn random_delay_uninstrumented(
-    instance: &sweep_dag::SweepInstance,
-    assignment: sweep_core::Assignment,
-    delays: &[u32],
-) -> sweep_core::Schedule {
-    use sweep_core::Schedule;
-    use sweep_dag::{levels, TaskId};
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    assert_eq!(delays.len(), k, "one delay per direction");
-    let m = assignment.num_procs();
-    let mut start = vec![0u32; n * k];
-    if n == 0 {
-        return Schedule::new_checked(start, assignment);
-    }
-    // Mirrors the live implementation's two-phase structure: the
-    // delay-independent base levels are materialized first (the live
-    // path hoists them per trial batch), then combined with the delays.
-    let mut base = vec![0u32; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let lv = levels(dag);
-        for v in 0..n as u32 {
-            base[TaskId::pack(v, i as u32, n).index()] = lv.level_of[v as usize];
-        }
-    }
-    let mut layer_of = Vec::with_capacity(n * k);
-    let mut num_layers = 0u32;
-    layer_of.extend((0..n * k).map(|t| {
-        let r = base[t] + delays[t / n];
-        num_layers = num_layers.max(r + 1);
-        r
-    }));
-    let mut layer_xadj = vec![0u32; num_layers as usize + 1];
-    for &r in &layer_of {
-        layer_xadj[r as usize + 1] += 1;
-    }
-    for r in 0..num_layers as usize {
-        layer_xadj[r + 1] += layer_xadj[r];
-    }
-    let mut layer_tasks = vec![0u64; n * k];
-    let mut cursor: Vec<u32> = layer_xadj[..num_layers as usize].to_vec();
-    for (t, &r) in layer_of.iter().enumerate() {
-        layer_tasks[cursor[r as usize] as usize] = t as u64;
-        cursor[r as usize] += 1;
-    }
-    let mut clock = 0u32;
-    let mut next_slot = vec![0u32; m];
-    for r in 0..num_layers as usize {
-        let tasks = &layer_tasks[layer_xadj[r] as usize..layer_xadj[r + 1] as usize];
-        if tasks.is_empty() {
-            continue;
-        }
-        next_slot.iter_mut().for_each(|s| *s = clock);
-        let mut layer_span = 0u32;
-        for &t in tasks {
-            let v = (t % n as u64) as u32;
-            let p = assignment.proc_of(v) as usize;
-            start[t as usize] = next_slot[p];
-            next_slot[p] += 1;
-            layer_span = layer_span.max(next_slot[p] - clock);
-        }
-        clock += layer_span;
-    }
-    Schedule::new_checked(start, assignment)
-}
-
-/// Measures the *disabled-telemetry* overhead of the instrumented
-/// `random_delay_with` against the frozen uninstrumented baseline above:
-/// returns `median(instrumented) / median(baseline)` over `samples`
-/// interleaved timing runs on a synthetic layered instance. Verifies both
-/// paths produce identical schedules as a side effect.
-///
-/// With telemetry disabled the instrumented path adds one relaxed atomic
-/// load per span/metric call, so this ratio should sit within noise of
-/// 1.0; the `telemetry_overhead` test (and the `schedulers` bench) keep
-/// it under 1.05.
-pub fn telemetry_overhead_ratio(samples: usize) -> f64 {
-    use sweep_core::{random_delay_with, Assignment};
-    use sweep_dag::SweepInstance;
-    assert!(samples >= 3, "need enough samples for a median");
-    sweep_telemetry::set_enabled(false);
-    let inst = SweepInstance::random_layered(600, 6, 12, 3, 77);
-    let a = Assignment::random_cells(600, 16, 78);
-    let delays: Vec<u32> = (0..6).collect();
-
-    let base = random_delay_uninstrumented(&inst, a.clone(), &delays);
-    let live = random_delay_with(&inst, a.clone(), &delays);
-    assert_eq!(
-        base.starts(),
-        live.starts(),
-        "baseline diverged from the instrumented implementation — update \
-         random_delay_uninstrumented"
-    );
-
-    // Interleave A/B measurements so clock drift and frequency scaling
-    // hit both sides equally; compare medians.
-    let mut base_ns: Vec<u128> = Vec::with_capacity(samples);
-    let mut live_ns: Vec<u128> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        std::hint::black_box(random_delay_uninstrumented(&inst, a.clone(), &delays));
-        base_ns.push(t.elapsed().as_nanos());
-        let t = Instant::now();
-        std::hint::black_box(random_delay_with(&inst, a.clone(), &delays));
-        live_ns.push(t.elapsed().as_nanos());
-    }
-    base_ns.sort_unstable();
-    live_ns.sort_unstable();
-    live_ns[samples / 2] as f64 / base_ns[samples / 2].max(1) as f64
-}
-
 fn fmt_duration(d: Duration) -> String {
     let ns = d.as_nanos();
     if ns < 10_000 {
@@ -199,24 +81,6 @@ fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn telemetry_overhead_below_five_percent_when_disabled() {
-        let _guard = crate::TELEMETRY_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        // Noise-damped: accept the first of several attempts under the
-        // bound; a loaded CI machine can skew any single measurement.
-        let mut last = f64::NAN;
-        for attempt in 0..5 {
-            last = telemetry_overhead_ratio(21);
-            if last < 1.05 {
-                return;
-            }
-            eprintln!("attempt {attempt}: overhead ratio {last:.4}, retrying");
-        }
-        panic!("disabled-telemetry overhead ratio {last:.4} ≥ 1.05 across 5 attempts");
-    }
 
     #[test]
     fn bench_runs_and_formats() {

@@ -401,7 +401,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
     if latency < 0.0 {
         return Err("--latency must be non-negative".into());
     }
-    let alg = parse_algorithm(
+    let alg = Algorithm::from_name(
         flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
         flags.contains_key("delays"),
     )?;
@@ -456,7 +456,7 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
         min_rto: get(flags, "min-rto", 1.0)?,
     };
     cfg.validate()?;
-    let alg = parse_algorithm(
+    let alg = Algorithm::from_name(
         flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
         flags.contains_key("delays"),
     )?;
@@ -933,19 +933,6 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-fn parse_algorithm(name: &str, delays: bool) -> Result<Algorithm, String> {
-    Ok(match name {
-        "rdp" => Algorithm::RandomDelayPriorities,
-        "rd" => Algorithm::RandomDelay,
-        "improved" => Algorithm::ImprovedRandomDelay,
-        "greedy" => Algorithm::Greedy,
-        "level" => Algorithm::LevelPriority { delays },
-        "descendant" => Algorithm::DescendantPriority { delays },
-        "dfds" => Algorithm::Dfds { delays },
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
 fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
     let (name, mesh, inst) = build_instance_or_file(flags)?;
     let m: usize = require(flags, "m")?
@@ -955,7 +942,7 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
         return Err("--m must be positive".into());
     }
     let seed: u64 = get(flags, "seed", 2005)?;
-    let alg = parse_algorithm(
+    let alg = Algorithm::from_name(
         flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
         flags.contains_key("delays"),
     )?;
@@ -1146,7 +1133,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
         if !cyclic {
             let assignment = Assignment::random_cells(inst.num_cells(), m, seed);
             report.merge(analyze_assignment_with(&inst, &assignment, &opts));
-            let alg = parse_algorithm(
+            let alg = Algorithm::from_name(
                 flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
                 flags.contains_key("delays"),
             )?;
@@ -1621,6 +1608,31 @@ mod tests {
             assert!(out.contains("makespan"), "{alg}: {out}");
             assert!(out.contains("C1 ="));
         }
+    }
+
+    #[test]
+    fn every_algorithm_name_in_help_parses() {
+        let listed = HELP.split("[--algorithm ").nth(1).expect("schedule usage");
+        let names: Vec<&str> = listed[..listed.find(']').unwrap()].split('|').collect();
+        assert_eq!(names.len(), 7, "{names:?}");
+        for name in names {
+            Algorithm::from_name(name, false).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        let err = run(&args(&[
+            "schedule",
+            "--preset",
+            "tetonly",
+            "--scale",
+            "0.01",
+            "--sn",
+            "2",
+            "--m",
+            "4",
+            "--algorithm",
+            "fastest",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown algorithm 'fastest'");
     }
 
     #[test]

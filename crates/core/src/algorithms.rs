@@ -75,12 +75,31 @@ impl Algorithm {
         }
     }
 
+    /// The algorithm a front-end name selects (the `--algorithm` values of
+    /// the CLI and the `"algorithm"` field of `POST /v1/schedule`); `delays`
+    /// composes random delays where the heuristic takes them.
+    pub fn from_name(name: &str, delays: bool) -> Result<Algorithm, String> {
+        Ok(match name {
+            "rdp" => Algorithm::RandomDelayPriorities,
+            "rd" => Algorithm::RandomDelay,
+            "improved" => Algorithm::ImprovedRandomDelay,
+            "greedy" => Algorithm::Greedy,
+            "level" => Algorithm::LevelPriority { delays },
+            "descendant" => Algorithm::DescendantPriority { delays },
+            "dfds" => Algorithm::Dfds { delays },
+            other => return Err(format!("unknown algorithm '{other}'")),
+        })
+    }
+
     /// Runs the algorithm. `seed` drives the random-delay draw (where the
     /// algorithm uses one); the processor assignment is supplied by the
     /// caller so that communication costs are comparable across algorithms
     /// (§5.2 fixes the block assignment and compares makespans).
     pub fn run(&self, instance: &SweepInstance, assignment: Assignment, seed: u64) -> Schedule {
-        match self {
+        let heuristic = |scheme, delays: bool, assignment| {
+            schedule_with_priorities(instance, assignment, scheme, delays.then_some(seed))
+        };
+        match *self {
             Algorithm::RandomDelay => random_delay(instance, assignment, seed),
             Algorithm::RandomDelayPriorities => random_delay_priorities(instance, assignment, seed),
             Algorithm::ImprovedRandomDelay => improved_random_delay(instance, assignment, seed),
@@ -88,24 +107,14 @@ impl Algorithm {
                 improved_with_priorities(instance, assignment, seed)
             }
             Algorithm::Greedy => greedy_schedule(instance, assignment),
-            Algorithm::LevelPriority { delays } => schedule_with_priorities(
-                instance,
-                assignment,
-                PriorityScheme::Level,
-                delays.then_some(seed),
-            ),
-            Algorithm::DescendantPriority { delays } => schedule_with_priorities(
-                instance,
-                assignment,
-                PriorityScheme::Descendant(DescendantMode::Approximate),
-                delays.then_some(seed),
-            ),
-            Algorithm::Dfds { delays } => schedule_with_priorities(
-                instance,
-                assignment,
-                PriorityScheme::Dfds,
-                delays.then_some(seed),
-            ),
+            Algorithm::LevelPriority { delays } => {
+                heuristic(PriorityScheme::Level, delays, assignment)
+            }
+            Algorithm::DescendantPriority { delays } => {
+                let approximate = PriorityScheme::Descendant(DescendantMode::Approximate);
+                heuristic(approximate, delays, assignment)
+            }
+            Algorithm::Dfds { delays } => heuristic(PriorityScheme::Dfds, delays, assignment),
         }
     }
 }
@@ -135,6 +144,17 @@ mod tests {
         assert_eq!(Algorithm::RandomDelay.name(), "random_delay");
         assert_eq!(Algorithm::Dfds { delays: true }.name(), "dfds+delays");
         assert_eq!(Algorithm::LevelPriority { delays: false }.name(), "level");
+    }
+
+    #[test]
+    fn front_end_names_parse_and_unknown_ones_keep_their_error() {
+        let delayed = Algorithm::from_name("dfds", true);
+        assert_eq!(delayed, Ok(Algorithm::Dfds { delays: true }));
+        assert_eq!(Algorithm::from_name("rd", true), Ok(Algorithm::RandomDelay));
+        for unknown in ["", "RDP", "improved_prio", "random_delay"] {
+            let err = Algorithm::from_name(unknown, false).unwrap_err();
+            assert_eq!(err, format!("unknown algorithm '{unknown}'"));
+        }
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! experiment to check that on real instances the per-layer copy counts
 //! and per-processor layer loads indeed stay within the proven envelopes.
 
-use sweep_dag::{levels, SweepInstance, TaskId};
+use sweep_dag::SweepInstance;
 
 use crate::assignment::Assignment;
+use crate::random_delay::{base_task_levels, LayerBuckets};
 
 /// The Chernoff tail `G(μ, δ) = (e^δ / (1+δ)^{1+δ})^μ` of Lemma 1(a).
 pub fn chernoff_g(mu: f64, delta: f64) -> f64 {
@@ -77,49 +78,34 @@ pub fn layer_congestion(
     assert_eq!(assignment.num_cells(), n);
     let m = assignment.num_procs();
 
-    // layer per task
-    let mut layer_of = vec![0u32; n * k];
-    let mut num_layers = 0u32;
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let lv = levels(dag);
-        for v in 0..n as u32 {
-            let r = lv.level_of[v as usize] + delays[i];
-            layer_of[TaskId::pack(v, i as u32, n).index()] = r;
-            num_layers = num_layers.max(r + 1);
-        }
-    }
-    // Bucket-by-layer pass, reusing scratch arrays across layers.
-    let mut order: Vec<u64> = (0..(n * k) as u64).collect();
-    order.sort_unstable_by_key(|&t| layer_of[t as usize]);
+    let mut buckets = LayerBuckets::default();
+    let num_layers = buckets.fill(n, &base_task_levels(instance), delays);
+    // One pass per layer, reusing scratch arrays across layers.
     let mut copies = vec![0u32; n];
     let mut loads = vec![0u32; m];
     let mut max_copies = 0u32;
     let mut max_load = 0u32;
     let mut max_width = 0u32;
-    let mut idx = 0usize;
-    while idx < order.len() {
-        let r = layer_of[order[idx] as usize];
-        let begin = idx;
-        while idx < order.len() && layer_of[order[idx] as usize] == r {
-            let v = (order[idx] % n as u64) as u32;
-            copies[v as usize] += 1;
-            loads[assignment.proc_of(v) as usize] += 1;
-            max_copies = max_copies.max(copies[v as usize]);
-            max_load = max_load.max(loads[assignment.proc_of(v) as usize]);
-            idx += 1;
+    for tasks in buckets.layers() {
+        let cell = |t: u64| (t % n as u64) as usize;
+        for &t in tasks {
+            let p = assignment.proc_of(cell(t) as u32) as usize;
+            copies[cell(t)] += 1;
+            loads[p] += 1;
+            max_copies = max_copies.max(copies[cell(t)]);
+            max_load = max_load.max(loads[p]);
         }
-        max_width = max_width.max((idx - begin) as u32);
+        max_width = max_width.max(tasks.len() as u32);
         // Reset only the touched entries.
-        for &t in &order[begin..idx] {
-            let v = (t % n as u64) as u32;
-            copies[v as usize] = 0;
-            loads[assignment.proc_of(v) as usize] = 0;
+        for &t in tasks {
+            copies[cell(t)] = 0;
+            loads[assignment.proc_of(cell(t) as u32) as usize] = 0;
         }
     }
     CongestionStats {
         max_copies_per_cell_layer: max_copies,
         max_tasks_per_proc_layer: max_load,
-        num_layers,
+        num_layers: num_layers as u32,
         max_layer_width: max_width,
     }
 }

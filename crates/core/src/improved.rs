@@ -5,76 +5,33 @@
 //! disjoint union `H` of all per-direction DAGs with `m` identical machines
 //! — crucially *without* the same-processor-per-cell constraint. The step
 //! at which each task completes defines new levels `L'_{i,j}` whose widths
-//! are at most `m`; random delays and layer-sequential processing are then
-//! applied to these narrowed levels. The narrowing is what enables the
+//! are at most `m`. That is all Algorithm 3 adds: the narrowed levels are a
+//! base layering like `level_i(v)`, and they go where levels go — shifted
+//! by the delays `X_i`, then processed behind layer barriers by Algorithm
+//! 1's engine ([`improved_random_delay`]) or ranked by Algorithm 2's
+//! ([`improved_with_priorities`]). The narrowing is what enables the
 //! `O(log m · log log log m)` analysis (Theorem 3).
 
-use sweep_dag::{BitSet, SweepInstance, TaskDag, TaskId};
+use sweep_dag::{BitSet, SweepInstance, TaskId};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::list_schedule;
-use crate::random_delay::random_delays;
+use crate::list_schedule::{schedule_by, task_in_degrees};
+use crate::random_delay::{delayed_levels, layer_sequential, random_delays};
 use crate::schedule::Schedule;
 
-/// Graham's greedy list schedule of one DAG on `m` identical machines
-/// (lowest task id first among ready tasks). Returns the completion
-/// step of every node (0-based) and the makespan in steps. This is the
-/// classical `(2 − 1/m)`-approximation of [Graham et al.], used both by
-/// Algorithm 3 and as a lower-bound witness ([`crate::bounds`]).
+/// Graham preprocessing on the union DAG `H` (step 1 of Algorithm 3):
+/// the classical greedy list schedule of [Graham et al.] — a
+/// `(2 − 1/m)`-approximation — of all `n·k` tasks on `m` identical
+/// machines, lowest task id first among ready tasks. Returns the
+/// completion step of every task (0-based, indexed by `TaskId::index`)
+/// and the makespan `T`; also the lower-bound witness of [`crate::bounds`].
 ///
 /// The ready frontier is a word-packed [`BitSet`]: the per-step batch
 /// is the `m` lowest set bits, tasks readied this step accumulate in a
 /// second set and merge in with one bulk `or` per 64 ids. Any greedy
 /// tie-break yields the same `(2 − 1/m)` bound; lowest-id is the one
 /// that makes the frontier a bitset instead of a queue.
-pub fn graham_steps(dag: &TaskDag, m: usize) -> (Vec<u32>, u32) {
-    assert!(m > 0);
-    let n = dag.num_nodes();
-    let mut step = vec![0u32; n];
-    if n == 0 {
-        return (step, 0);
-    }
-    let mut indeg: Vec<u32> = (0..n as u32).map(|v| dag.in_degree(v)).collect();
-    let mut ready = BitSet::new(n);
-    for (v, &d) in indeg.iter().enumerate() {
-        if d == 0 {
-            ready.insert(v);
-        }
-    }
-    let mut next_ready = BitSet::new(n);
-    let mut batch: Vec<u32> = Vec::with_capacity(m.min(n));
-    let mut t = 0u32;
-    let mut done = 0usize;
-    while done < n {
-        debug_assert!(!ready.is_empty(), "acyclic DAG always has ready tasks");
-        // Run the m lowest-id ready tasks this step.
-        batch.clear();
-        batch.extend(ready.ones().take(m).map(|v| v as u32));
-        for &v in &batch {
-            ready.remove(v as usize);
-            step[v as usize] = t;
-            done += 1;
-            for &w in dag.successors(v) {
-                indeg[w as usize] -= 1;
-                if indeg[w as usize] == 0 {
-                    next_ready.insert(w as usize);
-                }
-            }
-        }
-        ready.union_with(&next_ready);
-        next_ready.clear();
-        t += 1;
-    }
-    (step, t)
-}
-
-/// Graham preprocessing on the union DAG `H` (step 1 of Algorithm 3):
-/// the union is a disjoint union, so each direction can be scheduled
-/// independently *per machine-step budget*… except machines are shared.
-/// We therefore schedule the true union: one global FIFO over all `n·k`
-/// tasks. Returns `steps[task]` (indexed by `TaskId::index`) and the
-/// makespan `T`.
 pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32) {
     let _span = telemetry::span!("sched.improved.graham");
     assert!(m > 0);
@@ -84,13 +41,7 @@ pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32)
     if n == 0 {
         return (step, 0);
     }
-    let mut indeg = vec![0u32; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        for v in 0..n as u32 {
-            indeg[TaskId::pack(v, i as u32, n).index()] = dag.in_degree(v);
-        }
-    }
-    // Same bitset frontier as `graham_steps`, over the n·k union space.
+    let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
     let mut ready = BitSet::new(n * k);
     for (t, &d) in indeg.iter().enumerate() {
         if d == 0 {
@@ -102,7 +53,8 @@ pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32)
     let mut t = 0u32;
     let mut done = 0usize;
     while done < n * k {
-        debug_assert!(!ready.is_empty());
+        debug_assert!(!ready.is_empty(), "acyclic DAG always has ready tasks");
+        // Run the m lowest-id ready tasks this step.
         batch.clear();
         batch.extend(ready.ones().take(m).map(|task| task as u64));
         for &task in &batch {
@@ -144,8 +96,8 @@ pub fn improved_random_delay_with(
     delays: &[u32],
 ) -> Schedule {
     let _span = telemetry::span!("sched.improved");
-    let prio = improved_priorities(instance, assignment.num_procs(), delays);
-    layer_sequential_by(instance, assignment, &prio)
+    let (steps, _) = graham_union_steps(instance, assignment.num_procs());
+    layer_sequential(instance, assignment, delays, &steps)
 }
 
 /// Practical variant: the narrowed levels are used as *priorities* for
@@ -158,93 +110,54 @@ pub fn improved_with_priorities(
 ) -> Schedule {
     let _span = telemetry::span!("sched.improved");
     let delays = random_delays(instance.num_directions(), seed);
-    let prio = improved_priorities(instance, assignment.num_procs(), delays.as_slice());
-    list_schedule(instance, assignment, &prio, None)
+    let (steps, _) = graham_union_steps(instance, assignment.num_procs());
+    schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
 }
 
 /// The combined-layer index `step_i(v) + X_i` of every task under
 /// Algorithm 3's preprocessing.
 pub fn improved_priorities(instance: &SweepInstance, m: usize, delays: &[u32]) -> Vec<i64> {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
+    let (n, k) = (instance.num_cells(), instance.num_directions());
     assert_eq!(delays.len(), k, "one delay per direction");
     let (steps, _t) = graham_union_steps(instance, m);
-    let mut prio = vec![0i64; n * k];
-    for dir in 0..k as u32 {
-        for v in 0..n as u32 {
-            let idx = TaskId::pack(v, dir, n).index();
-            prio[idx] = steps[idx] as i64 + delays[dir as usize] as i64;
-        }
-    }
-    prio
-}
-
-/// Layer-sequential processing of arbitrary integer layers (the combined
-/// layers must be a *valid* layering: every edge goes to a strictly larger
-/// layer, which holds for level+delay and Graham-step+delay layerings).
-fn layer_sequential_by(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    layer_of: &[i64],
-) -> Schedule {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let m = assignment.num_procs();
-    let mut start = vec![0u32; n * k];
-    if n == 0 {
-        return Schedule::new_checked(start, assignment);
-    }
-    // Order tasks by layer, then process layers sequentially.
-    let mut order: Vec<u64> = (0..(n * k) as u64).collect();
-    order.sort_unstable_by_key(|&t| layer_of[t as usize]);
-    let mut next_slot = vec![0u32; m];
-    let mut clock = 0u32;
-    let mut idx = 0usize;
-    while idx < order.len() {
-        let layer = layer_of[order[idx] as usize];
-        next_slot.iter_mut().for_each(|s| *s = clock);
-        let mut span = 0u32;
-        while idx < order.len() && layer_of[order[idx] as usize] == layer {
-            let t = order[idx];
-            let v = (t % n as u64) as u32;
-            let p = assignment.proc_of(v) as usize;
-            start[t as usize] = next_slot[p];
-            next_slot[p] += 1;
-            span = span.max(next_slot[p] - clock);
-            idx += 1;
-        }
-        clock += span;
-    }
-    Schedule::new_checked(start, assignment)
+    let gamma = delayed_levels(&steps, delays);
+    (0..n * k).map(|t| gamma(t, t / n)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list_schedule::list_schedule;
     use crate::random_delay::random_delay_with;
     use crate::schedule::validate;
+    use sweep_dag::TaskDag;
+
+    /// One direction: the union DAG is the DAG itself.
+    fn one_direction(dag: TaskDag) -> SweepInstance {
+        SweepInstance::new(dag.num_nodes(), vec![dag], "one direction")
+    }
 
     #[test]
     fn graham_on_chain_is_sequential() {
-        let dag = TaskDag::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let (steps, t) = graham_steps(&dag, 4);
+        let inst = one_direction(TaskDag::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]));
+        let (steps, t) = graham_union_steps(&inst, 4);
         assert_eq!(t, 5);
         assert_eq!(steps, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn graham_on_independent_tasks_packs_m_per_step() {
-        let dag = TaskDag::edgeless(10);
-        let (_, t) = graham_steps(&dag, 4);
+        let inst = one_direction(TaskDag::edgeless(10));
+        let (_, t) = graham_union_steps(&inst, 4);
         assert_eq!(t, 3); // ceil(10/4)
-        let (_, t1) = graham_steps(&dag, 1);
+        let (_, t1) = graham_union_steps(&inst, 1);
         assert_eq!(t1, 10);
     }
 
     #[test]
     fn graham_respects_precedence() {
         let dag = TaskDag::from_edges(6, &[(0, 2), (1, 2), (2, 3), (2, 4), (4, 5)]);
-        let (steps, _) = graham_steps(&dag, 2);
+        let (steps, _) = graham_union_steps(&one_direction(dag.clone()), 2);
         for (u, v) in dag.edges() {
             assert!(steps[u as usize] < steps[v as usize]);
         }
@@ -256,7 +169,7 @@ mod tests {
         let inst = SweepInstance::random_layered(120, 1, 10, 3, 5);
         let dag = inst.dag(0);
         let m = 4;
-        let (_, t) = graham_steps(dag, m);
+        let (_, t) = graham_union_steps(&inst, m);
         let lb = (dag.num_nodes() as u32)
             .div_ceil(m as u32)
             .max(sweep_dag::critical_path_len(dag) as u32);
@@ -341,5 +254,76 @@ mod tests {
         validate(&inst, &s3).unwrap();
         // Loose sanity envelope (not a theorem, a regression tripwire).
         assert!(s3.makespan() <= 3 * s1.makespan().max(1));
+    }
+
+    /// Layer-sequential start times with every layer in task-id order,
+    /// written as a formula instead of a loop over processors' slots: the
+    /// spans of all earlier layers, plus the task's rank among its
+    /// layer's tasks on its processor.
+    fn id_ordered_reference(a: &Assignment, layer: &[i64]) -> Vec<u32> {
+        use std::collections::BTreeMap;
+        let proc = |t: usize| a.proc_of((t % a.num_cells()) as u32);
+        let mut load: BTreeMap<(i64, u32), u32> = BTreeMap::new();
+        let mut rank = vec![0u32; layer.len()];
+        for (t, &r) in layer.iter().enumerate() {
+            let tasks = load.entry((r, proc(t))).or_default();
+            rank[t] = *tasks;
+            *tasks += 1;
+        }
+        let mut span: BTreeMap<i64, u32> = BTreeMap::new();
+        for (&(r, _), &tasks) in &load {
+            let widest = span.entry(r).or_default();
+            *widest = tasks.max(*widest);
+        }
+        let mut clock = 0;
+        for widest in span.values_mut() {
+            clock += *widest;
+            *widest = clock - *widest; // now the layer's first timestep
+        }
+        (0..layer.len())
+            .map(|t| span[&layer[t]] + rank[t])
+            .collect()
+    }
+
+    #[test]
+    fn algorithm3_layers_run_in_task_id_order_at_pinned_makespans() {
+        // Makespans are those of the unstable within-layer order this
+        // replaced: a layer's span is its largest per-processor count.
+        let pinned = [836, 885, 876, 844, 860, 854];
+        for (s, makespan) in (0..6u64).zip(pinned) {
+            let inst = SweepInstance::random_layered(400, 6, 9, 3, s);
+            let a = Assignment::random_cells(400, 7, s ^ 3);
+            let delays = random_delays(6, s ^ 5);
+            let schedule = improved_random_delay_with(&inst, a.clone(), &delays);
+            validate(&inst, &schedule).unwrap();
+            assert_eq!(schedule.makespan(), makespan, "seed {s}");
+            let layer = improved_priorities(&inst, 7, &delays);
+            assert_eq!(
+                schedule.starts(),
+                id_ordered_reference(&a, &layer),
+                "seed {s}"
+            );
+        }
+    }
+
+    #[test]
+    fn layer_sequential_means_narrowed_levels_do_not_interleave() {
+        // With zero delays and one direction, Algorithm 3 degenerates to
+        // step-by-step processing: every task of Graham step j finishes
+        // before any task of step j+1 starts.
+        let inst = SweepInstance::random_layered(60, 1, 5, 2, 3);
+        let a = Assignment::random_cells(60, 4, 4);
+        let s = improved_random_delay_with(&inst, a, &[0]);
+        validate(&inst, &s).unwrap();
+        let (steps, t) = graham_union_steps(&inst, 4);
+        let mut first = vec![u32::MAX; t as usize];
+        let mut last = vec![0u32; t as usize];
+        for (&j, &start) in steps.iter().zip(s.starts()) {
+            first[j as usize] = first[j as usize].min(start);
+            last[j as usize] = last[j as usize].max(start);
+        }
+        for j in 1..t as usize {
+            assert!(first[j] > last[j - 1], "step {j} overlaps step {}", j - 1);
+        }
     }
 }

@@ -62,11 +62,9 @@ pub use concentration::{
     balls_in_bins_h, chernoff_f, chernoff_g, layer_congestion, CongestionStats,
 };
 pub use gantt::{from_csv, render_gantt, timelines, to_csv};
-pub use improved::{
-    graham_steps, graham_union_steps, improved_random_delay, improved_with_priorities,
-};
+pub use improved::{graham_union_steps, improved_random_delay, improved_with_priorities};
 pub use kba::{kba_assignment, processor_grid};
-pub use list_schedule::{compact, greedy_schedule, list_schedule};
+pub use list_schedule::{compact, greedy_schedule, list_schedule, task_in_degrees};
 pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction, idle_slots, load_profile};
 pub use opt::{optimal_makespan_fixed_assignment, optimal_sweep_makespan};
 pub use priorities::{

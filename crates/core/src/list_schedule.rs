@@ -36,7 +36,7 @@
 //! instance may have at most `2³² − 1` tasks (asserted; the service
 //! admits 8 M).
 
-use sweep_dag::SweepInstance;
+use sweep_dag::{SweepInstance, TaskDag};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
@@ -300,11 +300,27 @@ fn pop_lowest(words: &mut [u64], summary: &mut [u64], block: Block, next: Block)
     None
 }
 
-/// In-degree of every task, in id order.
-pub(crate) fn task_in_degrees(instance: &SweepInstance) -> impl Iterator<Item = u32> + '_ {
+/// In-degree of every task, in id order — what every engine (the list
+/// scheduler, the Graham pass, the weighted scheduler, the simulators)
+/// counts down to find ready tasks.
+pub fn task_in_degrees(instance: &SweepInstance) -> impl Iterator<Item = u32> + '_ {
     let cells = 0..instance.num_cells() as u32;
     let dags = instance.dags().iter();
     dags.flat_map(move |dag| cells.clone().map(move |v| dag.in_degree(v)))
+}
+
+/// The per-task table (indexed by `TaskId::index`: direction-major) of a
+/// per-direction function: `per_dir(i, G_i)` yields one value per cell.
+pub(crate) fn per_task_table<T, I: IntoIterator<Item = T>>(
+    instance: &SweepInstance,
+    mut per_dir: impl FnMut(usize, &TaskDag) -> I,
+) -> Vec<T> {
+    let mut table = Vec::with_capacity(instance.num_tasks());
+    for (i, dag) in instance.dags().iter().enumerate() {
+        table.extend(per_dir(i, dag));
+        debug_assert_eq!(table.len(), (i + 1) * instance.num_cells());
+    }
+    table
 }
 
 /// The list-scheduling engine proper: fills `bufs.start` and returns

@@ -8,45 +8,31 @@
 //! delays" to a heuristic is modeled with per-direction release times, as
 //! in the paper's experiments where directions are "randomly delayed".
 
-use sweep_dag::{b_levels, descendant_counts, levels, DescendantMode, SweepInstance, TaskId};
+use sweep_dag::{b_levels, descendant_counts, levels, DescendantMode, SweepInstance};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::list_schedule;
+use crate::list_schedule::{list_schedule, per_task_table};
 use crate::random_delay::random_delays;
 use crate::schedule::Schedule;
 
 /// Level priorities: task `(v, i)` gets the level of `v` in `G_i`;
 /// *smaller is preferred* (§5.2 "Level Priorities").
 pub fn level_priorities(instance: &SweepInstance) -> Vec<i64> {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let mut prio = vec![0i64; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let lv = levels(dag);
-        for v in 0..n as u32 {
-            prio[TaskId::pack(v, i as u32, n).index()] = lv.level_of[v as usize] as i64;
-        }
-    }
-    prio
+    per_task_table(instance, |_, dag| {
+        levels(dag).level_of.into_iter().map(i64::from)
+    })
 }
 
 /// Descendant priorities: the number of descendants of `(v, i)` in `G_i`;
 /// *larger is preferred* (negated for the min-first engine). `mode`
 /// selects exact or path-count descendants (see `sweep_dag::descendants`).
 pub fn descendant_priorities(instance: &SweepInstance, mode: DescendantMode) -> Vec<i64> {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let mut prio = vec![0i64; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let d = descendant_counts(dag, mode);
-        for v in 0..n as u32 {
-            // Saturate into i64 to keep the negation total-order intact.
-            let c = d[v as usize].min(i64::MAX as u64) as i64;
-            prio[TaskId::pack(v, i as u32, n).index()] = -c;
-        }
-    }
-    prio
+    per_task_table(instance, |_, dag| {
+        // Saturate into i64 to keep the negation total-order intact.
+        let counts = descendant_counts(dag, mode).into_iter();
+        counts.map(|c| -(c.min(i64::MAX as u64) as i64))
+    })
 }
 
 /// DFDS priorities (Pautz). With `b(w)` the b-level of `w` and `K` a
@@ -62,9 +48,7 @@ pub fn descendant_priorities(instance: &SweepInstance, mode: DescendantMode) -> 
 /// Descendant, DFDS depends on the processor assignment.
 pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec<i64> {
     let n = instance.num_cells();
-    let k = instance.num_directions();
     assert_eq!(assignment.num_cells(), n);
-    let mut prio = vec![0i64; n * k];
     // K must dominate any b-level; one constant for the whole instance
     // keeps priorities comparable across directions.
     let kconst = instance
@@ -74,7 +58,7 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
         .max()
         .unwrap_or(0) as i64
         + 1;
-    for (i, dag) in instance.dags().iter().enumerate() {
+    per_task_table(instance, |_, dag| {
         let b = b_levels(dag);
         let order = dag.topo_order().expect("instance DAGs are acyclic");
         // raw[v]: DFDS priority of (v, i); computed sinks-first.
@@ -105,11 +89,8 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
                 0
             };
         }
-        for v in 0..n as u32 {
-            prio[TaskId::pack(v, i as u32, n).index()] = -raw[v as usize];
-        }
-    }
-    prio
+        raw.into_iter().map(|priority| -priority)
+    })
 }
 
 /// Which heuristic prioritization to use.
@@ -163,7 +144,7 @@ pub fn schedule_with_priorities(
 mod tests {
     use super::*;
     use crate::schedule::validate;
-    use sweep_dag::TaskDag;
+    use sweep_dag::{TaskDag, TaskId};
 
     fn sample() -> SweepInstance {
         SweepInstance::random_layered(60, 4, 6, 2, 11)

@@ -17,11 +17,11 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sweep_dag::{levels, SweepInstance, TaskId};
+use sweep_dag::{levels, SweepInstance};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::schedule_by;
+use crate::list_schedule::{per_task_table, schedule_by};
 use crate::schedule::Schedule;
 
 /// Draws the per-direction delays `X_i ∈ {0, …, k−1}` (step 1 of every
@@ -46,21 +46,13 @@ pub fn random_delays_into(k: usize, seed: u64, out: &mut Vec<u32>) {
 /// by [`crate::scratch::TrialContext`]: recomputing it costs one BFS
 /// per direction, which dominated every trial before the hoist.
 pub(crate) fn base_task_levels(instance: &SweepInstance) -> Vec<u32> {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let mut base = vec![0u32; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let lv = levels(dag);
-        for v in 0..n as u32 {
-            base[TaskId::pack(v, i as u32, n).index()] = lv.level_of[v as usize];
-        }
-    }
-    base
+    per_task_table(instance, |_, dag| levels(dag).level_of)
 }
 
-/// `Γ(v,i) = level_i(v) + X_i` as a function of `(task, direction)` over
-/// [`base_task_levels`] — what the list scheduler ranks by, so that
-/// Algorithm 2 never materializes its priorities.
+/// `Γ(v,i) = base_i(v) + X_i` as a function of `(task, direction)` over a
+/// per-task base layering — [`base_task_levels`] for Algorithms 1–2, the
+/// Graham steps for Algorithm 3. It is what the list scheduler ranks by,
+/// so no algorithm materializes its priorities.
 pub(crate) fn delayed_levels<'a>(
     base: &'a [u32],
     delays: &'a [u32],
@@ -72,19 +64,12 @@ pub(crate) fn delayed_levels<'a>(
 /// any list scheduler. Returned indexed by `TaskId::index`.
 pub fn delayed_level_priorities(instance: &SweepInstance, delays: &[u32]) -> Vec<i64> {
     let _span = telemetry::span!("sched.random_delay.priorities");
-    let n = instance.num_cells();
     let k = instance.num_directions();
     assert_eq!(delays.len(), k, "one delay per direction");
-    let base = base_task_levels(instance);
-    let mut prio = vec![0i64; n * k];
-    if n > 0 {
-        for (dir, (chunk, base_chunk)) in prio.chunks_mut(n).zip(base.chunks(n)).enumerate() {
-            for (p, &b) in chunk.iter_mut().zip(base_chunk) {
-                *p = b as i64 + delays[dir] as i64;
-            }
-        }
-    }
-    prio
+    per_task_table(instance, |i, dag| {
+        let levels = levels(dag).level_of.into_iter();
+        levels.map(move |level| level as i64 + delays[i] as i64)
+    })
 }
 
 /// **Algorithm 1 — Random Delay.** Layer-sequential processing of the
@@ -103,19 +88,38 @@ pub fn random_delay_with(
     assignment: Assignment,
     delays: &[u32],
 ) -> Schedule {
-    let base = base_task_levels(instance);
+    layer_sequential(instance, assignment, delays, &base_task_levels(instance))
+}
+
+/// Layer-sequential processing of the base layering `base` shifted by
+/// `delays` — the allocating wrapper around [`random_delay_core`].
+pub(crate) fn layer_sequential(
+    instance: &SweepInstance,
+    assignment: Assignment,
+    delays: &[u32],
+    base: &[u32],
+) -> Schedule {
     let mut bufs = LayerBuffers::default();
-    random_delay_core(instance, &assignment, delays, &base, &mut bufs);
+    random_delay_core(instance, &assignment, delays, base, &mut bufs);
     Schedule::new_checked(std::mem::take(&mut bufs.start), assignment)
 }
 
-/// Reusable buffers for [`random_delay_core`] (Algorithm 1's layer
-/// bucketing) — reset, not freed, on every run.
+/// Reusable buffers for [`random_delay_core`] — reset, not freed, on
+/// every run.
 #[derive(Default)]
 pub(crate) struct LayerBuffers {
     /// Start times per task (the run's output).
     pub start: Vec<u32>,
-    /// Combined layer `level + delay` per task.
+    /// Next free timestep per processor within the current layer.
+    pub next_slot: Vec<u32>,
+    /// The tasks of every combined layer.
+    pub buckets: LayerBuckets,
+}
+
+/// Every task bucketed by its combined layer `r = base + delay`.
+#[derive(Default)]
+pub(crate) struct LayerBuckets {
+    /// Combined layer per task.
     pub layer_of: Vec<u32>,
     /// Counting-sort offsets (`num_layers + 1` entries).
     pub layer_xadj: Vec<u32>,
@@ -123,13 +127,52 @@ pub(crate) struct LayerBuffers {
     pub layer_tasks: Vec<u64>,
     /// Counting-sort write cursors.
     pub cursor: Vec<u32>,
-    /// Next free timestep per processor within the current layer.
-    pub next_slot: Vec<u32>,
 }
 
-/// The layer-sequential engine of Algorithm 1: fills `bufs.start` and
-/// returns the makespan. `base_levels` is the per-task `level_i(v)`
-/// vector ([`base_task_levels`]), precomputed once per trial batch.
+impl LayerBuckets {
+    /// Buckets the `n·k` tasks by `r = base[t] + delays[dir]` (stable
+    /// counting sort: a layer holds its tasks in id order) and returns the
+    /// number of layers; [`Self::layers`] then reads them.
+    pub fn fill(&mut self, n: usize, base: &[u32], delays: &[u32]) -> usize {
+        debug_assert_eq!(base.len(), n * delays.len());
+        self.layer_of.clear();
+        for (dir, &delay) in delays.iter().enumerate() {
+            let levels = base[dir * n..(dir + 1) * n].iter();
+            self.layer_of.extend(levels.map(|&level| level + delay));
+        }
+        let num_layers = self.layer_of.iter().max().map_or(0, |&r| r as usize + 1);
+        self.layer_xadj.clear();
+        self.layer_xadj.resize(num_layers + 1, 0);
+        for &r in &self.layer_of {
+            self.layer_xadj[r as usize + 1] += 1;
+        }
+        for r in 0..num_layers {
+            self.layer_xadj[r + 1] += self.layer_xadj[r];
+        }
+        self.layer_tasks.clear();
+        self.layer_tasks.resize(base.len(), 0);
+        self.cursor.clear();
+        self.cursor
+            .extend_from_slice(&self.layer_xadj[..num_layers]);
+        for (t, &r) in self.layer_of.iter().enumerate() {
+            self.layer_tasks[self.cursor[r as usize] as usize] = t as u64;
+            self.cursor[r as usize] += 1;
+        }
+        num_layers
+    }
+
+    /// The tasks of every combined layer `r = 0, 1, …`, each in id order.
+    pub fn layers(&self) -> impl Iterator<Item = &[u64]> {
+        let bounds = self.layer_xadj.windows(2);
+        bounds.map(|b| &self.layer_tasks[b[0] as usize..b[1] as usize])
+    }
+}
+
+/// The layer-sequential engine of Algorithms 1 and 3: fills `bufs.start`
+/// and returns the makespan. `base_levels` is the per-task base layering
+/// — `level_i(v)` ([`base_task_levels`], precomputed once per trial batch)
+/// for Algorithm 1, the Graham steps for Algorithm 3; every edge must go
+/// to a strictly larger layer, which both guarantee.
 pub(crate) fn random_delay_core(
     instance: &SweepInstance,
     assignment: &Assignment,
@@ -147,53 +190,27 @@ pub(crate) fn random_delay_core(
     if n == 0 {
         return 0;
     }
-    debug_assert_eq!(base_levels.len(), n * k);
-
-    // Combined layer index r = level + delay, per task.
-    bufs.layer_of.clear();
-    let mut num_layers = 0u32;
-    bufs.layer_of.extend((0..n * k).map(|t| {
-        let r = base_levels[t] + delays[t / n];
-        num_layers = num_layers.max(r + 1);
-        r
-    }));
-    // Bucket tasks by layer (counting sort).
-    bufs.layer_xadj.clear();
-    bufs.layer_xadj.resize(num_layers as usize + 1, 0);
-    for &r in &bufs.layer_of {
-        bufs.layer_xadj[r as usize + 1] += 1;
-    }
-    for r in 0..num_layers as usize {
-        bufs.layer_xadj[r + 1] += bufs.layer_xadj[r];
-    }
-    bufs.layer_tasks.clear();
-    bufs.layer_tasks.resize(n * k, 0);
-    bufs.cursor.clear();
-    bufs.cursor
-        .extend_from_slice(&bufs.layer_xadj[..num_layers as usize]);
-    for (t, &r) in bufs.layer_of.iter().enumerate() {
-        bufs.layer_tasks[bufs.cursor[r as usize] as usize] = t as u64;
-        bufs.cursor[r as usize] += 1;
-    }
+    let LayerBuffers {
+        start,
+        next_slot,
+        buckets,
+    } = bufs;
+    buckets.fill(n, base_levels, delays);
 
     // Process layers sequentially; within a layer each processor runs its
-    // tasks back-to-back in arbitrary (id) order.
+    // tasks back-to-back in task-id order.
     let mut clock = 0u32;
-    bufs.next_slot.clear();
-    bufs.next_slot.resize(m, 0);
-    for r in 0..num_layers as usize {
-        let tasks = &bufs.layer_tasks[bufs.layer_xadj[r] as usize..bufs.layer_xadj[r + 1] as usize];
-        if tasks.is_empty() {
-            continue;
-        }
-        bufs.next_slot.iter_mut().for_each(|s| *s = clock);
+    next_slot.clear();
+    next_slot.resize(m, 0);
+    for tasks in buckets.layers().filter(|tasks| !tasks.is_empty()) {
+        next_slot.iter_mut().for_each(|s| *s = clock);
         let mut layer_span = 0u32;
         for &t in tasks {
             let v = (t % n as u64) as u32;
             let p = assignment.proc_of(v) as usize;
-            bufs.start[t as usize] = bufs.next_slot[p];
-            bufs.next_slot[p] += 1;
-            layer_span = layer_span.max(bufs.next_slot[p] - clock);
+            start[t as usize] = next_slot[p];
+            next_slot[p] += 1;
+            layer_span = layer_span.max(next_slot[p] - clock);
         }
         telemetry::histogram_record("sched.random_delay.layer_span", layer_span as f64);
         clock += layer_span;
@@ -232,11 +249,8 @@ pub fn random_delay_priorities_with(
     assignment: Assignment,
     delays: &[u32],
 ) -> Schedule {
-    assert_eq!(
-        delays.len(),
-        instance.num_directions(),
-        "one delay per direction"
-    );
+    let k = instance.num_directions();
+    assert_eq!(delays.len(), k, "one delay per direction");
     let base = {
         let _span = telemetry::span!("sched.random_delay.priorities");
         base_task_levels(instance)
@@ -248,7 +262,7 @@ pub fn random_delay_priorities_with(
 mod tests {
     use super::*;
     use crate::schedule::validate;
-    use sweep_dag::TaskDag;
+    use sweep_dag::{TaskDag, TaskId};
 
     #[test]
     fn delays_in_range_and_deterministic() {

@@ -198,10 +198,10 @@ impl TrialScratch {
         reserve(&mut self.delays, k);
         if matches!(ctx.algorithm, Algorithm::RandomDelay) {
             reserve(&mut self.layer.start, nk);
-            reserve(&mut self.layer.layer_of, nk);
-            reserve(&mut self.layer.layer_tasks, nk);
-            reserve(&mut self.layer.layer_xadj, ctx.max_layers + 1);
-            reserve(&mut self.layer.cursor, ctx.max_layers);
+            reserve(&mut self.layer.buckets.layer_of, nk);
+            reserve(&mut self.layer.buckets.layer_tasks, nk);
+            reserve(&mut self.layer.buckets.layer_xadj, ctx.max_layers + 1);
+            reserve(&mut self.layer.buckets.cursor, ctx.max_layers);
             reserve(&mut self.layer.next_slot, ctx.assignment.num_procs());
         } else {
             self.list.reserve(
@@ -223,10 +223,10 @@ impl TrialScratch {
         self.delays.capacity()
             + self.list.capacity_cells()
             + self.layer.start.capacity()
-            + self.layer.layer_of.capacity()
-            + self.layer.layer_xadj.capacity()
-            + self.layer.layer_tasks.capacity()
-            + self.layer.cursor.capacity()
+            + self.layer.buckets.layer_of.capacity()
+            + self.layer.buckets.layer_xadj.capacity()
+            + self.layer.buckets.layer_tasks.capacity()
+            + self.layer.buckets.cursor.capacity()
             + self.layer.next_slot.capacity()
     }
 }

@@ -13,10 +13,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sweep_dag::{levels, SweepInstance, TaskId};
+use sweep_dag::{SweepInstance, TaskId};
 
 use crate::assignment::Assignment;
-use crate::random_delay::random_delays;
+use crate::list_schedule::task_in_degrees;
+use crate::random_delay::{delayed_level_priorities, random_delays};
 
 /// A schedule with per-task durations: task `(v, i)` runs on
 /// `assignment.proc_of(v)` during `[start, start + weight[v])`.
@@ -59,12 +60,7 @@ pub fn weighted_list_schedule(
         };
     }
 
-    let mut indeg = vec![0u32; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        for v in 0..n as u32 {
-            indeg[TaskId::pack(v, i as u32, n).index()] = dag.in_degree(v);
-        }
-    }
+    let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
     // Ready heap per processor.
     let mut ready: Vec<BinaryHeap<Reverse<(i64, u64)>>> = vec![BinaryHeap::new(); m];
     for t in 0..(n * k) as u64 {
@@ -131,17 +127,8 @@ pub fn weighted_random_delay_priorities(
     weights: &[u64],
     seed: u64,
 ) -> WeightedSchedule {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let delays = random_delays(k, seed);
-    let mut prio = vec![0i64; n * k];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        let lv = levels(dag);
-        for v in 0..n as u32 {
-            prio[TaskId::pack(v, i as u32, n).index()] =
-                lv.level_of[v as usize] as i64 + delays[i] as i64;
-        }
-    }
+    let delays = random_delays(instance.num_directions(), seed);
+    let prio = delayed_level_priorities(instance, &delays);
     weighted_list_schedule(instance, assignment, weights, &prio)
 }
 

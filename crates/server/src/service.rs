@@ -356,20 +356,6 @@ impl ScheduleRequest {
     }
 }
 
-/// Maps the CLI's algorithm vocabulary onto [`Algorithm`].
-pub fn algorithm_from_name(name: &str, delays: bool) -> Result<Algorithm, String> {
-    Ok(match name {
-        "rdp" => Algorithm::RandomDelayPriorities,
-        "rd" => Algorithm::RandomDelay,
-        "improved" => Algorithm::ImprovedRandomDelay,
-        "greedy" => Algorithm::Greedy,
-        "level" => Algorithm::LevelPriority { delays },
-        "descendant" => Algorithm::DescendantPriority { delays },
-        "dfds" => Algorithm::Dfds { delays },
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
 /// A computed (or cache-served) schedule summary, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct ScheduleResponse {
@@ -665,7 +651,7 @@ impl SweepService {
     ) -> Result<ArtifactOutcome, String> {
         let _span = telemetry::span!("serve.schedule");
         check_m(req.m)?;
-        let algorithm = algorithm_from_name(&req.algorithm, req.delays)?;
+        let algorithm = Algorithm::from_name(&req.algorithm, req.delays)?;
         let (inst, inst_hit, inst_key) = self.instance_for(req, ctx)?;
         let key = schedule_digest(inst_key, req.m, &req.algorithm, req.delays, req.seed, req.b);
         let cache_span = ctx.span("cache");
@@ -848,7 +834,7 @@ impl SweepService {
         req: &ScheduleRequest,
     ) -> Result<(SweepInstance, ScheduleArtifact), String> {
         check_m(req.m)?;
-        let algorithm = algorithm_from_name(&req.algorithm, req.delays)?;
+        let algorithm = Algorithm::from_name(&req.algorithm, req.delays)?;
         let inst = match &req.mesh {
             MeshSource::Preset { name, scale } => {
                 let preset = MeshPreset::from_name(name)

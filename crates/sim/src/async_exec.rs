@@ -17,12 +17,14 @@
 //! Comparing [`async_makespan`] against the synchronous makespan measures
 //! how much of a schedule's quality survives asynchrony — the gap the
 //! paper's simulation methodology (and ours) abstracts away.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! This module holds the report and trace types and the fault-free entry
+//! points; the event loop itself is `faulty`'s engine, which they run on
+//! the empty [`FaultPlan`].
 
 use sweep_core::Assignment;
-use sweep_dag::{BitSet, SweepInstance, TaskId};
+use sweep_dag::SweepInstance;
+use sweep_faults::FaultPlan;
 use sweep_telemetry as telemetry;
 
 /// Result of an asynchronous distributed simulation.
@@ -127,202 +129,16 @@ pub fn async_makespan_traced(
     latency: f64,
 ) -> (AsyncReport, AsyncTrace) {
     let _span = telemetry::span!("sim.async.exec");
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    let total = n * k;
-    assert_eq!(priority.len(), total, "one priority per task");
-    assert!(latency >= 0.0, "latency must be non-negative");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), n, "one weight per cell");
-        assert!(w.iter().all(|&x| x > 0), "weights must be positive");
-    }
-    let m = assignment.num_procs();
-    let dur = |v: u32| weights.map_or(1.0, |w| w[v as usize] as f64);
-
-    let mut indeg = vec![0u32; total];
-    for (i, dag) in instance.dags().iter().enumerate() {
-        for v in 0..n as u32 {
-            indeg[TaskId::pack(v, i as u32, n).index()] = dag.in_degree(v);
-        }
-    }
-
-    // Local ready-queues.
-    let mut ready: Vec<BinaryHeap<Reverse<(i64, u64)>>> = vec![BinaryHeap::new(); m];
-    for t in 0..total as u64 {
-        if indeg[t as usize] == 0 {
-            let v = (t % n as u64) as u32;
-            ready[assignment.proc_of(v) as usize].push(Reverse((priority[t as usize], t)));
-        }
-    }
-
-    /// Simulation events, ordered by time (ties: arrivals before a
-    /// processor-free event at equal time, so newly arrived inputs are
-    /// visible — encoded in the enum order of the tuple).
-    #[derive(PartialEq)]
-    struct Ev(f64, u8, u32, u64); // (time, kind: 0 = arrival, 1 = proc free, proc, payload)
-    impl Eq for Ev {}
-    impl PartialOrd for Ev {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-    impl Ord for Ev {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            // Min-heap via Reverse at the call sites; here natural order.
-            self.0
-                .partial_cmp(&o.0)
-                .expect("finite times")
-                .then(self.1.cmp(&o.1))
-                .then(self.2.cmp(&o.2))
-                .then(self.3.cmp(&o.3))
-        }
-    }
-
-    let mut events: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-    // Latest input-arrival time per task (readiness gate under latency).
-    let mut avail = vec![0.0f64; total];
-    let mut busy_until = vec![0.0f64; m];
-    let mut idle = BitSet::full(m);
-    let mut busy = vec![0.0f64; m];
-    let mut messages = 0u64;
-    let mut makespan = 0.0f64;
-    let mut done = 0usize;
-    let mut trace = AsyncTrace::default();
-    // Sampled once: the ready-depth probe in the event loop vanishes when
-    // telemetry is disabled.
-    let recording = telemetry::enabled();
-    let mut ready_peak = 0usize;
-
-    // Try to start work on processor p at time `now`.
-    let start_if_possible = |p: usize,
-                             now: f64,
-                             ready: &mut Vec<BinaryHeap<Reverse<(i64, u64)>>>,
-                             events: &mut BinaryHeap<Reverse<Ev>>,
-                             idle: &mut BitSet,
-                             busy_until: &mut Vec<f64>,
-                             busy: &mut Vec<f64>,
-                             trace: &mut AsyncTrace| {
-        if !idle.contains(p) {
-            return;
-        }
-        if let Some(Reverse((_, task))) = ready[p].pop() {
-            let v = (task % n as u64) as u32;
-            let d = dur(v);
-            idle.remove(p);
-            busy_until[p] = now + d;
-            busy[p] += d;
-            trace.execs.push(TraceExec {
-                task,
-                proc: p as u32,
-                start: now,
-                finish: now + d,
-            });
-            events.push(Reverse(Ev(now + d, 1, p as u32, task)));
-        }
+    let plan = FaultPlan::none();
+    let (report, trace) =
+        crate::faulty::execute(instance, assignment, priority, weights, latency, &plan);
+    let report = AsyncReport {
+        makespan: report.makespan,
+        messages: report.messages,
+        busy: report.busy,
+        utilization: report.utilization,
     };
-
-    for p in 0..m {
-        start_if_possible(
-            p,
-            0.0,
-            &mut ready,
-            &mut events,
-            &mut idle,
-            &mut busy_until,
-            &mut busy,
-            &mut trace,
-        );
-    }
-
-    while let Some(Reverse(Ev(t, kind, p, payload))) = events.pop() {
-        if recording {
-            ready_peak = ready_peak.max(ready.iter().map(BinaryHeap::len).sum());
-        }
-        let p = p as usize;
-        match kind {
-            0 => {
-                // Arrival of a remote (or queued local) ready notification.
-                let task = payload;
-                ready[p].push(Reverse((priority[task as usize], task)));
-                start_if_possible(
-                    p,
-                    t,
-                    &mut ready,
-                    &mut events,
-                    &mut idle,
-                    &mut busy_until,
-                    &mut busy,
-                    &mut trace,
-                );
-            }
-            _ => {
-                // Task completion on processor p.
-                let task = payload;
-                idle.insert(p);
-                makespan = makespan.max(t);
-                done += 1;
-                let (v, dir) = TaskId(task).unpack(n);
-                for &w in instance.dag(dir as usize).successors(v) {
-                    let wt = TaskId::pack(w, dir, n).index();
-                    let wp = assignment.proc_of(w) as usize;
-                    // Every cross edge carries one message (the face flux),
-                    // arriving `latency` after this completion.
-                    let arrives = if wp == p {
-                        t
-                    } else {
-                        messages += 1;
-                        trace.messages.push(TraceMessage {
-                            from_task: task,
-                            from_proc: p as u32,
-                            send: t,
-                            to_task: wt as u64,
-                            to_proc: wp as u32,
-                            arrive: t + latency,
-                        });
-                        t + latency
-                    };
-                    avail[wt] = avail[wt].max(arrives);
-                    indeg[wt] -= 1;
-                    if indeg[wt] == 0 {
-                        // Ready once the *last-arriving* input lands.
-                        if avail[wt] <= t && wp == p {
-                            ready[p].push(Reverse((priority[wt], wt as u64)));
-                        } else {
-                            events.push(Reverse(Ev(avail[wt].max(t), 0, wp as u32, wt as u64)));
-                        }
-                    }
-                }
-                start_if_possible(
-                    p,
-                    t,
-                    &mut ready,
-                    &mut events,
-                    &mut idle,
-                    &mut busy_until,
-                    &mut busy,
-                    &mut trace,
-                );
-            }
-        }
-    }
-    debug_assert_eq!(done, total, "all tasks must complete");
-    if recording {
-        telemetry::gauge_max("sim.async.ready_peak", ready_peak as f64);
-    }
-    let util = if makespan > 0.0 {
-        busy.iter().sum::<f64>() / (m as f64 * makespan)
-    } else {
-        1.0
-    };
-    (
-        AsyncReport {
-            makespan,
-            messages,
-            busy,
-            utilization: util,
-        },
-        trace,
-    )
+    (report, trace)
 }
 
 /// Publishes an [`AsyncTrace`] to the global telemetry collector: every

@@ -14,11 +14,12 @@
 //!   counters) demonstrating that assignments drive actual parallel runs;
 //! * [`latency_makespan`] — an overlap-capable message-latency model
 //!   sitting between the paper's two communication extremes;
-//! * [`async_makespan_faulty`] — the event-driven engine under a
-//!   deterministic `sweep-faults` plan: lossy retried messaging,
-//!   stragglers, link partitions, and crash recovery by whole-cell
-//!   reassignment (bit-identical to [`async_makespan`] when the plan is
-//!   empty);
+//! * [`async_makespan`] / [`async_makespan_faulty`] — the event-driven
+//!   distributed execution (local priority queues, message latency). One
+//!   engine, in [`faulty`]: the latter runs it under a deterministic
+//!   `sweep-faults` plan — lossy retried messaging, stragglers, link
+//!   partitions, crash recovery by whole-cell reassignment — and the
+//!   former is that call on the empty plan;
 //! * [`TransportSolver`] — a toy one-group S_n source-iteration solver,
 //!   the application sweeps exist for.
 

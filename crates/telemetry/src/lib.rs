@@ -194,6 +194,33 @@ mod tests {
         assert!(snap.histograms.is_empty());
     }
 
+    /// The guard on what instrumented hot loops pay when nobody is
+    /// recording (one relaxed load per probe): measured 69 ns per triple
+    /// in a debug build, 9 ns in release.
+    #[test]
+    fn disabled_probes_cost_under_250ns_per_triple() {
+        let _g = GLOBAL_LOCK.lock().unwrap();
+        set_enabled(false);
+        reset();
+        const TRIPLES: u32 = 1_000_000;
+        let best = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                for i in 0..TRIPLES {
+                    let _s = span!("test.overhead");
+                    counter_add("test.overhead.c", 1);
+                    histogram_record("test.overhead.h", std::hint::black_box(i) as f64);
+                }
+                t.elapsed()
+            })
+            .min()
+            .unwrap();
+        let per_triple = best.as_nanos() as f64 / TRIPLES as f64;
+        assert!(per_triple < 250.0, "{per_triple:.1} ns per disabled triple");
+        let snap = snapshot();
+        assert!(snap.spans.is_empty() && snap.counters.is_empty() && snap.histograms.is_empty());
+    }
+
     #[test]
     fn global_round_trip_records_spans_and_metrics() {
         let _g = GLOBAL_LOCK.lock().unwrap();

@@ -15,7 +15,9 @@ use sweep_scheduling::core::{
     weighted_random_delay_priorities,
 };
 use sweep_scheduling::prelude::*;
-use sweep_scheduling::sim::{async_makespan, color_edges, is_proper_coloring, max_degree};
+use sweep_scheduling::sim::{
+    async_makespan, async_makespan_traced, color_edges, is_proper_coloring, max_degree, AsyncTrace,
+};
 
 /// Deterministic `(instance, m, seed)` cases mirroring the old proptest
 /// `small_instance()` strategy.
@@ -180,4 +182,121 @@ fn kba_assignment_matches_manual_grid_math() {
             }
         }
     }
+}
+
+/// FNV-1a over every field of the trace, in trace order.
+fn trace_fnv(trace: &AsyncTrace) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for e in &trace.execs {
+        [e.task, e.proc as u64, e.start.to_bits(), e.finish.to_bits()]
+            .into_iter()
+            .for_each(&mut eat);
+    }
+    for m in &trace.messages {
+        [m.from_task, m.from_proc as u64, m.send.to_bits()]
+            .into_iter()
+            .chain([m.to_task, m.to_proc as u64, m.arrive.to_bits()])
+            .for_each(&mut eat);
+    }
+    h
+}
+
+/// `(makespan, messages, execs.len(), messages.len(), trace_fnv)` of the
+/// fault-free event loop this table outlived, captured from it row by
+/// row before `async_makespan` became the empty `FaultPlan`: tetonly /
+/// long / prismtet (scale 0.01, S2, m = 8) × seeds 1–3 × latency
+/// {0, 0.5, 1.5} × {unit, weighted}, innermost last.
+const ASYNC_PINNED: [(f64, u64, usize, usize, u64); 54] = [
+    (381.0, 3752, 2520, 3752, 0x3b9b60f77c1478f5),
+    (1194.0, 3752, 2520, 3752, 0x0939e3d13c0cec5c),
+    (383.0, 3752, 2520, 3752, 0x9f84a017014e3a84),
+    (1195.0, 3752, 2520, 3752, 0xd2d357d37f9dd33d),
+    (387.5, 3752, 2520, 3752, 0x8a525e9d5ed3e76f),
+    (1197.5, 3752, 2520, 3752, 0xa53f2e70381d83e7),
+    (387.0, 3720, 2520, 3720, 0xe637aa2fb487bb81),
+    (1180.0, 3720, 2520, 3720, 0x61b16985f5abfb63),
+    (388.0, 3720, 2520, 3720, 0xf90f269cf6e5f790),
+    (1180.5, 3720, 2520, 3720, 0x9286aa8fa76d5b64),
+    (390.5, 3720, 2520, 3720, 0x3a5e3cb9a9fa56b7),
+    (1182.0, 3720, 2520, 3720, 0xeebbcbcdd8de22c5),
+    (420.0, 3784, 2520, 3784, 0xdc73fb415efa7895),
+    (1124.0, 3784, 2520, 3784, 0xc96f3ff20d851b42),
+    (420.5, 3784, 2520, 3784, 0x31d05f37ad8f9c3c),
+    (1125.0, 3784, 2520, 3784, 0xc3dc68f2ead6b0f2),
+    (423.5, 3784, 2520, 3784, 0x9b6fdd6ea78b98c8),
+    (1127.5, 3784, 2520, 3784, 0xf88fd51dc6f963e2),
+    (762.0, 7952, 4944, 7952, 0xc17480ba041cc536),
+    (2196.0, 7952, 4944, 7952, 0xeaca300cf5d4543e),
+    (763.0, 7952, 4944, 7952, 0xe04812fc2f7da3b8),
+    (2197.5, 7952, 4944, 7952, 0x5a776d2ca83ee110),
+    (768.0, 7952, 4944, 7952, 0x380d493f2ced7139),
+    (2195.5, 7952, 4944, 7952, 0x6a6145cdeeda106f),
+    (704.0, 7824, 4944, 7824, 0xd1d1f40f81af1a89),
+    (2098.0, 7824, 4944, 7824, 0x06abb4d1dabce468),
+    (705.5, 7824, 4944, 7824, 0x52e9fc4fb7ec7b40),
+    (2099.0, 7824, 4944, 7824, 0x5da56ea90a8d6823),
+    (708.5, 7824, 4944, 7824, 0xffbcc6330f9dc4ca),
+    (2102.0, 7824, 4944, 7824, 0xac19bd2f3f67e396),
+    (666.0, 7928, 4944, 7928, 0x037907212867f247),
+    (2207.0, 7928, 4944, 7928, 0x2cd4aec65ba965cd),
+    (668.0, 7928, 4944, 7928, 0xe1a02722a6d3967a),
+    (2209.0, 7928, 4944, 7928, 0x1b14c05527ed997a),
+    (672.0, 7928, 4944, 7928, 0xee20e2dfbc4bb670),
+    (2213.0, 7928, 4944, 7928, 0x8b5237c197c92b87),
+    (1289.0, 15328, 9464, 15328, 0x72d734ee6a93066c),
+    (3739.0, 15328, 9464, 15328, 0x6e06935d1afdb7ee),
+    (1291.0, 15328, 9464, 15328, 0x3bcafb332b0f201d),
+    (3743.5, 15328, 9464, 15328, 0xb8597f9331144278),
+    (1297.0, 15328, 9464, 15328, 0xc410f51eb773b110),
+    (3748.5, 15328, 9464, 15328, 0xa94967fdcdf4c730),
+    (1364.0, 14984, 9464, 14984, 0xa29afe41fbae9775),
+    (4068.0, 14984, 9464, 14984, 0xaba27aa728563eba),
+    (1365.0, 14984, 9464, 14984, 0x32563f8b36aadbb7),
+    (4069.0, 14984, 9464, 14984, 0xab372af1e1db7675),
+    (1367.0, 14984, 9464, 14984, 0x0338a0c3584c449a),
+    (4071.0, 14984, 9464, 14984, 0x4e723cba4f22eb09),
+    (1298.0, 15160, 9464, 15160, 0xf6c99ce3b82596f9),
+    (4138.0, 15160, 9464, 15160, 0x93d9d5486bc367f0),
+    (1299.0, 15160, 9464, 15160, 0x70ec4daaf2a8613f),
+    (4140.5, 15160, 9464, 15160, 0x82c1b9a9aeb0fa3a),
+    (1303.5, 15160, 9464, 15160, 0x81d0d33c93d3e4a2),
+    (4145.5, 15160, 9464, 15160, 0x84f6cc597a72ace3),
+];
+
+#[test]
+fn async_execution_reproduces_the_pinned_table() {
+    let mut pinned = ASYNC_PINNED.iter();
+    for preset in [MeshPreset::Tetonly, MeshPreset::Long, MeshPreset::Prismtet] {
+        let mesh = preset.build_scaled(0.01).unwrap();
+        let quad = QuadratureSet::level_symmetric(2).unwrap();
+        let (inst, _) = SweepInstance::from_mesh(&mesh, &quad, preset.name());
+        let n = inst.num_cells();
+        let weights: Vec<u64> = (0..n as u64).map(|v| 1 + v % 5).collect();
+        for seed in [1u64, 2, 3] {
+            let a = Assignment::random_cells(n, 8, seed);
+            let delays = random_delays(inst.num_directions(), seed ^ 0x9E37);
+            let prio = delayed_level_priorities(&inst, &delays);
+            for latency in [0.0, 0.5, 1.5] {
+                for w in [None, Some(&weights[..])] {
+                    let (r, tr) = async_makespan_traced(&inst, &a, &prio, w, latency);
+                    let got = (
+                        r.makespan,
+                        r.messages,
+                        tr.execs.len(),
+                        tr.messages.len(),
+                        trace_fnv(&tr),
+                    );
+                    let weighted = w.is_some();
+                    let case = format!("{preset:?} seed {seed} latency {latency} {weighted}");
+                    assert_eq!(Some(&got), pinned.next(), "{case}");
+                }
+            }
+        }
+    }
+    assert!(pinned.next().is_none());
 }
