@@ -1260,7 +1260,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<(String, i32), String> {
         // in `sweep_pool::model` / `sweep_serve::model` call the same
         // range-splitting and single-flight code the pool and server
         // use.
-        let models: [(&str, fn()); 5] = [
+        let models: [(&str, fn()); 6] = [
             ("pool.range.drain", sweep_pool::model::drain_exactly_once),
             (
                 "pool.range.contended",
@@ -1274,6 +1274,10 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<(String, i32), String> {
             (
                 "serve.single-flight.leader-panic",
                 sweep_serve::model::single_flight_leader_panic,
+            ),
+            (
+                "serve.single-flight.nested-tiers",
+                sweep_serve::model::single_flight_nested_tiers,
             ),
         ];
         models
@@ -1499,6 +1503,7 @@ mod tests {
                 "pool.range.steal-race",
                 "serve.single-flight.coalesce",
                 "serve.single-flight.leader-panic",
+                "serve.single-flight.nested-tiers",
             ] {
                 assert!(out.contains(model), "missing {model} in:\n{out}");
             }

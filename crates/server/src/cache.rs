@@ -33,15 +33,19 @@ use std::sync::Arc;
 // becomes a scheduler yield point, which is how `crate::model` explores
 // the single-flight protocol's interleavings.
 use sweep_check::sync::{Condvar, Mutex};
-use sweep_core::Schedule;
+use sweep_core::{
+    c1_interprocessor_edges, c2_comm_delay, lower_bounds, validate, LowerBounds, Schedule,
+};
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 use sweep_telemetry::TraceCtx;
 
-/// The tier-2 value: a winning schedule plus the trial record a
-/// response needs, sized for the LRU accounting.
+/// What the trials produce and what a `SART` frame carries: a schedule
+/// and its trial record, not yet checked against any instance.
+/// [`UncheckedArtifact::check`] is the only way to a
+/// [`ScheduleArtifact`].
 #[derive(Debug, Clone)]
-pub struct ScheduleArtifact {
+pub struct UncheckedArtifact {
     /// The winning (minimum-makespan) schedule.
     pub schedule: Schedule,
     /// Index of the winning trial in `0..b`.
@@ -52,6 +56,85 @@ pub struct ScheduleArtifact {
     pub trial_makespans: Vec<u32>,
     /// The tier-2 content digest this artifact is addressed by.
     pub digest: u64,
+}
+
+/// Everything a response reports about an artifact besides the
+/// request's own `m` / `algorithm` / `b`, computed once when the
+/// artifact is built so a cache hit reads neither the instance nor the
+/// schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScheduleSummary {
+    /// Instance name (preset name or the inline instance's own name).
+    pub name: String,
+    /// Cells of the instance.
+    pub cells: usize,
+    /// Number of sweep directions.
+    pub directions: usize,
+    /// Total task count (`cells × directions`).
+    pub tasks: usize,
+    /// Makespan of the winning trial.
+    pub makespan: u32,
+    /// The lower bounds of the instance on the schedule's `m`.
+    pub bounds: LowerBounds,
+    /// C1: interprocessor DAG edges under the assignment.
+    pub c1: u64,
+    /// C2: communication-delay cost of the schedule.
+    pub c2: u64,
+}
+
+/// The tier-2 value: a winning schedule known to be feasible for its
+/// instance, with its trial record and the summary a response needs,
+/// sized for the LRU accounting. `summary` is private so
+/// [`UncheckedArtifact::check`] stays the only constructor.
+#[derive(Debug, Clone)]
+pub struct ScheduleArtifact {
+    /// The schedule and trial record that passed the check.
+    pub(crate) record: UncheckedArtifact,
+    summary: ScheduleSummary,
+}
+
+impl ScheduleArtifact {
+    /// What a response reports about this artifact.
+    pub fn summary(&self) -> &ScheduleSummary {
+        &self.summary
+    }
+}
+
+impl UncheckedArtifact {
+    /// The one artifact constructor, for local trials and for bytes a
+    /// peer sent alike: the schedule must be feasible for `inst` on
+    /// exactly `m` processors, and the summary is computed from the
+    /// two right here — the only O(nk) pass over an artifact that is
+    /// not a trial. Counted by `serve.summarize`; the summary's time is
+    /// the `schedule.summarize` span under `ctx`.
+    pub fn check(
+        self,
+        inst: &SweepInstance,
+        m: usize,
+        ctx: &TraceCtx,
+    ) -> Result<ScheduleArtifact, String> {
+        let procs = self.schedule.assignment().num_procs();
+        if procs != m {
+            return Err(format!("schedule is on {procs} processors, wanted {m}"));
+        }
+        validate(inst, &self.schedule).map_err(|e| e.to_string())?;
+        let _span = ctx.span("schedule.summarize");
+        telemetry::counter_add("serve.summarize", 1);
+        let summary = ScheduleSummary {
+            name: inst.name().to_string(),
+            cells: inst.num_cells(),
+            directions: inst.num_directions(),
+            tasks: inst.num_tasks(),
+            makespan: self.schedule.makespan(),
+            bounds: lower_bounds(inst, m),
+            c1: c1_interprocessor_edges(inst, self.schedule.assignment()),
+            c2: c2_comm_delay(inst, &self.schedule),
+        };
+        Ok(ScheduleArtifact {
+            record: self,
+            summary,
+        })
+    }
 }
 
 /// Per-tier residency: entry count and approximate bytes, exported as
@@ -270,9 +353,13 @@ fn instance_bytes(inst: &SweepInstance) -> usize {
 }
 
 /// Rough resident size of a schedule artifact: one u32 start per task
-/// plus one u32 processor per cell plus the trial record.
+/// plus one u32 processor per cell plus the trial record plus the
+/// summary (its `name` is the only heap part; the rest sits in the
+/// fixed overhead).
 fn artifact_bytes(a: &ScheduleArtifact) -> usize {
-    4 * a.schedule.starts().len() + 4 * a.trial_makespans.len() + 256
+    4 * (a.record.schedule.starts().len() + a.summary.cells + a.record.trial_makespans.len())
+        + a.summary.name.len()
+        + 256
 }
 
 impl ScheduleCache {
@@ -329,6 +416,38 @@ impl ScheduleCache {
         f(&mut s);
     }
 
+    /// The lookup both tiers start with: an LRU-touching read that, when
+    /// the key is resident, counts a hit and notes it on `ctx`.
+    fn resident<V: Clone>(
+        &self,
+        tier: &Mutex<Lru<V>>,
+        name: &str,
+        key: u64,
+        ctx: &TraceCtx,
+    ) -> Option<V> {
+        let found = tier
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .get(key)
+            .cloned()?;
+        self.bump(|s| s.hits += 1);
+        telemetry::counter_add("serve.cache.hits", 1);
+        ctx.note(name, "hit");
+        Some(found)
+    }
+
+    /// Whether tier 1 holds `key`, without inducing anything: what a
+    /// tier-2 hit reports as `instance_cache`. Resident counts (and
+    /// LRU-touches) as a hit; absent is noted as a miss and counted
+    /// nowhere, because nothing is computed.
+    pub fn instance_resident(&self, key: u64, ctx: &TraceCtx) -> bool {
+        let resident = self.resident(&self.instances, "tier1", key, ctx).is_some();
+        if !resident {
+            ctx.note("tier1", "miss");
+        }
+        resident
+    }
+
     /// Tier-1 lookup-or-induce with single-flight coalescing. Returns
     /// the instance and whether it was served from cache (a coalesced
     /// wait counts as a hit: no second induction ran). `ctx` records
@@ -340,16 +459,7 @@ impl ScheduleCache {
         ctx: &TraceCtx,
         induce: impl FnOnce() -> Result<SweepInstance, String>,
     ) -> Result<(Arc<SweepInstance>, bool), String> {
-        if let Some(found) = self
-            .instances
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(key)
-            .cloned()
-        {
-            self.bump(|s| s.hits += 1);
-            telemetry::counter_add("serve.cache.hits", 1);
-            ctx.note("tier1", "hit");
+        if let Some(found) = self.resident(&self.instances, "tier1", key, ctx) {
             return Ok((found, true));
         }
         match self.instance_flights.claim(key, ctx.request_id()) {
@@ -393,16 +503,7 @@ impl ScheduleCache {
         ctx: &TraceCtx,
         compute: impl FnOnce() -> Result<ScheduleArtifact, String>,
     ) -> Result<(Arc<ScheduleArtifact>, bool), String> {
-        if let Some(found) = self
-            .schedules
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(key)
-            .cloned()
-        {
-            self.bump(|s| s.hits += 1);
-            telemetry::counter_add("serve.cache.hits", 1);
-            ctx.note("tier2", "hit");
+        if let Some(found) = self.resident(&self.schedules, "tier2", key, ctx) {
             return Ok((found, true));
         }
         match self.schedule_flights.claim(key, ctx.request_id()) {
@@ -479,6 +580,42 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!(s.bytes > 0);
+    }
+
+    #[test]
+    fn artifact_bytes_counts_starts_assignment_trials_and_the_summary() {
+        use sweep_core::{best_of_trials, Algorithm, Assignment};
+        let inst = SweepInstance::random_layered(40, 3, 5, 2, 9);
+        let best = best_of_trials(
+            &inst,
+            &Assignment::random_cells(40, 4, 1),
+            Algorithm::RandomDelay,
+            3,
+            1,
+        );
+        let artifact = UncheckedArtifact {
+            trial: best.trial,
+            trial_seed: best.seed,
+            trial_makespans: best.outcomes.iter().map(|o| o.makespan).collect(),
+            schedule: best.schedule,
+            digest: 7,
+        }
+        .check(&inst, 4, &TraceCtx::disabled())
+        .unwrap();
+        let record = &artifact.record;
+        let cells = record.schedule.assignment().num_cells();
+        assert_eq!((cells, artifact.summary().cells), (40, 40));
+        assert!(
+            artifact_bytes(&artifact)
+                >= 4 * (record.schedule.starts().len() + cells + record.trial_makespans.len())
+                    + artifact.summary().name.len()
+        );
+        // A schedule on the wrong processor count is not an artifact.
+        let err = record
+            .clone()
+            .check(&inst, 5, &TraceCtx::disabled())
+            .unwrap_err();
+        assert!(err.contains("4 processors, wanted 5"), "{err}");
     }
 
     #[test]

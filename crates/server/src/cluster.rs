@@ -1,6 +1,6 @@
 //! The cluster layer: static membership, a per-peer failure detector,
 //! artifact forwarding over `sweep-rpc`, and the wire codec for
-//! [`ScheduleArtifact`].
+//! [`UncheckedArtifact`].
 //!
 //! Topology is a static membership file (no gossip, no coordinator):
 //! every shard reads the same list of `<id> <http_addr> <rpc_addr>`
@@ -16,8 +16,10 @@
 //! the half-open probe — and one success re-promotes the peer to `ok`.
 //!
 //! Forwarding moves *artifacts*, not rendered responses: the home shard
-//! returns its cached (or freshly computed) [`ScheduleArtifact`], the
-//! edge shard inserts it into its own tier-2 cache and renders locally.
+//! returns its cached (or freshly computed) artifact's schedule and
+//! trial record, the edge shard checks them against its own instance
+//! ([`UncheckedArtifact::check`], which also re-derives the summary),
+//! inserts the result into its own tier-2 cache and renders locally.
 //! Because the compute path is deterministic, a forwarded artifact and
 //! a local fallback compute are bit-identical — forwarding is a
 //! de-duplication optimisation, never a correctness dependency.
@@ -27,7 +29,7 @@ use std::time::Duration;
 
 use sweep_rpc::{RpcClient, RpcClientConfig, RpcRequest, RpcResponse};
 
-use crate::cache::ScheduleArtifact;
+use crate::cache::UncheckedArtifact;
 use crate::ring::Ring;
 use sweep_core::{Assignment, Schedule};
 
@@ -331,7 +333,7 @@ impl ClusterState {
         peer_index: usize,
         request_json: String,
         want_digest: u64,
-    ) -> Result<ScheduleArtifact, String> {
+    ) -> Result<UncheckedArtifact, String> {
         let peer = &self.peers[peer_index];
         self.counters.forwards.fetch_add(1, Ordering::Relaxed);
         let rpc = RpcRequest::Schedule {
@@ -486,11 +488,13 @@ impl ClusterState {
 const ARTIFACT_MAGIC: [u8; 4] = *b"SART";
 const ARTIFACT_VERSION: u8 = 1;
 
-/// Serializes a [`ScheduleArtifact`] for the RPC wire: magic, version,
-/// digest, trial metadata, then the assignment and start times as raw
-/// `u32` arrays. Everything little-endian, fully length-checked on
-/// decode.
-pub fn encode_artifact(artifact: &ScheduleArtifact) -> Vec<u8> {
+/// Serializes an artifact for the RPC wire: magic, version, digest,
+/// trial metadata, then the assignment and start times as raw `u32`
+/// arrays. Everything little-endian, fully length-checked on decode.
+/// The frame carries exactly an [`UncheckedArtifact`] — a
+/// [`ScheduleArtifact`](crate::cache::ScheduleArtifact)'s summary stays
+/// behind; the receiver re-derives it.
+pub fn encode_artifact(artifact: &UncheckedArtifact) -> Vec<u8> {
     let starts = artifact.schedule.starts();
     let assignment = artifact.schedule.assignment();
     let cells = assignment.num_cells();
@@ -558,8 +562,10 @@ impl<'a> Cursor<'a> {
 
 /// Decodes an artifact off the wire, validating every length and every
 /// processor id before touching the panicking constructors — a
-/// malicious or corrupt peer yields `Err`, never a panic.
-pub fn decode_artifact(bytes: &[u8]) -> Result<ScheduleArtifact, String> {
+/// malicious or corrupt peer yields `Err`, never a panic. What comes
+/// back is well-formed, not yet feasible for any instance: that is
+/// [`UncheckedArtifact::check`]'s job.
+pub fn decode_artifact(bytes: &[u8]) -> Result<UncheckedArtifact, String> {
     let mut cur = Cursor { bytes, at: 0 };
     if cur.take(4)? != ARTIFACT_MAGIC {
         return Err("artifact: bad magic".to_string());
@@ -593,7 +599,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<ScheduleArtifact, String> {
     }
     let assignment = Assignment::from_vec(proc_of_cell, m);
     let schedule = Schedule::new(starts, assignment).map_err(|e| format!("artifact: {e}"))?;
-    Ok(ScheduleArtifact {
+    Ok(UncheckedArtifact {
         schedule,
         trial,
         trial_seed,
@@ -682,7 +688,7 @@ mod tests {
     fn artifact_codec_round_trips() {
         let assignment = Assignment::from_vec(vec![0, 1, 1, 0], 2);
         let schedule = Schedule::new(vec![0, 1, 2, 3, 4, 5, 6, 7], assignment).unwrap();
-        let artifact = ScheduleArtifact {
+        let artifact = UncheckedArtifact {
             schedule,
             trial: 3,
             trial_seed: 0xDEAD_BEEF,
@@ -707,7 +713,7 @@ mod tests {
     fn artifact_decode_rejects_corruption_without_panicking() {
         let assignment = Assignment::from_vec(vec![0, 1], 2);
         let schedule = Schedule::new(vec![0, 1], assignment).unwrap();
-        let artifact = ScheduleArtifact {
+        let artifact = UncheckedArtifact {
             schedule,
             trial: 0,
             trial_seed: 1,

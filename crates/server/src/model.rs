@@ -90,6 +90,50 @@ pub fn single_flight_leader_panic() {
     let _ = peer.join();
 }
 
+/// Two requests with *different* tier-2 keys over the *same* tier-1
+/// key: each leads its own schedule flight and, inside that leader
+/// closure, claims the shared instance flight — the nesting
+/// `SweepService::artifact_with` has since a tier-2 hit stopped
+/// consulting tier 1. A tier-1 leader never waits on tier 2, so no
+/// interleaving may cycle or wedge; both get their schedule, and the
+/// instance is induced once when the two overlap.
+pub fn single_flight_nested_tiers() {
+    fn request(
+        schedules: &SingleFlight<u32>,
+        instances: &SingleFlight<u32>,
+        inductions: &std::sync::atomic::AtomicUsize,
+        key: u64,
+    ) -> Result<u32, String> {
+        let Claim::Leader(flight) = schedules.claim(key, 0) else {
+            unreachable!("distinct tier-2 keys never coalesce")
+        };
+        schedules.lead(key, &flight, || {
+            let inst = serve(instances, inductions)?;
+            Ok(inst + key as u32)
+        })
+    }
+    let schedules = Arc::new(SingleFlight::<u32>::new());
+    let instances = Arc::new(SingleFlight::<u32>::new());
+    let inductions = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let (s2, i2, n2) = (
+        Arc::clone(&schedules),
+        Arc::clone(&instances),
+        Arc::clone(&inductions),
+    );
+    let t = sweep_check::thread::spawn(move || request(&s2, &i2, &n2, 2));
+    let mine = request(&schedules, &instances, &inductions, 1);
+    let theirs = t
+        .join()
+        .unwrap_or_else(|_| Err("request thread panicked".to_string()));
+    assert_eq!(mine, Ok(42), "nested-tier model: wrong value for main");
+    assert_eq!(theirs, Ok(43), "nested-tier model: wrong value for peer");
+    let n = inductions.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(
+        (1..=2).contains(&n),
+        "nested-tier model: {n} inductions for 2 requests"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     /// The production single-flight comes back clean and *complete*
@@ -101,7 +145,7 @@ mod tests {
             random_schedules: 16,
             ..sweep_check::Config::default()
         };
-        let scenarios: [(&str, fn()); 2] = [
+        let scenarios: [(&str, fn()); 3] = [
             (
                 "serve.single-flight.coalesce",
                 super::single_flight_coalesce,
@@ -109,6 +153,10 @@ mod tests {
             (
                 "serve.single-flight.leader-panic",
                 super::single_flight_leader_panic,
+            ),
+            (
+                "serve.single-flight.nested-tiers",
+                super::single_flight_nested_tiers,
             ),
         ];
         for (name, body) in scenarios {

@@ -245,13 +245,9 @@ pub fn access_log_line(
     );
     if let Some(t) = trace {
         out.push_str(",\"stages_us\":{");
-        for (i, stage) in STAGES.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{stage}\":{}",
-                if i == 0 { "" } else { "," },
-                t.stage_us(stage)
-            );
+        for (i, (stage, us)) in STAGES.iter().zip(t.stages_us()).enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(out, "{sep}\"{stage}\":{us}");
         }
         out.push('}');
         if let Some(leader) = t.coalesced_onto {

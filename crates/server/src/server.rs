@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use sweep_rpc::{RpcServer, RpcServerConfig, RpcShutdownHandle};
 use sweep_telemetry as telemetry;
-use sweep_telemetry::STAGES;
+use sweep_telemetry::{server_timing_value, STAGES};
 
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::http::{ReadError, Request, Response};
@@ -370,15 +370,16 @@ fn shed(stream: TcpStream, write_timeout: Duration, retry_after_secs: u64) {
     });
 }
 
-/// The `Server-Timing` value an untraced request reports: every stage
-/// present (so clients can rely on the shape) with zero durations.
-fn zero_server_timing() -> String {
-    STAGES
-        .iter()
-        .map(|s| format!("{s};dur=0.000"))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
+/// The per-stage latency histograms a traced request feeds,
+/// `serve.stage.<stage>_us` in [`STAGES`] order — spelled out so the
+/// per-request path formats no names.
+const STAGE_HISTOGRAMS: [&str; STAGES.len()] = [
+    "serve.stage.parse_us",
+    "serve.stage.cache_us",
+    "serve.stage.induce_us",
+    "serve.stage.schedule_us",
+    "serve.stage.serialize_us",
+];
 
 /// Serves exactly one request on `stream` (the protocol is
 /// `Connection: close`): stamps a deterministic request id, traces the
@@ -406,22 +407,23 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
             let response = service.route_traced(&request, root.ctx());
             drop(root);
             let trace = ctx.finish();
+            // One walk of the span tree feeds the header and the stage
+            // histograms; an untraced request reports five zeros.
+            let stages_us = trace.as_ref().map(|t| t.stages_us());
             let response = response
                 .with_header("X-Sweep-Request-Id", ctx.request_id_hex())
                 .with_header(
                     "Server-Timing",
-                    trace
-                        .as_ref()
-                        .map_or_else(zero_server_timing, |t| t.server_timing()),
+                    server_timing_value(stages_us.unwrap_or_default()),
                 );
             let _ = response.write_to(&mut writer);
-            if let Some(t) = &trace {
-                for stage in STAGES {
-                    telemetry::histogram_record(
-                        &format!("serve.stage.{stage}_us"),
-                        t.stage_us(stage) as f64,
-                    );
-                }
+            if let (Some(t), Some(stages_us)) = (&trace, stages_us) {
+                telemetry::histogram_record_each(
+                    STAGE_HISTOGRAMS
+                        .iter()
+                        .zip(stages_us)
+                        .map(|(name, us)| (*name, us as f64)),
+                );
                 ops.offer_slow(t);
             }
             if ops.should_log(conn) {
@@ -483,6 +485,13 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
 mod tests {
     use super::*;
     use std::io::Read as _;
+
+    #[test]
+    fn stage_histogram_names_follow_the_stage_list() {
+        for (name, stage) in STAGE_HISTOGRAMS.iter().zip(STAGES) {
+            assert_eq!(*name, format!("serve.stage.{stage}_us"));
+        }
+    }
 
     /// A config bound to an ephemeral port with a tiny worker pool and
     /// a quiet access log.

@@ -6,14 +6,12 @@
 //! unit-testable without opening a port. [`server`](crate::server) is
 //! only the accept loop around [`SweepService::route`].
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use sweep_core::{
-    best_of_trials_with_pool, c1_interprocessor_edges, c2_comm_delay, lower_bounds, validate,
-    Algorithm, Assignment,
-};
+use sweep_core::{best_of_trials_with_pool, Algorithm, Assignment};
 use sweep_dag::SweepInstance;
 use sweep_json::Value;
 use sweep_mesh::import::ImportFormat;
@@ -23,7 +21,7 @@ use sweep_rpc::{Frame, RpcRequest, RpcResponse};
 use sweep_telemetry as telemetry;
 use sweep_telemetry::TraceCtx;
 
-use crate::cache::{ScheduleArtifact, ScheduleCache};
+use crate::cache::{ScheduleArtifact, ScheduleCache, UncheckedArtifact};
 use crate::cluster::{encode_artifact, ClusterState, Route};
 use crate::digest::{instance_digest, schedule_digest};
 use crate::http::{Request, Response};
@@ -295,22 +293,44 @@ impl ScheduleRequest {
     }
 
     /// The canonical content bytes of the mesh part of this request —
-    /// what tier-1 digests hash.
-    pub fn mesh_bytes(&self) -> Vec<u8> {
+    /// what tier-1 digests hash. An inline instance is borrowed, not
+    /// copied: this runs on every request, hit or miss.
+    pub fn mesh_bytes(&self) -> Cow<'_, [u8]> {
         match &self.mesh {
             MeshSource::Preset { name, scale } => {
-                format!("preset:{name}:{:016x}", scale.to_bits()).into_bytes()
+                Cow::Owned(format!("preset:{name}:{:016x}", scale.to_bits()).into_bytes())
             }
-            MeshSource::Inline { text } => text.clone().into_bytes(),
+            MeshSource::Inline { text } => Cow::Borrowed(text.as_bytes()),
             MeshSource::Mesh { format, text } => {
                 // The declared format is part of the content identity:
                 // the same bytes parsed as a different format would be a
                 // different mesh.
                 let mut bytes = format!("mesh:{format}:").into_bytes();
                 bytes.extend_from_slice(text.as_bytes());
-                bytes
+                Cow::Owned(bytes)
             }
         }
+    }
+
+    /// The two content digests of this request: the tier-1 key (mesh
+    /// bytes + quadrature order) and the tier-2 key built on it.
+    pub fn digests(&self) -> (u64, u64) {
+        let instance = instance_digest(&self.mesh_bytes(), self.sn);
+        let schedule = schedule_digest(
+            instance,
+            self.m,
+            &self.algorithm,
+            self.delays,
+            self.seed,
+            self.b,
+        );
+        (instance, schedule)
+    }
+
+    /// The tier-2 content digest: the cache address of this request's
+    /// schedule and the key the cluster ring homes it by.
+    pub fn digest(&self) -> u64 {
+        self.digests().1
     }
 
     /// Serializes this request back to a JSON body that
@@ -373,7 +393,8 @@ pub struct ScheduleResponse {
     pub algorithm: String,
     /// Makespan of the winning trial.
     pub makespan: u32,
-    /// Certified lower bound `max{nk/m, k, D}`.
+    /// Best certified lower bound (`LowerBounds::best()`): the paper's
+    /// `max{nk/m, k, D}` and the Graham-witness bound.
     pub lower_bound: u64,
     /// C1: interprocessor DAG edges under the assignment.
     pub c1: u64,
@@ -481,12 +502,49 @@ impl Default for ServiceConfig {
 
 /// Everything [`SweepService::artifact_with`] learns about one request.
 struct ArtifactOutcome {
-    inst: Arc<SweepInstance>,
     inst_hit: bool,
-    key: u64,
     artifact: Arc<ScheduleArtifact>,
     hit: bool,
     cluster: Option<ClusterDisposition>,
+}
+
+/// The local artifact producer: assignment draw, best-of-`b` trials on
+/// the global pool, then the one constructor
+/// ([`UncheckedArtifact::check`]: `validate` + summary). Reads and
+/// writes no cache.
+fn compute_artifact(
+    inst: &SweepInstance,
+    req: &ScheduleRequest,
+    algorithm: Algorithm,
+    digest: u64,
+    ctx: &TraceCtx,
+) -> Result<ScheduleArtifact, String> {
+    // Attribute the pool work this request triggered: the `pool.tasks`
+    // counter delta across the trials is the number of pool tasks
+    // charged to this request.
+    let tasks_before = telemetry::counter_value("pool.tasks");
+    let assignment = Assignment::random_cells(inst.num_cells(), req.m, req.seed);
+    let best = best_of_trials_with_pool(
+        &sweep_pool::global(),
+        inst,
+        &assignment,
+        algorithm,
+        req.b,
+        req.seed,
+    );
+    let pool_tasks = telemetry::counter_value("pool.tasks").saturating_sub(tasks_before);
+    if pool_tasks > 0 {
+        ctx.note("pool_tasks", pool_tasks);
+    }
+    UncheckedArtifact {
+        trial: best.trial,
+        trial_seed: best.seed,
+        trial_makespans: best.outcomes.iter().map(|o| o.makespan).collect(),
+        schedule: best.schedule,
+        digest,
+    }
+    .check(inst, req.m, ctx)
+    .map_err(|e| format!("internal: infeasible schedule: {e}"))
 }
 
 /// The scheduling service: config + the two-tier cache + the shared
@@ -532,52 +590,40 @@ impl SweepService {
         &self.ops
     }
 
-    /// Builds (or fetches) the induced instance for a request.
-    fn instance_for(
-        &self,
-        req: &ScheduleRequest,
-        ctx: &TraceCtx,
-    ) -> Result<(Arc<SweepInstance>, bool, u64), String> {
-        let key = instance_digest(&req.mesh_bytes(), req.sn);
+    /// Builds a request's instance from nothing: admission on the
+    /// predicted size, then mesh build / parse / import and induction.
+    fn induce(&self, req: &ScheduleRequest) -> Result<SweepInstance, String> {
         let max_tasks = self.config.max_tasks;
-        let cache_span = ctx.span("cache");
-        let cctx = cache_span.ctx().clone();
-        let (inst, hit) = self.cache.instance(key, &cctx, || {
-            let _span = telemetry::span!("serve.induce");
-            let _stage = cctx.span("induce");
-            let inst = match &req.mesh {
-                MeshSource::Preset { name, scale } => {
-                    let preset = MeshPreset::from_name(name)
-                        .ok_or_else(|| format!("unknown preset '{name}'"))?;
-                    let quad = QuadratureSet::level_symmetric(req.sn).map_err(|e| e.to_string())?;
-                    // Admission check before the mesh is even built:
-                    // `build_scaled` targets `ceil(paper_cells × scale)`
-                    // cells (min 16), so the task count is known up front.
-                    let cells = ((preset.paper_cells() as f64 * scale).ceil() as usize).max(16);
-                    check_task_budget(cells, quad.len(), max_tasks)?;
-                    let mesh = preset.build_scaled(*scale).map_err(|e| e.to_string())?;
-                    let (inst, _) = SweepInstance::from_mesh(&mesh, &quad, preset.name());
-                    inst
-                }
-                MeshSource::Inline { text } => {
-                    let (cells, directions) = sweep_dag::peek_counts(text)?;
-                    check_task_budget(cells, directions, max_tasks)?;
-                    sweep_dag::from_text(text)?
-                }
-                MeshSource::Mesh { format, text } => {
-                    import_mesh_instance(format, text, req.sn, max_tasks)?
-                }
-            };
-            // Backstop: the mesh generator may overshoot its target.
-            if inst.num_tasks() > max_tasks {
-                return Err(format!(
-                    "instance has {} tasks, over the service limit of {max_tasks}",
-                    inst.num_tasks()
-                ));
+        let inst = match &req.mesh {
+            MeshSource::Preset { name, scale } => {
+                let preset = MeshPreset::from_name(name)
+                    .ok_or_else(|| format!("unknown preset '{name}'"))?;
+                let quad = QuadratureSet::level_symmetric(req.sn).map_err(|e| e.to_string())?;
+                // Admission check before the mesh is even built:
+                // `build_scaled` targets `ceil(paper_cells × scale)`
+                // cells (min 16), so the task count is known up front.
+                let cells = ((preset.paper_cells() as f64 * scale).ceil() as usize).max(16);
+                check_task_budget(cells, quad.len(), max_tasks)?;
+                let mesh = preset.build_scaled(*scale).map_err(|e| e.to_string())?;
+                SweepInstance::from_mesh(&mesh, &quad, preset.name()).0
             }
-            Ok(inst)
-        })?;
-        Ok((inst, hit, key))
+            MeshSource::Inline { text } => {
+                let (cells, directions) = sweep_dag::peek_counts(text)?;
+                check_task_budget(cells, directions, max_tasks)?;
+                sweep_dag::from_text(text)?
+            }
+            MeshSource::Mesh { format, text } => {
+                import_mesh_instance(format, text, req.sn, max_tasks)?
+            }
+        };
+        // Backstop: the mesh generator may overshoot its target.
+        if inst.num_tasks() > max_tasks {
+            return Err(format!(
+                "instance has {} tasks, over the service limit of {max_tasks}",
+                inst.num_tasks()
+            ));
+        }
+        Ok(inst)
     }
 
     /// The full cached compute path for one schedule request, with no
@@ -589,39 +635,33 @@ impl SweepService {
 
     /// The full cached compute path for one schedule request, recording
     /// stage spans (`cache`, `induce`, `schedule`) and cache/pool
-    /// attribution notes onto `ctx`.
+    /// attribution notes onto `ctx`. The response is the artifact's
+    /// stored summary plus the request's own `m` / `algorithm` / `b`:
+    /// nothing here reads the instance or the schedule.
     pub fn schedule_traced(
         &self,
         req: &ScheduleRequest,
         ctx: &TraceCtx,
     ) -> Result<ScheduleResponse, String> {
         let outcome = self.artifact_with(req, ctx, true)?;
-        let ArtifactOutcome {
-            inst,
-            inst_hit,
-            key,
-            artifact,
-            hit,
-            cluster,
-        } = outcome;
-        let lb = lower_bounds(&inst, req.m);
+        let summary = outcome.artifact.summary();
         Ok(ScheduleResponse {
-            name: inst.name().to_string(),
-            cells: inst.num_cells(),
-            directions: inst.num_directions(),
-            tasks: inst.num_tasks(),
+            name: summary.name.clone(),
+            cells: summary.cells,
+            directions: summary.directions,
+            tasks: summary.tasks,
             m: req.m,
             algorithm: req.algorithm.clone(),
-            makespan: artifact.schedule.makespan(),
-            lower_bound: lb.best(),
-            c1: c1_interprocessor_edges(&inst, artifact.schedule.assignment()),
-            c2: c2_comm_delay(&inst, &artifact.schedule),
-            trial: artifact.trial,
+            makespan: summary.makespan,
+            lower_bound: summary.bounds.best(),
+            c1: summary.c1,
+            c2: summary.c2,
+            trial: outcome.artifact.record.trial,
             b: req.b,
-            cache_hit: hit,
-            instance_cache_hit: inst_hit,
-            digest: key,
-            cluster,
+            cache_hit: outcome.hit,
+            instance_cache_hit: outcome.inst_hit,
+            digest: outcome.artifact.record.digest,
+            cluster: outcome.cluster,
         })
     }
 
@@ -637,12 +677,14 @@ impl SweepService {
         Ok(self.artifact_with(req, ctx, false)?.artifact)
     }
 
-    /// The shared artifact acquisition path: tier-1 instance, tier-2
-    /// single-flight, and — when `allow_forward` and this shard is not
-    /// the digest's home — one forwarded RPC that every concurrent
-    /// follower coalesces onto (cluster-wide single-flight). Any
-    /// forward failure degrades to local compute; determinism makes the
-    /// degraded answer bit-identical.
+    /// The shared artifact acquisition path: tier-2 single-flight
+    /// first, and only its leader goes on to the tier-1 instance and —
+    /// when `allow_forward` and this shard is not the digest's home —
+    /// one forwarded RPC that every concurrent follower coalesces onto
+    /// (cluster-wide single-flight). Any forward failure degrades to
+    /// local compute; determinism makes the degraded answer
+    /// bit-identical. A tier-2 hit (or coalesced wait) therefore
+    /// induces nothing: its `inst_hit` is tier-1 residency as found.
     fn artifact_with(
         &self,
         req: &ScheduleRequest,
@@ -652,59 +694,35 @@ impl SweepService {
         let _span = telemetry::span!("serve.schedule");
         check_m(req.m)?;
         let algorithm = Algorithm::from_name(&req.algorithm, req.delays)?;
-        let (inst, inst_hit, inst_key) = self.instance_for(req, ctx)?;
-        let key = schedule_digest(inst_key, req.m, &req.algorithm, req.delays, req.seed, req.b);
+        let (inst_key, key) = req.digests();
         let cache_span = ctx.span("cache");
-        let cctx = cache_span.ctx().clone();
+        let cctx = cache_span.ctx();
         let mut cluster_via: Option<ClusterDisposition> = None;
-        let (artifact, hit) = self.cache.schedule(key, &cctx, || {
+        let mut induced: Option<bool> = None;
+        let (artifact, hit) = self.cache.schedule(key, cctx, || {
+            let (inst, inst_hit) = self.cache.instance(inst_key, cctx, || {
+                let _span = telemetry::span!("serve.induce");
+                let _stage = cctx.span("induce");
+                self.induce(req)
+            })?;
+            induced = Some(inst_hit);
+            let stage = cctx.span("schedule");
             if allow_forward {
-                if let Some(outcome) = self.try_forward(key, req, &inst, &cctx) {
-                    match outcome {
-                        Ok(remote) => {
-                            cluster_via = Some(ClusterDisposition::Forwarded { home: remote.0 });
-                            return Ok(remote.1);
-                        }
-                        Err(home) => {
-                            cluster_via = Some(ClusterDisposition::Fallback { home });
-                        }
+                match self.try_forward(key, req, &inst, stage.ctx()) {
+                    None => {}
+                    Some(Ok((home, remote))) => {
+                        cluster_via = Some(ClusterDisposition::Forwarded { home });
+                        return Ok(remote);
                     }
+                    Some(Err(home)) => cluster_via = Some(ClusterDisposition::Fallback { home }),
                 }
             }
             let _span = telemetry::span!("serve.compute");
-            let _stage = cctx.span("schedule");
-            // Attribute the pool work this request triggered: the
-            // `pool.tasks` counter delta across the compute closure is
-            // the number of pool tasks charged to this request.
-            let tasks_before = telemetry::counter_value("pool.tasks");
-            let assignment = Assignment::random_cells(inst.num_cells(), req.m, req.seed);
-            let best = best_of_trials_with_pool(
-                &sweep_pool::global(),
-                &inst,
-                &assignment,
-                algorithm,
-                req.b,
-                req.seed,
-            );
-            let pool_tasks = telemetry::counter_value("pool.tasks").saturating_sub(tasks_before);
-            if pool_tasks > 0 {
-                cctx.note("pool_tasks", pool_tasks);
-            }
-            validate(&inst, &best.schedule)
-                .map_err(|e| format!("internal: infeasible schedule: {e}"))?;
-            Ok(ScheduleArtifact {
-                trial: best.trial,
-                trial_seed: best.seed,
-                trial_makespans: best.outcomes.iter().map(|o| o.makespan).collect(),
-                schedule: best.schedule,
-                digest: key,
-            })
+            compute_artifact(&inst, req, algorithm, key, stage.ctx())
         })?;
-        drop(cache_span);
+        let inst_hit = induced.unwrap_or_else(|| self.cache.instance_resident(inst_key, cctx));
         Ok(ArtifactOutcome {
-            inst,
             inst_hit,
-            key,
             artifact,
             hit,
             cluster: cluster_via,
@@ -715,8 +733,10 @@ impl SweepService {
     ///
     /// * `None` — not clustered, or this shard is the digest's home:
     ///   compute locally with no cluster disposition.
-    /// * `Some(Ok((home, artifact)))` — the home shard answered and the
-    ///   artifact validated against the locally induced instance.
+    /// * `Some(Ok((home, artifact)))` — the home shard answered and its
+    ///   bytes passed [`UncheckedArtifact::check`] against the locally
+    ///   induced instance (bytes off the wire are never trusted; the
+    ///   summary is recomputed here, not carried by the frame).
     /// * `Some(Err(home))` — the home shard is down, unreachable, or
     ///   answered garbage: degrade to local compute, noted as a
     ///   fallback.
@@ -726,52 +746,39 @@ impl SweepService {
         key: u64,
         req: &ScheduleRequest,
         inst: &SweepInstance,
-        cctx: &TraceCtx,
+        ctx: &TraceCtx,
     ) -> Option<Result<(u64, ScheduleArtifact), u64>> {
         let cluster = self.cluster.get()?;
-        match cluster.route_for(key) {
-            Route::Local => None,
-            Route::Degraded(home) => {
-                cluster.record_fallback();
-                cctx.note("cluster", "fallback");
-                telemetry::counter_add("serve.cluster.fallbacks", 1);
-                Some(Err(home))
-            }
+        let home = cluster.home_of(key);
+        let failed = match cluster.route_for(key) {
+            Route::Local => return None,
+            Route::Degraded(_) => None,
             Route::Forward(peer) => {
-                let home = cluster.home_of(key);
-                let _stage = cctx.span("schedule");
-                match cluster.forward_schedule(peer, req.to_canonical_json(), key) {
-                    Ok(remote) => {
-                        // Never trust bytes off the wire blindly: the
-                        // artifact must be a feasible schedule for the
-                        // locally induced instance.
-                        match validate(inst, &remote.schedule) {
-                            Ok(()) => {
-                                cctx.note("cluster", "forward");
-                                telemetry::counter_add("serve.cluster.forwards", 1);
-                                Some(Ok((home, remote)))
-                            }
-                            Err(e) => {
-                                cluster.record_forward_fail();
-                                cluster.record_fallback();
-                                cctx.note("cluster", "fallback");
-                                cctx.note("cluster_error", format!("infeasible: {e}"));
-                                telemetry::counter_add("serve.cluster.fallbacks", 1);
-                                Some(Err(home))
-                            }
-                        }
+                let checked = cluster
+                    .forward_schedule(peer, req.to_canonical_json(), key)
+                    .and_then(|remote| {
+                        remote
+                            .check(inst, req.m, ctx)
+                            .map_err(|e| format!("infeasible: {e}"))
+                    });
+                match checked {
+                    Ok(artifact) => {
+                        ctx.note("cluster", "forward");
+                        telemetry::counter_add("serve.cluster.forwards", 1);
+                        return Some(Ok((home, artifact)));
                     }
-                    Err(e) => {
-                        cluster.record_forward_fail();
-                        cluster.record_fallback();
-                        cctx.note("cluster", "fallback");
-                        cctx.note("cluster_error", e);
-                        telemetry::counter_add("serve.cluster.fallbacks", 1);
-                        Some(Err(home))
-                    }
+                    Err(e) => Some(e),
                 }
             }
+        };
+        cluster.record_fallback();
+        ctx.note("cluster", "fallback");
+        if let Some(e) = failed {
+            cluster.record_forward_fail();
+            ctx.note("cluster_error", e);
         }
+        telemetry::counter_add("serve.cluster.fallbacks", 1);
+        Some(Err(home))
     }
 
     /// Serves one inbound peer RPC frame: pings get pongs, forwarded
@@ -800,7 +807,7 @@ impl SweepService {
                 let trace = ctx.finish();
                 let (response, status, bytes) = match result {
                     Ok(artifact) => {
-                        let encoded = encode_artifact(&artifact);
+                        let encoded = encode_artifact(&artifact.record);
                         let n = encoded.len();
                         (RpcResponse::Artifact(encoded), 200, n)
                     }
@@ -835,43 +842,9 @@ impl SweepService {
     ) -> Result<(SweepInstance, ScheduleArtifact), String> {
         check_m(req.m)?;
         let algorithm = Algorithm::from_name(&req.algorithm, req.delays)?;
-        let inst = match &req.mesh {
-            MeshSource::Preset { name, scale } => {
-                let preset = MeshPreset::from_name(name)
-                    .ok_or_else(|| format!("unknown preset '{name}'"))?;
-                let mesh = preset.build_scaled(*scale).map_err(|e| e.to_string())?;
-                let quad = QuadratureSet::level_symmetric(req.sn).map_err(|e| e.to_string())?;
-                SweepInstance::from_mesh(&mesh, &quad, preset.name()).0
-            }
-            MeshSource::Inline { text } => sweep_dag::from_text(text)?,
-            MeshSource::Mesh { format, text } => {
-                import_mesh_instance(format, text, req.sn, self.config.max_tasks)?
-            }
-        };
-        let assignment = Assignment::random_cells(inst.num_cells(), req.m, req.seed);
-        let best = best_of_trials_with_pool(
-            &sweep_pool::global(),
-            &inst,
-            &assignment,
-            algorithm,
-            req.b,
-            req.seed,
-        );
-        let key = schedule_digest(
-            instance_digest(&req.mesh_bytes(), req.sn),
-            req.m,
-            &req.algorithm,
-            req.delays,
-            req.seed,
-            req.b,
-        );
-        let artifact = ScheduleArtifact {
-            trial: best.trial,
-            trial_seed: best.seed,
-            trial_makespans: best.outcomes.iter().map(|o| o.makespan).collect(),
-            schedule: best.schedule,
-            digest: key,
-        };
+        let inst = self.induce(req)?;
+        let artifact =
+            compute_artifact(&inst, req, algorithm, req.digest(), &TraceCtx::disabled())?;
         Ok((inst, artifact))
     }
 
@@ -1103,18 +1076,12 @@ pub fn certify_cache_identity(
     if !warm.cache_hit {
         return Err("second identical request did not hit the schedule cache".to_string());
     }
-    let key = schedule_digest(
-        instance_digest(&req.mesh_bytes(), req.sn),
-        req.m,
-        &req.algorithm,
-        req.delays,
-        req.seed,
-        req.b,
-    );
+    let key = req.digest();
     let (cached, _) = service.cache().schedule(key, &TraceCtx::disabled(), || {
         Err("internal: artifact vanished after a hit".to_string())
     })?;
     let (inst, cold) = service.compute_cold(req)?;
+    let (cached, cold) = (&cached.record, &cold.record);
     Ok(sweep_analyze::analyze_cache_identity(
         &inst,
         &cached.schedule,
@@ -1151,6 +1118,7 @@ pub fn certify_cluster_identity(
         Err("internal: artifact vanished after serving".to_string())
     })?;
     let (inst, cold) = service.compute_cold(req)?;
+    let (artifact, cold) = (&artifact.record, &cold.record);
     Ok(sweep_analyze::analyze_cluster_identity(
         &inst,
         &artifact.schedule,
@@ -1323,12 +1291,19 @@ mod tests {
             .schedule(&req)
             .unwrap_err()
             .contains("unknown algorithm"));
+        // Refused before either tier is consulted.
+        assert_eq!(svc.cache().stats().misses, 0);
         let mut req = tiny();
         req.mesh = MeshSource::Preset {
             name: "nope".to_string(),
             scale: 0.01,
         };
         assert!(svc.schedule(&req).unwrap_err().contains("unknown preset"));
+        // A request refused at induction has led a flight in each tier
+        // (tier 1 is claimed inside the tier-2 leader closure): two
+        // misses, like any cold request, and nothing left resident.
+        let stats = svc.cache().stats();
+        assert_eq!((stats.hits, stats.misses, stats.bytes), (0, 2, 0));
     }
 
     #[test]

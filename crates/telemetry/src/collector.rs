@@ -330,25 +330,36 @@ impl Collector {
     /// `telemetry.dropped_samples` counter so the loss is visible.
     #[inline]
     pub fn histogram_record(&self, name: &str, value: f64) {
+        self.histogram_record_each([(name, value)]);
+    }
+
+    /// [`Collector::histogram_record`] for each `(name, value)` under one
+    /// lock acquisition — for a site that reports a fixed set of
+    /// histograms per event (the server's five stage times per traced
+    /// request).
+    #[inline]
+    pub fn histogram_record_each<'a>(&self, samples: impl IntoIterator<Item = (&'a str, f64)>) {
         if !self.is_enabled() {
             return;
         }
         let mut inner = self.lock();
-        if !value.is_finite() {
-            match inner.counters.get_mut(DROPPED_SAMPLES) {
-                Some(v) => *v += 1,
-                None => {
-                    inner.counters.insert(DROPPED_SAMPLES.to_string(), 1);
+        for (name, value) in samples {
+            if !value.is_finite() {
+                match inner.counters.get_mut(DROPPED_SAMPLES) {
+                    Some(v) => *v += 1,
+                    None => {
+                        inner.counters.insert(DROPPED_SAMPLES.to_string(), 1);
+                    }
                 }
+                continue;
             }
-            return;
-        }
-        match inner.histograms.get_mut(name) {
-            Some(h) => h.record(value),
-            None => {
-                let mut h = Histogram::default();
-                h.record(value);
-                inner.histograms.insert(name.to_string(), h);
+            match inner.histograms.get_mut(name) {
+                Some(h) => h.record(value),
+                None => {
+                    let mut h = Histogram::default();
+                    h.record(value);
+                    inner.histograms.insert(name.to_string(), h);
+                }
             }
         }
     }

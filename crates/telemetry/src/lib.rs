@@ -66,8 +66,8 @@ pub use export::{
 };
 pub use metrics::{Histogram, HistogramSnapshot};
 pub use trace::{
-    request_id_from_counter, traces_to_chrome, RequestTrace, TraceCtx, TraceSpan, TraceSpanGuard,
-    STAGES,
+    request_id_from_counter, server_timing_value, traces_to_chrome, RequestTrace, TraceCtx,
+    TraceSpan, TraceSpanGuard, STAGES,
 };
 
 use std::sync::OnceLock;
@@ -121,6 +121,13 @@ pub fn gauge_max(name: &str, value: f64) {
 #[inline]
 pub fn histogram_record(name: &str, value: f64) {
     global().histogram_record(name, value);
+}
+
+/// Records one sample into each named global histogram under one lock
+/// acquisition (see [`Collector::histogram_record_each`]).
+#[inline]
+pub fn histogram_record_each<'a>(samples: impl IntoIterator<Item = (&'a str, f64)>) {
+    global().histogram_record_each(samples);
 }
 
 /// Records a closed span on the *virtual* (simulated-time) clock, e.g.

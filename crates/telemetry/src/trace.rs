@@ -112,7 +112,8 @@ impl TraceCtx {
                 next_id: AtomicU64::new(1),
                 opened: AtomicU64::new(0),
                 coalesced_onto: AtomicU64::new(0),
-                spans: Mutex::new(Vec::new()),
+                // A request opens five to eight spans; one allocation.
+                spans: Mutex::new(Vec::with_capacity(8)),
                 notes: Mutex::new(Vec::new()),
             })),
         }
@@ -199,23 +200,16 @@ impl TraceCtx {
         }
     }
 
-    /// Freezes the tree into a [`RequestTrace`]. Returns `None` on an
-    /// untraced context. Call after every guard has dropped; spans
-    /// still open at this point are reported (not silently lost)
-    /// through [`RequestTrace::opened`] ≠ `spans.len()`, which SW028
-    /// flags.
+    /// Moves the tree out into a [`RequestTrace`] (the context keeps an
+    /// empty one, so call this once, when the request is done). Returns
+    /// `None` on an untraced context. Call after every guard has
+    /// dropped; spans still open at this point are reported (not
+    /// silently lost) through [`RequestTrace::opened`] ≠ `spans.len()`,
+    /// which SW028 flags.
     pub fn finish(&self) -> Option<RequestTrace> {
         let inner = self.inner.as_ref()?;
-        let spans = inner
-            .spans
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        let notes = inner
-            .notes
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
+        let spans = std::mem::take(&mut *inner.spans.lock().unwrap_or_else(|p| p.into_inner()));
+        let notes = std::mem::take(&mut *inner.notes.lock().unwrap_or_else(|p| p.into_inner()));
         let total_us = spans
             .iter()
             .map(|s| s.start_us + s.dur_us)
@@ -303,6 +297,18 @@ impl RequestTrace {
             .map(|(_, v)| v.as_str())
     }
 
+    /// A span's **self time**: its duration minus its direct children's
+    /// durations.
+    fn self_us(&self, s: &TraceSpan) -> u64 {
+        let children: u64 = self
+            .spans
+            .iter()
+            .filter(|c| c.parent == s.id)
+            .map(|c| c.dur_us)
+            .sum();
+        s.dur_us.saturating_sub(children.min(s.dur_us))
+    }
+
     /// Microseconds attributed to `stage`: the **self time** (duration
     /// minus direct children's durations) summed over every span whose
     /// name is `stage` or starts with `stage.`. Self-time attribution
@@ -310,33 +316,47 @@ impl RequestTrace {
     /// inside a `cache` span bills its time to `induce`, not both — so
     /// the per-stage values sum to at most the request total.
     pub fn stage_us(&self, stage: &str) -> u64 {
-        let mut total = 0u64;
-        for s in &self.spans {
-            let seg = s.name.split('.').next().unwrap_or("");
-            if seg != stage {
-                continue;
-            }
-            let children: u64 = self
-                .spans
-                .iter()
-                .filter(|c| c.parent == s.id)
-                .map(|c| c.dur_us)
-                .sum();
-            total += s.dur_us.saturating_sub(children.min(s.dur_us));
-        }
-        total
+        self.spans
+            .iter()
+            .filter(|s| s.name.split('.').next() == Some(stage))
+            .map(|s| self.self_us(s))
+            .sum()
     }
 
-    /// The `Server-Timing` header value: every standard stage (all five
-    /// of [`STAGES`], zero-valued stages included so clients can rely
-    /// on their presence), durations in milliseconds per the spec.
-    pub fn server_timing(&self) -> String {
-        STAGES
-            .iter()
-            .map(|stage| format!("{stage};dur={:.3}", self.stage_us(stage) as f64 / 1e3))
-            .collect::<Vec<_>>()
-            .join(", ")
+    /// [`RequestTrace::stage_us`] of all five [`STAGES`], in their
+    /// order, from one walk of the tree — what a consumer that reports
+    /// every stage (the header, the stage histograms, the access log)
+    /// should call once per request.
+    pub fn stages_us(&self) -> [u64; STAGES.len()] {
+        let mut out = [0u64; STAGES.len()];
+        for s in &self.spans {
+            let seg = s.name.split('.').next();
+            if let Some(i) = STAGES.iter().position(|stage| Some(*stage) == seg) {
+                out[i] += self.self_us(s);
+            }
+        }
+        out
     }
+
+    /// The `Server-Timing` header value of this request's
+    /// [`RequestTrace::stages_us`].
+    pub fn server_timing(&self) -> String {
+        server_timing_value(self.stages_us())
+    }
+}
+
+/// A `Server-Timing` header value: every standard stage (all five of
+/// [`STAGES`], zero-valued stages included so clients can rely on their
+/// presence), durations in milliseconds per the spec. An untraced
+/// request reports `[0; 5]`.
+pub fn server_timing_value(stages_us: [u64; STAGES.len()]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(96);
+    for (i, (stage, us)) in STAGES.iter().zip(stages_us).enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(out, "{sep}{stage};dur={:.3}", us as f64 / 1e3);
+    }
+    out
 }
 
 /// Renders a set of request traces as Chrome `trace_event` JSON —
@@ -453,6 +473,7 @@ mod tests {
         // child, so stages can never double-count.
         assert!(t.stage_us("cache") <= cache.dur_us);
         assert_eq!(t.stage_us("induce"), induce.dur_us);
+        assert_eq!(t.stages_us(), STAGES.map(|stage| t.stage_us(stage)));
     }
 
     #[test]

@@ -219,6 +219,54 @@ fn forwarded_requests_hit_the_home_shards_cache_and_certify_sw029() {
 }
 
 #[test]
+fn forwarded_artifact_is_resummarized_once_and_then_hit_without_recomputation() {
+    let (s0, s1) = boot_pair(AccessLogSink::Null, AccessLogSink::Null);
+    let body = body_homed_on(&s0.cluster, 1, 500);
+    let req = ScheduleRequest::from_json(&body).unwrap();
+
+    // The forwarding shard re-derives the summary from the bytes it
+    // received and its own instance (the frame does not carry it); the
+    // numbers are those of a plain local compute.
+    let (status, forwarded) = post_schedule(s0.addr, &body);
+    assert_eq!(status, 200, "{forwarded}");
+    assert!(
+        forwarded.contains("X-Sweep-Forwarded-From: 1\r\n"),
+        "{forwarded}"
+    );
+    let local = SweepService::new(Default::default())
+        .schedule(&req)
+        .unwrap();
+    let doc = sweep_json::parse(body_of(&forwarded)).unwrap();
+    for (field, want) in [
+        ("lower_bound", local.lower_bound),
+        ("c1", local.c1),
+        ("c2", local.c2),
+    ] {
+        assert_eq!(
+            doc.get(field).and_then(|v| v.as_u64()),
+            Some(want),
+            "{field}"
+        );
+    }
+
+    // The identical request again is a hit on the forwarding shard that
+    // summarizes on neither shard: the constructor runs only inside a
+    // tier-2 leader closure, and neither shard's cache counts a miss.
+    // (`serve.summarize` is one counter for the whole process, so the
+    // per-content count lives in `tests/serve_hit_path.rs`.)
+    let misses = |shard: &Shard| shard.service.cache().stats().misses;
+    let (misses0, misses1) = (misses(&s0), misses(&s1));
+    let (_, again) = post_schedule(s0.addr, &body);
+    assert!(!again.contains("X-Sweep-Forwarded-From"), "{again}");
+    assert!(body_of(&again).contains("\"cache\": \"hit\""), "{again}");
+    assert_eq!(stripped(&again), stripped(&forwarded));
+    assert_eq!((misses(&s0), misses(&s1)), (misses0, misses1));
+
+    s0.stop();
+    s1.stop();
+}
+
+#[test]
 fn forwarding_preserves_single_flight_cluster_wide() {
     let (log0, lines0) = AccessLogSink::memory();
     let (log1, lines1) = AccessLogSink::memory();

@@ -1,10 +1,12 @@
 //! End-to-end tests of the request-tracing surface over real loopback
 //! sockets: every response carries the deterministic request id and a
 //! five-stage `Server-Timing` header; a traced cold schedule request's
-//! stage self-times account for its total; a coalesced single-flight
-//! waiter's access-log line names its leader's request id; the
-//! `/debug/vars` snapshot agrees with the SW024-certified cache state;
-//! and the untraced fast path keeps tracing overhead under 5%.
+//! stage self-times account for its total, the summary included (a
+//! `schedule.summarize` sub-span on a miss, nothing on a hit); a
+//! coalesced single-flight waiter's access-log line names its leader's
+//! request id; the `/debug/vars` snapshot agrees with the
+//! SW024-certified cache state; and the untraced fast path keeps
+//! tracing overhead under 5%.
 
 #![allow(clippy::unwrap_used)]
 
@@ -124,23 +126,25 @@ fn is_hex16(s: &str) -> bool {
 #[test]
 fn every_response_carries_request_id_and_five_stage_server_timing() {
     let (sink, store) = AccessLogSink::memory();
-    let (addr, _h, _guard) = spawn_server(traced_config(sink));
+    let (addr, _h, guard) = spawn_server(traced_config(sink));
 
     let replies = [
         get(addr, "/healthz"),
-        post_schedule(addr, &schedule_body(3)),
-        get(addr, "/nope"), // 404 still gets an id + timing
+        post_schedule(addr, &schedule_body(3)), // a miss
+        post_schedule(addr, &schedule_body(3)), // and its hit
+        get(addr, "/nope"),                     // 404 still gets an id + timing
     ];
     for reply in &replies {
         let id = header(reply, "X-Sweep-Request-Id").expect("request id header");
         assert!(is_hex16(&id), "malformed request id {id:?}");
+        // Exactly the five stages: the summary is a sub-span of
+        // `schedule`, not a sixth stage.
         let timing = header(reply, "Server-Timing").expect("server-timing header");
-        for stage in STAGES {
-            assert!(
-                timing.contains(&format!("{stage};dur=")),
-                "stage {stage} missing from Server-Timing {timing:?}"
-            );
-        }
+        let names: Vec<&str> = timing
+            .split(", ")
+            .map(|entry| entry.split(';').next().unwrap())
+            .collect();
+        assert_eq!(names, STAGES, "{timing}");
     }
     // Distinct connections get distinct ids.
     let ids: std::collections::BTreeSet<String> = replies
@@ -159,6 +163,35 @@ fn every_response_carries_request_id_and_five_stage_server_timing() {
         assert!(v.get("status").unwrap().as_u64().is_some());
         assert!(v.get("total_us").unwrap().as_u64().is_some());
     }
+
+    // A trace is kept before its access-log line is written. The miss
+    // computed the summary inside a span under `schedule`; the hit is a
+    // lookup: nothing induced, scheduled or summarized.
+    assert!(replies[1].contains("\"cache\": \"miss\""), "{}", replies[1]);
+    assert!(replies[2].contains("\"cache\": \"hit\""), "{}", replies[2]);
+    let traces = guard.service.ops().slow_traces();
+    let trace_of = |reply: &str| {
+        let id = header(reply, "X-Sweep-Request-Id").unwrap();
+        let id = u64::from_str_radix(&id, 16).unwrap();
+        traces.iter().find(|t| t.request_id == id).expect("trace")
+    };
+    let cold = trace_of(&replies[1]);
+    let summarize = cold
+        .spans
+        .iter()
+        .find(|s| s.name == "schedule.summarize")
+        .expect("a miss computes the summary inside a span");
+    let parent = cold.spans.iter().find(|s| s.id == summarize.parent);
+    assert_eq!(parent.map(|s| s.name.as_ref()), Some("schedule"));
+    let warm = trace_of(&replies[2]);
+    assert!(
+        !warm
+            .spans
+            .iter()
+            .any(|s| s.name == "induce" || s.name.starts_with("schedule")),
+        "{:?}",
+        warm.spans
+    );
 }
 
 #[test]
@@ -170,10 +203,12 @@ fn cold_schedule_stage_times_sum_close_to_request_total() {
     // misses the schedule tier and the instance tier. Self-time
     // attribution caps the stage sum at the total on every one of them.
     // A cold schedule spends nearly all its wall time inside the five
-    // stages (induce + trials dominate), so the sum must also account
-    // for most of it — on the least-disturbed of the three: the time
-    // outside the stages is accept/read/write, which a busy host
-    // stretches at will while the stages stay a few milliseconds.
+    // stages (induce, trials and the summary, which is part of
+    // `schedule`, dominate), so the sum must also account for three
+    // quarters of it (it reads 94-98 % on a quiet host) — on the
+    // least-disturbed of the three: the time outside the stages is
+    // accept/read/write, which a busy host stretches at will while the
+    // stages stay a few milliseconds.
     let mut best = (0u64, 1u64);
     for attempt in 0..3usize {
         let scale = 0.01 + 0.002 * attempt as f64;
@@ -200,7 +235,7 @@ fn cold_schedule_stage_times_sum_close_to_request_total() {
     }
     let (sum, total) = best;
     assert!(
-        sum * 2 >= total,
+        sum * 4 >= total * 3,
         "stages account for too little in the best of three: {sum} of {total} µs"
     );
 }
