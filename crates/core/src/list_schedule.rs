@@ -311,9 +311,9 @@ pub fn task_in_degrees(instance: &SweepInstance) -> impl Iterator<Item = u32> + 
 
 /// The per-task table (indexed by `TaskId::index`: direction-major) of a
 /// per-direction function: `per_dir(i, G_i)` yields one value per cell.
-pub(crate) fn per_task_table<T, I: IntoIterator<Item = T>>(
-    instance: &SweepInstance,
-    mut per_dir: impl FnMut(usize, &TaskDag) -> I,
+pub(crate) fn per_task_table<'a, T, I: IntoIterator<Item = T>>(
+    instance: &'a SweepInstance,
+    mut per_dir: impl FnMut(usize, &'a TaskDag) -> I,
 ) -> Vec<T> {
     let mut table = Vec::with_capacity(instance.num_tasks());
     for (i, dag) in instance.dags().iter().enumerate() {

@@ -8,7 +8,7 @@
 //! delays" to a heuristic is modeled with per-direction release times, as
 //! in the paper's experiments where directions are "randomly delayed".
 
-use sweep_dag::{b_levels, descendant_counts, levels, DescendantMode, SweepInstance};
+use sweep_dag::{b_levels, descendant_counts, DescendantMode, SweepInstance};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
@@ -20,7 +20,7 @@ use crate::schedule::Schedule;
 /// *smaller is preferred* (§5.2 "Level Priorities").
 pub fn level_priorities(instance: &SweepInstance) -> Vec<i64> {
     per_task_table(instance, |_, dag| {
-        levels(dag).level_of.into_iter().map(i64::from)
+        dag.level_of().iter().map(|&level| i64::from(level))
     })
 }
 
@@ -51,13 +51,7 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
     assert_eq!(assignment.num_cells(), n);
     // K must dominate any b-level; one constant for the whole instance
     // keeps priorities comparable across directions.
-    let kconst = instance
-        .dags()
-        .iter()
-        .map(sweep_dag::critical_path_len)
-        .max()
-        .unwrap_or(0) as i64
-        + 1;
+    let kconst = instance.max_depth() as i64 + 1;
     per_task_table(instance, |_, dag| {
         let b = b_levels(dag);
         let order = dag.topo_order().expect("instance DAGs are acyclic");

@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sweep_dag::{levels, SweepInstance};
+use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
@@ -42,11 +42,10 @@ pub fn random_delays_into(k: usize, seed: u64, out: &mut Vec<u32>) {
 }
 
 /// The per-task base levels `level_i(v)` (indexed by `TaskId::index`) —
-/// the delay-independent part of `Γ`. Hoisted out of the per-trial path
-/// by [`crate::scratch::TrialContext`]: recomputing it costs one BFS
-/// per direction, which dominated every trial before the hoist.
+/// the delay-independent part of `Γ`: the `k` DAGs' stored levels laid
+/// end to end, a copy and not a graph walk.
 pub(crate) fn base_task_levels(instance: &SweepInstance) -> Vec<u32> {
-    per_task_table(instance, |_, dag| levels(dag).level_of)
+    per_task_table(instance, |_, dag| dag.level_of().iter().copied())
 }
 
 /// `Γ(v,i) = base_i(v) + X_i` as a function of `(task, direction)` over a
@@ -67,8 +66,8 @@ pub fn delayed_level_priorities(instance: &SweepInstance, delays: &[u32]) -> Vec
     let k = instance.num_directions();
     assert_eq!(delays.len(), k, "one delay per direction");
     per_task_table(instance, |i, dag| {
-        let levels = levels(dag).level_of.into_iter();
-        levels.map(move |level| level as i64 + delays[i] as i64)
+        let levels = dag.level_of().iter();
+        levels.map(move |&level| level as i64 + delays[i] as i64)
     })
 }
 

@@ -1,8 +1,9 @@
 //! Arena-reused trial scratch for best-of-`b` scheduling.
 //!
 //! [`TrialContext`] hoists everything that depends only on `(instance,
-//! assignment, algorithm)` out of the trial loop — the per-direction
-//! level structure (`k` BFS traversals) and the in-degree template — and
+//! assignment, algorithm)` out of the trial loop — the per-task level
+//! table (a copy of the levels each DAG stores; no traversal) and the
+//! in-degree template — and
 //! [`TrialScratch`] keeps every per-trial buffer warm across trials
 //! (reset, never freed), threaded through the pool as one scratch slot
 //! per worker ([`sweep_pool::ThreadPool::par_map_scratch`]). For the list

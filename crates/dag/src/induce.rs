@@ -4,19 +4,34 @@
 //! For sweep direction `ω`, every interior face with `a→b` unit normal `n`
 //! contributes the edge `a → b` when `n · ω > ε` and `b → a` when
 //! `n · ω < −ε` (faces nearly parallel to the sweep contribute nothing —
-//! no flux crosses them). On jittered unstructured meshes the resulting
-//! digraph can contain directed cycles; following the paper ("we break the
-//! cycles") we repair them: Tarjan's strongly-connected components are
-//! computed, and within each non-trivial SCC only edges consistent with the
-//! *geometric height* order `h(v) = centroid(v) · ω` (ties by cell id) are
-//! kept. Cross-SCC edges can never participate in a cycle and are all
-//! preserved, so the repair is minimal in that sense.
+//! no flux crosses them).
+//!
+//! What does not depend on `ω` is computed once per mesh: every cell's
+//! neighbours in ascending order, each with the face it comes from. A
+//! direction then costs one sign byte per face and one pass over that
+//! adjacency, which cuts the successor and predecessor rows out already
+//! sorted and de-duplicated — no edge list, no sort — and hands them to
+//! the [`TaskDag`] constructor, whose level peel is also the acyclicity
+//! proof. Conforming meshes never cycle (Camminady & Frank), so that is
+//! the whole common path.
+//!
+//! Hanging-node, polytopal and jittered meshes can induce directed cycles;
+//! following the paper ("we break the cycles") we repair them. Only when
+//! the peel leaves nodes behind does Tarjan run, on that residue: within
+//! each non-trivial strongly connected component only edges consistent
+//! with the *geometric height* order `h(v) = centroid(v) · ω` (ties by
+//! cell id) are kept — the other faces' signs are zeroed and the cut and
+//! the peel run once more. Cross-SCC edges can never participate in a
+//! cycle and are all preserved, so the repair is minimal in that sense.
+//! [`induce_raw`] + [`break_cycles`] + [`TaskDag::from_edges`] is the same
+//! function by the edge-list route; `tests/induction_oracle.rs` holds
+//! this one to it.
 
-use sweep_mesh::{SweepMesh, Vec3};
+use sweep_mesh::{CellId, SweepMesh, Vec3};
 use sweep_quadrature::QuadratureSet;
 use sweep_telemetry as telemetry;
 
-use crate::graph::TaskDag;
+use crate::graph::{Csr, TaskDag};
 
 /// Faces whose normal is within this tolerance of perpendicular to the
 /// sweep direction induce no dependence.
@@ -47,23 +62,112 @@ pub struct InduceStats {
 /// assert!(stats.raw_edges > 0);
 /// ```
 pub fn induce_dag(mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, InduceStats) {
+    induce_with(&face_adjacency(mesh), mesh, omega)
+}
+
+/// The interior faces as a per-cell adjacency — the direction-independent
+/// half of induction, built once per mesh and shared by every direction.
+/// Cell `c`'s row holds its half-faces `neighbour << 32 | face << 1 | side`
+/// (`side` = 1 when `c` is the face's `b`) in ascending order, so the
+/// faces of one cell pair are adjacent; sorted here because an imported
+/// mesh's faces come in no particular order.
+///
+/// # Panics
+/// Panics on a face with an endpoint `>= n` or with `a == b`.
+fn face_adjacency(mesh: &impl SweepMesh) -> Csr<u64> {
     let n = mesh.num_cells();
-    let edges = induce_raw(mesh, omega);
-    let raw = edges.len();
-    let height: Vec<f64> = (0..n)
-        .map(|c| mesh.centroid(sweep_mesh::CellId(c as u32)).dot(omega))
+    let faces = mesh.interior_faces();
+    assert!(faces.len() <= i32::MAX as usize, "face index overflows");
+    for f in faces {
+        let (a, b) = (f.a.0, f.b.0);
+        assert!(a.max(b) < n as u32, "edge ({a},{b}) out of range");
+        assert_ne!(a, b, "self-loop at {a}");
+    }
+    let halves = faces.iter().zip(0u64..).flat_map(|(f, i)| {
+        let (a, b) = (u64::from(f.a.0), u64::from(f.b.0));
+        [(f.a.0, b << 32 | i << 1), (f.b.0, a << 32 | i << 1 | 1)]
+    });
+    let mut adj = Csr::bucket(n, halves);
+    for c in adj.xadj.windows(2) {
+        adj.adj[c[0] as usize..c[1] as usize].sort_unstable();
+    }
+    adj
+}
+
+/// Cuts the digraph the face signs describe (`+1`: `a → b`, `−1`: `b → a`,
+/// `0`: no edge) out of the adjacency, `edges` being a capacity hint.
+/// Returns the DAG and the nodes its peel left (see [`TaskDag::from_csr`]).
+fn cut(adj: &Csr<u64>, sign: &[i8], edges: usize) -> (TaskDag, Vec<u32>) {
+    let rows = || Csr {
+        xadj: Vec::with_capacity(adj.xadj.len()),
+        adj: Vec::with_capacity(edges),
+    };
+    let (mut succ, mut pred) = (rows(), rows());
+    for c in 0..adj.xadj.len() as u32 - 1 {
+        succ.xadj.push(succ.adj.len() as u32);
+        pred.xadj.push(pred.adj.len() as u32);
+        // The neighbour last written per side: parallel faces of one cell
+        // pair (`PolyPreset::Pillow` has four) yield one edge.
+        let (mut last_succ, mut last_pred) = (u32::MAX, u32::MAX);
+        for &half in adj.row(c) {
+            let neighbour = (half >> 32) as u32;
+            let s = sign[(half as u32 >> 1) as usize];
+            let outward = if half & 1 == 0 { s } else { -s };
+            if outward > 0 && neighbour != last_succ {
+                succ.adj.push(neighbour);
+                last_succ = neighbour;
+            } else if outward < 0 && neighbour != last_pred {
+                pred.adj.push(neighbour);
+                last_pred = neighbour;
+            }
+        }
+    }
+    succ.xadj.push(succ.adj.len() as u32);
+    pred.xadj.push(pred.adj.len() as u32);
+    TaskDag::from_csr(succ, pred)
+}
+
+/// [`induce_dag`] on the prebuilt [`face_adjacency`] of `mesh`.
+fn induce_with(adj: &Csr<u64>, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, InduceStats) {
+    let faces = mesh.interior_faces();
+    let mut sign: Vec<i8> = faces
+        .iter()
+        .map(|f| {
+            let d = f.normal.dot(omega);
+            i8::from(d > PARALLEL_EPS) - i8::from(d < -PARALLEL_EPS)
+        })
         .collect();
-    let (edges, dropped, sccs) = break_cycles(n, edges, &height);
-    let dag = TaskDag::from_edges(n, &edges);
-    debug_assert!(dag.is_acyclic());
-    (
-        dag,
-        InduceStats {
-            raw_edges: raw,
-            dropped_edges: dropped,
-            nontrivial_sccs: sccs,
-        },
-    )
+    let raw_edges = sign.iter().filter(|&&s| s != 0).count();
+    let mut stats = InduceStats {
+        raw_edges,
+        ..InduceStats::default()
+    };
+    let (dag, residue) = cut(adj, &sign, raw_edges);
+    if residue.is_empty() {
+        return (dag, stats);
+    }
+
+    // Cyclic: every non-trivial SCC lies inside the residue, and so do all
+    // successors of a residue node, so Tarjan need not look further.
+    let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), residue.iter().copied());
+    stats.nontrivial_sccs = nontrivial;
+    let height: Vec<f64> = (0..mesh.num_cells() as u32)
+        .map(|c| mesh.centroid(CellId(c)).dot(omega))
+        .collect();
+    for (f, s) in faces.iter().zip(&mut sign) {
+        let (u, v) = if *s > 0 {
+            (f.a.0, f.b.0)
+        } else {
+            (f.b.0, f.a.0)
+        };
+        if *s != 0 && breaks(&scc, &height, u, v) {
+            *s = 0;
+            stats.dropped_edges += 1;
+        }
+    }
+    let (dag, residue) = cut(adj, &sign, raw_edges - stats.dropped_edges);
+    assert!(residue.is_empty(), "height order within SCCs is acyclic");
+    (dag, stats)
 }
 
 /// The raw (pre-repair) dependence edges one sweep direction induces: the
@@ -114,7 +218,8 @@ pub fn induce_all(
 ) -> (Vec<TaskDag>, Vec<InduceStats>) {
     let _span = telemetry::span!("dag.induce");
     let omegas: Vec<Vec3> = quadrature.iter().map(|(_, omega)| omega).collect();
-    let per_dir = sweep_pool::global().par_map(&omegas, |_, &omega| induce_dag(mesh, omega));
+    let adj = face_adjacency(mesh);
+    let per_dir = sweep_pool::global().par_map(&omegas, |_, &omega| induce_with(&adj, mesh, omega));
     let mut dags = Vec::with_capacity(quadrature.len());
     let mut stats = Vec::with_capacity(quadrature.len());
     for (d, s) in per_dir {
@@ -174,58 +279,45 @@ pub fn break_cycles(
     height: &[f64],
 ) -> (Vec<(u32, u32)>, usize, usize) {
     assert_eq!(height.len(), n, "one height per node");
-    let scc = tarjan_scc(n, &edges);
-
-    // Count SCC sizes to identify non-trivial components.
-    let mut scc_size = vec![0u32; n];
-    for &c in &scc {
-        scc_size[c as usize] += 1;
-    }
-    let nontrivial = scc_size.iter().filter(|&&s| s >= 2).count();
-
+    let succ = Csr::bucket(n, edges.iter().copied());
+    let (scc, nontrivial) = tarjan_scc(&succ, 0..n as u32);
     let before = edges.len();
-    let upward = |u: u32, v: u32| {
-        let (hu, hv) = (height[u as usize], height[v as usize]);
-        hu < hv || (hu == hv && u < v)
-    };
     let kept: Vec<(u32, u32)> = edges
         .into_iter()
-        .filter(|&(u, v)| scc[u as usize] != scc[v as usize] || upward(u, v))
+        .filter(|&(u, v)| !breaks(&scc, height, u, v))
         .collect();
     let dropped = before - kept.len();
     (kept, dropped, nontrivial)
 }
 
-/// Iterative Tarjan SCC; returns the component id of every node.
-fn tarjan_scc(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
-    // Build successor CSR.
-    let mut deg = vec![0u32; n];
-    for &(u, _) in edges {
-        deg[u as usize] += 1;
-    }
-    let mut xadj = vec![0u32; n + 1];
-    for i in 0..n {
-        xadj[i + 1] = xadj[i] + deg[i];
-    }
-    let mut adj = vec![0u32; edges.len()];
-    let mut cur: Vec<u32> = xadj[..n].to_vec();
-    for &(u, v) in edges {
-        adj[cur[u as usize] as usize] = v;
-        cur[u as usize] += 1;
-    }
+/// The repair rule: edge `u → v` goes when both ends share a strongly
+/// connected component (nodes Tarjan was not sent to have none) and it
+/// does not climb in `(height, id)` order.
+fn breaks(scc: &[u32], height: &[f64], u: u32, v: u32) -> bool {
+    let (cu, cv) = (scc[u as usize], scc[v as usize]);
+    let (hu, hv) = (height[u as usize], height[v as usize]);
+    cu == cv && cu != UNVISITED && !(hu < hv || (hu == hv && u < v))
+}
 
-    const UNVISITED: u32 = u32::MAX;
+const UNVISITED: u32 = u32::MAX;
+
+/// Iterative Tarjan SCC over a successor CSR, searching from `roots` only.
+/// Returns the component id of every node reached ([`UNVISITED`] for the
+/// rest) and the number of components with at least two nodes.
+fn tarjan_scc(succ: &Csr, roots: impl Iterator<Item = u32>) -> (Vec<u32>, usize) {
+    let n = succ.xadj.len() - 1;
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    // A visited node is on the stack until it has a component.
     let mut comp = vec![UNVISITED; n];
     let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0u32;
     let mut next_comp = 0u32;
+    let mut nontrivial = 0;
 
     // Explicit DFS stack of (node, next-child-offset).
     let mut dfs: Vec<(u32, u32)> = Vec::new();
-    for root in 0..n as u32 {
+    for root in roots {
         if index[root as usize] != UNVISITED {
             continue;
         }
@@ -234,21 +326,17 @@ fn tarjan_scc(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
         lowlink[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
-        on_stack[root as usize] = true;
 
         while let Some(&mut (v, ref mut ci)) = dfs.last_mut() {
-            let (s, e) = (xadj[v as usize], xadj[v as usize + 1]);
-            if s + *ci < e {
-                let w = adj[(s + *ci) as usize];
+            if let Some(&w) = succ.row(v).get(*ci as usize) {
                 *ci += 1;
                 if index[w as usize] == UNVISITED {
                     index[w as usize] = next_index;
                     lowlink[w as usize] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    on_stack[w as usize] = true;
                     dfs.push((w, 0));
-                } else if on_stack[w as usize] {
+                } else if comp[w as usize] == UNVISITED {
                     lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
                 }
             } else {
@@ -258,20 +346,21 @@ fn tarjan_scc(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
                 }
                 if lowlink[v as usize] == index[v as usize] {
                     // v is the root of an SCC.
+                    let top = stack.len();
                     loop {
                         let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
                         comp[w as usize] = next_comp;
                         if w == v {
                             break;
                         }
                     }
+                    nontrivial += usize::from(top - stack.len() >= 2);
                     next_comp += 1;
                 }
             }
         }
     }
-    comp
+    (comp, nontrivial)
 }
 
 #[cfg(test)]
@@ -283,18 +372,22 @@ mod tests {
     #[test]
     fn tarjan_identifies_components() {
         // 0 <-> 1 form a cycle; 2 is separate; 1 -> 2.
-        let scc = tarjan_scc(3, &[(0, 1), (1, 0), (1, 2)]);
+        let dag = TaskDag::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
+        let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), 0..3);
         assert_eq!(scc[0], scc[1]);
         assert_ne!(scc[0], scc[2]);
+        assert_eq!(nontrivial, 1);
     }
 
     #[test]
     fn tarjan_on_dag_gives_singletons() {
-        let scc = tarjan_scc(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let dag = TaskDag::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
+        let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), 0..4);
         let mut ids = scc.clone();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 4);
+        assert_eq!(nontrivial, 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use sweep_telemetry as telemetry;
 
 use crate::graph::TaskDag;
 use crate::induce::{induce_all, InduceStats};
-use crate::levels::{critical_path_len, levels, Levels};
+use crate::levels::{levels, Levels};
 
 /// Dense identifier of a task `(cell, direction)`: `task = dir·n + cell`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,16 +55,11 @@ impl SweepInstance {
     /// Panics if any DAG has a node count different from `n`, if `k = 0`,
     /// or if any DAG is cyclic.
     pub fn new(n: usize, dags: Vec<TaskDag>, name: impl Into<String>) -> SweepInstance {
-        assert!(!dags.is_empty(), "instance needs at least one direction");
-        for (i, d) in dags.iter().enumerate() {
-            assert_eq!(d.num_nodes(), n, "DAG {i} has wrong node count");
+        let instance = SweepInstance::new_unchecked(n, dags, name);
+        for (i, d) in instance.dags.iter().enumerate() {
             assert!(d.is_acyclic(), "DAG {i} is cyclic");
         }
-        SweepInstance {
-            n,
-            dags,
-            name: name.into(),
-        }
+        instance
     }
 
     /// Builds an instance **without** the acyclicity check (node counts
@@ -148,9 +143,10 @@ impl SweepInstance {
         self.dags.iter().map(levels).collect()
     }
 
-    /// The paper's `D`: maximum number of layers over all directions.
+    /// The paper's `D`: maximum number of layers over all directions
+    /// (`O(k)`: every DAG stores its depth).
     pub fn max_depth(&self) -> usize {
-        self.dags.iter().map(critical_path_len).max().unwrap_or(0)
+        self.dags.iter().map(TaskDag::depth).max().unwrap_or(0)
     }
 
     /// Total number of precedence edges over all directions.

@@ -6,8 +6,12 @@
 //! every precedence constraint. The *b-level* (used by DFDS priorities) is
 //! the symmetric bottom-up quantity: the number of nodes on the longest
 //! path from `v` to a sink.
+//!
+//! Nothing here walks a graph to find an order: [`TaskDag`] stores
+//! `level_of` and the depth from its constructor's peel, [`levels()`] is a
+//! counting sort of that table and [`b_levels`] one pass over its layers.
 
-use crate::graph::TaskDag;
+use crate::graph::{Csr, TaskDag};
 
 /// The level decomposition of one DAG.
 #[derive(Debug, Clone)]
@@ -49,40 +53,23 @@ impl Levels {
     }
 }
 
-/// Computes the level decomposition.
+/// The nodes bucketed by their stored level, a layer in id order: one
+/// counting pass, no graph walk — the constructor's peel already did it.
+fn layers(dag: &TaskDag) -> Csr {
+    Csr::bucket(dag.depth(), dag.level_of().iter().copied().zip(0u32..))
+}
+
+/// The level decomposition, read off what the DAG stores.
 ///
 /// # Panics
 /// Panics if the graph is cyclic (levels are undefined); induced mesh DAGs
 /// must be passed through [`crate::induce::break_cycles`] first.
 pub fn levels(dag: &TaskDag) -> Levels {
-    let n = dag.num_nodes();
-    let order = dag.topo_order().expect("levels require an acyclic graph");
-    let mut level_of = vec![0u32; n];
-    for &v in &order {
-        for &w in dag.successors(v) {
-            level_of[w as usize] = level_of[w as usize].max(level_of[v as usize] + 1);
-        }
-    }
-    let depth = level_of.iter().map(|&l| l + 1).max().unwrap_or(0) as usize;
-    let mut counts = vec![0u32; depth];
-    for &l in &level_of {
-        counts[l as usize] += 1;
-    }
-    let mut layer_xadj = vec![0u32; depth + 1];
-    for j in 0..depth {
-        layer_xadj[j + 1] = layer_xadj[j] + counts[j];
-    }
-    let mut layer_nodes = vec![0u32; n];
-    let mut cursor: Vec<u32> = layer_xadj[..depth].to_vec();
-    for v in 0..n as u32 {
-        let l = level_of[v as usize] as usize;
-        layer_nodes[cursor[l] as usize] = v;
-        cursor[l] += 1;
-    }
+    let layers = layers(dag);
     Levels {
-        level_of,
-        layer_xadj,
-        layer_nodes,
+        level_of: dag.level_of().to_vec(),
+        layer_xadj: layers.xadj,
+        layer_nodes: layers.adj,
     }
 }
 
@@ -92,9 +79,9 @@ pub fn levels(dag: &TaskDag) -> Levels {
 /// # Panics
 /// Panics if the graph is cyclic.
 pub fn b_levels(dag: &TaskDag) -> Vec<u32> {
-    let order = dag.topo_order().expect("b-levels require an acyclic graph");
     let mut b = vec![1u32; dag.num_nodes()];
-    for &v in order.iter().rev() {
+    // Deepest layer first: a node's successors all sit in later layers.
+    for &v in layers(dag).adj.iter().rev() {
         for &w in dag.successors(v) {
             b[v as usize] = b[v as usize].max(b[w as usize] + 1);
         }
@@ -103,12 +90,12 @@ pub fn b_levels(dag: &TaskDag) -> Vec<u32> {
 }
 
 /// Length (in nodes) of the longest path in the DAG — the critical path,
-/// equal to the number of layers.
+/// equal to the number of layers. `O(1)`: the DAG stores it.
+///
+/// # Panics
+/// Panics if the graph is cyclic.
 pub fn critical_path_len(dag: &TaskDag) -> usize {
-    if dag.num_nodes() == 0 {
-        return 0;
-    }
-    b_levels(dag).into_iter().max().unwrap_or(0) as usize
+    dag.depth()
 }
 
 #[cfg(test)]

@@ -343,13 +343,16 @@ pub struct ScheduleCache {
     stats: Mutex<CacheStats>,
 }
 
-/// Rough resident size of an induced instance: CSR edges dominate
-/// (two u32 ends per edge, forward + reverse adjacency), plus the
-/// offset arrays.
+/// Upper bound on the resident size of an induced instance. An edge costs
+/// 8 B (one `u32` in the successor array, one in the predecessor array);
+/// it is charged 16 — a 2× margin, not a measurement. A task costs 12 B:
+/// its slot in the two offset arrays and its stored level. The offset
+/// arrays' extra slot per direction is charged too, so the bound also
+/// holds for an edgeless instance of many directions.
 fn instance_bytes(inst: &SweepInstance) -> usize {
     let edges = inst.total_edges();
     let tasks = inst.num_tasks();
-    16 * edges + 8 * tasks + 256
+    16 * edges + 12 * tasks + 8 * inst.num_directions() + 256
 }
 
 /// Rough resident size of a schedule artifact: one u32 start per task
@@ -580,6 +583,34 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!(s.bytes > 0);
+    }
+
+    #[test]
+    fn instance_bytes_bounds_every_vector_the_instance_owns() {
+        use sweep_mesh::MeshPreset;
+        use sweep_quadrature::QuadratureSet;
+        let mesh = MeshPreset::Tetonly.build_scaled(0.01).unwrap();
+        let quad = QuadratureSet::level_symmetric(4).unwrap();
+        let (tetonly, _) = SweepInstance::from_mesh(&mesh, &quad, "tetonly");
+        // No edges and more directions than the fixed overhead covers:
+        // the offset arrays and the levels are all there is.
+        let edgeless = SweepInstance::new(5, vec![TaskDag::edgeless(5); 100], "edgeless");
+        for inst in [tetonly, edgeless] {
+            let owned: usize = inst
+                .dags()
+                .iter()
+                .map(|d| {
+                    let offsets = 2 * (d.num_nodes() + 1);
+                    4 * (offsets + 2 * d.num_edges() + d.level_of().len())
+                })
+                .sum();
+            assert!(
+                instance_bytes(&inst) >= owned + inst.name().len(),
+                "{}: {} < {owned}",
+                inst.name(),
+                instance_bytes(&inst)
+            );
+        }
     }
 
     #[test]

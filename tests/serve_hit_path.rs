@@ -89,3 +89,45 @@ fn a_hit_whose_instance_was_evicted_induces_nothing() {
     assert_eq!(svc.cache().tier_stats().0.entries, 1);
     assert_eq!(stripped(&third), stripped(&first));
 }
+
+#[test]
+fn one_topological_walk_per_induced_dag_and_none_afterwards() {
+    let _turn = TELEMETRY.lock().unwrap_or_else(|p| p.into_inner());
+    telemetry::set_enabled(true);
+    let svc = SweepService::new(ServiceConfig::default());
+    let walks = || telemetry::counter_value("dag.levels.computed");
+
+    // Cold: S4 induces 24 DAGs, each peeled once by its constructor.
+    let before = walks();
+    let cold = svc
+        .schedule(&ScheduleRequest::preset("tetonly", 0.01, 4, 4))
+        .unwrap();
+    assert!(!cold.cache_hit && !cold.instance_cache_hit);
+    assert_eq!(walks() - before, 24);
+
+    // Same mesh, new schedule content (tier-1 hit, tier-2 miss): the
+    // trial context, the trials, the winner's re-run, `lower_bounds` and
+    // every priority family read the stored levels.
+    let before = walks();
+    for (algorithm, delays, seed, m) in [
+        ("rdp", false, 7, 4),
+        ("rdp", false, 2005, 6),
+        ("rd", false, 2005, 4),
+        ("dfds", true, 2005, 4),
+        ("level", false, 2005, 4),
+        ("level", true, 2005, 4),
+        ("improved", false, 2005, 4),
+    ] {
+        let req = ScheduleRequest {
+            algorithm: algorithm.to_string(),
+            delays,
+            seed,
+            m,
+            b: 4,
+            ..ScheduleRequest::preset("tetonly", 0.01, 4, 4)
+        };
+        let resp = svc.schedule(&req).unwrap();
+        assert!(!resp.cache_hit && resp.instance_cache_hit, "{algorithm}");
+        assert_eq!(walks() - before, 0, "{algorithm} walked a DAG again");
+    }
+}
