@@ -165,7 +165,8 @@ impl ListBuffers {
         reserve(&mut self.task_at, nk);
         reserve(&mut self.blocks, m + 1);
         let width = max_counting_width(nk, m);
-        reserve(&mut self.counts, m * width.min(max_span + 1) + 1);
+        let values = max_span.saturating_add(1);
+        reserve(&mut self.counts, m * width.min(values) + 1);
         if max_span >= width {
             reserve(&mut self.keys, nk);
         }
@@ -400,8 +401,7 @@ fn run_steps(
     // Sources of a direction not yet released wait, as `(processor,
     // rank)`, in the bucket of its release time. Nothing else ever does
     // (see the step loop), so the buckets are filled here and only
-    // drained later; with no releases in play — the trial path — they
-    // do not exist.
+    // drained later; with no releases in play they do not exist.
     let max_release = release.map_or(0, |r| r[..k].iter().copied().max().unwrap_or(0));
     let mut release_buckets: Vec<Vec<(u32, u32)>> = match release {
         Some(_) => vec![Vec::new(); max_release as usize + 1],

@@ -4,15 +4,21 @@
 //! hold their guarantees in expectation; in practice one runs several
 //! independent delay draws and keeps the best schedule. The draws are
 //! embarrassingly parallel, so [`best_of_trials`] fans them across the
-//! [`sweep_pool`] worker threads.
+//! [`sweep_pool`] worker threads: every algorithm's trials run on
+//! per-worker scratch arenas off one shared [`TrialContext`], and the
+//! trial that wins *is* the schedule — its start times are copied out of
+//! the arena when it takes the lead, nothing is computed twice.
 //!
 //! Determinism is preserved by construction: trial `i` runs with the
 //! child seed `rand::split_seed(master_seed, i)` — a pure function of
 //! `(master_seed, i)` — so every trial's schedule is independent of
-//! which worker ran it or in what order. Combined with the pool's
-//! index-ordered results and a `(makespan, trial index)` tie-break, the
-//! returned schedule is bit-identical to the sequential reference loop
-//! ([`best_of_trials_seq`]) at every worker count.
+//! which worker ran it or in what order. The winner is the minimum
+//! under the total order `(makespan, trial index)`, which no
+//! interleaving can change, so the returned schedule is bit-identical to
+//! the sequential reference loop ([`best_of_trials_seq`]) at every
+//! worker count.
+
+use std::sync::Mutex;
 
 use sweep_dag::SweepInstance;
 use sweep_pool::ThreadPool;
@@ -47,6 +53,30 @@ pub struct BestOfTrials {
     pub seed: u64,
     /// Every trial's outcome, in trial order.
     pub outcomes: Vec<TrialOutcome>,
+}
+
+impl BestOfTrials {
+    /// The one place outcomes are built: every trial's seed and
+    /// makespan, around the winning `trial` and its `schedule`.
+    fn new(seeds: &[u64], makespans: &[u32], trial: usize, schedule: Schedule) -> BestOfTrials {
+        debug_assert_eq!(schedule.makespan(), makespans[trial]);
+        let outcome = |(trial, (&seed, &makespan))| TrialOutcome {
+            trial,
+            seed,
+            makespan,
+        };
+        BestOfTrials {
+            schedule,
+            trial,
+            seed: seeds[trial],
+            outcomes: seeds
+                .iter()
+                .zip(makespans)
+                .enumerate()
+                .map(outcome)
+                .collect(),
+        }
+    }
 }
 
 /// The `b` child seeds a master seed splits into — trial `i` always
@@ -97,34 +127,37 @@ pub fn best_of_trials_with_pool(
     let _span = telemetry::span!("sched.best_of_trials");
     let seeds = trial_seeds(master_seed, b);
     telemetry::counter_add("sched.trials", b as u64);
-    if b == 1 {
-        // A single trial IS the winner — skip the context hoist.
-        let schedule = algorithm.run(instance, assignment.clone(), seeds[0]);
-        return from_makespans(
-            seeds,
-            vec![schedule.makespan()],
-            Some(schedule),
-            |_| unreachable!(),
-        );
-    }
-    // Trials produce makespans only, on per-worker reused scratch
-    // arenas ([`TrialScratch`]); the seed-independent state (levels,
-    // in-degrees, heap capacities) is hoisted into one shared
-    // [`TrialContext`]. The winning schedule is rematerialized below
-    // by re-running the single winning trial — a pure function of its
-    // seed, so bit-identical to what the trial itself computed.
     let ctx = TrialContext::new(instance, assignment, algorithm);
-    let makespans = pool.par_map_scratch(b, TrialScratch::new, |i, scratch| {
-        ctx.run_trial(seeds[i], scratch)
+    // An algorithm that draws no delays yields one schedule whatever the
+    // seed: trial 0 runs, and stands for the other `b − 1`.
+    let runs = if ctx.draws_delays() { b } else { 1 };
+    // The best `(makespan, trial)` so far and its start times. The vector
+    // is allocated here, on the calling thread, and a trial that takes
+    // the lead copies into it: swapping a worker's buffer in instead
+    // would leave the returned schedule — which a cache may hold for
+    // long — pinning memory in that worker's malloc arena.
+    let starts = Vec::with_capacity(instance.num_tasks());
+    let best = Mutex::new(((u32::MAX, usize::MAX), starts));
+    let mut makespans = pool.par_map_scratch(runs, TrialScratch::new, |trial, scratch| {
+        let makespan = ctx.run_trial(seeds[trial], scratch);
+        let mut best = best.lock().expect("no trial panics holding the lock");
+        if (makespan, trial) < best.0 {
+            best.0 = (makespan, trial);
+            best.1.clear();
+            best.1.extend_from_slice(ctx.starts(scratch));
+        }
+        makespan
     });
-    from_makespans(seeds, makespans, None, |seed| {
-        algorithm.run(instance, assignment.clone(), seed)
-    })
+    makespans.resize(b, makespans[0]);
+    let ((_, trial), starts) = best.into_inner().expect("every trial has returned");
+    let schedule = Schedule::new_checked(starts, assignment.clone());
+    BestOfTrials::new(&seeds, &makespans, trial, schedule)
 }
 
-/// The sequential reference loop: same seeds, same selection rule, no
-/// pool. Exists so tests (and the SW023 analyzer) can diff the parallel
-/// path against an independent implementation.
+/// The sequential reference loop: same seeds, same selection rule, one
+/// allocating [`Algorithm::run`] per seed — no pool, no context, no
+/// scratch. Exists so tests (and the SW023 analyzer) can diff the
+/// parallel path against an independent implementation.
 pub fn best_of_trials_seq(
     instance: &SweepInstance,
     assignment: &Assignment,
@@ -134,79 +167,19 @@ pub fn best_of_trials_seq(
 ) -> BestOfTrials {
     assert!(b > 0, "best_of_trials needs at least one trial");
     let seeds = trial_seeds(master_seed, b);
-    let schedules: Vec<Schedule> = seeds
-        .iter()
-        .map(|&seed| algorithm.run(instance, assignment.clone(), seed))
-        .collect();
-    select_best(seeds, schedules)
-}
-
-fn select_best(seeds: Vec<u64>, schedules: Vec<Schedule>) -> BestOfTrials {
-    let makespans: Vec<u32> = schedules.iter().map(Schedule::makespan).collect();
-    let outcomes: Vec<TrialOutcome> = seeds
-        .iter()
-        .zip(&makespans)
-        .enumerate()
-        .map(|(trial, (&seed, &makespan))| TrialOutcome {
-            trial,
-            seed,
-            makespan,
-        })
-        .collect();
-    let winner = winner_of(&outcomes);
-    let schedule = schedules
-        .into_iter()
-        .nth(winner)
-        .expect("winner index in range");
-    BestOfTrials {
-        schedule,
-        trial: winner,
-        seed: outcomes[winner].seed,
-        outcomes,
+    let mut makespans = Vec::with_capacity(b);
+    let mut best: Option<(usize, Schedule)> = None;
+    for (trial, &seed) in seeds.iter().enumerate() {
+        let schedule = algorithm.run(instance, assignment.clone(), seed);
+        makespans.push(schedule.makespan());
+        // Strictly smaller replaces: ties stay with the lowest index.
+        match &best {
+            Some((_, lead)) if lead.makespan() <= schedule.makespan() => {}
+            _ => best = Some((trial, schedule)),
+        }
     }
-}
-
-/// Winner selection shared by every execution mode: minimum makespan,
-/// ties broken to the lowest trial index.
-fn winner_of(outcomes: &[TrialOutcome]) -> usize {
-    outcomes
-        .iter()
-        .min_by_key(|o| (o.makespan, o.trial))
-        .expect("b > 0 checked by callers")
-        .trial
-}
-
-/// Assembles a [`BestOfTrials`] from per-trial makespans, materializing
-/// the winning schedule via `rerun` unless one is supplied.
-fn from_makespans(
-    seeds: Vec<u64>,
-    makespans: Vec<u32>,
-    schedule: Option<Schedule>,
-    rerun: impl FnOnce(u64) -> Schedule,
-) -> BestOfTrials {
-    let outcomes: Vec<TrialOutcome> = seeds
-        .iter()
-        .zip(&makespans)
-        .enumerate()
-        .map(|(trial, (&seed, &makespan))| TrialOutcome {
-            trial,
-            seed,
-            makespan,
-        })
-        .collect();
-    let winner = winner_of(&outcomes);
-    let schedule = schedule.unwrap_or_else(|| rerun(outcomes[winner].seed));
-    debug_assert_eq!(
-        schedule.makespan(),
-        outcomes[winner].makespan,
-        "winner re-run diverged from the trial makespan"
-    );
-    BestOfTrials {
-        schedule,
-        trial: winner,
-        seed: outcomes[winner].seed,
-        outcomes,
-    }
+    let (trial, schedule) = best.expect("b > 0 checked above");
+    BestOfTrials::new(&seeds, &makespans, trial, schedule)
 }
 
 #[cfg(test)]
@@ -218,22 +191,20 @@ mod tests {
     fn parallel_matches_sequential_reference() {
         let inst = SweepInstance::random_layered(60, 4, 6, 2, 11);
         let a = Assignment::random_cells(60, 6, 3);
-        for b in [1usize, 2, 7, 16] {
-            let seq = best_of_trials_seq(&inst, &a, Algorithm::RandomDelayPriorities, b, 42);
-            for threads in [1usize, 2, 4, 8] {
-                let pool = ThreadPool::new(threads);
-                let par = best_of_trials_with_pool(
-                    &pool,
-                    &inst,
-                    &a,
-                    Algorithm::RandomDelayPriorities,
-                    b,
-                    42,
-                );
-                assert_eq!(par.trial, seq.trial, "b={b} threads={threads}");
-                assert_eq!(par.seed, seq.seed);
-                assert_eq!(par.outcomes, seq.outcomes);
-                assert_eq!(par.schedule.starts(), seq.schedule.starts());
+        // One algorithm that draws delays and one that does not (a single
+        // run, its makespan repeated under all `b` seeds).
+        let level = Algorithm::LevelPriority { delays: false };
+        for alg in [Algorithm::RandomDelayPriorities, level] {
+            for b in [1usize, 2, 7, 16] {
+                let seq = best_of_trials_seq(&inst, &a, alg, b, 42);
+                for threads in [1usize, 2, 4, 8] {
+                    let pool = ThreadPool::new(threads);
+                    let par = best_of_trials_with_pool(&pool, &inst, &a, alg, b, 42);
+                    assert_eq!(par.trial, seq.trial, "{alg:?} b={b} threads={threads}");
+                    assert_eq!(par.seed, seq.seed);
+                    assert_eq!(par.outcomes, seq.outcomes);
+                    assert_eq!(par.schedule.starts(), seq.schedule.starts());
+                }
             }
         }
     }

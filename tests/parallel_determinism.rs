@@ -27,6 +27,17 @@ use sweep_scheduling::prelude::*;
 /// harness is multithreaded, so tests that touch it must not overlap.
 static POOL_LOCK: Mutex<()> = Mutex::new(());
 
+/// All ten algorithms: the §5.2 comparison set and the three outside it.
+fn all_algorithms() -> Vec<Algorithm> {
+    let mut all = Algorithm::COMPARISON_SET.to_vec();
+    all.extend([
+        Algorithm::LevelPriority { delays: true },
+        Algorithm::ImprovedRandomDelay,
+        Algorithm::ImprovedWithPriorities,
+    ]);
+    all
+}
+
 #[test]
 fn induce_all_is_thread_count_invariant() {
     let _guard = POOL_LOCK.lock().unwrap();
@@ -92,22 +103,21 @@ fn best_of_trials_is_thread_count_invariant() {
 /// lock-free parallel path against the sequential oracle. Small trial
 /// counts and uneven widths maximize contended CAS splits on the
 /// range queues — exactly the protocol paths the pool model explores
-/// exhaustively, here exercised on real schedules.
+/// exhaustively, here exercised on real schedules — and on the slot that
+/// holds the best trial so far. The rounds cycle through all ten
+/// algorithms, shifted by one every ten rounds so that each meets odd and
+/// even widths.
 #[test]
 fn steal_storm_matches_sequential_oracle_100_rounds() {
     let _guard = POOL_LOCK.lock().unwrap();
     let instance = SweepInstance::random_layered(48, 3, 5, 2, 7);
     let assignment = Assignment::random_cells(instance.num_cells(), 6, 5);
-    let algs = [
-        Algorithm::RandomDelay,
-        Algorithm::RandomDelayPriorities,
-        Algorithm::Greedy,
-    ];
+    let algs = all_algorithms();
     for round in 0..100usize {
         let b = 1 + (round * 7) % 19;
         let threads = 1 + (round * 3) % 8;
         let master = (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let alg = algs[round % algs.len()];
+        let alg = algs[(round + round / 10) % algs.len()];
         let seq = best_of_trials_seq(&instance, &assignment, alg, b, master);
         let pool = ThreadPool::new(threads);
         let par = best_of_trials_with_pool(&pool, &instance, &assignment, alg, b, master);
@@ -123,22 +133,17 @@ fn steal_storm_matches_sequential_oracle_100_rounds() {
 }
 
 /// After the first trial warms a worker's scratch arena, further
-/// trials on the tetonly preset must not allocate: the grow-event
+/// trials on the tetonly preset must not grow a buffer: the grow-event
 /// counter stays flat across 48 post-warm-up trials for every
-/// fast-path algorithm.
+/// algorithm.
 #[test]
 fn scratch_arena_is_allocation_free_after_warm_up() {
     let mesh = MeshPreset::Tetonly.build_scaled(0.01).expect("mesh");
     let quad = QuadratureSet::level_symmetric(2).expect("S2");
     let (instance, _) = SweepInstance::from_mesh(&mesh, &quad, "scratch_test");
     let assignment = Assignment::random_cells(instance.num_cells(), 8, 1);
-    for alg in [
-        Algorithm::RandomDelay,
-        Algorithm::RandomDelayPriorities,
-        Algorithm::Greedy,
-    ] {
+    for alg in all_algorithms() {
         let ctx = TrialContext::new(&instance, &assignment, alg);
-        assert!(ctx.fast_path(), "{alg:?} must take the scratch fast path");
         let mut scratch = TrialScratch::new();
         ctx.run_trial(1, &mut scratch); // warm-up: reserves worst case
         let grows_after_warm_up = scratch.grow_events();
@@ -149,7 +154,7 @@ fn scratch_arena_is_allocation_free_after_warm_up() {
         assert_eq!(
             scratch.grow_events(),
             grows_after_warm_up,
-            "{alg:?} allocated after warm-up"
+            "{alg:?} grew a buffer after warm-up"
         );
     }
 }
