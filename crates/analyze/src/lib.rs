@@ -51,9 +51,8 @@ pub mod diag;
 pub mod import;
 
 mod assignment;
-mod cache_identity;
-mod cluster_identity;
 mod happens_before;
+mod identity;
 mod instance;
 mod parallel;
 mod schedule;
@@ -61,13 +60,14 @@ mod trace_integrity;
 mod tracetree;
 
 pub use assignment::{analyze_assignment, analyze_assignment_with};
-pub use cache_identity::{analyze_cache_identity, CacheIdentityMeta};
-pub use cluster_identity::{analyze_cluster_identity, ClusterIdentityMeta};
 pub use concurrency::{
     analyze_model_checks, ConcurrencyFinding, ConcurrencyFindingKind, ModelCheckRun,
 };
 pub use diag::{json_string, Anchor, Code, Diagnostic, Report, Severity};
 pub use happens_before::{analyze_async, analyze_trace};
+pub use identity::{
+    analyze_cache_identity, analyze_cluster_identity, CacheIdentityMeta, ClusterIdentityMeta,
+};
 pub use import::analyze_import;
 pub use instance::{analyze_instance, analyze_quadrature};
 pub use parallel::{analyze_parallel_determinism, CERT_TRIALS};

@@ -23,6 +23,7 @@ use sweep_dag::SweepInstance;
 use sweep_pool::ThreadPool;
 
 use crate::diag::{Anchor, Code, Diagnostic, Report};
+use crate::identity::{diff_winners, Winner};
 
 /// How many independent trials the certification schedules.
 pub const CERT_TRIALS: usize = 8;
@@ -110,18 +111,12 @@ pub fn analyze_parallel_determinism(
 /// Diffs two runs; pushes SW023 diagnostics and returns whether they
 /// matched.
 fn diff(report: &mut Report, la: &str, a: &BestOfTrials, lb: &str, b: &BestOfTrials) -> bool {
-    let mut same = true;
-    if a.trial != b.trial || a.seed != b.seed {
-        same = false;
-        report.push(Diagnostic::new(
-            Code::PoolNondeterminism,
-            Anchor::none(),
-            format!(
-                "winner differs: {la} picked trial {} (seed {:#x}), {lb} trial {} (seed {:#x})",
-                a.trial, a.seed, b.trial, b.seed
-            ),
-        ));
-    }
+    let mut same = diff_winners(
+        report,
+        Code::PoolNondeterminism,
+        &Winner::new(la, a.trial, a.seed, &a.schedule),
+        &Winner::new(lb, b.trial, b.seed, &b.schedule),
+    );
     for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
         if oa != ob {
             same = false;
@@ -135,25 +130,6 @@ fn diff(report: &mut Report, la: &str, a: &BestOfTrials, lb: &str, b: &BestOfTri
             ));
             break; // one witness per pair keeps the report readable
         }
-    }
-    if a.schedule.starts() != b.schedule.starts() {
-        let witness = a
-            .schedule
-            .starts()
-            .iter()
-            .zip(b.schedule.starts())
-            .position(|(x, y)| x != y);
-        same = false;
-        report.push(Diagnostic::new(
-            Code::PoolNondeterminism,
-            Anchor::none(),
-            format!(
-                "winning schedules differ between {la} and {lb}{}",
-                witness.map_or(String::new(), |t| format!(
-                    " (first divergent task index {t})"
-                ))
-            ),
-        ));
     }
     same
 }

@@ -15,9 +15,10 @@
 //! * a request that coalesced onto a single-flight leader references a
 //!   request id that actually appears in the corpus and is not itself.
 //!
-//! The analyzer is plain-data on purpose: callers (the server, the
-//! bench harness) convert their trace types into [`RequestTraceData`]
-//! so `sweep-analyze` keeps its dependency footprint unchanged.
+//! The analyzer is plain-data on purpose: the caller
+//! (`sweep_serve::certify_trace_trees`) converts its trace type into
+//! [`RequestTraceData`] so `sweep-analyze` keeps its dependency
+//! footprint unchanged.
 
 use crate::diag::{Anchor, Code, Diagnostic, Report};
 use std::collections::{BTreeMap, BTreeSet};

@@ -5,21 +5,17 @@
 //!
 //! For each fault rate `r` a deterministic `FaultPlan` (crash rate `r`,
 //! drop rate `r`, seeded) is injected into the async simulator for both
-//! priority schemes on the same tetonly instance and assignment. Besides
-//! the CSV, the run writes `BENCH_faults.json` with both degradation
-//! series so the robustness trajectory is tracked across PRs.
+//! priority schemes on the same tetonly instance and assignment.
 //!
 //! ```sh
 //! cargo run --release -p sweep-bench --bin faults_degradation -- --scale 0.05
 //! ```
 
-use std::fmt::Write as _;
-
 use sweep_bench::{BenchArgs, CsvSink};
 use sweep_core::{delayed_level_priorities, dfds_priorities, random_delays, Assignment};
 use sweep_faults::FaultConfig;
 use sweep_mesh::MeshPreset;
-use sweep_sim::{degradation_curve, DegradationPoint};
+use sweep_sim::degradation_curve;
 
 const RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.4];
 
@@ -38,26 +34,19 @@ fn main() {
     let dfds = dfds_priorities(&instance, &assignment);
 
     let cfg = FaultConfig::default();
-    let curve_rdp = degradation_curve(
-        &instance,
-        &assignment,
-        &rdp,
-        None,
-        latency,
-        &cfg,
-        &RATES,
-        args.seed,
-    );
-    let curve_dfds = degradation_curve(
-        &instance,
-        &assignment,
-        &dfds,
-        None,
-        latency,
-        &cfg,
-        &RATES,
-        args.seed,
-    );
+    let curve = |prio: &[i64]| {
+        degradation_curve(
+            &instance,
+            &assignment,
+            prio,
+            None,
+            latency,
+            &cfg,
+            &RATES,
+            args.seed,
+        )
+    };
+    let (curve_rdp, curve_dfds) = (curve(&rdp), curve(&dfds));
 
     let mut sink = CsvSink::new(
         &args,
@@ -79,35 +68,5 @@ fn main() {
             b.recovered_tasks,
         ));
     }
-    let json = faults_json(&curve_rdp, &curve_dfds);
-    let jpath = args.out.join("BENCH_faults.json");
-    let _ = std::fs::create_dir_all(&args.out);
-    match std::fs::write(&jpath, &json) {
-        Ok(()) => eprintln!("# wrote {}", jpath.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", jpath.display()),
-    }
     sink.finish();
-}
-
-/// Renders the two degradation series as the `BENCH_faults.json`
-/// document (stable key order, one record per rate).
-fn faults_json(rdp: &[DegradationPoint], dfds: &[DegradationPoint]) -> String {
-    let series = |points: &[DegradationPoint]| {
-        let rows: Vec<String> = points
-            .iter()
-            .map(|p| {
-                format!(
-                    "    {{\"rate\": {}, \"makespan\": {}, \"fault_free\": {}, \
-                     \"retries\": {}, \"recovered_tasks\": {}}}",
-                    p.rate, p.makespan, p.fault_free, p.retries, p.recovered_tasks
-                )
-            })
-            .collect();
-        rows.join(",\n")
-    };
-    let mut out = String::from("{\n  \"experiment\": \"faults_degradation\",\n");
-    let _ = writeln!(out, "  \"rdp\": [\n{}\n  ],", series(rdp));
-    let _ = writeln!(out, "  \"dfds\": [\n{}\n  ]", series(dfds));
-    out.push_str("}\n");
-    out
 }

@@ -18,13 +18,6 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod microbench;
-
-/// Serializes unit tests that flip the process-global telemetry collector
-/// (cargo's test harness is multithreaded).
-#[cfg(test)]
-pub(crate) static TELEMETRY_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
@@ -34,7 +27,6 @@ use sweep_dag::SweepInstance;
 use sweep_mesh::{MeshPreset, SweepMesh, TetMesh};
 use sweep_partition::{block_partition, CsrGraph, PartitionOptions};
 use sweep_quadrature::QuadratureSet;
-use sweep_telemetry as telemetry;
 
 /// Common command-line options.
 #[derive(Debug, Clone)]
@@ -90,10 +82,6 @@ impl BenchArgs {
             "--scale must be in (0, 1]"
         );
         sweep_pool::set_global_threads(args.threads);
-        // Every bench binary records telemetry; CsvSink::finish persists
-        // the aggregates next to the CSV as BENCH_telemetry.json.
-        telemetry::reset();
-        telemetry::set_enabled(true);
         args
     }
 
@@ -212,11 +200,7 @@ impl CsvSink {
         self.buffer.push('\n');
     }
 
-    /// Writes the CSV file and returns its path. Also persists the
-    /// telemetry collected since [`BenchArgs::parse`] (per-phase
-    /// wall-clock aggregates, counters, peak gauges) to
-    /// `<out>/BENCH_telemetry.json` so every experiment leaves a
-    /// machine-readable performance record alongside its data.
+    /// Writes the CSV file and returns its path.
     pub fn finish(self) -> PathBuf {
         let path = self.out.join(format!("{}.csv", self.name));
         if let Err(e) = fs::create_dir_all(&self.out) {
@@ -228,54 +212,8 @@ impl CsvSink {
         } else {
             eprintln!("# wrote {}", path.display());
         }
-        if telemetry::enabled() {
-            let json = telemetry_json(&self.name, &telemetry::snapshot());
-            let tpath = self.out.join("BENCH_telemetry.json");
-            if let Err(e) = fs::write(&tpath, &json) {
-                eprintln!("warning: cannot write {}: {e}", tpath.display());
-            } else {
-                eprintln!("# wrote {}", tpath.display());
-            }
-        }
         path
     }
-}
-
-/// Renders a telemetry snapshot as the `BENCH_telemetry.json` document:
-/// per-span-name wall-clock aggregates (count, total, p50, p99 in µs),
-/// all counters, and all gauges (peaks such as
-/// `sched.list_schedule.ready_peak`).
-pub fn telemetry_json(experiment: &str, snap: &telemetry::Snapshot) -> String {
-    use telemetry::json::escape;
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"{}\",", escape(experiment));
-    out.push_str("  \"phases\": {\n");
-    let summaries = snap.span_summaries();
-    for (i, s) in summaries.iter().enumerate() {
-        let comma = if i + 1 < summaries.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    \"{}\": {{\"count\": {}, \"total_us\": {}, \"p50_us\": {}, \"p99_us\": {}}}{comma}",
-            escape(&s.name),
-            s.count,
-            s.total_us,
-            s.p50_us,
-            s.p99_us,
-        );
-    }
-    out.push_str("  },\n  \"counters\": {\n");
-    for (i, (name, value)) in snap.counters.iter().enumerate() {
-        let comma = if i + 1 < snap.counters.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {}{comma}", escape(name), value);
-    }
-    out.push_str("  },\n  \"gauges\": {\n");
-    for (i, (name, value)) in snap.gauges.iter().enumerate() {
-        let comma = if i + 1 < snap.gauges.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {}{comma}", escape(name), value);
-    }
-    out.push_str("  }\n}\n");
-    out
 }
 
 /// Shared driver for the Figure 3 family: compares "Random Delays with
@@ -415,42 +353,6 @@ mod tests {
             .expect("experiment must write its CSV");
         assert!(csv.starts_with("directions,m,block,"));
         assert!(csv.lines().count() >= 2, "at least one data row");
-    }
-
-    #[test]
-    fn finish_emits_parseable_bench_telemetry_json() {
-        let _guard = crate::TELEMETRY_TEST_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let args = BenchArgs {
-            scale: 0.01,
-            out: std::env::temp_dir().join("sweep-bench-telemetry-test"),
-            seed: 1,
-            threads: 0,
-        };
-        telemetry::reset();
-        telemetry::set_enabled(true);
-        let (_, inst) = args.instance(MeshPreset::Tetonly, 2);
-        let a = Assignment::random_cells(inst.num_cells(), 4, 7);
-        let _ = sweep_core::random_delay_priorities(&inst, a, 3);
-        let mut sink = CsvSink::new(&args, "telemetry_unit_test", "a");
-        sink.row(format_args!("1"));
-        sink.finish();
-        telemetry::set_enabled(false);
-        let text = std::fs::read_to_string(args.out.join("BENCH_telemetry.json")).unwrap();
-        let doc = telemetry::json::parse(&text).expect("valid JSON");
-        let phases = doc.get("phases").expect("phases object");
-        assert!(phases.get("mesh.build").is_some(), "{text}");
-        assert!(phases.get("sched.list_schedule").is_some(), "{text}");
-        let counters = doc.get("counters").expect("counters object");
-        assert!(
-            counters
-                .get("sched.tasks_scheduled")
-                .and_then(telemetry::json::Value::as_f64)
-                .unwrap_or(0.0)
-                > 0.0,
-            "{text}"
-        );
     }
 
     #[test]

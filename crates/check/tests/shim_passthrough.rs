@@ -32,7 +32,7 @@ fn shim_types_are_std_types() {
 
 /// Size identity — belt and braces on top of type identity (trivially
 /// true given the above, but states the "no wrapper state" invariant
-/// in the form the acceptance criterion asks for).
+/// in the form its acceptance check asks for).
 #[test]
 fn shim_types_add_no_state() {
     assert_eq!(

@@ -57,7 +57,7 @@ use std::fmt::Write as _;
 
 use sweep_core::{
     c1_interprocessor_edges, c2_comm_delay, lower_bounds, render_gantt, validate, Algorithm,
-    Assignment,
+    Assignment, Schedule,
 };
 use sweep_dag::{instance_stats, SweepInstance};
 use sweep_mesh::{quality_report, MeshPreset, SweepMesh, TetMesh};
@@ -250,6 +250,96 @@ fn build_instance_or_file(
     }
 }
 
+/// The scheduling flags `schedule`, `analyze`, `trace` and `faults`
+/// share, parsed: `--m` (`default_m` when absent; required when there
+/// is none), `--seed`, `--algorithm` + `--delays`.
+struct SchedFlags {
+    m: usize,
+    seed: u64,
+    alg: Algorithm,
+}
+
+impl SchedFlags {
+    fn parse(flags: &HashMap<String, String>, default_m: Option<usize>) -> Result<Self, String> {
+        if default_m.is_none() {
+            require(flags, "m")?;
+        }
+        let m: usize = get(flags, "m", default_m.unwrap_or(0))?;
+        if m == 0 {
+            return Err("--m must be positive".into());
+        }
+        let seed: u64 = get(flags, "seed", 2005)?;
+        let alg = Algorithm::from_name(
+            flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
+            flags.contains_key("delays"),
+        )?;
+        Ok(SchedFlags { m, seed, alg })
+    }
+
+    /// The per-cell uniform random assignment the seed draws.
+    fn random_cells(&self, inst: &SweepInstance) -> Assignment {
+        Assignment::random_cells(inst.num_cells(), self.m, self.seed)
+    }
+
+    /// Runs the algorithm on `assignment` and checks the result.
+    fn run(&self, inst: &SweepInstance, assignment: Assignment) -> Result<Schedule, String> {
+        let schedule = self.alg.run(inst, assignment, self.seed ^ 0xabcd);
+        validate(inst, &schedule).map_err(|e| format!("internal: infeasible schedule: {e}"))?;
+        Ok(schedule)
+    }
+}
+
+/// The `--format` + `--out FILE` epilogue: renders with the renderer
+/// `--format` names (the first is the default) and, with `--out`,
+/// writes the rendering there and answers with `summary` instead.
+fn render_out(
+    flags: &HashMap<String, String>,
+    renderers: &[(&str, &dyn Fn() -> String)],
+    summary: String,
+) -> Result<String, String> {
+    let format = flags
+        .get("format")
+        .map(String::as_str)
+        .unwrap_or(renderers[0].0);
+    let Some((_, render)) = renderers.iter().find(|(name, _)| *name == format) else {
+        let names: Vec<&str> = renderers.iter().map(|(name, _)| *name).collect();
+        return Err(format!("unknown format '{format}' ({})", names.join("|")));
+    };
+    let rendered = render();
+    match flags.get("out") {
+        Some(path) => {
+            std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
+            Ok(format!(
+                "wrote {path} ({} bytes); {summary}\n",
+                rendered.len()
+            ))
+        }
+        None => Ok(rendered),
+    }
+}
+
+/// [`render_out`] for a diagnostics report: text, JSON or SARIF, exit
+/// status 2 when it holds an error.
+fn render_report(
+    flags: &HashMap<String, String>,
+    report: &sweep_analyze::Report,
+) -> Result<(String, i32), String> {
+    let out = render_out(
+        flags,
+        &[
+            ("text", &|| report.render_text()),
+            ("json", &|| report.render_json()),
+            ("sarif", &|| report.render_sarif()),
+        ],
+        format!(
+            "{} diagnostic(s), {} error(s)",
+            report.len(),
+            report.count(sweep_analyze::Severity::Error)
+        ),
+    )?;
+    Ok((out, if report.has_errors() { 2 } else { 0 }))
+}
+
 /// Entry point: dispatches `args` (without the binary name) and returns
 /// the report to print. Equivalent to [`run_with_status`] with the exit
 /// code dropped.
@@ -392,22 +482,13 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), String> {
 /// offline schedule.
 fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
     let (name, _mesh, inst) = build_instance_or_file(flags)?;
-    let m: usize = get(flags, "m", 8)?;
-    if m == 0 {
-        return Err("--m must be positive".into());
-    }
-    let seed: u64 = get(flags, "seed", 2005)?;
+    let sched = SchedFlags::parse(flags, Some(8))?;
     let latency: f64 = get(flags, "latency", 1.0)?;
     if latency < 0.0 {
         return Err("--latency must be non-negative".into());
     }
-    let alg = Algorithm::from_name(
-        flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
-        flags.contains_key("delays"),
-    )?;
-    let assignment = Assignment::random_cells(inst.num_cells(), m, seed);
-    let schedule = alg.run(&inst, assignment.clone(), seed ^ 0xabcd);
-    validate(&inst, &schedule).map_err(|e| format!("internal: infeasible schedule: {e}"))?;
+    let assignment = sched.random_cells(&inst);
+    let schedule = sched.run(&inst, assignment.clone())?;
     let sim = sweep_sim::simulate(&inst, &schedule, &sweep_sim::SimConfig::default());
     let prio: Vec<i64> = schedule.starts().iter().map(|&t| t as i64).collect();
     let (async_report, trace) =
@@ -417,11 +498,12 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "trace {} with {} ({} tasks, m = {m}): makespan {}, sync C2 time {:.1}, \
+        "trace {} with {} ({} tasks, m = {}): makespan {}, sync C2 time {:.1}, \
          async makespan {:.1} (latency {latency}, {} messages)",
         name,
-        alg.name(),
+        sched.alg.name(),
         inst.num_tasks(),
+        sched.m,
         schedule.makespan(),
         sim.total_time,
         async_report.makespan,
@@ -436,11 +518,8 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
     use sweep_faults::{FaultConfig, FaultPlan};
 
     let (name, _mesh, inst) = build_instance_or_file(flags)?;
-    let m: usize = get(flags, "m", 8)?;
-    if m == 0 {
-        return Err("--m must be positive".into());
-    }
-    let seed: u64 = get(flags, "seed", 2005)?;
+    let sched = SchedFlags::parse(flags, Some(8))?;
+    let SchedFlags { m, seed, .. } = sched;
     let latency: f64 = get(flags, "latency", 1.0)?;
     if latency < 0.0 {
         return Err("--latency must be non-negative".into());
@@ -456,13 +535,8 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
         min_rto: get(flags, "min-rto", 1.0)?,
     };
     cfg.validate()?;
-    let alg = Algorithm::from_name(
-        flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
-        flags.contains_key("delays"),
-    )?;
-    let assignment = Assignment::random_cells(inst.num_cells(), m, seed);
-    let schedule = alg.run(&inst, assignment.clone(), seed ^ 0xabcd);
-    validate(&inst, &schedule).map_err(|e| format!("internal: infeasible schedule: {e}"))?;
+    let assignment = sched.random_cells(&inst);
+    let schedule = sched.run(&inst, assignment.clone())?;
     let prio: Vec<i64> = schedule.starts().iter().map(|&t| t as i64).collect();
 
     // Fault-free baseline: the degradation denominator and the horizon
@@ -480,38 +554,42 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
     let integrity = sweep_analyze::analyze_trace_integrity(&inst, &trace);
     let status = if integrity.has_errors() { 2 } else { 0 };
 
-    let rendered = match flags.get("format").map(String::as_str).unwrap_or("text") {
-        "json" => report.render_json(),
-        "text" => {
-            let mut out = String::new();
-            let _ = writeln!(
-                out,
-                "faults {} with {} ({} tasks, m = {m}, seed {seed}): \
-                 {} crash(es), {} slowdown window(s), {} partition(s) planned",
-                name,
-                alg.name(),
-                inst.num_tasks(),
-                plan.crashes.len(),
-                plan.slowdowns.len(),
-                plan.partitions.len(),
-            );
-            out.push_str(&report.render_text());
-            let _ = writeln!(
-                out,
-                "integrity: {}",
-                if status == 0 {
-                    "certified (SW022: exactly-once, precedence-correct, delivery-backed)"
-                } else {
-                    "FAILED"
-                }
-            );
-            if status != 0 {
-                out.push_str(&integrity.render_text());
+    let text = || {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "faults {} with {} ({} tasks, m = {m}, seed {seed}): \
+             {} crash(es), {} slowdown window(s), {} partition(s) planned",
+            name,
+            sched.alg.name(),
+            inst.num_tasks(),
+            plan.crashes.len(),
+            plan.slowdowns.len(),
+            plan.partitions.len(),
+        );
+        out.push_str(&report.render_text());
+        let _ = writeln!(
+            out,
+            "integrity: {}",
+            if status == 0 {
+                "certified (SW022: exactly-once, precedence-correct, delivery-backed)"
+            } else {
+                "FAILED"
             }
-            out
+        );
+        if status != 0 {
+            out.push_str(&integrity.render_text());
         }
-        other => return Err(format!("unknown format '{other}' (text|json)")),
+        out
     };
+    let out = render_out(
+        flags,
+        &[("text", &text), ("json", &|| report.render_json())],
+        format!(
+            "degraded makespan {:.3} ({:.3} fault-free)",
+            report.makespan, report.fault_free_makespan
+        ),
+    )?;
 
     if let Some(path) = flags.get("curve") {
         let rates = [0.0, 0.05, 0.1, 0.2, 0.4];
@@ -528,21 +606,7 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
         let csv = sweep_sim::degradation_csv(&points);
         std::fs::write(path, &csv).map_err(|e| format!("writing {path}: {e}"))?;
     }
-
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-        Ok((
-            format!(
-                "wrote {path} ({} bytes); degraded makespan {:.3} ({:.3} fault-free)\n",
-                rendered.len(),
-                report.makespan,
-                report.fault_free_makespan,
-            ),
-            status,
-        ))
-    } else {
-        Ok((rendered, status))
-    }
+    Ok((out, status))
 }
 
 /// `serve` — binds the HTTP scheduling service and blocks in its accept
@@ -935,19 +999,10 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<String, String> {
 
 fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
     let (name, mesh, inst) = build_instance_or_file(flags)?;
-    let m: usize = require(flags, "m")?
-        .parse()
-        .map_err(|e| format!("--m: {e}"))?;
-    if m == 0 {
-        return Err("--m must be positive".into());
-    }
-    let seed: u64 = get(flags, "seed", 2005)?;
-    let alg = Algorithm::from_name(
-        flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
-        flags.contains_key("delays"),
-    )?;
+    let sched = SchedFlags::parse(flags, None)?;
+    let SchedFlags { m, seed, alg } = sched;
     let assignment = match flags.get("block") {
-        None => Assignment::random_cells(inst.num_cells(), m, seed),
+        None => sched.random_cells(&inst),
         Some(b) => {
             let block: usize = b.parse().map_err(|e| format!("--block: {e}"))?;
             if block == 0 {
@@ -962,8 +1017,7 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
             Assignment::random_blocks(&blocks, m, seed)
         }
     };
-    let schedule = alg.run(&inst, assignment, seed ^ 0xabcd);
-    validate(&inst, &schedule).map_err(|e| format!("internal: infeasible schedule: {e}"))?;
+    let schedule = sched.run(&inst, assignment)?;
     let lb = lower_bounds(&inst, m);
     let c1 = c1_interprocessor_edges(&inst, schedule.assignment());
     let c2 = c2_comm_delay(&inst, &schedule);
@@ -1097,7 +1151,6 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
         comm_fraction: get(flags, "comm-fraction", 0.9)?,
         envelope_factor: get(flags, "envelope", 2.0)?,
     };
-    let seed: u64 = get(flags, "seed", 2005)?;
 
     // Build the instance. File inputs use the *unchecked* parser so that
     // cyclic archives reach the analyzer (which reports SW001 with a
@@ -1125,19 +1178,12 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
     // unless the instance is cyclic, in which case no scheduler can run
     // and the SW001 error already fails the command.
     let cyclic = report.has_code(Code::CyclicDependency);
-    if let Some(m_flag) = flags.get("m") {
-        let m: usize = m_flag.parse().map_err(|e| format!("--m: {e}"))?;
-        if m == 0 {
-            return Err("--m must be positive".into());
-        }
+    if flags.contains_key("m") {
+        let sched = SchedFlags::parse(flags, None)?;
         if !cyclic {
-            let assignment = Assignment::random_cells(inst.num_cells(), m, seed);
+            let assignment = sched.random_cells(&inst);
             report.merge(analyze_assignment_with(&inst, &assignment, &opts));
-            let alg = Algorithm::from_name(
-                flags.get("algorithm").map(String::as_str).unwrap_or("rdp"),
-                flags.contains_key("delays"),
-            )?;
-            let schedule = alg.run(&inst, assignment.clone(), seed ^ 0xabcd);
+            let schedule = sched.run(&inst, assignment.clone())?;
             report.merge(analyze_schedule_with(&inst, &schedule, &opts));
             if flags.contains_key("async") {
                 let latency: f64 = get(flags, "latency", 1.0)?;
@@ -1147,9 +1193,9 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
             if flags.contains_key("par-check") {
                 report.merge(sweep_analyze::analyze_parallel_determinism(
                     &inst,
-                    m,
+                    sched.m,
                     sweep_pool::global_threads(),
-                    seed,
+                    sched.seed,
                 ));
             }
         }
@@ -1159,27 +1205,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
         return Err("--par-check needs --m (it certifies a best-of-b schedule)".into());
     }
 
-    let rendered = match flags.get("format").map(String::as_str).unwrap_or("text") {
-        "text" => report.render_text(),
-        "json" => report.render_json(),
-        "sarif" => report.render_sarif(),
-        other => return Err(format!("unknown format '{other}' (text|json|sarif)")),
-    };
-    let status = if report.has_errors() { 2 } else { 0 };
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-        Ok((
-            format!(
-                "wrote {path} ({} bytes); {} diagnostic(s), {} error(s)\n",
-                rendered.len(),
-                report.len(),
-                report.count(sweep_analyze::Severity::Error),
-            ),
-            status,
-        ))
-    } else {
-        Ok((rendered, status))
-    }
+    render_report(flags, &report)
 }
 
 /// `check` — model-checks the pool's lock-free range splitting and the
@@ -1297,28 +1323,7 @@ fn cmd_check(flags: &HashMap<String, String>) -> Result<(String, i32), String> {
     }
 
     let runs: Vec<ModelCheckRun> = explorations.iter().map(to_run).collect();
-    let report = sweep_analyze::analyze_model_checks(&runs);
-    let rendered = match flags.get("format").map(String::as_str).unwrap_or("text") {
-        "text" => report.render_text(),
-        "json" => report.render_json(),
-        "sarif" => report.render_sarif(),
-        other => return Err(format!("unknown format '{other}' (text|json|sarif)")),
-    };
-    let status = if report.has_errors() { 2 } else { 0 };
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, &rendered).map_err(|e| format!("writing {path}: {e}"))?;
-        Ok((
-            format!(
-                "wrote {path} ({} bytes); {} diagnostic(s), {} error(s)\n",
-                rendered.len(),
-                report.len(),
-                report.count(sweep_analyze::Severity::Error),
-            ),
-            status,
-        ))
-    } else {
-        Ok((rendered, status))
-    }
+    render_report(flags, &sweep_analyze::analyze_model_checks(&runs))
 }
 
 /// Without the `model-check` feature there is nothing to drive — the

@@ -334,12 +334,36 @@ impl<V: Clone> SingleFlight<V> {
     }
 }
 
+/// One tier: its LRU, its single-flight table, and the name trace
+/// notes know it by.
+struct Tier<V> {
+    lru: Mutex<Lru<Arc<V>>>,
+    flights: SingleFlight<Arc<V>>,
+    name: &'static str,
+}
+
+impl<V> Tier<V> {
+    fn new(name: &'static str, budget_bytes: usize) -> Tier<V> {
+        Tier {
+            lru: Mutex::new(Lru::new(budget_bytes)),
+            flights: SingleFlight::new(),
+            name,
+        }
+    }
+
+    fn stats(&self) -> TierStats {
+        let lru = self.lru.lock().unwrap_or_else(|p| p.into_inner());
+        TierStats {
+            entries: lru.map.len(),
+            bytes: lru.bytes,
+        }
+    }
+}
+
 /// The two-tier content-addressed cache with single-flight coalescing.
 pub struct ScheduleCache {
-    instances: Mutex<Lru<Arc<SweepInstance>>>,
-    schedules: Mutex<Lru<Arc<ScheduleArtifact>>>,
-    instance_flights: SingleFlight<Arc<SweepInstance>>,
-    schedule_flights: SingleFlight<Arc<ScheduleArtifact>>,
+    instances: Tier<SweepInstance>,
+    schedules: Tier<ScheduleArtifact>,
     stats: Mutex<CacheStats>,
 }
 
@@ -371,10 +395,8 @@ impl ScheduleCache {
     /// schedules at equal request rates).
     pub fn new(budget_bytes: usize) -> ScheduleCache {
         ScheduleCache {
-            instances: Mutex::new(Lru::new(budget_bytes)),
-            schedules: Mutex::new(Lru::new(budget_bytes)),
-            instance_flights: SingleFlight::new(),
-            schedule_flights: SingleFlight::new(),
+            instances: Tier::new("tier1", budget_bytes),
+            schedules: Tier::new("tier2", budget_bytes),
             stats: Mutex::new(CacheStats::default()),
         }
     }
@@ -382,36 +404,13 @@ impl ScheduleCache {
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         let mut s = *self.stats.lock().unwrap_or_else(|p| p.into_inner());
-        s.bytes = self
-            .instances
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .bytes
-            + self
-                .schedules
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .bytes;
+        s.bytes = self.instances.stats().bytes + self.schedules.stats().bytes;
         s
     }
 
     /// Per-tier residency (tier 1 = instances, tier 2 = schedules).
     pub fn tier_stats(&self) -> (TierStats, TierStats) {
-        let t1 = {
-            let lru = self.instances.lock().unwrap_or_else(|p| p.into_inner());
-            TierStats {
-                entries: lru.map.len(),
-                bytes: lru.bytes,
-            }
-        };
-        let t2 = {
-            let lru = self.schedules.lock().unwrap_or_else(|p| p.into_inner());
-            TierStats {
-                entries: lru.map.len(),
-                bytes: lru.bytes,
-            }
-        };
-        (t1, t2)
+        (self.instances.stats(), self.schedules.stats())
     }
 
     fn bump(&self, f: impl FnOnce(&mut CacheStats)) {
@@ -444,9 +443,10 @@ impl ScheduleCache {
     /// LRU-touches) as a hit; absent is noted as a miss and counted
     /// nowhere, because nothing is computed.
     pub fn instance_resident(&self, key: u64, ctx: &TraceCtx) -> bool {
-        let resident = self.resident(&self.instances, "tier1", key, ctx).is_some();
+        let tier = &self.instances;
+        let resident = self.resident(&tier.lru, tier.name, key, ctx).is_some();
         if !resident {
-            ctx.note("tier1", "miss");
+            ctx.note(tier.name, "miss");
         }
         resident
     }
@@ -462,40 +462,7 @@ impl ScheduleCache {
         ctx: &TraceCtx,
         induce: impl FnOnce() -> Result<SweepInstance, String>,
     ) -> Result<(Arc<SweepInstance>, bool), String> {
-        if let Some(found) = self.resident(&self.instances, "tier1", key, ctx) {
-            return Ok((found, true));
-        }
-        match self.instance_flights.claim(key, ctx.request_id()) {
-            Claim::Follower(f) => {
-                self.bump(|s| {
-                    s.hits += 1;
-                    s.coalesced += 1;
-                });
-                telemetry::counter_add("serve.cache.hits", 1);
-                telemetry::counter_add("serve.cache.coalesced", 1);
-                ctx.note("tier1", "coalesced");
-                ctx.set_coalesced_onto(f.leader_req());
-                let _wait = ctx.span("cache.wait");
-                Ok((self.instance_flights.wait(&f)?, true))
-            }
-            Claim::Leader(f) => {
-                self.bump(|s| s.misses += 1);
-                telemetry::counter_add("serve.cache.misses", 1);
-                ctx.note("tier1", "miss");
-                let result = self.instance_flights.lead(key, &f, || {
-                    let inst = Arc::new(induce()?);
-                    let evicted = self
-                        .instances
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .insert(key, Arc::clone(&inst), instance_bytes(&inst));
-                    self.note_evictions(evicted);
-                    Ok(inst)
-                });
-                self.update_residency_gauges();
-                result.map(|inst| (inst, false))
-            }
-        }
+        self.lookup_or_lead(&self.instances, instance_bytes, key, ctx, induce)
     }
 
     /// Tier-2 lookup-or-compute with single-flight coalescing; same
@@ -506,10 +473,24 @@ impl ScheduleCache {
         ctx: &TraceCtx,
         compute: impl FnOnce() -> Result<ScheduleArtifact, String>,
     ) -> Result<(Arc<ScheduleArtifact>, bool), String> {
-        if let Some(found) = self.resident(&self.schedules, "tier2", key, ctx) {
+        self.lookup_or_lead(&self.schedules, artifact_bytes, key, ctx, compute)
+    }
+
+    /// What both tiers do with a key: answer from the LRU; else claim
+    /// its flight and either wait on the leader (a hit: nothing ran
+    /// twice) or lead — compute, insert charged at `size`, evict.
+    fn lookup_or_lead<V>(
+        &self,
+        tier: &Tier<V>,
+        size: impl FnOnce(&V) -> usize,
+        key: u64,
+        ctx: &TraceCtx,
+        compute: impl FnOnce() -> Result<V, String>,
+    ) -> Result<(Arc<V>, bool), String> {
+        if let Some(found) = self.resident(&tier.lru, tier.name, key, ctx) {
             return Ok((found, true));
         }
-        match self.schedule_flights.claim(key, ctx.request_id()) {
+        match tier.flights.claim(key, ctx.request_id()) {
             Claim::Follower(f) => {
                 self.bump(|s| {
                     s.hits += 1;
@@ -517,27 +498,27 @@ impl ScheduleCache {
                 });
                 telemetry::counter_add("serve.cache.hits", 1);
                 telemetry::counter_add("serve.cache.coalesced", 1);
-                ctx.note("tier2", "coalesced");
+                ctx.note(tier.name, "coalesced");
                 ctx.set_coalesced_onto(f.leader_req());
                 let _wait = ctx.span("cache.wait");
-                Ok((self.schedule_flights.wait(&f)?, true))
+                Ok((tier.flights.wait(&f)?, true))
             }
             Claim::Leader(f) => {
                 self.bump(|s| s.misses += 1);
                 telemetry::counter_add("serve.cache.misses", 1);
-                ctx.note("tier2", "miss");
-                let result = self.schedule_flights.lead(key, &f, || {
-                    let art = Arc::new(compute()?);
-                    let evicted = self
-                        .schedules
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .insert(key, Arc::clone(&art), artifact_bytes(&art));
+                ctx.note(tier.name, "miss");
+                let result = tier.flights.lead(key, &f, || {
+                    let value = Arc::new(compute()?);
+                    let evicted = tier.lru.lock().unwrap_or_else(|p| p.into_inner()).insert(
+                        key,
+                        Arc::clone(&value),
+                        size(&value),
+                    );
                     self.note_evictions(evicted);
-                    Ok(art)
+                    Ok(value)
                 });
                 self.update_residency_gauges();
-                result.map(|art| (art, false))
+                result.map(|value| (value, false))
             }
         }
     }

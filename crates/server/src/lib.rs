@@ -88,6 +88,6 @@ pub use ops::{access_log_line, AccessLogSink, OpsState};
 pub use ring::Ring;
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use service::{
-    certify_cache_identity, certify_cluster_identity, ClusterDisposition, MeshSource,
-    ScheduleRequest, ScheduleResponse, ServiceConfig, SweepService,
+    certify_cache_identity, certify_cluster_identity, certify_trace_trees, ClusterDisposition,
+    MeshSource, ScheduleRequest, ScheduleResponse, ServiceConfig, SweepService,
 };

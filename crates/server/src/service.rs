@@ -1063,6 +1063,32 @@ fn render_presets() -> String {
     out
 }
 
+/// What both identity certifications start from: `req` served through
+/// the service's full path, the artifact now resident under its digest,
+/// and the instance and artifact of a cold recomputation outside the
+/// cache.
+fn serve_and_recompute(
+    service: &SweepService,
+    req: &ScheduleRequest,
+) -> Result<
+    (
+        ScheduleResponse,
+        Arc<ScheduleArtifact>,
+        SweepInstance,
+        ScheduleArtifact,
+    ),
+    String,
+> {
+    let served = service.schedule(req)?;
+    let (resident, _) = service
+        .cache()
+        .schedule(served.digest, &TraceCtx::disabled(), || {
+            Err("internal: artifact vanished after serving".to_string())
+        })?;
+    let (inst, cold) = service.compute_cold(req)?;
+    Ok((served, resident, inst, cold))
+}
+
 /// Runs the SW024 cache-identity certification for one request against
 /// a service: serves it twice (the second **must** be a tier-2 hit),
 /// recomputes it cold outside the cache, and diffs the two schedules
@@ -1072,22 +1098,17 @@ pub fn certify_cache_identity(
     req: &ScheduleRequest,
 ) -> Result<sweep_analyze::Report, String> {
     service.schedule(req)?; // warm (miss or pre-existing)
-    let warm = service.schedule(req)?; // must now be a hit
+    let (warm, cached, inst, cold) = serve_and_recompute(service, req)?;
     if !warm.cache_hit {
         return Err("second identical request did not hit the schedule cache".to_string());
     }
-    let key = req.digest();
-    let (cached, _) = service.cache().schedule(key, &TraceCtx::disabled(), || {
-        Err("internal: artifact vanished after a hit".to_string())
-    })?;
-    let (inst, cold) = service.compute_cold(req)?;
     let (cached, cold) = (&cached.record, &cold.record);
     Ok(sweep_analyze::analyze_cache_identity(
         &inst,
         &cached.schedule,
         &cold.schedule,
         sweep_analyze::CacheIdentityMeta {
-            digest: key,
+            digest: warm.digest,
             cached_trial: cached.trial,
             cold_trial: cold.trial,
             cached_seed: cached.trial_seed,
@@ -1106,25 +1127,20 @@ pub fn certify_cluster_identity(
     service: &SweepService,
     req: &ScheduleRequest,
 ) -> Result<sweep_analyze::Report, String> {
-    let served = service.schedule(req)?;
+    let (served, artifact, inst, cold) = serve_and_recompute(service, req)?;
     let path = match served.cluster {
         Some(ClusterDisposition::Forwarded { .. }) => "forward",
         Some(ClusterDisposition::Fallback { .. }) => "fallback",
         None if served.cache_hit => "cached",
         None => "local",
     };
-    let key = served.digest;
-    let (artifact, _) = service.cache().schedule(key, &TraceCtx::disabled(), || {
-        Err("internal: artifact vanished after serving".to_string())
-    })?;
-    let (inst, cold) = service.compute_cold(req)?;
     let (artifact, cold) = (&artifact.record, &cold.record);
     Ok(sweep_analyze::analyze_cluster_identity(
         &inst,
         &artifact.schedule,
         &cold.schedule,
         sweep_analyze::ClusterIdentityMeta {
-            digest: key,
+            digest: served.digest,
             path: path.to_string(),
             served_trial: artifact.trial,
             cold_trial: cold.trial,
@@ -1132,6 +1148,47 @@ pub fn certify_cluster_identity(
             cold_seed: cold.trial_seed,
         },
     ))
+}
+
+/// Bridges the telemetry trace type into the analyzer's plain-data form.
+fn to_trace_data(t: &telemetry::RequestTrace) -> sweep_analyze::RequestTraceData {
+    sweep_analyze::RequestTraceData {
+        request_id: t.request_id,
+        coalesced_onto: t.coalesced_onto,
+        opened_spans: t.opened,
+        spans: t
+            .spans
+            .iter()
+            .map(|s| sweep_analyze::TraceSpanData {
+                id: s.id,
+                parent: s.parent,
+                name: s.name.to_string(),
+                start_us: s.start_us,
+                dur_us: s.dur_us,
+            })
+            .collect(),
+    }
+}
+
+/// Runs the SW028 trace-tree certification over the slow-request
+/// exemplars a service has kept: every span closed, parents before and
+/// around their children, coalesce references resolving. A coalesced
+/// follower may reference a leader that did not survive the
+/// slow-buffer cut, so coalesce references are projected onto the
+/// captured corpus.
+pub fn certify_trace_trees(service: &SweepService) -> sweep_analyze::Report {
+    let slow_traces = service.ops().slow_traces();
+    let in_corpus: std::collections::BTreeSet<u64> =
+        slow_traces.iter().map(|t| t.request_id).collect();
+    let corpus: Vec<_> = slow_traces
+        .iter()
+        .map(|t| {
+            let mut d = to_trace_data(t);
+            d.coalesced_onto = d.coalesced_onto.filter(|l| in_corpus.contains(l));
+            d
+        })
+        .collect();
+    sweep_analyze::analyze_trace_trees(&corpus)
 }
 
 #[cfg(test)]

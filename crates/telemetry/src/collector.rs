@@ -90,7 +90,6 @@ impl Snapshot {
     }
 
     /// Per-name span aggregates (count, total, p50, p99), sorted by name.
-    /// This is the "per-phase" summary the bench harness persists.
     pub fn span_summaries(&self) -> Vec<SpanSummary> {
         let mut by_name: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
         for s in &self.spans {
