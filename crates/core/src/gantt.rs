@@ -75,14 +75,29 @@ pub fn to_csv(instance: &SweepInstance, schedule: &Schedule) -> String {
     for dir in 0..instance.num_directions() as u32 {
         for v in 0..n as u32 {
             let t = TaskId::pack(v, dir, n);
-            out.push_str(&format!(
-                "{v},{dir},{},{}\n",
-                schedule.proc_of_cell(v),
-                schedule.start_of(t)
-            ));
+            let row = [v, dir, schedule.proc_of_cell(v), schedule.start_of(t)];
+            for (x, end) in row.into_iter().zip([',', ',', ',', '\n']) {
+                push_u32(&mut out, x);
+                out.push(end);
+            }
         }
     }
     out
+}
+
+/// Appends `x` in decimal, as `{x}` formats it.
+fn push_u32(out: &mut String, mut x: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
 }
 
 /// Parses a schedule back from [`to_csv`] output (inverse operation).
@@ -184,6 +199,35 @@ mod tests {
         assert_eq!(back.starts(), s.starts());
         assert_eq!(back.makespan(), s.makespan());
         validate(&inst, &back).unwrap();
+    }
+
+    /// `to_csv` writes its digits itself: the bytes are those of the
+    /// `format!` rendering, through every digit-count boundary.
+    #[test]
+    fn csv_digits_match_format_and_round_trip() {
+        let inst = SweepInstance::new(5, vec![sweep_dag::TaskDag::edgeless(5)], "digits");
+        let starts = vec![0, 9, 10, 99_999, u32::MAX - 1];
+        let procs = Assignment::from_vec(starts.clone(), u32::MAX as usize);
+        let s = Schedule::new(starts.clone(), procs).unwrap();
+        let csv = to_csv(&inst, &s);
+        let mut expect = String::from("cell,direction,processor,start\n");
+        for (v, t) in starts.iter().enumerate() {
+            expect.push_str(&format!("{v},0,{t},{t}\n"));
+        }
+        assert_eq!(csv, expect);
+        let back = from_csv(&csv, 5, 1).unwrap();
+        assert_eq!(back.starts(), &starts[..]);
+        assert_eq!(back.assignment().proc_of(4), u32::MAX - 1);
+
+        let (inst, s) = sample();
+        let mut expect = String::from("cell,direction,processor,start\n");
+        for dir in 0..inst.num_directions() as u32 {
+            for v in 0..inst.num_cells() as u32 {
+                let t = s.start_of(TaskId::pack(v, dir, inst.num_cells()));
+                expect.push_str(&format!("{v},{dir},{},{t}\n", s.proc_of_cell(v)));
+            }
+        }
+        assert_eq!(to_csv(&inst, &s), expect);
     }
 
     #[test]

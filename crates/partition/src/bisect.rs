@@ -2,28 +2,98 @@
 //! (FM) boundary refinement. Used on the coarsest graph and re-applied
 //! during uncoarsening by the multilevel driver.
 
-use std::collections::BinaryHeap;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::csr::CsrGraph;
+use crate::multilevel::{PartitionOptions, Workspace};
 
-/// Result of a bisection: side (0/1) per vertex and the cut weight.
-#[derive(Debug, Clone)]
-pub struct Bisection {
-    /// 0 or 1 per vertex.
-    pub side: Vec<u8>,
-    /// Total weight of cut edges.
-    pub cut: u64,
+/// An exact max-priority queue of `(gain, vertex)`, a vertex held at most
+/// once: `peek_max` is the argmax of `(gain, vertex id)` over what is
+/// queued. Keys are distinct per vertex, so any queue with this contract
+/// pops the one sequence FM and region growing are defined by.
+///
+/// A sorted directory of the *live* distinct gains, each owning a pooled
+/// `⌈n/64⌉`-word bitset over vertex ids: `min(distinct gains, n) · n / 8`
+/// bytes, whatever the edge weights are.
+#[derive(Debug, Default)]
+pub(crate) struct GainQueue {
+    /// Words per bitset for the graph in hand.
+    words: usize,
+    /// `(gain, slot, top)` per live gain, ascending by gain; no word of the
+    /// slot's bitset above index `top` is non-zero.
+    dir: Vec<(i64, u32, u32)>,
+    /// Slot `s` owns `bits[s * words..][..words]`; all zero unless live.
+    bits: Vec<u64>,
+    /// Vertices queued per slot.
+    len: Vec<u32>,
+    /// Slots handed back empty.
+    free: Vec<u32>,
 }
 
-/// Sum of weights of edges whose endpoints lie on different sides.
-pub fn cut_weight(g: &CsrGraph, side: &[u8]) -> u64 {
+impl GainQueue {
+    /// Empties the queue and sizes its bitsets for vertex ids `< n`.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for &(_, s, _) in &self.dir {
+            self.bits[s as usize * self.words..][..self.words].fill(0);
+        }
+        self.dir.clear();
+        self.len.clear();
+        self.free.clear();
+        self.words = n.div_ceil(64);
+    }
+
+    /// Queues `v`, which must not be queued, at `gain`.
+    pub(crate) fn insert(&mut self, gain: i64, v: u32) {
+        let i = self.dir.partition_point(|e| e.0 < gain);
+        if self.dir.get(i).is_none_or(|e| e.0 != gain) {
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.len.push(0);
+                let need = self.len.len() * self.words;
+                self.bits.resize(need.max(self.bits.len()), 0);
+                self.len.len() as u32 - 1
+            });
+            self.dir.insert(i, (gain, s, 0));
+        }
+        self.dir[i].2 = self.dir[i].2.max(v / 64);
+        let s = self.dir[i].1 as usize;
+        self.bits[s * self.words + v as usize / 64] |= 1 << (v % 64);
+        self.len[s] += 1;
+    }
+
+    /// Removes `v`, which must be queued at `gain`.
+    pub(crate) fn remove(&mut self, gain: i64, v: u32) {
+        let i = self.dir.partition_point(|e| e.0 < gain);
+        debug_assert_eq!(self.dir[i].0, gain);
+        let s = self.dir[i].1 as usize;
+        self.bits[s * self.words + v as usize / 64] &= !(1 << (v % 64));
+        self.len[s] -= 1;
+        if self.len[s] == 0 {
+            self.dir.remove(i);
+            self.free.push(s as u32);
+        }
+    }
+
+    /// The queued `(gain, vertex)` that is largest in that order.
+    pub(crate) fn peek_max(&mut self) -> Option<(i64, u32)> {
+        let (gain, s, top) = self.dir.last_mut()?;
+        let set = &self.bits[*s as usize * self.words..][..self.words];
+        // A live bucket is never empty, so the scan stops at a set word.
+        while set[*top as usize] == 0 {
+            *top -= 1;
+        }
+        let id = *top * 64 + 63 - set[*top as usize].leading_zeros();
+        Some((*gain, id))
+    }
+}
+
+/// Sum of weights of edges whose endpoints carry different labels (sides
+/// of a bisection, parts of a partition).
+pub(crate) fn cut_weight<T: PartialEq>(g: &CsrGraph, label: &[T]) -> u64 {
     let mut cut = 0u64;
     for v in 0..g.num_vertices() as u32 {
         for (u, w) in g.neighbors(v) {
-            if v < u && side[v as usize] != side[u as usize] {
+            if v < u && label[v as usize] != label[u as usize] {
                 cut += w as u64;
             }
         }
@@ -31,42 +101,40 @@ pub fn cut_weight(g: &CsrGraph, side: &[u8]) -> u64 {
     cut
 }
 
-/// Weight on side 0.
-fn side0_weight(g: &CsrGraph, side: &[u8]) -> u64 {
-    (0..g.num_vertices())
-        .filter(|&v| side[v] == 0)
-        .map(|v| g.vwgt[v] as u64)
-        .sum()
-}
-
-/// Grows side 0 from a seed vertex by repeatedly absorbing the boundary
-/// vertex with the highest gain until its weight reaches `target0`.
-fn grow_from(g: &CsrGraph, seed: u32, target0: u64) -> Vec<u8> {
+/// Grows side 0 of `side` from a seed vertex by repeatedly absorbing the
+/// boundary vertex with the highest gain until its weight reaches
+/// `target0`.
+fn grow_from(g: &CsrGraph, seed: u32, target0: u64, side: &mut Vec<u8>, ws: &mut Workspace) {
     let n = g.num_vertices();
-    let mut side = vec![1u8; n];
+    let q = &mut ws.queues[0];
+    let queued = &mut ws.locked; // ever queued, not FM's lock
+    side.clear();
+    side.resize(n, 1);
+    ws.gain.clear();
+    ws.gain.resize(n, 0);
+    queued.clear();
+    queued.resize(n, false);
+    q.reset(n);
     let mut w0 = 0u64;
-    // Max-heap of (gain, vertex); stale entries skipped via `in_region`.
-    let mut heap: BinaryHeap<(i64, u32)> = BinaryHeap::new();
-    let mut gain = vec![0i64; n];
-    let mut queued = vec![false; n];
-    heap.push((0, seed));
+    q.insert(0, seed);
     queued[seed as usize] = true;
     while w0 < target0 {
-        let Some((gpop, v)) = heap.pop() else { break };
-        if side[v as usize] == 0 || gpop < gain[v as usize] {
-            continue; // stale
-        }
+        let Some((gv, v)) = q.peek_max() else { break };
+        q.remove(gv, v);
         side[v as usize] = 0;
         w0 += g.vwgt[v as usize] as u64;
         for (u, w) in g.neighbors(v) {
             if side[u as usize] == 1 {
-                gain[u as usize] += 2 * w as i64;
-                heap.push((gain[u as usize], u));
-                queued[u as usize] = true;
+                let old = ws.gain[u as usize];
+                ws.gain[u as usize] += 2 * w as i64;
+                if std::mem::replace(&mut queued[u as usize], true) {
+                    q.remove(old, u);
+                }
+                q.insert(old + 2 * w as i64, u);
             }
         }
     }
-    // Disconnected graph: heap may run dry early; absorb arbitrary
+    // Disconnected graph: the queue may run dry early; absorb arbitrary
     // remaining vertices to respect the weight target.
     if w0 < target0 {
         for (v, s) in side.iter_mut().enumerate() {
@@ -79,167 +147,134 @@ fn grow_from(g: &CsrGraph, seed: u32, target0: u64) -> Vec<u8> {
             }
         }
     }
-    side
 }
 
-/// Greedy-growing bisection: tries `tries` random seeds and keeps the best
-/// cut after one FM pass each.
-pub fn initial_bisection(
+/// Greedy-growing bisection: tries `opts.init_tries` random seeds and
+/// keeps the best cut after FM refinement of each. Returns the side (0/1)
+/// per vertex and the cut weight.
+pub(crate) fn initial_bisection(
     g: &CsrGraph,
-    target0: u64,
-    tol: u64,
-    tries: usize,
-    seed: u64,
-) -> Bisection {
+    (target0, tol): (u64, u64),
+    opts: &PartitionOptions,
+    ws: &mut Workspace,
+) -> (Vec<u8>, u64) {
     let n = g.num_vertices();
     assert!(n > 0, "cannot bisect an empty graph");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<Bisection> = None;
-    for _ in 0..tries.max(1) {
+    let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x9e37);
+    let (mut best, mut best_cut) = (Vec::new(), u64::MAX);
+    let mut side = Vec::new();
+    for _ in 0..opts.init_tries.max(1) {
         let s = rng.random_range(0..n as u32);
-        let mut side = grow_from(g, s, target0);
-        let cut = fm_refine(g, &mut side, target0, tol, 4);
-        if best.as_ref().is_none_or(|b| cut < b.cut) {
-            best = Some(Bisection { side, cut });
+        grow_from(g, s, target0, &mut side, ws);
+        let cut = cut_weight(g, &side);
+        let cut = fm_refine(g, &mut side, cut, (target0, tol), 4, ws);
+        if cut < best_cut {
+            std::mem::swap(&mut best, &mut side);
+            best_cut = cut;
         }
     }
-    best.expect("at least one try")
+    (best, best_cut)
 }
 
 /// FM boundary refinement. Moves vertices between sides to reduce the cut
 /// while keeping side 0's weight within `tol` of `target0` (moves that
 /// strictly improve balance are always allowed). Runs up to `max_passes`
-/// passes, each with rollback to its best prefix. Returns the final cut.
-pub fn fm_refine(g: &CsrGraph, side: &mut [u8], target0: u64, tol: u64, max_passes: usize) -> u64 {
+/// passes, each with rollback to its best prefix. Takes the cut of `side`
+/// (coarsening preserves it, so the driver knows it) and returns the final
+/// cut.
+pub(crate) fn fm_refine(
+    g: &CsrGraph,
+    side: &mut [u8],
+    mut cut: u64,
+    (target0, tol): (u64, u64),
+    max_passes: usize,
+    ws: &mut Workspace,
+) -> u64 {
     let n = g.num_vertices();
-    let mut cut = cut_weight(g, side);
+    debug_assert_eq!(cut, cut_weight(g, side));
     if n < 2 {
         return cut;
     }
+    let (queues, gain) = (&mut ws.queues, &mut ws.gain);
+    let (locked, moves) = (&mut ws.locked, &mut ws.moves);
+    let imbalance = |w0: u64| -> u64 { w0.abs_diff(target0) };
     for _ in 0..max_passes {
-        let mut w0 = side0_weight(g, side);
-        // gain[v]: cut reduction if v switches sides.
-        let mut gain = vec![0i64; n];
+        // w0: weight on side 0 (sides are 0/1). gain[v]: cut reduction if v
+        // switches sides. One queue per source side, holding exactly its
+        // unlocked vertices.
+        let mut w0 = 0u64;
+        queues.iter_mut().for_each(|q| q.reset(n));
+        gain.clear();
+        gain.resize(n, 0);
         for v in 0..n as u32 {
             for (u, w) in g.neighbors(v) {
-                if side[v as usize] != side[u as usize] {
-                    gain[v as usize] += w as i64;
-                } else {
-                    gain[v as usize] -= w as i64;
-                }
+                let crosses = side[v as usize] != side[u as usize];
+                gain[v as usize] += if crosses { w as i64 } else { -(w as i64) };
             }
+            queues[side[v as usize] as usize].insert(gain[v as usize], v);
+            w0 += (1 - side[v as usize] as u64) * g.vwgt[v as usize] as u64;
         }
-        // One heap per source side, lazily invalidated.
-        let mut heaps: [BinaryHeap<(i64, u32)>; 2] = [BinaryHeap::new(), BinaryHeap::new()];
-        for v in 0..n as u32 {
-            heaps[side[v as usize] as usize].push((gain[v as usize], v));
-        }
-        let mut locked = vec![false; n];
-        let mut moves: Vec<u32> = Vec::new();
-        let mut cur_cut = cut as i64;
-        let mut best_cut = cut as i64;
-        let mut best_len = 0usize;
-
-        let imbalance = |w0: u64| -> u64 { w0.abs_diff(target0) };
+        locked.clear();
+        locked.resize(n, false);
+        moves.clear();
+        let (mut cur_cut, mut best_cut, mut best_len) = (cut as i64, cut as i64, 0usize);
 
         loop {
             // Prefer moving from the side whose weight is too high;
-            // otherwise take the higher-gain head of either heap.
-            let over0 = w0 > target0 + tol;
-            let under0 = w0 + tol < target0;
-            let pick_from = |heaps: &mut [BinaryHeap<(i64, u32)>; 2],
-                             locked: &[bool],
-                             side: &[u8],
-                             gain: &[i64],
-                             s: usize|
-             -> Option<(i64, u32)> {
-                while let Some(&(gpop, v)) = heaps[s].peek() {
-                    if locked[v as usize]
-                        || side[v as usize] as usize != s
-                        || gpop != gain[v as usize]
-                    {
-                        heaps[s].pop();
-                        continue;
-                    }
-                    return heaps[s].pop();
-                }
-                None
-            };
-            let choice: Option<(i64, u32)> = if over0 {
-                pick_from(&mut heaps, &locked, side, &gain, 0)
-            } else if under0 {
-                pick_from(&mut heaps, &locked, side, &gain, 1)
+            // otherwise take the higher-gain head of either queue (side 0
+            // on a tie).
+            let choice = if w0 > target0 + tol {
+                queues[0].peek_max()
+            } else if w0 + tol < target0 {
+                queues[1].peek_max()
             } else {
-                // Balanced: take whichever head keeps balance and has the
-                // better gain.
-                let mut cands: Vec<(i64, u32)> = Vec::new();
-                for s in 0..2usize {
-                    if let Some(c) = pick_from(&mut heaps, &locked, side, &gain, s) {
-                        cands.push(c);
-                    }
-                }
-                match cands.len() {
-                    0 => None,
-                    1 => {
-                        let c = cands[0];
-                        // Feasibility checked below; push back is not needed
-                        // because a chosen vertex is either moved or locked.
-                        Some(c)
-                    }
-                    _ => {
-                        let (a, b) = (cands[0], cands[1]);
-                        let (keep, back) = if a.0 >= b.0 { (a, b) } else { (b, a) };
-                        heaps[side[back.1 as usize] as usize].push(back);
-                        Some(keep)
-                    }
+                match (queues[0].peek_max(), queues[1].peek_max()) {
+                    (Some(a), Some(b)) => Some(if a.0 >= b.0 { a } else { b }),
+                    (a, b) => a.or(b),
                 }
             };
-            let Some((_, v)) = choice else { break };
+            let Some((gv, v)) = choice else { break };
+            // Chosen: `v` is moved or cannot move this pass; locked either way.
             let vs = side[v as usize];
+            queues[vs as usize].remove(gv, v);
+            locked[v as usize] = true;
             let vw = g.vwgt[v as usize] as u64;
             let new_w0 = if vs == 0 { w0 - vw } else { w0 + vw };
             // Feasible if within tolerance or strictly improving balance.
             if imbalance(new_w0) > tol && imbalance(new_w0) >= imbalance(w0) {
-                locked[v as usize] = true; // cannot move this pass
                 continue;
             }
             // Apply the move.
-            cur_cut -= gain[v as usize];
+            cur_cut -= gv;
             w0 = new_w0;
             side[v as usize] = 1 - vs;
-            locked[v as usize] = true;
             moves.push(v);
             for (u, w) in g.neighbors(v) {
                 if locked[u as usize] {
                     continue;
                 }
                 // u's gain changes by ±2w depending on relative sides.
-                if side[u as usize] == side[v as usize] {
-                    gain[u as usize] -= 2 * w as i64;
-                } else {
-                    gain[u as usize] += 2 * w as i64;
-                }
-                heaps[side[u as usize] as usize].push((gain[u as usize], u));
+                let us = side[u as usize];
+                let old = gain[u as usize];
+                let delta = if us == vs { 2 } else { -2 } * w as i64;
+                gain[u as usize] = old + delta;
+                queues[us as usize].remove(old, u);
+                queues[us as usize].insert(old + delta, u);
             }
             if cur_cut < best_cut || (cur_cut == best_cut && imbalance(w0) <= tol) {
                 best_cut = cur_cut;
                 best_len = moves.len();
-            }
-            if moves.len() >= n {
-                break;
             }
         }
         // Roll back moves after the best prefix.
         for &v in &moves[best_len..] {
             side[v as usize] = 1 - side[v as usize];
         }
-        let new_cut = best_cut.max(0) as u64;
-        debug_assert_eq!(new_cut, cut_weight(g, side));
-        if new_cut >= cut {
-            cut = new_cut;
+        let before = std::mem::replace(&mut cut, best_cut.max(0) as u64);
+        debug_assert_eq!(cut, cut_weight(g, side));
+        if cut >= before {
             break;
         }
-        cut = new_cut;
     }
     cut
 }
@@ -247,6 +282,88 @@ pub fn fm_refine(g: &CsrGraph, side: &mut [u8], target0: u64, tol: u64, max_pass
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    struct Bisection {
+        side: Vec<u8>,
+        cut: u64,
+    }
+
+    /// Weight on side 0.
+    fn side0_weight(g: &CsrGraph, side: &[u8]) -> u64 {
+        (0..g.num_vertices())
+            .filter(|&v| side[v] == 0)
+            .map(|v| g.vwgt[v] as u64)
+            .sum()
+    }
+
+    /// `initial_bisection` with `tries` tries drawn from `seed`.
+    fn bisect(g: &CsrGraph, balance: (u64, u64), tries: usize, seed: u64) -> Bisection {
+        let opts = PartitionOptions {
+            init_tries: tries,
+            seed: seed ^ 0x9e37,
+            ..Default::default()
+        };
+        let (side, cut) = initial_bisection(g, balance, &opts, &mut Workspace::default());
+        Bisection { side, cut }
+    }
+
+    impl GainQueue {
+        /// Bytes of storage held (vectors never shrink: the high-water mark).
+        pub(crate) fn bytes(&self) -> usize {
+            8 * self.bits.capacity()
+                + 16 * self.dir.capacity()
+                + 4 * (self.len.capacity() + self.free.capacity())
+        }
+    }
+
+    /// 10 000 random operations against the ordered-set model the queue's
+    /// contract names: the same maximum after every one of them.
+    #[test]
+    fn queue_agrees_with_an_ordered_set() {
+        const N: usize = 300;
+        let mut rng = StdRng::seed_from_u64(0x9a1e);
+        let mut queue = GainQueue::default();
+        let mut model: BTreeSet<(i64, u32)> = BTreeSet::new();
+        let mut gain = [None::<i64>; N];
+        queue.reset(N);
+        for step in 0..10_000 {
+            let v = rng.random_range(0..N as u32);
+            // A narrow band (shared buckets) with rare far outliers.
+            let fresh = if rng.random_range(0..10u32) == 0 {
+                rng.random_range(-(1i64 << 40)..1i64 << 40)
+            } else {
+                rng.random_range(-6i64..7)
+            };
+            match (gain[v as usize], rng.random_range(0..3u32)) {
+                (None, _) => {
+                    queue.insert(fresh, v);
+                    model.insert((fresh, v));
+                    gain[v as usize] = Some(fresh);
+                }
+                (Some(old), 0) => {
+                    queue.remove(old, v);
+                    model.remove(&(old, v));
+                    gain[v as usize] = None;
+                }
+                (Some(old), _) => {
+                    queue.remove(old, v);
+                    queue.insert(fresh, v);
+                    model.remove(&(old, v));
+                    model.insert((fresh, v));
+                    gain[v as usize] = Some(fresh);
+                }
+            }
+            assert_eq!(queue.peek_max(), model.last().copied(), "step {step}");
+            if step % 2500 == 2499 {
+                // A reset empties it and re-sizes it; the pool is reused.
+                queue.reset(N);
+                model.clear();
+                gain = [None; N];
+                assert_eq!(queue.peek_max(), None);
+            }
+        }
+    }
 
     /// Two 4-cliques joined by a single bridge edge: the optimal bisection
     /// cuts exactly that bridge.
@@ -265,7 +382,7 @@ mod tests {
     #[test]
     fn bisection_finds_the_bridge() {
         let g = two_cliques();
-        let b = initial_bisection(&g, 4, 1, 8, 42);
+        let b = bisect(&g, (4, 1), 8, 42);
         assert_eq!(b.cut, 1, "optimal cut is the single bridge edge");
         // Each side holds one clique.
         assert_eq!(side0_weight(&g, &b.side), 4);
@@ -285,7 +402,7 @@ mod tests {
         // Deliberately terrible split: alternating.
         let mut side = vec![0u8, 1, 0, 1, 0, 1, 0, 1];
         let before = cut_weight(&g, &side);
-        let after = fm_refine(&g, &mut side, 4, 1, 8);
+        let after = fm_refine(&g, &mut side, before, (4, 1), 8, &mut Workspace::default());
         assert!(after < before, "{after} !< {before}");
         assert_eq!(after, cut_weight(&g, &side));
         // Balance respected.
@@ -296,14 +413,14 @@ mod tests {
     fn fm_respects_tolerance() {
         let g = CsrGraph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let mut side = vec![0u8, 0, 0, 1, 1, 1];
-        fm_refine(&g, &mut side, 3, 0, 4);
+        fm_refine(&g, &mut side, 0, (3, 0), 4, &mut Workspace::default());
         assert_eq!(side0_weight(&g, &side), 3);
     }
 
     #[test]
     fn grow_handles_disconnected() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (2, 3)]);
-        let b = initial_bisection(&g, 2, 1, 4, 1);
+        let b = bisect(&g, (2, 1), 4, 1);
         assert!(side0_weight(&g, &b.side) >= 1);
         assert!(b.cut <= 2);
     }
@@ -312,7 +429,7 @@ mod tests {
     fn weighted_vertices_balance_by_weight() {
         let mut g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         g.vwgt = vec![3, 1, 1, 3];
-        let b = initial_bisection(&g, 4, 1, 8, 9);
+        let b = bisect(&g, (4, 1), 8, 9);
         let w0 = side0_weight(&g, &b.side);
         assert!(w0.abs_diff(4) <= 1, "w0 = {w0}");
     }
@@ -320,7 +437,7 @@ mod tests {
     #[test]
     fn singleton_graph() {
         let g = CsrGraph::from_edges(1, &[]);
-        let b = initial_bisection(&g, 1, 0, 2, 0);
+        let b = bisect(&g, (1, 0), 2, 0);
         assert_eq!(b.cut, 0);
     }
 }

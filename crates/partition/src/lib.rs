@@ -5,8 +5,8 @@
 //! (§5.1). METIS is proprietary-adjacent and external, so this crate
 //! implements the same multilevel scheme from scratch:
 //!
-//! 1. **coarsening** by heavy-edge matching ([`coarsen`]);
-//! 2. **initial bisection** by greedy region growing ([`bisect`]);
+//! 1. **coarsening** by heavy-edge matching (`coarsen`);
+//! 2. **initial bisection** by greedy region growing (`bisect`);
 //! 3. **uncoarsening** with Fiduccia–Mattheyses boundary refinement;
 //! 4. **k-way** partitions by recursive bisection with proportional weight
 //!    targets ([`partition`]).
@@ -33,14 +33,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod bisect;
-pub mod coarsen;
+mod bisect;
+mod coarsen;
 pub mod csr;
-pub mod kway;
+mod kway;
 pub mod multilevel;
 
-pub use bisect::{cut_weight, fm_refine, initial_bisection, Bisection};
-pub use coarsen::{coarsen_step, coarsen_to, Coarsening};
 pub use csr::CsrGraph;
-pub use kway::kway_refine;
 pub use multilevel::{block_partition, edge_cut, imbalance, partition, PartitionOptions};

@@ -2,9 +2,12 @@
 //! applied recursively — a from-scratch stand-in for the METIS v2
 //! partitioner the paper uses to form cell blocks.
 
-use crate::bisect::{cut_weight, fm_refine, initial_bisection};
+use std::borrow::Cow;
+
+use crate::bisect::{cut_weight, fm_refine, initial_bisection, GainQueue};
 use crate::coarsen::coarsen_to;
 use crate::csr::CsrGraph;
+use crate::kway::kway_refine;
 
 /// Tuning options for the partitioner.
 #[derive(Debug, Clone)]
@@ -33,33 +36,59 @@ impl Default for PartitionOptions {
     }
 }
 
+/// Scratch for one [`partition`] call, threaded through every bisection
+/// and dropped on return: sized by the largest subgraph met and reused by
+/// every level, pass and try after it.
+#[derive(Debug, Default)]
+pub(crate) struct Workspace {
+    /// FM's queue per source side (region growing uses the first), the gain
+    /// per vertex, who is locked this pass (region growing: who was ever
+    /// queued) and the pass's moves in order.
+    pub(crate) queues: [GainQueue; 2],
+    pub(crate) gain: Vec<i64>,
+    pub(crate) locked: Vec<bool>,
+    pub(crate) moves: Vec<u32>,
+    /// Matching: the shuffled visiting order and each vertex's partner
+    /// (itself for a singleton).
+    pub(crate) order: Vec<u32>,
+    pub(crate) mate: Vec<u32>,
+    /// The coarse row under construction as `(neighbour, weight)`, and where
+    /// in it each coarse neighbour sits (`u32::MAX` between rows).
+    pub(crate) row: Vec<(u32, u32)>,
+    pub(crate) slot: Vec<u32>,
+    /// Global → subgraph vertex id; `u32::MAX` between subgraphs.
+    local: Vec<u32>,
+}
+
 /// Multilevel bisection of `g` with side-0 target weight `target0`.
 /// Returns the side per vertex.
-fn multilevel_bisect(g: &CsrGraph, target0: u64, opts: &PartitionOptions) -> Vec<u8> {
+fn multilevel_bisect(
+    g: &CsrGraph,
+    target0: u64,
+    opts: &PartitionOptions,
+    ws: &mut Workspace,
+) -> Vec<u8> {
     let total = g.total_vwgt();
     let max_vwgt = g.vwgt.iter().copied().max().unwrap_or(1) as u64;
     let tol = ((total as f64 * opts.tolerance) as u64).max(max_vwgt);
 
     // hierarchy[i] coarsens graph_i into graph_{i+1}, with graph_0 = g and
     // graph_{i+1} = hierarchy[i].graph.
-    let hierarchy = coarsen_to(g, opts.coarsest_size, opts.seed);
+    let hierarchy = coarsen_to(g, opts.coarsest_size, opts.seed, ws);
     let coarsest: &CsrGraph = hierarchy.last().map(|c| &c.graph).unwrap_or(g);
-    let init = initial_bisection(coarsest, target0, tol, opts.init_tries, opts.seed ^ 0x9e37);
-    let mut side = init.side;
+    let (mut side, mut cut) = initial_bisection(coarsest, (target0, tol), opts, ws);
 
     // Project back through the hierarchy, refining at every level.
+    let mut coarse_side = Vec::new();
     for i in (0..hierarchy.len()).rev() {
-        let map = &hierarchy[i].map;
-        let mut fine_side = vec![0u8; map.len()];
-        for v in 0..map.len() {
-            fine_side[v] = side[map[v] as usize];
-        }
-        side = fine_side;
-        let fine_graph: &CsrGraph = if i == 0 { g } else { &hierarchy[i - 1].graph };
-        fm_refine(fine_graph, &mut side, target0, tol, opts.refine_passes);
+        std::mem::swap(&mut side, &mut coarse_side);
+        side.clear();
+        side.extend(hierarchy[i].map.iter().map(|&c| coarse_side[c as usize]));
+        let fine: &CsrGraph = if i == 0 { g } else { &hierarchy[i - 1].graph };
+        cut = fm_refine(fine, &mut side, cut, (target0, tol), opts.refine_passes, ws);
     }
     if hierarchy.is_empty() {
-        fm_refine(g, &mut side, target0, tol, opts.refine_passes);
+        fm_refine(g, &mut side, cut, (target0, tol), opts.refine_passes, ws);
     }
     side
 }
@@ -71,6 +100,16 @@ fn multilevel_bisect(g: &CsrGraph, target0: u64, opts: &PartitionOptions) -> Vec
 /// # Panics
 /// Panics when `nparts == 0`.
 pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u32> {
+    partition_in(g, nparts, opts, &mut Workspace::default())
+}
+
+/// [`partition`] on a caller-held workspace.
+fn partition_in(
+    g: &CsrGraph,
+    nparts: usize,
+    opts: &PartitionOptions,
+    ws: &mut Workspace,
+) -> Vec<u32> {
     assert!(nparts > 0, "nparts must be positive");
     let n = g.num_vertices();
     let mut part = vec![0u32; n];
@@ -84,7 +123,10 @@ pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u3
         }
         return part;
     }
-    // Work queue of (vertex-subset, part-id range).
+    let gs = sorted_rows(g);
+    ws.local.clear();
+    ws.local.resize(n, u32::MAX);
+    // Work queue of (ascending vertex subset, part-id range).
     let all: Vec<u32> = (0..n as u32).collect();
     let mut stack: Vec<(Vec<u32>, u32, u32)> = vec![(all, 0, nparts as u32)];
     let mut salt = 0u64;
@@ -104,14 +146,13 @@ pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u3
             }
             continue;
         }
-        // Extract the subgraph induced by `subset`.
-        let (sub, _back) = induced_subgraph(g, &subset);
+        let sub = induced_subgraph(&gs, &subset, &mut ws.local);
         let k0 = kparts.div_ceil(2);
         let target0 = sub.total_vwgt() * k0 as u64 / kparts as u64;
         let mut sub_opts = opts.clone();
         sub_opts.seed = opts.seed.wrapping_add(salt);
         salt = salt.wrapping_add(0x9e3779b97f4a7c15);
-        let side = multilevel_bisect(&sub, target0, &sub_opts);
+        let side = multilevel_bisect(&sub, target0, &sub_opts, ws);
         let mut left = Vec::new();
         let mut right = Vec::new();
         for (local, &v) in subset.iter().enumerate() {
@@ -134,7 +175,7 @@ pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u3
     // Final direct k-way pass: boundary vertices may hop between any
     // adjacent pair of parts, recovering cut quality recursive bisection
     // leaves on the table.
-    crate::kway::kway_refine(g, &mut part, nparts, opts.tolerance.max(0.02) * 2.0, 2);
+    kway_refine(g, &mut part, nparts, opts.tolerance.max(0.02) * 2.0, 2);
     part
 }
 
@@ -157,39 +198,60 @@ pub fn block_partition(g: &CsrGraph, block_size: usize, opts: &PartitionOptions)
     partition(g, nparts, opts)
 }
 
-/// The subgraph induced by `subset`; returns it plus the local→global map.
-fn induced_subgraph(g: &CsrGraph, subset: &[u32]) -> (CsrGraph, Vec<u32>) {
-    let mut local = vec![u32::MAX; g.num_vertices()];
+/// `g` as the bisections need it: they read rows in neighbour-id order (the
+/// matching breaks weight ties by it) and cut sub-CSRs by filtering rows.
+/// The `from_*edges` builders and the mesh adjacency give strictly ascending
+/// rows without self-loops; any other CSR is copied with its rows sorted,
+/// parallel entries merged and self-loops dropped.
+fn sorted_rows(g: &CsrGraph) -> Cow<'_, CsrGraph> {
+    let n = g.num_vertices();
+    let row = |v: usize| &g.adjncy[g.xadj[v] as usize..g.xadj[v + 1] as usize];
+    if (0..n).all(|v| row(v).windows(2).all(|p| p[0] < p[1]) && !row(v).contains(&(v as u32))) {
+        return Cow::Borrowed(g);
+    }
+    let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(g.adjncy.len() / 2);
+    for v in 0..n as u32 {
+        edges.extend(g.neighbors(v).filter(|e| v < e.0).map(|(u, w)| (v, u, w)));
+    }
+    let mut sorted = CsrGraph::from_weighted_edges(n, &edges);
+    sorted.vwgt.clone_from(&g.vwgt);
+    Cow::Owned(sorted)
+}
+
+/// The subgraph of `g` (sorted rows) induced by the ascending `subset`,
+/// vertex `subset[i]` becoming `i`: `local` is monotone over the subset, so
+/// each row is the parent's row filtered, already in order. `local` is all
+/// `u32::MAX` on entry and on return.
+fn induced_subgraph(g: &CsrGraph, subset: &[u32], local: &mut [u32]) -> CsrGraph {
     for (i, &v) in subset.iter().enumerate() {
         local[v as usize] = i as u32;
     }
-    let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-    for (i, &v) in subset.iter().enumerate() {
+    let (mut xadj, mut adjncy, mut ewgt) = (vec![0u32], Vec::new(), Vec::new());
+    for &v in subset {
         for (u, w) in g.neighbors(v) {
             let lu = local[u as usize];
-            if lu != u32::MAX && (i as u32) < lu {
-                edges.push((i as u32, lu, w));
+            if lu != u32::MAX {
+                adjncy.push(lu);
+                ewgt.push(w);
             }
         }
+        xadj.push(adjncy.len() as u32);
     }
-    let mut sub = CsrGraph::from_weighted_edges(subset.len(), &edges);
-    for (i, &v) in subset.iter().enumerate() {
-        sub.vwgt[i] = g.vwgt[v as usize];
+    let vwgt = subset.iter().map(|&v| g.vwgt[v as usize]).collect();
+    for &v in subset {
+        local[v as usize] = u32::MAX;
     }
-    (sub, subset.to_vec())
+    CsrGraph {
+        xadj,
+        adjncy,
+        vwgt,
+        ewgt,
+    }
 }
 
 /// Total weight of edges crossing between different parts.
 pub fn edge_cut(g: &CsrGraph, part: &[u32]) -> u64 {
-    let mut cut = 0u64;
-    for v in 0..g.num_vertices() as u32 {
-        for (u, w) in g.neighbors(v) {
-            if v < u && part[v as usize] != part[u as usize] {
-                cut += w as u64;
-            }
-        }
-    }
-    cut
+    cut_weight(g, part)
 }
 
 /// Maximum part weight divided by the ideal (`total/nparts`); 1.0 is
@@ -208,14 +270,58 @@ pub fn imbalance(g: &CsrGraph, part: &[u32], nparts: usize) -> f64 {
     w.into_iter().max().unwrap_or(0) as f64 / ideal
 }
 
-/// Re-exported convenience: cut of a 2-way `side` vector.
-pub fn bisection_cut(g: &CsrGraph, side: &[u8]) -> u64 {
-    cut_weight(g, side)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Workspace {
+        /// High-water storage of the two gain queues, in bytes.
+        pub(crate) fn queue_bytes(&self) -> usize {
+            self.queues.iter().map(GainQueue::bytes).sum()
+        }
+    }
+
+    /// Inputs no mesh produces — a hub, all-distinct gains, gains far
+    /// from zero, nothing to cut: ids stay in range and the queues'
+    /// storage stays bounded (a bitset per *possible* gain would need
+    /// 50–270 MB a side on the first three).
+    #[test]
+    fn adversarial_inputs_partition_within_bounded_queue_memory() {
+        let star: Vec<(u32, u32, u32)> = (1..=20_000u32).map(|v| (0, v, 1)).collect();
+        let path: Vec<(u32, u32, u32)> = (1..10_000u32).map(|v| (v - 1, v, v)).collect();
+        let mut heavy = grid(64, 64);
+        heavy.ewgt.fill(1 << 16);
+        let cases = [
+            ("star", CsrGraph::from_weighted_edges(20_001, &star), 8),
+            ("path", CsrGraph::from_weighted_edges(10_000, &path), 8),
+            ("heavy grid", heavy, 8),
+            ("two vertices", CsrGraph::from_edges(2, &[(0, 1)]), 2),
+            ("edgeless", CsrGraph::from_edges(1000, &[]), 8),
+        ];
+        for (name, g, nparts) in cases {
+            let mut ws = Workspace::default();
+            let part = partition_in(&g, nparts, &PartitionOptions::default(), &mut ws);
+            assert_eq!(part.len(), g.num_vertices(), "{name}");
+            assert!(part.iter().all(|&p| (p as usize) < nparts), "{name}");
+            let bytes = ws.queue_bytes();
+            assert!(bytes < 64 << 20, "{name}: queues hold {bytes} bytes");
+        }
+    }
+
+    /// Rows in arbitrary order are normalised on entry: the same parts as
+    /// the sorted graph.
+    #[test]
+    fn unsorted_rows_partition_like_sorted_ones() {
+        let g = grid(12, 9);
+        let mut shuffled = g.clone();
+        for v in 0..g.num_vertices() {
+            shuffled.adjncy[g.xadj[v] as usize..g.xadj[v + 1] as usize].reverse();
+        }
+        assert!(matches!(sorted_rows(&g), Cow::Borrowed(_)));
+        assert!(matches!(sorted_rows(&shuffled), Cow::Owned(_)));
+        let o = PartitionOptions::default();
+        assert_eq!(partition(&shuffled, 5, &o), partition(&g, 5, &o));
+    }
 
     /// A `w × h` grid graph.
     fn grid(w: usize, h: usize) -> CsrGraph {
