@@ -125,12 +125,12 @@ fn grow_from(g: &CsrGraph, seed: u32, target0: u64, side: &mut Vec<u8>, ws: &mut
         w0 += g.vwgt[v as usize] as u64;
         for (u, w) in g.neighbors(v) {
             if side[u as usize] == 1 {
-                let old = ws.gain[u as usize];
-                ws.gain[u as usize] += 2 * w as i64;
+                let new = ws.gain[u as usize] + 2 * w as i64;
+                let old = std::mem::replace(&mut ws.gain[u as usize], new);
                 if std::mem::replace(&mut queued[u as usize], true) {
                     q.remove(old, u);
                 }
-                q.insert(old + 2 * w as i64, u);
+                q.insert(new, u);
             }
         }
     }
