@@ -27,9 +27,8 @@ use rand::{RngExt, SeedableRng};
 
 use sweep_telemetry as telemetry;
 
-use crate::face::{CellId, SweepMesh};
 use crate::geometry::{Point3, Vec3};
-use crate::tet::{MeshError, TetMesh};
+use crate::tet::{match_faces, measure_cells, MeshError, TetMesh, BOUNDARY};
 
 /// Shape predicates used to carve hexes out of the scaffold.
 #[derive(Debug, Clone)]
@@ -152,6 +151,13 @@ impl From<MeshError> for GenerateError {
 
 /// Generates the full (untrimmed) synthetic mesh for `cfg`.
 pub fn generate(cfg: &GeneratorConfig) -> Result<TetMesh, GenerateError> {
+    let (vertices, cells) = scaffold(cfg)?;
+    Ok(TetMesh::new(vertices, cells)?)
+}
+
+/// The raw connectivity of `cfg`'s scaffold: jittered corners and hex
+/// centres, and the 12-tet split of every kept hex.
+fn scaffold(cfg: &GeneratorConfig) -> Result<(Vec<Point3>, Vec<[u32; 4]>), GenerateError> {
     let _span = telemetry::span!("mesh.generate");
     let (nx, ny, nz) = (cfg.nx, cfg.ny, cfg.nz);
     if nx == 0 || ny == 0 || nz == 0 {
@@ -180,17 +186,14 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<TetMesh, GenerateError> {
         for j in 0..=ny {
             for k in 0..=nz {
                 let mut p = Point3::new(i as f64 * h.x, j as f64 * h.y, k as f64 * h.z);
-                let interior_x = i > 0 && i < nx;
-                let interior_y = j > 0 && j < ny;
-                let interior_z = k > 0 && k < nz;
                 if cfg.jitter > 0.0 {
-                    if interior_x {
+                    if i > 0 && i < nx {
                         p.x += rng.random_range(-cfg.jitter..cfg.jitter) * h.x;
                     }
-                    if interior_y {
+                    if j > 0 && j < ny {
                         p.y += rng.random_range(-cfg.jitter..cfg.jitter) * h.y;
                     }
-                    if interior_z {
+                    if k > 0 && k < nz {
                         p.z += rng.random_range(-cfg.jitter..cfg.jitter) * h.z;
                     }
                 }
@@ -231,11 +234,8 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<TetMesh, GenerateError> {
                 ];
                 // Center vertex: mean of the (jittered) corners, so it stays
                 // strictly inside the hex.
-                let mut cp = Point3::ZERO;
-                for &v in &c {
-                    cp += vertices[v];
-                }
-                let center = (vertices.len()) as u32;
+                let cp = c.iter().fold(Point3::ZERO, |sum, &v| sum + vertices[v]);
+                let center = vertices.len() as u32;
                 vertices.push(cp / 8.0);
 
                 // Six quad faces in cyclic corner order (indices into `c`).
@@ -248,18 +248,17 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<TetMesh, GenerateError> {
                     [1, 3, 7, 5], // x+
                 ];
                 for q in QUADS {
-                    let vq = q.map(|l| c[l] as u32);
-                    // Diagonal through the minimum-rank corner.
+                    let mut vq = q.map(|l| c[l] as u32);
+                    // Diagonal through the minimum-rank corner, rotated to
+                    // position 0 or 2.
                     let min_pos = (0..4)
                         .min_by_key(|&p| rank[vq[p] as usize])
                         .expect("quad has 4 corners");
-                    let (t1, t2) = if min_pos == 0 || min_pos == 2 {
-                        ([vq[0], vq[1], vq[2]], [vq[0], vq[2], vq[3]])
-                    } else {
-                        ([vq[1], vq[2], vq[3]], [vq[1], vq[3], vq[0]])
-                    };
-                    cells.push([t1[0], t1[1], t1[2], center]);
-                    cells.push([t2[0], t2[1], t2[2], center]);
+                    if min_pos % 2 == 1 {
+                        vq.rotate_left(1);
+                    }
+                    cells.push([vq[0], vq[1], vq[2], center]);
+                    cells.push([vq[0], vq[2], vq[3], center]);
                 }
             }
         }
@@ -267,57 +266,55 @@ pub fn generate(cfg: &GeneratorConfig) -> Result<TetMesh, GenerateError> {
     if cells.is_empty() {
         return Err(GenerateError::BadConfig("carve removed every hex".into()));
     }
-    Ok(TetMesh::new(vertices, cells)?)
+    Ok((vertices, cells))
 }
 
-/// Generates and then trims to exactly `target` cells by keeping the
+/// Builds `cfg`'s scaffold and keeps exactly `target` cells: the
 /// breadth-first ball (over face adjacency) around the cell nearest the
-/// domain barycenter. The trimmed mesh is connected by construction whenever
-/// the scaffold's main component holds at least `target` cells.
+/// barycenter of all centroids, chosen before anything is assembled.
+/// Connected by construction whenever the scaffold's main component holds
+/// at least `target` cells.
 pub fn generate_with_target(
     cfg: &GeneratorConfig,
     target: usize,
 ) -> Result<TetMesh, GenerateError> {
-    let full = generate(cfg)?;
-    if full.num_cells() < target {
-        return Err(GenerateError::TargetTooLarge {
-            available: full.num_cells(),
-            target,
-        });
-    }
-    if full.num_cells() == target {
+    let (vertices, cells) = scaffold(cfg)?;
+    let (centroids, volumes) = measure_cells(&vertices, &cells)?;
+    let partners = match_faces(vertices.len(), &cells)?;
+    let n = cells.len();
+    if n == target {
+        let full = TetMesh::assemble(vertices, cells, centroids, volumes, &partners);
         return Ok(full);
     }
 
     // Start BFS at the cell whose centroid is nearest the barycenter of all
     // centroids (robust against carved holes at the geometric center).
-    let n = full.num_cells();
-    let mut bary = Point3::ZERO;
-    for c in 0..n {
-        bary += full.centroid(CellId(c as u32));
-    }
-    bary = bary / n as f64;
+    let bary = centroids.iter().fold(Point3::ZERO, |sum, &c| sum + c) / n as f64;
     let start = (0..n)
         .min_by(|&a, &b| {
-            let da = full.centroid(CellId(a as u32)).distance(bary);
-            let db = full.centroid(CellId(b as u32)).distance(bary);
+            let da = centroids[a].distance(bary);
+            let db = centroids[b].distance(bary);
             da.partial_cmp(&db).expect("finite centroid distances")
         })
         .expect("non-empty mesh");
 
-    let (xadj, adjncy) = full.adjacency_csr();
     let mut keep: Vec<u32> = Vec::with_capacity(target);
     let mut seen = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start as u32);
+    let mut queue = std::collections::VecDeque::from([start as u32]);
     seen[start] = true;
     while let Some(c) = queue.pop_front() {
         keep.push(c);
         if keep.len() == target {
             break;
         }
-        let (s, e) = (xadj[c as usize] as usize, xadj[c as usize + 1] as usize);
-        for &nb in &adjncy[s..e] {
+        // Slots ascending = neighbours ascending, as in `adjacency_csr`.
+        let mut slots = [0, 1, 2, 3].map(|f| partners[4 * c as usize + f]);
+        slots.sort_unstable();
+        for nb in slots
+            .into_iter()
+            .take_while(|&p| p != BOUNDARY)
+            .map(|p| p / 4)
+        {
             if !seen[nb as usize] {
                 seen[nb as usize] = true;
                 queue.push_back(nb);
@@ -325,17 +322,49 @@ pub fn generate_with_target(
         }
     }
     if keep.len() < target {
+        // A scaffold smaller than `target` reports its own size.
         return Err(GenerateError::TargetTooLarge {
-            available: keep.len(),
+            available: if n < target { n } else { keep.len() },
             target,
         });
     }
-    Ok(full.restrict_to(&keep)?)
+
+    // Kept cells renumbered in ascending scaffold order, vertices in order of
+    // first appearance; `u32::MAX` marks what was dropped. A face whose
+    // partner was dropped becomes a boundary face.
+    keep.sort_unstable();
+    let mut new_cell = vec![u32::MAX; n];
+    let mut new_vertex = vec![u32::MAX; vertices.len()];
+    let mut kept_vertices = Vec::new();
+    let mut kept_cells = Vec::with_capacity(target);
+    for (i, &c) in keep.iter().enumerate() {
+        new_cell[c as usize] = i as u32;
+        kept_cells.push(cells[c as usize].map(|v| {
+            if new_vertex[v as usize] == u32::MAX {
+                new_vertex[v as usize] = kept_vertices.len() as u32;
+                kept_vertices.push(vertices[v as usize]);
+            }
+            new_vertex[v as usize]
+        }));
+    }
+    let partners: Vec<u32> = keep
+        .iter()
+        .flat_map(|&c| &partners[4 * c as usize..][..4])
+        .map(|&p| match new_cell.get((p / 4) as usize) {
+            Some(&b) if b != u32::MAX => 4 * b + p % 4,
+            _ => BOUNDARY, // `BOUNDARY / 4` is past every cell
+        })
+        .collect();
+    let pick = |c: &u32| (centroids[*c as usize], volumes[*c as usize]);
+    let (centroids, volumes) = keep.iter().map(pick).unzip();
+    let kept = TetMesh::assemble(kept_vertices, kept_cells, centroids, volumes, &partners);
+    Ok(kept)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::face::SweepMesh;
 
     #[test]
     fn cube_generator_produces_expected_count() {
@@ -380,6 +409,38 @@ mod tests {
         let m = generate_with_target(&cfg, 500).unwrap();
         assert_eq!(m.num_cells(), 500);
         assert_eq!(m.connected_component_size(), 500);
+    }
+
+    #[test]
+    fn trim_keeps_a_connected_subset_of_the_scaffold() {
+        let cfg = GeneratorConfig::cube(3, 5);
+        let full = generate(&cfg).unwrap();
+        let corners = |m: &TetMesh, c: &[u32; 4]| {
+            c.map(|v| {
+                let p = m.vertices()[v as usize];
+                [p.x, p.y, p.z].map(f64::to_bits)
+            })
+        };
+        let scaffold: Vec<_> = full.cells().iter().map(|c| corners(&full, c)).collect();
+        for target in [1, 2, 57, 300] {
+            let m = generate_with_target(&cfg, target).unwrap();
+            assert_eq!(m.num_cells(), target);
+            assert_eq!(m.connected_component_size(), target);
+            // Every kept cell is a scaffold cell, and no vertex is unused.
+            assert!(m.cells().iter().all(|c| scaffold.contains(&corners(&m, c))));
+            let mut used = vec![false; m.vertices().len()];
+            m.cells()
+                .iter()
+                .flatten()
+                .for_each(|&v| used[v as usize] = true);
+            assert!(used.iter().all(|&u| u), "target {target}: unused vertex");
+            let slots = 2 * m.interior_faces().len() + m.boundary_faces().len();
+            assert_eq!(slots, 4 * target);
+        }
+        let one = generate_with_target(&cfg, 1).unwrap();
+        assert_eq!(one.interior_faces().len(), 0);
+        assert_eq!(one.boundary_faces().len(), 4);
+        assert_eq!(one.vertices().len(), 4);
     }
 
     #[test]

@@ -5,10 +5,8 @@
 //! uses (unstructured tetrahedral meshes from LANL transport codes), which we
 //! synthesize in [`crate::generator`].
 
-use std::collections::HashMap;
-
 use crate::face::{BoundaryFace, CellId, InteriorFace, SweepMesh};
-use crate::geometry::{tet_centroid, tet_signed_volume, triangle_area_normal, Point3};
+use crate::geometry::{tet_centroid, tet_signed_volume, triangle_area_normal, Point3, Vec3};
 
 /// Errors raised while assembling a [`TetMesh`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +57,6 @@ pub struct TetMesh {
     boundary: Vec<BoundaryFace>,
 }
 
-/// Incidences of one sorted triangle key: `(cell, local face vertices,
-/// opposite vertex)`.
-type FaceIncidences = Vec<(u32, [usize; 3], usize)>;
-
 /// The four triangular faces of tet `(v0,v1,v2,v3)`, each listed with the
 /// index of the opposite vertex.
 const TET_FACES: [([usize; 3], usize); 4] = [
@@ -76,97 +70,57 @@ impl TetMesh {
     /// Assembles a mesh from raw connectivity. Derives centroids, volumes,
     /// and face adjacency with outward unit normals.
     pub fn new(vertices: Vec<Point3>, cells: Vec<[u32; 4]>) -> Result<TetMesh, MeshError> {
-        let nv = vertices.len() as u32;
-        for (ci, c) in cells.iter().enumerate() {
-            for &v in c {
-                if v >= nv {
-                    return Err(MeshError::VertexOutOfRange {
-                        cell: ci as u32,
-                        vertex: v,
-                    });
-                }
-            }
-        }
+        let (centroids, volumes) = measure_cells(&vertices, &cells)?;
+        let partners = match_faces(vertices.len(), &cells)?;
+        let mesh = TetMesh::assemble(vertices, cells, centroids, volumes, &partners);
+        Ok(mesh)
+    }
 
-        let mut centroids = Vec::with_capacity(cells.len());
-        let mut volumes = Vec::with_capacity(cells.len());
-        for (ci, c) in cells.iter().enumerate() {
-            let [a, b, cc, d] = c.map(|v| vertices[v as usize]);
-            let vol = tet_signed_volume(a, b, cc, d).abs();
-            if vol < 1e-14 {
-                return Err(MeshError::DegenerateCell { cell: ci as u32 });
-            }
-            centroids.push(tet_centroid(a, b, cc, d));
-            volumes.push(vol);
-        }
-
-        // Group the four faces of every tet by their sorted vertex triple.
-        let mut by_key: HashMap<[u32; 3], FaceIncidences> = HashMap::with_capacity(cells.len() * 2);
-        for (ci, c) in cells.iter().enumerate() {
-            for (fv, opp) in TET_FACES {
-                let mut key = [c[fv[0]], c[fv[1]], c[fv[2]]];
-                key.sort_unstable();
-                by_key.entry(key).or_default().push((ci as u32, fv, opp));
-            }
-        }
-
-        let mut interior = Vec::new();
+    /// Derives the faces from measured connectivity and its [`match_faces`]
+    /// partners: interior faces in `(a, b)` order (each cell's larger
+    /// neighbours sorted), boundary faces in `(cell, local face)` order.
+    pub(crate) fn assemble(
+        vertices: Vec<Point3>,
+        cells: Vec<[u32; 4]>,
+        centroids: Vec<Point3>,
+        volumes: Vec<f64>,
+        partners: &[u32],
+    ) -> TetMesh {
+        let mut interior = Vec::with_capacity(2 * cells.len());
         let mut boundary = Vec::new();
-        for (_key, inc) in by_key {
-            match inc.as_slice() {
-                [(ci, fv, opp)] => {
-                    let c = &cells[*ci as usize];
-                    let tri = fv.map(|l| vertices[c[l] as usize]);
-                    let mut an = triangle_area_normal(tri[0], tri[1], tri[2]);
-                    let area = 0.5 * an.norm();
-                    // Orient outward: away from the opposite vertex.
-                    let towards_opp = vertices[c[*opp] as usize] - tri[0];
-                    if an.dot(towards_opp) > 0.0 {
-                        an = -an;
-                    }
+        for (a, (c, slots)) in cells.iter().zip(partners.chunks_exact(4)).enumerate() {
+            let (a, from) = (a as u32, interior.len());
+            for (f, &p) in slots.iter().enumerate() {
+                if p != BOUNDARY && p / 4 < a {
+                    continue; // listed with the smaller cell
+                }
+                // Out of cell a: into cell b, on an interior face.
+                let (normal, area) = face_normal(&vertices, c, f);
+                if p == BOUNDARY {
                     boundary.push(BoundaryFace {
-                        cell: CellId(*ci),
-                        normal: an.normalized(),
+                        cell: CellId(a),
+                        normal,
                         area,
                     });
-                }
-                [(ca, fv, opp), (cb, ..)] => {
-                    let c = &cells[*ca as usize];
-                    let tri = fv.map(|l| vertices[c[l] as usize]);
-                    let mut an = triangle_area_normal(tri[0], tri[1], tri[2]);
-                    let area = 0.5 * an.norm();
-                    // Orient from cell a into cell b (away from a's opposite
-                    // vertex, which lies strictly inside cell a).
-                    let towards_opp = vertices[c[*opp] as usize] - tri[0];
-                    if an.dot(towards_opp) > 0.0 {
-                        an = -an;
-                    }
+                } else {
                     interior.push(InteriorFace {
-                        a: CellId(*ca),
-                        b: CellId(*cb),
-                        normal: an.normalized(),
+                        a: CellId(a),
+                        b: CellId(p / 4),
+                        normal,
                         area,
                     });
-                }
-                many => {
-                    return Err(MeshError::NonManifoldFace {
-                        cells: many.iter().map(|(c, ..)| *c).collect(),
-                    })
                 }
             }
+            interior[from..].sort_unstable_by_key(|f| f.b);
         }
-        // Deterministic face order regardless of hash-map iteration.
-        interior.sort_unstable_by_key(|f| (f.a, f.b));
-        boundary.sort_unstable_by_key(|f| f.cell);
-
-        Ok(TetMesh {
+        TetMesh {
             vertices,
             cells,
             centroids,
             volumes,
             interior,
             boundary,
-        })
+        }
     }
 
     /// Vertex coordinates.
@@ -193,31 +147,96 @@ impl TetMesh {
     pub fn total_volume(&self) -> f64 {
         self.volumes.iter().sum()
     }
+}
 
-    /// Restricts the mesh to the given cells (dedup'd, order-preserving on
-    /// the sorted unique set), renumbering cells densely. Unused vertices are
-    /// dropped. Used by the generator to trim synthetic meshes to the exact
-    /// cell counts reported in the paper.
-    pub fn restrict_to(&self, keep: &[u32]) -> Result<TetMesh, MeshError> {
-        let mut keep: Vec<u32> = keep.to_vec();
-        keep.sort_unstable();
-        keep.dedup();
-        let mut vmap: HashMap<u32, u32> = HashMap::new();
-        let mut vertices = Vec::new();
-        let mut cells = Vec::with_capacity(keep.len());
-        for &ci in &keep {
-            let old = self.cells[ci as usize];
-            let mut newc = [0u32; 4];
-            for (s, &v) in newc.iter_mut().zip(old.iter()) {
-                *s = *vmap.entry(v).or_insert_with(|| {
-                    vertices.push(self.vertices[v as usize]);
-                    (vertices.len() - 1) as u32
-                });
-            }
-            cells.push(newc);
+/// The partner of a face slot on the boundary (see [`match_faces`]).
+pub(crate) const BOUNDARY: u32 = u32::MAX;
+
+/// Checks every vertex index, then measures every cell: its centroid and
+/// volume, or the first out-of-range vertex / zero-volume cell.
+pub(crate) fn measure_cells(
+    vertices: &[Point3],
+    cells: &[[u32; 4]],
+) -> Result<(Vec<Point3>, Vec<f64>), MeshError> {
+    let nv = vertices.len() as u32;
+    for (ci, c) in cells.iter().enumerate() {
+        if let Some(&v) = c.iter().find(|&&v| v >= nv) {
+            return Err(MeshError::VertexOutOfRange {
+                cell: ci as u32,
+                vertex: v,
+            });
         }
-        TetMesh::new(vertices, cells)
     }
+    let mut centroids = Vec::with_capacity(cells.len());
+    let mut volumes = Vec::with_capacity(cells.len());
+    for (ci, c) in cells.iter().enumerate() {
+        let [a, b, cc, d] = c.map(|v| vertices[v as usize]);
+        let vol = tet_signed_volume(a, b, cc, d).abs();
+        if vol < 1e-14 {
+            return Err(MeshError::DegenerateCell { cell: ci as u32 });
+        }
+        centroids.push(tet_centroid(a, b, cc, d));
+        volumes.push(vol);
+    }
+    Ok((centroids, volumes))
+}
+
+/// Pairs the face slots `4·cell + local face` by triangle: `partners[s]` is
+/// the slot sharing `s`'s vertices, or [`BOUNDARY`]. Sorted triples are
+/// counting-sorted by smallest vertex, each bucket sorted on `(v1, v2, slot)`;
+/// the first group of three or more in key order is non-manifold. Vertex
+/// indices must be `< nv` ([`measure_cells`] checks).
+pub(crate) fn match_faces(nv: usize, cells: &[[u32; 4]]) -> Result<Vec<u32>, MeshError> {
+    let key = |s: usize| {
+        let c = &cells[s / 4];
+        let mut k = TET_FACES[s % 4].0.map(|l| c[l]);
+        k.sort_unstable();
+        k
+    };
+    let slots = 4 * cells.len();
+    let mut start = vec![0u32; nv + 1];
+    for s in 0..slots {
+        start[key(s)[0] as usize + 1] += 1;
+    }
+    for v in 0..nv {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut bucketed = vec![[0u32; 3]; slots];
+    for s in 0..slots {
+        let [v0, v1, v2] = key(s);
+        bucketed[next[v0 as usize] as usize] = [v1, v2, s as u32];
+        next[v0 as usize] += 1;
+    }
+    let mut partners = vec![BOUNDARY; slots];
+    for v in 0..nv {
+        let bucket = &mut bucketed[start[v] as usize..start[v + 1] as usize];
+        bucket.sort_unstable();
+        for group in bucket.chunk_by(|x, y| x[..2] == y[..2]) {
+            match group {
+                [_] => {}
+                [x, y] => (partners[x[2] as usize], partners[y[2] as usize]) = (y[2], x[2]),
+                many => {
+                    return Err(MeshError::NonManifoldFace {
+                        cells: many.iter().map(|e| e[2] / 4).collect(),
+                    })
+                }
+            }
+        }
+    }
+    Ok(partners)
+}
+
+/// Unit normal (out of cell `c`, away from the opposite vertex) and area of face `f`.
+fn face_normal(vertices: &[Point3], c: &[u32; 4], f: usize) -> (Vec3, f64) {
+    let (fv, opp) = TET_FACES[f];
+    let tri = fv.map(|l| vertices[c[l] as usize]);
+    let mut an = triangle_area_normal(tri[0], tri[1], tri[2]);
+    let area = 0.5 * an.norm();
+    if an.dot(vertices[c[opp] as usize] - tri[0]) > 0.0 {
+        an = -an;
+    }
+    (an.normalized(), area)
 }
 
 impl SweepMesh for TetMesh {
@@ -270,22 +289,58 @@ mod tests {
         assert!((f.area - 0.5).abs() < 1e-12);
     }
 
+    fn tetonly() -> TetMesh {
+        crate::presets::MeshPreset::Tetonly
+            .build_scaled(0.01)
+            .unwrap()
+    }
+
     #[test]
     fn boundary_normals_point_outward() {
-        let m = two_tets();
-        for bf in m.boundary_faces() {
-            // Outward means away from the incident cell centroid: moving
-            // from the centroid along the normal should exit the domain, so
-            // the normal must have positive dot with (any boundary-face
-            // vertex - centroid)... we approximate with the opposite of the
-            // vector towards the mesh barycenter.
-            let bary = (m.centroid(CellId(0)) + m.centroid(CellId(1))) / 2.0;
-            let c = m.centroid(bf.cell);
-            // Not a strict invariant for wild shapes, but holds for this
-            // convex two-tet configuration except for near-tangential faces.
-            let _ = bary;
+        let m = tetonly();
+        let partners = match_faces(m.vertices().len(), m.cells()).unwrap();
+        let open: Vec<usize> = (0..partners.len())
+            .filter(|&s| partners[s] == BOUNDARY)
+            .collect();
+        assert_eq!(open.len(), m.boundary_faces().len());
+        // Boundary faces are listed in `(cell, local face)` order, so the
+        // unmatched slots name each one's triangle.
+        for (&s, bf) in open.iter().zip(m.boundary_faces()) {
+            assert_eq!(bf.cell.index(), s / 4);
+            let c = m.cells()[s / 4];
+            let [p, q, r] = TET_FACES[s % 4].0.map(|l| m.vertices()[c[l] as usize]);
+            let out = (p + q + r) / 3.0 - m.centroid(bf.cell);
+            assert!(bf.normal.dot(out) > 0.0, "slot {s}: normal points inward");
             assert!((bf.normal.norm() - 1.0).abs() < 1e-12);
-            let _ = c;
+        }
+        for f in m.interior_faces() {
+            let dir = m.centroid(f.b) - m.centroid(f.a);
+            assert!(
+                f.normal.dot(dir) > 0.0,
+                "{} -> {} not oriented a -> b",
+                f.a,
+                f.b
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_builds_list_faces_in_the_same_order() {
+        let bits = |m: &TetMesh| -> Vec<(u32, [u64; 4])> {
+            let n = |v: Vec3, a: f64| [v.x, v.y, v.z, a].map(f64::to_bits);
+            let interior = m
+                .interior_faces()
+                .iter()
+                .map(|f| (f.a.0, n(f.normal, f.area)));
+            let boundary = m
+                .boundary_faces()
+                .iter()
+                .map(|f| (f.cell.0, n(f.normal, f.area)));
+            interior.chain(boundary).collect()
+        };
+        let first = bits(&tetonly());
+        for _ in 0..3 {
+            assert_eq!(bits(&tetonly()), first);
         }
     }
 
@@ -332,13 +387,36 @@ mod tests {
     }
 
     #[test]
-    fn restrict_to_keeps_subset() {
-        let m = two_tets();
-        let sub = m.restrict_to(&[1]).unwrap();
-        assert_eq!(sub.num_cells(), 1);
-        assert_eq!(sub.interior_faces().len(), 0);
-        assert_eq!(sub.boundary_faces().len(), 4);
-        assert_eq!(sub.vertices().len(), 4);
+    fn non_manifold_report_is_the_first_group_in_key_order() {
+        // Two fans of three tets, on triangles (0,1,2) and (6,7,8); the
+        // second fan's cells come first.
+        let fan = [
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(1.0, 0.0, 0.0),
+            Point3::new(0.0, 1.0, 0.0),
+            Point3::new(0.3, 0.3, 1.0),
+            Point3::new(0.3, 0.3, -1.0),
+            Point3::new(0.9, 0.9, 1.0),
+        ];
+        let shifted = fan.map(|p| p + Vec3::new(5.0, 0.0, 0.0));
+        let vertices: Vec<Point3> = fan.into_iter().chain(shifted).collect();
+        let cells = vec![
+            [6, 7, 8, 9],
+            [6, 7, 8, 10],
+            [6, 7, 8, 11],
+            [0, 1, 2, 3],
+            [0, 1, 2, 4],
+            [0, 1, 2, 5],
+        ];
+        for _ in 0..4 {
+            let err = TetMesh::new(vertices.clone(), cells.clone()).unwrap_err();
+            assert_eq!(
+                err,
+                MeshError::NonManifoldFace {
+                    cells: vec![3, 4, 5]
+                }
+            );
+        }
     }
 
     #[test]

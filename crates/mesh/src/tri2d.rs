@@ -47,14 +47,14 @@ impl TriMesh2d {
         }
 
         // Group edges by sorted endpoint pair; each incidence records
-        // `(cell, oriented edge endpoints)`.
-        type EdgeIncidences = Vec<(u32, u32, u32)>;
+        // `(cell, local edge, oriented edge endpoints)`.
+        type EdgeIncidences = Vec<(u32, usize, u32, u32)>;
         let mut by_key: HashMap<(u32, u32), EdgeIncidences> = HashMap::new();
         for (ci, c) in cells.iter().enumerate() {
             for e in 0..3 {
                 let (u, v) = (c[e], c[(e + 1) % 3]);
                 let key = (u.min(v), u.max(v));
-                by_key.entry(key).or_default().push((ci as u32, u, v));
+                by_key.entry(key).or_default().push((ci as u32, e, u, v));
             }
         }
 
@@ -76,15 +76,16 @@ impl TriMesh2d {
                 }
             };
             match inc.as_slice() {
-                [(ci, u, v)] => {
+                [(ci, e, u, v)] => {
                     let t = vertices[*v as usize] - vertices[*u as usize];
-                    boundary.push(BoundaryFace {
+                    let face = BoundaryFace {
                         cell: CellId(*ci),
                         normal: edge_normal(*u, *v, *ci).normalized(),
                         area: t.norm(),
-                    });
+                    };
+                    boundary.push((*e, face));
                 }
-                [(ca, u, v), (cb, ..)] => {
+                [(ca, _, u, v), (cb, ..)] => {
                     let t = vertices[*v as usize] - vertices[*u as usize];
                     interior.push(InteriorFace {
                         a: CellId(*ca),
@@ -102,7 +103,8 @@ impl TriMesh2d {
             }
         }
         interior.sort_unstable_by_key(|f| (f.a, f.b));
-        boundary.sort_unstable_by_key(|f| f.cell);
+        boundary.sort_unstable_by_key(|(e, f)| (f.cell, *e));
+        let boundary = boundary.into_iter().map(|(_, f)| f).collect();
         Ok(TriMesh2d {
             vertices,
             cells,
@@ -227,6 +229,21 @@ mod tests {
         let a = TriMesh2d::unit_square(5, 5, 0.2, 9).unwrap();
         let b = TriMesh2d::unit_square(5, 5, 0.2, 9).unwrap();
         assert_eq!(a.cells(), b.cells());
+    }
+
+    #[test]
+    fn repeated_builds_list_boundary_edges_in_the_same_order() {
+        let bits = |m: &TriMesh2d| -> Vec<(u32, [u64; 3])> {
+            let faces = m.boundary_faces().iter();
+            faces
+                .map(|f| (f.cell.0, [f.normal.x, f.normal.y, f.area].map(f64::to_bits)))
+                .collect()
+        };
+        let first = bits(&TriMesh2d::unit_square(5, 4, 0.2, 3).unwrap());
+        for _ in 0..3 {
+            let again = TriMesh2d::unit_square(5, 4, 0.2, 3).unwrap();
+            assert_eq!(bits(&again), first);
+        }
     }
 
     #[test]
