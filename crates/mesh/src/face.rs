@@ -124,6 +124,48 @@ pub trait SweepMesh {
     }
 }
 
+/// Groups incidence slots (`K·cell + local` face or edge) by their sorted
+/// `N`-vertex keys, vertex indices `< nv`: `each(key, slots)` runs once
+/// per distinct key, in key order, with that key's slots ascending. Keys
+/// are counting-sorted on their smallest vertex and each bucket is sorted
+/// on `(rest of key, slot)`: no hashing and no allocation per key.
+pub(crate) fn group_incidences<const N: usize>(
+    nv: usize,
+    slots: usize,
+    key: impl Fn(usize) -> [u32; N],
+    mut each: impl FnMut([u32; N], &[u32]),
+) {
+    let mut start = vec![0u32; nv + 1];
+    for s in 0..slots {
+        start[key(s)[0] as usize + 1] += 1;
+    }
+    for v in 0..nv {
+        start[v + 1] += start[v];
+    }
+    // A bucket entry is the key past its smallest vertex, then the slot.
+    let mut next = start.clone();
+    let mut bucketed = vec![[0u32; N]; slots];
+    for s in 0..slots {
+        let k = key(s);
+        let entry = &mut bucketed[next[k[0] as usize] as usize];
+        entry[..N - 1].copy_from_slice(&k[1..]);
+        entry[N - 1] = s as u32;
+        next[k[0] as usize] += 1;
+    }
+    let (mut k, mut group) = ([0u32; N], Vec::new());
+    for v in 0..nv {
+        let bucket = &mut bucketed[start[v] as usize..start[v + 1] as usize];
+        bucket.sort_unstable();
+        for run in bucket.chunk_by(|x, y| x[..N - 1] == y[..N - 1]) {
+            k[0] = v as u32;
+            k[1..].copy_from_slice(&run[0][..N - 1]);
+            group.clear();
+            group.extend(run.iter().map(|e| e[N - 1]));
+            each(k, &group);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +215,19 @@ mod tests {
     fn cell_id_display_and_index() {
         assert_eq!(CellId(7).to_string(), "c7");
         assert_eq!(CellId(7).index(), 7);
+    }
+
+    #[test]
+    fn groups_come_in_key_order_with_slots_ascending() {
+        let keys = [[2, 3], [0, 4], [2, 3], [0, 1], [0, 4], [2, 3], [1, 2]];
+        let mut got = Vec::new();
+        group_incidences(5, keys.len(), |s| keys[s], |k, g| got.push((k, g.to_vec())));
+        let want = vec![
+            ([0, 1], vec![3]),
+            ([0, 4], vec![1, 4]),
+            ([1, 2], vec![6]),
+            ([2, 3], vec![0, 2, 5]),
+        ];
+        assert_eq!(got, want);
     }
 }

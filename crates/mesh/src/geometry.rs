@@ -165,6 +165,21 @@ pub fn tet_centroid(a: Point3, b: Point3, c: Point3, d: Point3) -> Point3 {
     (a + b + c + d) / 4.0
 }
 
+/// Diagonal length of the axis-aligned bounding box of `vertices` (0 when
+/// there are none): the length scale of the importers' tolerances.
+pub(crate) fn bbox_diag(vertices: &[Point3]) -> f64 {
+    if vertices.is_empty() {
+        return 0.0;
+    }
+    let mut lo = Point3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut hi = Point3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for v in vertices {
+        lo = Point3::new(lo.x.min(v.x), lo.y.min(v.y), lo.z.min(v.z));
+        hi = Point3::new(hi.x.max(v.x), hi.y.max(v.y), hi.z.max(v.z));
+    }
+    (hi - lo).norm()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

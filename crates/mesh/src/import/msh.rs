@@ -20,11 +20,13 @@
 use std::collections::HashMap;
 
 use super::{check_entity_count, ImportError, ImportReport, MAX_UNMATCHED_FOR_RESOLUTION};
-use crate::face::{BoundaryFace, CellId, InteriorFace};
+use crate::face::{group_incidences, BoundaryFace, CellId, InteriorFace};
 use crate::geometry::{
-    tet_centroid, tet_signed_volume, triangle_area_normal, triangle_centroid, Point3, Vec3,
+    bbox_diag, tet_centroid, tet_signed_volume, triangle_area_normal, triangle_centroid, Point3,
+    Vec3,
 };
 use crate::poly::PolyMesh;
+use crate::tet::{face_key, TET_FACES};
 
 /// Line cursor carrying 1-based line numbers and skipping blank lines.
 struct Cursor<'a> {
@@ -371,15 +373,6 @@ struct Unmatched {
     centroid: Point3,
 }
 
-/// The four triangular faces of tet `(v0,v1,v2,v3)`, each with its opposite
-/// vertex (same table as `TetMesh`).
-const TET_FACES: [([usize; 3], usize); 4] = [
-    ([1, 2, 3], 0),
-    ([0, 2, 3], 1),
-    ([0, 1, 3], 2),
-    ([0, 1, 2], 3),
-];
-
 /// Derives face adjacency for an arbitrary (possibly non-conforming) tet
 /// soup. See the module docs for the diagnostic and stitching semantics.
 pub(crate) fn assemble_tets(
@@ -414,19 +407,8 @@ pub(crate) fn assemble_tets(
         centroids.push(tet_centroid(a, b, cc, d));
     }
 
-    // Incidences of one face key: `(cell, opposite vertex)` pairs.
-    type Incidences = Vec<(u32, u32)>;
-    let mut by_key: HashMap<[u32; 3], Incidences> = HashMap::with_capacity(cells.len() * 2);
-    for (ci, c) in cells.iter().enumerate() {
-        for (fv, opp) in TET_FACES {
-            let mut key = [c[fv[0]], c[fv[1]], c[fv[2]]];
-            key.sort_unstable();
-            by_key.entry(key).or_default().push((ci as u32, c[opp]));
-        }
-    }
-    let mut groups: Vec<([u32; 3], Incidences)> = by_key.into_iter().collect();
-    groups.sort_unstable_by_key(|(k, _)| *k);
-
+    // The vertex opposite face slot `s = 4·cell + local face`.
+    let opp = |s: u32| cells[s as usize / 4][TET_FACES[s as usize % 4].1];
     let face_geom = |key: [u32; 3]| {
         let [a, b, c] = key.map(|v| vertices[v as usize]);
         let an = triangle_area_normal(a, b, c);
@@ -450,44 +432,50 @@ pub(crate) fn assemble_tets(
     let mut boundary = Vec::new();
     let mut unmatched: Vec<Unmatched> = Vec::new();
     let mut degenerate_faces: Vec<u32> = Vec::new();
-    for (key, inc) in groups {
-        let (an, area, centroid) = face_geom(key);
-        match inc.as_slice() {
-            [(ci, opp)] => unmatched.push(Unmatched {
-                key,
-                cell: *ci,
-                opp: *opp,
-                area_normal: an,
-                area,
-                centroid,
-            }),
-            [(ca, opp), (cb, _)] => match oriented(key, an, vertices[*opp as usize]) {
-                Some(normal) => interior.push(InteriorFace {
-                    a: CellId(*ca),
-                    b: CellId(*cb),
-                    normal,
+    let slots = 4 * cells.len();
+    group_incidences(
+        vertices.len(),
+        slots,
+        |s| face_key(cells, s),
+        |key, group| {
+            let (an, area, centroid) = face_geom(key);
+            match *group {
+                [s] => unmatched.push(Unmatched {
+                    key,
+                    cell: s / 4,
+                    opp: opp(s),
+                    area_normal: an,
                     area,
+                    centroid,
                 }),
-                None => degenerate_faces.push(*ca),
-            },
-            many => {
-                report
-                    .non_manifold
-                    .push(many.iter().map(|(c, _)| *c).collect());
-                for (c, opp) in many {
-                    if let Some(normal) = oriented(key, an, vertices[*opp as usize]) {
-                        boundary.push(BoundaryFace {
-                            cell: CellId(*c),
-                            normal,
-                            area,
-                        });
-                    } else {
-                        degenerate_faces.push(*c);
+                [s, t] => match oriented(key, an, vertices[opp(s) as usize]) {
+                    Some(normal) => interior.push(InteriorFace {
+                        a: CellId(s / 4),
+                        b: CellId(t / 4),
+                        normal,
+                        area,
+                    }),
+                    None => degenerate_faces.push(s / 4),
+                },
+                _ => {
+                    report
+                        .non_manifold
+                        .push(group.iter().map(|s| s / 4).collect());
+                    for &s in group {
+                        if let Some(normal) = oriented(key, an, vertices[opp(s) as usize]) {
+                            boundary.push(BoundaryFace {
+                                cell: CellId(s / 4),
+                                normal,
+                                area,
+                            });
+                        } else {
+                            degenerate_faces.push(s / 4);
+                        }
                     }
                 }
             }
-        }
-    }
+        },
+    );
 
     // Hanging-node stitching over the unmatched faces. Each fine face is
     // matched to the containing coarse face with the smallest normalized
@@ -611,19 +599,6 @@ fn containment_score(vertices: &[Point3], cf: &Unmatched, f: &Unmatched) -> Opti
         }
     }
     Some(worst / span)
-}
-
-fn bbox_diag(vertices: &[Point3]) -> f64 {
-    if vertices.is_empty() {
-        return 0.0;
-    }
-    let mut lo = Point3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut hi = Point3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for v in vertices {
-        lo = Point3::new(lo.x.min(v.x), lo.y.min(v.y), lo.z.min(v.z));
-        hi = Point3::new(hi.x.max(v.x), hi.y.max(v.y), hi.z.max(v.z));
-    }
-    (hi - lo).norm()
 }
 
 #[cfg(test)]

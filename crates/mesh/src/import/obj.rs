@@ -9,12 +9,11 @@
 //! "2-D style" instances of [`crate::TriMesh2d`] but over arbitrary, possibly
 //! non-flat surfaces.
 
-use std::collections::HashMap;
-
 use super::{check_entity_count, ImportError, ImportReport, MAX_UNMATCHED_FOR_RESOLUTION};
-use crate::face::{BoundaryFace, CellId, InteriorFace};
-use crate::geometry::{triangle_area_normal, triangle_centroid, Point3};
+use crate::face::{group_incidences, BoundaryFace, CellId, InteriorFace};
+use crate::geometry::{bbox_diag, triangle_area_normal, triangle_centroid, Point3};
 use crate::poly::PolyMesh;
+use crate::tri2d::edge_key;
 
 /// Parses `.obj` text into vertices and fan-triangulated faces.
 pub(crate) fn parse(text: &str) -> Result<(Vec<Point3>, Vec<[u32; 3]>), ImportError> {
@@ -150,47 +149,35 @@ pub(crate) fn assemble_surface(
         plane_normals.push(an);
     }
 
-    // Group directed edges by their undirected key.
-    let mut by_key: HashMap<(u32, u32), Vec<u32>> = HashMap::with_capacity(tris.len() * 2);
-    for (ci, t) in tris.iter().enumerate() {
-        for e in [(t[0], t[1]), (t[1], t[2]), (t[2], t[0])] {
-            let key = (e.0.min(e.1), e.0.max(e.1));
-            by_key.entry(key).or_default().push(ci as u32);
-        }
-    }
-    let mut groups: Vec<((u32, u32), Vec<u32>)> = by_key.into_iter().collect();
-    groups.sort_unstable_by_key(|(k, _)| *k);
-
+    // Edge `key`'s in-surface normal and length as seen from cell `c`.
+    let normal_of = |key, c: u32| {
+        let c = c as usize;
+        edge_normal(vertices, key, plane_normals[c], centroids[c])
+    };
     let mut interior = Vec::new();
     let mut boundary = Vec::new();
-    let mut unmatched: Vec<((u32, u32), u32)> = Vec::new();
-    for (key, cells) in groups {
-        match cells.as_slice() {
-            [c] => unmatched.push((key, *c)),
-            [ca, cb] => {
-                if let Some((normal, len)) = edge_normal(
-                    vertices,
-                    key,
-                    plane_normals[*ca as usize],
-                    centroids[*ca as usize],
-                ) {
+    let mut unmatched: Vec<([u32; 2], u32)> = Vec::new();
+    let slots = 3 * tris.len();
+    group_incidences(
+        vertices.len(),
+        slots,
+        |s| edge_key(tris, s),
+        |key, group| match *group {
+            [s] => unmatched.push((key, s / 3)),
+            [s, t] => {
+                if let Some((normal, len)) = normal_of(key, s / 3) {
                     interior.push(InteriorFace {
-                        a: CellId(*ca),
-                        b: CellId(*cb),
+                        a: CellId(s / 3),
+                        b: CellId(t / 3),
                         normal,
                         area: len,
                     });
                 }
             }
-            many => {
-                report.non_manifold.push(many.to_vec());
-                for &c in many {
-                    if let Some((normal, len)) = edge_normal(
-                        vertices,
-                        key,
-                        plane_normals[c as usize],
-                        centroids[c as usize],
-                    ) {
+            _ => {
+                let cells: Vec<u32> = group.iter().map(|s| s / 3).collect();
+                for &c in &cells {
+                    if let Some((normal, len)) = normal_of(key, c) {
                         boundary.push(BoundaryFace {
                             cell: CellId(c),
                             normal,
@@ -198,21 +185,22 @@ pub(crate) fn assemble_surface(
                         });
                     }
                 }
+                report.non_manifold.push(cells);
             }
-        }
-    }
+        },
+    );
 
     // Hanging-vertex detection: an unmatched edge endpoint lying strictly
     // inside another unmatched edge is a T-junction node.
     if unmatched.len() <= MAX_UNMATCHED_FOR_RESOLUTION {
         let mut hanging: Vec<u32> = Vec::new();
-        for &((a, b), _) in &unmatched {
+        for &([a, b], _) in &unmatched {
             let (pa, pb) = (vertices[a as usize], vertices[b as usize]);
             let len = pa.distance(pb);
             if len <= 1e-12 * scale {
                 continue;
             }
-            for &((u, v), _) in &unmatched {
+            for &([u, v], _) in &unmatched {
                 for w in [u, v] {
                     if w == a || w == b {
                         continue;
@@ -237,12 +225,7 @@ pub(crate) fn assemble_surface(
     }
 
     for (key, c) in unmatched {
-        if let Some((normal, len)) = edge_normal(
-            vertices,
-            key,
-            plane_normals[c as usize],
-            centroids[c as usize],
-        ) {
+        if let Some((normal, len)) = normal_of(key, c) {
             boundary.push(BoundaryFace {
                 cell: CellId(c),
                 normal,
@@ -264,11 +247,11 @@ pub(crate) fn assemble_surface(
 /// 2-D sense).
 fn edge_normal(
     vertices: &[Point3],
-    key: (u32, u32),
+    [a, b]: [u32; 2],
     plane_normal: crate::Vec3,
     centroid: Point3,
 ) -> Option<(crate::Vec3, f64)> {
-    let (pa, pb) = (vertices[key.0 as usize], vertices[key.1 as usize]);
+    let (pa, pb) = (vertices[a as usize], vertices[b as usize]);
     let edge = pb - pa;
     let len = edge.norm();
     let mut m = edge.cross(plane_normal);
@@ -282,19 +265,6 @@ fn edge_normal(
         m = -m;
     }
     Some((m, len))
-}
-
-fn bbox_diag(vertices: &[Point3]) -> f64 {
-    let mut lo = Point3::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut hi = Point3::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for v in vertices {
-        lo = Point3::new(lo.x.min(v.x), lo.y.min(v.y), lo.z.min(v.z));
-        hi = Point3::new(hi.x.max(v.x), hi.y.max(v.y), hi.z.max(v.z));
-    }
-    if vertices.is_empty() {
-        return 0.0;
-    }
-    (hi - lo).norm()
 }
 
 #[cfg(test)]

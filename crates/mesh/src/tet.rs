@@ -5,7 +5,7 @@
 //! uses (unstructured tetrahedral meshes from LANL transport codes), which we
 //! synthesize in [`crate::generator`].
 
-use crate::face::{BoundaryFace, CellId, InteriorFace, SweepMesh};
+use crate::face::{group_incidences, BoundaryFace, CellId, InteriorFace, SweepMesh};
 use crate::geometry::{tet_centroid, tet_signed_volume, triangle_area_normal, Point3, Vec3};
 
 /// Errors raised while assembling a [`TetMesh`].
@@ -59,7 +59,7 @@ pub struct TetMesh {
 
 /// The four triangular faces of tet `(v0,v1,v2,v3)`, each listed with the
 /// index of the opposite vertex.
-const TET_FACES: [([usize; 3], usize); 4] = [
+pub(crate) const TET_FACES: [([usize; 3], usize); 4] = [
     ([1, 2, 3], 0),
     ([0, 2, 3], 1),
     ([0, 1, 3], 2),
@@ -181,50 +181,38 @@ pub(crate) fn measure_cells(
     Ok((centroids, volumes))
 }
 
+/// The sorted vertex triple of face slot `s = 4·cell + local face`.
+pub(crate) fn face_key(cells: &[[u32; 4]], s: usize) -> [u32; 3] {
+    let c = &cells[s / 4];
+    let mut k = TET_FACES[s % 4].0.map(|l| c[l]);
+    k.sort_unstable();
+    k
+}
+
 /// Pairs the face slots `4·cell + local face` by triangle: `partners[s]` is
-/// the slot sharing `s`'s vertices, or [`BOUNDARY`]. Sorted triples are
-/// counting-sorted by smallest vertex, each bucket sorted on `(v1, v2, slot)`;
-/// the first group of three or more in key order is non-manifold. Vertex
-/// indices must be `< nv` ([`measure_cells`] checks).
+/// the slot sharing `s`'s vertices, or [`BOUNDARY`]. The first group of three
+/// or more in key order is non-manifold. Vertex indices must be `< nv`
+/// ([`measure_cells`] checks).
 pub(crate) fn match_faces(nv: usize, cells: &[[u32; 4]]) -> Result<Vec<u32>, MeshError> {
-    let key = |s: usize| {
-        let c = &cells[s / 4];
-        let mut k = TET_FACES[s % 4].0.map(|l| c[l]);
-        k.sort_unstable();
-        k
-    };
     let slots = 4 * cells.len();
-    let mut start = vec![0u32; nv + 1];
-    for s in 0..slots {
-        start[key(s)[0] as usize + 1] += 1;
-    }
-    for v in 0..nv {
-        start[v + 1] += start[v];
-    }
-    let mut next = start.clone();
-    let mut bucketed = vec![[0u32; 3]; slots];
-    for s in 0..slots {
-        let [v0, v1, v2] = key(s);
-        bucketed[next[v0 as usize] as usize] = [v1, v2, s as u32];
-        next[v0 as usize] += 1;
-    }
     let mut partners = vec![BOUNDARY; slots];
-    for v in 0..nv {
-        let bucket = &mut bucketed[start[v] as usize..start[v + 1] as usize];
-        bucket.sort_unstable();
-        for group in bucket.chunk_by(|x, y| x[..2] == y[..2]) {
-            match group {
-                [_] => {}
-                [x, y] => (partners[x[2] as usize], partners[y[2] as usize]) = (y[2], x[2]),
-                many => {
-                    return Err(MeshError::NonManifoldFace {
-                        cells: many.iter().map(|e| e[2] / 4).collect(),
-                    })
-                }
+    let mut non_manifold = None;
+    group_incidences(
+        nv,
+        slots,
+        |s| face_key(cells, s),
+        |_, group| match *group {
+            [_] => {}
+            [x, y] => (partners[x as usize], partners[y as usize]) = (y, x),
+            _ => {
+                non_manifold.get_or_insert_with(|| group.iter().map(|s| s / 4).collect());
             }
-        }
+        },
+    );
+    match non_manifold {
+        Some(cells) => Err(MeshError::NonManifoldFace { cells }),
+        None => Ok(partners),
     }
-    Ok(partners)
 }
 
 /// Unit normal (out of cell `c`, away from the opposite vertex) and area of face `f`.

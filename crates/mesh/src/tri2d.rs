@@ -10,10 +10,17 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 
-use crate::face::{BoundaryFace, CellId, InteriorFace, SweepMesh};
+use crate::face::{group_incidences, BoundaryFace, CellId, InteriorFace, SweepMesh};
 use crate::geometry::{Point3, Vec3};
+
+/// The sorted endpoints of edge slot `s = 3·cell + e`, the edge from a
+/// triangle's vertex `e` to vertex `e + 1 (mod 3)`.
+pub(crate) fn edge_key(tris: &[[u32; 3]], s: usize) -> [u32; 2] {
+    let (t, e) = (&tris[s / 3], s % 3);
+    let (u, v) = (t[e], t[(e + 1) % 3]);
+    [u.min(v), u.max(v)]
+}
 
 /// An unstructured conforming triangle mesh in the plane.
 #[derive(Debug, Clone)]
@@ -46,64 +53,53 @@ impl TriMesh2d {
             centroids.push((a + b + cc) / 3.0);
         }
 
-        // Group edges by sorted endpoint pair; each incidence records
-        // `(cell, local edge, oriented edge endpoints)`.
-        type EdgeIncidences = Vec<(u32, usize, u32, u32)>;
-        let mut by_key: HashMap<(u32, u32), EdgeIncidences> = HashMap::new();
-        for (ci, c) in cells.iter().enumerate() {
-            for e in 0..3 {
-                let (u, v) = (c[e], c[(e + 1) % 3]);
-                let key = (u.min(v), u.max(v));
-                by_key.entry(key).or_default().push((ci as u32, e, u, v));
-            }
-        }
-
+        // Unit normal (in-plane, away from the cell centroid) and length of
+        // edge slot `s = 3·cell + local edge`, oriented as the cell lists it.
+        let edge_normal = |s: u32| -> (Vec3, f64) {
+            let (ci, e) = (s as usize / 3, s as usize % 3);
+            let pu = vertices[cells[ci][e] as usize];
+            let pv = vertices[cells[ci][(e + 1) % 3] as usize];
+            let t = pv - pu;
+            // In-plane normal candidates: (t.y, -t.x) and (-t.y, t.x);
+            // pick the one pointing away from the cell centroid.
+            let nrm = Vec3::new(t.y, -t.x, 0.0);
+            let mid = (pu + pv) / 2.0;
+            let nrm = if nrm.dot(mid - centroids[ci]) >= 0.0 {
+                nrm
+            } else {
+                -nrm
+            };
+            (nrm.normalized(), t.norm())
+        };
         let mut interior = Vec::new();
         let mut boundary = Vec::new();
-        for ((_, _), inc) in by_key {
-            let edge_normal = |u: u32, v: u32, ci: u32| -> Vec3 {
-                let pu = vertices[u as usize];
-                let pv = vertices[v as usize];
-                let t = pv - pu;
-                // In-plane normal candidates: (t.y, -t.x) and (-t.y, t.x);
-                // pick the one pointing away from the cell centroid.
-                let nrm = Vec3::new(t.y, -t.x, 0.0);
-                let mid = (pu + pv) / 2.0;
-                if nrm.dot(mid - centroids[ci as usize]) >= 0.0 {
-                    nrm
-                } else {
-                    -nrm
+        let mut non_manifold: Option<Vec<u32>> = None;
+        let slots = 3 * cells.len();
+        group_incidences(
+            vertices.len(),
+            slots,
+            |s| edge_key(&cells, s),
+            |_, group| match *group {
+                [s] => {
+                    let (normal, area) = edge_normal(s);
+                    let cell = CellId(s / 3);
+                    boundary.push((s, BoundaryFace { cell, normal, area }));
                 }
-            };
-            match inc.as_slice() {
-                [(ci, e, u, v)] => {
-                    let t = vertices[*v as usize] - vertices[*u as usize];
-                    let face = BoundaryFace {
-                        cell: CellId(*ci),
-                        normal: edge_normal(*u, *v, *ci).normalized(),
-                        area: t.norm(),
-                    };
-                    boundary.push((*e, face));
+                [s, t] => {
+                    let (normal, area) = edge_normal(s);
+                    let (a, b) = (CellId(s / 3), CellId(t / 3));
+                    interior.push(InteriorFace { a, b, normal, area });
                 }
-                [(ca, _, u, v), (cb, ..)] => {
-                    let t = vertices[*v as usize] - vertices[*u as usize];
-                    interior.push(InteriorFace {
-                        a: CellId(*ca),
-                        b: CellId(*cb),
-                        normal: edge_normal(*u, *v, *ca).normalized(),
-                        area: t.norm(),
-                    });
+                _ => {
+                    non_manifold.get_or_insert_with(|| group.iter().map(|s| s / 3).collect());
                 }
-                many => {
-                    return Err(format!(
-                        "edge shared by more than two triangles: {:?}",
-                        many.iter().map(|(c, ..)| *c).collect::<Vec<_>>()
-                    ))
-                }
-            }
+            },
+        );
+        if let Some(cells) = non_manifold {
+            return Err(format!("edge shared by more than two triangles: {cells:?}"));
         }
         interior.sort_unstable_by_key(|f| (f.a, f.b));
-        boundary.sort_unstable_by_key(|(e, f)| (f.cell, *e));
+        boundary.sort_unstable_by_key(|&(s, _)| s);
         let boundary = boundary.into_iter().map(|(_, f)| f).collect();
         Ok(TriMesh2d {
             vertices,
@@ -274,6 +270,33 @@ mod tests {
         // Three triangles all containing edge (0,1).
         let cells = vec![[0, 1, 2], [0, 1, 3], [0, 1, 4]];
         assert!(TriMesh2d::new(verts, cells).is_err());
+    }
+
+    #[test]
+    fn non_manifold_report_is_the_first_group_in_key_order() {
+        // Two fans of three triangles, on edges (0,1) and (5,6); the second
+        // fan's triangles come first.
+        let fan = [
+            Point3::new(0.0, 0.0, 0.0),
+            Point3::new(1.0, 0.0, 0.0),
+            Point3::new(0.5, 1.0, 0.0),
+            Point3::new(0.5, -1.0, 0.0),
+            Point3::new(1.5, 1.0, 0.0),
+        ];
+        let shifted = fan.map(|p| p + Vec3::new(5.0, 0.0, 0.0));
+        let verts: Vec<Point3> = fan.into_iter().chain(shifted).collect();
+        let cells = vec![
+            [5, 6, 7],
+            [5, 6, 8],
+            [5, 6, 9],
+            [0, 1, 2],
+            [0, 1, 3],
+            [0, 1, 4],
+        ];
+        for _ in 0..8 {
+            let err = TriMesh2d::new(verts.clone(), cells.clone()).unwrap_err();
+            assert_eq!(err, "edge shared by more than two triangles: [3, 4, 5]");
+        }
     }
 
     #[test]
