@@ -79,7 +79,7 @@ COMMANDS:
              [--raw-out FILE] [--svg FILE]
              (.obj / Gmsh .msh v4 ASCII; SW030-SW033 validation;
               see MESHES.md; exits 2 on error-level diagnostics)
-  stats      --preset P [--scale F] [--sn N]
+  stats      (--preset P | --instance FILE) [--scale F] [--sn N]
   instance   --preset P [--scale F] [--sn N] --out FILE   (export v1 text)
   schedule   (--preset P | --instance FILE) [--scale F] [--sn N] --m M
              [--algorithm rdp|rd|improved|greedy|level|descendant|dfds]
@@ -89,14 +89,16 @@ COMMANDS:
              [--source X] [--tol X] [--max-iters N]
   optimal    --n N --k K --m M [--seed S]      (tiny instances only)
   analyze    (--preset P | --instance FILE | --demo-cycle) [--scale F]
-             [--sn N] [--m M] [--algorithm A] [--seed S] [--async]
-             [--par-check] [--latency F] [--format text|json|sarif]
-             [--out FILE] [--imbalance F] [--comm-fraction F]
-             [--envelope F]
-  trace      <preset> [--scale F] [--sn N] [--m M] [--algorithm A]
-             [--seed S] [--latency F]     (full pipeline with telemetry)
-  faults     <preset> [--scale F] [--sn N] [--m M] [--algorithm A]
-             [--seed S] [--latency F] [--crash-rate F] [--drop-rate F]
+             [--sn N] [--m M] [--algorithm A] [--delays] [--seed S]
+             [--async] [--par-check] [--latency F]
+             [--format text|json|sarif] [--out FILE] [--imbalance F]
+             [--comm-fraction F] [--envelope F]
+  trace      (<preset> | --instance FILE) [--scale F] [--sn N] [--m M]
+             [--algorithm A] [--delays] [--seed S] [--latency F]
+             (full pipeline with telemetry)
+  faults     (<preset> | --instance FILE) [--scale F] [--sn N] [--m M]
+             [--algorithm A] [--delays] [--seed S] [--latency F]
+             [--crash-rate F] [--drop-rate F]
              [--dup-rate F] [--jitter F] [--straggler-rate F]
              [--straggler-factor F] [--partition-rate F] [--min-rto F]
              [--format text|json] [--out FILE] [--curve FILE]
@@ -165,33 +167,110 @@ witness schedule. The subcommand is compiled for real only under
 rebuild hint so production binaries pay zero instrumentation cost).
 ";
 
-/// Parses `--key value` pairs after the subcommand.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags every command takes besides its own.
+const GLOBAL_FLAGS: [&str; 3] = ["telemetry", "telemetry-out", "threads"];
+
+/// One command's flags, read off its usage entry in [`HELP`]: `[--x]` is a
+/// switch, `--x V` takes a value, and a leading `<x>` is the positional
+/// operand (also accepted as `--x V`).
+#[derive(Debug, Default)]
+struct Usage {
+    operand: Option<&'static str>,
+    /// Each flag in usage order, with whether it takes a value.
+    flags: Vec<(&'static str, bool)>,
+}
+
+impl Usage {
+    /// The usage entry of `command` (`"mesh import"` for the importer).
+    fn of(command: &str) -> Option<Usage> {
+        let section = HELP.split("COMMANDS:\n").nth(1)?.split("\n\n").next()?;
+        // An entry is a line at a two-space indent plus its deeper
+        // continuation lines; its name is the words before the first flag.
+        let mut tokens: Option<Vec<&'static str>> = None;
+        for line in section.lines() {
+            let words = line.split_whitespace();
+            if line.starts_with("   ") {
+                if let Some(tokens) = tokens.as_mut() {
+                    tokens.extend(words);
+                }
+            } else if tokens.is_some() {
+                break;
+            } else {
+                let name = words
+                    .clone()
+                    .take_while(|w| w.starts_with(char::is_alphabetic));
+                if name.clone().eq(command.split(' ')) {
+                    tokens = Some(words.skip(name.count()).collect());
+                }
+            }
+        }
+        let mut usage = Usage::default();
+        for (i, token) in tokens?.into_iter().enumerate() {
+            let bare = token.trim_start_matches(['(', '[']);
+            if let Some(flag) = bare.strip_prefix("--") {
+                let name = flag.trim_end_matches([']', ')']);
+                usage.flags.push((name, name.len() == flag.len()));
+            } else if i == 0 && bare.starts_with('<') {
+                usage.operand = Some(bare.trim_matches(['<', '>']));
+            }
+        }
+        Some(usage)
+    }
+
+    /// Whether `--flag` takes a value; `None` when the command has no such
+    /// flag.
+    fn takes_value(&self, flag: &str) -> Option<bool> {
+        let own = self.flags.iter().find(|&&(name, _)| name == flag);
+        let valued = self.operand == Some(flag) || GLOBAL_FLAGS.contains(&flag);
+        own.map(|&(_, value)| value).or(valued.then_some(true))
+    }
+
+    /// `--a, --b, …; global: …` for an error message.
+    fn list(&self) -> String {
+        let own = self
+            .operand
+            .iter()
+            .chain(self.flags.iter().map(|(name, _)| name));
+        let own: Vec<String> = own.map(|f| format!("--{f}")).collect();
+        format!(
+            "{}; global: --{}",
+            own.join(", "),
+            GLOBAL_FLAGS.join(", --")
+        )
+    }
+}
+
+/// Parses the arguments after `command`: its positional operand, then
+/// `--switch` and `--key value` flags from its [`Usage`]. Any other flag
+/// is an error naming the flags the command takes.
+fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
+    let usage = Usage::of(command)
+        .ok_or_else(|| format!("unknown command '{command}' (try `sweep help`)"))?;
     let mut map = HashMap::new();
-    let mut it = args.iter();
+    let mut it = args.iter().peekable();
+    if let Some(operand) = usage.operand {
+        if let Some(value) = it.next_if(|a| !a.starts_with("--")) {
+            map.insert(operand.to_string(), value.clone());
+        }
+    }
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected --flag, got '{flag}'"));
         };
-        // Boolean flags.
-        if matches!(
-            key,
-            "quality"
-                | "gantt"
-                | "delays"
-                | "demo-cycle"
-                | "async"
-                | "par-check"
-                | "fixtures"
-                | "plain"
-        ) {
-            map.insert(key.to_string(), "true".to_string());
-            continue;
-        }
-        let Some(value) = it.next() else {
-            return Err(format!("missing value for --{key}"));
+        let value = match usage.takes_value(key) {
+            None => {
+                return Err(format!(
+                    "`sweep {command}` has no flag --{key} (it takes {})",
+                    usage.list()
+                ))
+            }
+            Some(false) => "true".to_string(),
+            Some(true) => it
+                .next()
+                .ok_or_else(|| format!("missing value for --{key}"))?
+                .clone(),
         };
-        map.insert(key.to_string(), value.clone());
+        map.insert(key.to_string(), value);
     }
     Ok(map)
 }
@@ -351,36 +430,15 @@ pub fn run(args: &[String]) -> Result<String, String> {
 /// found error-level diagnostics (usage errors surface as `Err` and the
 /// binary exits 1).
 pub fn run_with_status(args: &[String]) -> Result<(String, i32), String> {
-    let Some(command) = args.first() else {
+    let Some(first) = args.first() else {
         return Ok((HELP.to_string(), 0));
     };
-    // `trace` and `faults` take their preset positionally:
-    // `sweep trace tetonly …`, `sweep faults tetonly …`.
-    let mut rest: Vec<String> = args[1..].to_vec();
-    let mut command = command.as_str();
-    if command == "trace" || command == "faults" {
-        if let Some(first) = rest.first() {
-            if !first.starts_with("--") {
-                let preset = rest.remove(0);
-                rest.push("--preset".to_string());
-                rest.push(preset);
-            }
-        }
-    }
-    // `mesh import` takes the file positionally:
-    // `sweep mesh import cube.msh --format msh`.
-    if command == "mesh" && rest.first().map(String::as_str) == Some("import") {
-        command = "mesh-import";
-        rest.remove(0);
-        if let Some(first) = rest.first() {
-            if !first.starts_with("--") {
-                let file = rest.remove(0);
-                rest.push("--file".to_string());
-                rest.push(file);
-            }
-        }
-    }
-    let mut flags = parse_flags(&rest)?;
+    let (command, rest) = match (first.as_str(), args.get(1).map(String::as_str)) {
+        ("mesh", Some("import")) => ("mesh import", &args[2..]),
+        ("--help" | "-h", _) => ("help", &args[1..]),
+        (command, _) => (command, &args[1..]),
+    };
+    let mut flags = parse_flags(command, rest)?;
 
     // Global worker-pool sizing, valid on every subcommand. 0 (or the
     // flag's absence) leaves the pool at the host's available
@@ -412,9 +470,9 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), String> {
 
     let plain = |r: Result<String, String>| r.map(|out| (out, 0));
     let result = match command {
-        "help" | "--help" | "-h" => Ok((HELP.to_string(), 0)),
+        "help" => Ok((HELP.to_string(), 0)),
         "mesh" => plain(cmd_mesh(&flags)),
-        "mesh-import" => cmd_mesh_import(&flags),
+        "mesh import" => cmd_mesh_import(&flags),
         "instance" => plain(cmd_instance(&flags)),
         "stats" => plain(cmd_stats(&flags)),
         "schedule" => plain(cmd_schedule(&flags)),
@@ -1898,6 +1956,121 @@ mod tests {
     fn flag_parser_rejects_malformed() {
         assert!(run(&args(&["mesh", "preset", "tetonly"])).is_err());
         assert!(run(&args(&["mesh", "--preset"])).is_err());
+    }
+
+    #[test]
+    fn usage_entries_give_each_command_its_flags() {
+        let switches = |command| -> Vec<&str> {
+            let flags = Usage::of(command).unwrap().flags.into_iter();
+            flags.filter(|&(_, value)| !value).map(|(f, _)| f).collect()
+        };
+        let trace = Usage::of("trace").unwrap();
+        assert_eq!(trace.operand, Some("preset"));
+        assert_eq!(switches("trace"), ["delays"]);
+        for flag in [
+            "preset", "instance", "scale", "sn", "m", "seed", "latency", "threads",
+        ] {
+            assert_eq!(trace.takes_value(flag), Some(true), "{flag}");
+        }
+        let import = Usage::of("mesh import").unwrap();
+        assert_eq!(import.operand, Some("file"));
+        assert_eq!(import.takes_value("preset"), None);
+        assert_eq!(
+            switches("analyze"),
+            ["demo-cycle", "delays", "async", "par-check"]
+        );
+        assert_eq!(switches("check"), ["fixtures"]);
+        assert_eq!(Usage::of("check").unwrap().takes_value("features"), None);
+        assert!(Usage::of("help").unwrap().flags.is_empty());
+        assert!(Usage::of("frobnicate").is_none());
+    }
+
+    #[test]
+    fn a_misspelled_flag_is_an_error_naming_the_command_flags() {
+        let err = run(&args(&[
+            "schedule",
+            "--preset",
+            "tetonly",
+            "--m",
+            "8",
+            "--algoritm",
+            "greedy",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("no flag --algoritm"), "{err}");
+        assert!(err.contains("--m, --algorithm, --delays, --block"), "{err}");
+        assert!(err.contains("global: --telemetry"), "{err}");
+        // A flag another command takes is still foreign here.
+        let err = run(&args(&["stats", "--preset", "tetonly", "--m", "4"])).unwrap_err();
+        assert!(err.contains("`sweep stats` has no flag --m"), "{err}");
+    }
+
+    /// The `sweep` invocations in `text`, as a command and its arguments:
+    /// the tokens after the binary up to the end of the shell command or
+    /// of the inline code span. Backslash-continued lines are joined first.
+    fn invocations(text: &str) -> Vec<(String, String, Usage)> {
+        let joined = text.replace("\\\n", " ");
+        let mut found = Vec::new();
+        for line in joined.lines() {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            for (i, t) in tokens.iter().enumerate() {
+                let t = t.trim_start_matches(['(', '`']);
+                let cargo = t == "--" && tokens[..i].contains(&"sweep-cli");
+                if !(cargo || t == "$B" || t == "sweep" || t.ends_with("/sweep")) {
+                    continue;
+                }
+                let mut args = Vec::new();
+                for t in &tokens[i + 1..] {
+                    if t.starts_with(['|', '&', ';', '>', '#']) {
+                        break;
+                    }
+                    let (arg, closed) = t.split_once('`').map_or((*t, false), |(a, _)| (a, true));
+                    args.push(arg.trim_end_matches([')', ',', '.']));
+                    if closed {
+                        break;
+                    }
+                }
+                let (command, rest) = match args.as_slice() {
+                    ["mesh", "import", rest @ ..] => ("mesh import", rest),
+                    [command, rest @ ..] => (*command, rest),
+                    [] => continue,
+                };
+                // Prose such as "each sweep direction" names no command.
+                if let Some(usage) = Usage::of(command) {
+                    found.push((command.to_string(), rest.join(" "), usage));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn every_documented_invocation_uses_only_its_command_flags() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let docs = [
+            "README.md",
+            "API.md",
+            "MESHES.md",
+            "EXPERIMENTS.md",
+            ".github/workflows/ci.yml",
+            ".claude/skills/verify/SKILL.md",
+        ];
+        let (mut seen, mut bad) = (0, Vec::new());
+        for doc in docs {
+            let text = std::fs::read_to_string(format!("{root}/{doc}")).unwrap();
+            for (command, rest, usage) in invocations(&text) {
+                seen += 1;
+                let flags = rest.split(' ').filter_map(|a| {
+                    let flag = a.trim_start_matches('[').strip_prefix("--")?;
+                    Some(flag.trim_end_matches(']'))
+                });
+                for flag in flags.filter(|f| usage.takes_value(f).is_none()) {
+                    bad.push(format!("{doc}: --{flag} in `sweep {command} {rest}`"));
+                }
+            }
+        }
+        assert!(seen > 60, "only {seen} invocations found");
+        assert!(bad.is_empty(), "\n{}", bad.join("\n"));
     }
 
     #[test]
