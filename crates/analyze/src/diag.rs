@@ -40,6 +40,8 @@
 
 use std::fmt;
 
+use sweep_json::escape;
+
 /// How bad a diagnostic is. `Error` means the analyzed object violates a
 /// hard constraint of the model (§3 feasibility or a proven bound);
 /// `Warning` flags quality/robustness hazards; `Info` carries statistics
@@ -76,7 +78,7 @@ impl Severity {
 
 /// Stable diagnostic codes (the `SW0xx` registry). Append-only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)] // each variant is documented by `title()` below
+#[allow(missing_docs)] // each variant is documented by its `REGISTRY` title
 pub enum Code {
     CyclicDependency,
     PrecedenceViolation,
@@ -110,123 +112,60 @@ pub enum Code {
     DegenerateCell,
 }
 
+/// The registry: one row per code, in declaration order, giving its
+/// stable identifier, default severity and one-line title.
+#[rustfmt::skip]
+const REGISTRY: [(Code, &str, Severity, &str); 30] = {
+    use Code::*;
+    use Severity::{Error as E, Info as I, Warning as W};
+    [
+        (CyclicDependency,         "SW001", E, "direction graph contains a cycle"),
+        (PrecedenceViolation,      "SW002", E, "schedule violates a precedence constraint"),
+        (ProcessorConflict,        "SW003", E, "processor executes two tasks in one timestep"),
+        (SplitCellCopies,          "SW004", E, "copies of a cell are split across processors"),
+        (TaskCountMismatch,        "SW005", E, "schedule covers the wrong number of tasks"),
+        (AssignmentMismatch,       "SW006", E, "assignment covers the wrong number of cells"),
+        (MakespanBelowBound,       "SW007", E, "makespan is below a certified lower bound"),
+        (EmptyProcessor,           "SW010", W, "processor owns no cells"),
+        (LoadImbalance,            "SW011", W, "cell load imbalance beyond threshold"),
+        (UnreachableCell,          "SW012", W, "cell is isolated in every direction"),
+        (DegenerateDirection,      "SW013", W, "degenerate sweep direction"),
+        (DelayEnvelopeExceeded,    "SW014", W, "makespan exceeds the random-delay envelope"),
+        (HighCommBound,            "SW015", W, "pre-scheduling C1 communication bound is high"),
+        (MessageRace,              "SW016", W, "message race: concurrent sends with tied arrival"),
+        (DuplicateExecution,       "SW017", E, "trace executes a task more than once"),
+        (TracePrecedenceViolation, "SW018", E, "trace violates a precedence or delivers late"),
+        (Stats,                    "SW020", I, "structural statistics"),
+        (Certified,                "SW021", I, "schedule certified against the paper bounds"),
+        (FaultTraceCertified,      "SW022", I, "fault-injected trace certified exactly-once and precedence-correct"),
+        (PoolNondeterminism,       "SW023", E, "parallel execution nondeterministic or pool dropped queued tasks"),
+        (CacheDivergence,          "SW024", E, "cache-served schedule differs from a cold recomputation"),
+        (LockOrderCycle,           "SW025", E, "lock-order cycle or deadlocking schedule found by the model checker"),
+        (LostWakeup,               "SW026", E, "lost wakeup: a schedule parks a thread no one can ever notify"),
+        (SingleFlightLiveness,     "SW027", E, "single-flight liveness: a waiter can wedge on an abandoned leader"),
+        (TraceTreeMalformed,       "SW028", E, "malformed request trace tree (unclosed span, dangling parent, bad coalesce ref)"),
+        (ClusterDivergence,        "SW029", E, "cluster-served schedule differs from single-node cold compute"),
+        (NonManifoldFace,          "SW030", E, "imported mesh face is shared by more than two cells"),
+        (InvertedOrientation,      "SW031", W, "imported cell has inverted vertex orientation"),
+        (HangingNodes,             "SW032", W, "imported mesh has hanging nodes (T-junction refinement)"),
+        (DegenerateCell,           "SW033", E, "imported cell is degenerate (zero volume or area)"),
+    ]
+};
+
 impl Code {
     /// The stable identifier, e.g. `"SW001"`.
     pub fn as_str(self) -> &'static str {
-        match self {
-            Code::CyclicDependency => "SW001",
-            Code::PrecedenceViolation => "SW002",
-            Code::ProcessorConflict => "SW003",
-            Code::SplitCellCopies => "SW004",
-            Code::TaskCountMismatch => "SW005",
-            Code::AssignmentMismatch => "SW006",
-            Code::MakespanBelowBound => "SW007",
-            Code::EmptyProcessor => "SW010",
-            Code::LoadImbalance => "SW011",
-            Code::UnreachableCell => "SW012",
-            Code::DegenerateDirection => "SW013",
-            Code::DelayEnvelopeExceeded => "SW014",
-            Code::HighCommBound => "SW015",
-            Code::MessageRace => "SW016",
-            Code::DuplicateExecution => "SW017",
-            Code::TracePrecedenceViolation => "SW018",
-            Code::Stats => "SW020",
-            Code::Certified => "SW021",
-            Code::FaultTraceCertified => "SW022",
-            Code::PoolNondeterminism => "SW023",
-            Code::CacheDivergence => "SW024",
-            Code::LockOrderCycle => "SW025",
-            Code::LostWakeup => "SW026",
-            Code::SingleFlightLiveness => "SW027",
-            Code::TraceTreeMalformed => "SW028",
-            Code::ClusterDivergence => "SW029",
-            Code::NonManifoldFace => "SW030",
-            Code::InvertedOrientation => "SW031",
-            Code::HangingNodes => "SW032",
-            Code::DegenerateCell => "SW033",
-        }
+        REGISTRY[self as usize].1
     }
 
     /// One-line rule description (used as the SARIF rule short text).
     pub fn title(self) -> &'static str {
-        match self {
-            Code::CyclicDependency => "direction graph contains a cycle",
-            Code::PrecedenceViolation => "schedule violates a precedence constraint",
-            Code::ProcessorConflict => "processor executes two tasks in one timestep",
-            Code::SplitCellCopies => "copies of a cell are split across processors",
-            Code::TaskCountMismatch => "schedule covers the wrong number of tasks",
-            Code::AssignmentMismatch => "assignment covers the wrong number of cells",
-            Code::MakespanBelowBound => "makespan is below a certified lower bound",
-            Code::EmptyProcessor => "processor owns no cells",
-            Code::LoadImbalance => "cell load imbalance beyond threshold",
-            Code::UnreachableCell => "cell is isolated in every direction",
-            Code::DegenerateDirection => "degenerate sweep direction",
-            Code::DelayEnvelopeExceeded => "makespan exceeds the random-delay envelope",
-            Code::HighCommBound => "pre-scheduling C1 communication bound is high",
-            Code::MessageRace => "message race: concurrent sends with tied arrival",
-            Code::DuplicateExecution => "trace executes a task more than once",
-            Code::TracePrecedenceViolation => "trace violates a precedence or delivers late",
-            Code::Stats => "structural statistics",
-            Code::Certified => "schedule certified against the paper bounds",
-            Code::FaultTraceCertified => {
-                "fault-injected trace certified exactly-once and precedence-correct"
-            }
-            Code::PoolNondeterminism => {
-                "parallel execution nondeterministic or pool dropped queued tasks"
-            }
-            Code::CacheDivergence => "cache-served schedule differs from a cold recomputation",
-            Code::LockOrderCycle => {
-                "lock-order cycle or deadlocking schedule found by the model checker"
-            }
-            Code::LostWakeup => "lost wakeup: a schedule parks a thread no one can ever notify",
-            Code::SingleFlightLiveness => {
-                "single-flight liveness: a waiter can wedge on an abandoned leader"
-            }
-            Code::TraceTreeMalformed => {
-                "malformed request trace tree (unclosed span, dangling parent, bad coalesce ref)"
-            }
-            Code::ClusterDivergence => {
-                "cluster-served schedule differs from single-node cold compute"
-            }
-            Code::NonManifoldFace => "imported mesh face is shared by more than two cells",
-            Code::InvertedOrientation => "imported cell has inverted vertex orientation",
-            Code::HangingNodes => "imported mesh has hanging nodes (T-junction refinement)",
-            Code::DegenerateCell => "imported cell is degenerate (zero volume or area)",
-        }
+        REGISTRY[self as usize].3
     }
 
     /// The default severity for this code.
     pub fn severity(self) -> Severity {
-        match self {
-            Code::CyclicDependency
-            | Code::PrecedenceViolation
-            | Code::ProcessorConflict
-            | Code::SplitCellCopies
-            | Code::TaskCountMismatch
-            | Code::AssignmentMismatch
-            | Code::MakespanBelowBound
-            | Code::DuplicateExecution
-            | Code::TracePrecedenceViolation
-            | Code::PoolNondeterminism
-            | Code::CacheDivergence
-            | Code::LockOrderCycle
-            | Code::LostWakeup
-            | Code::SingleFlightLiveness
-            | Code::TraceTreeMalformed
-            | Code::ClusterDivergence
-            | Code::NonManifoldFace
-            | Code::DegenerateCell => Severity::Error,
-            Code::EmptyProcessor
-            | Code::LoadImbalance
-            | Code::UnreachableCell
-            | Code::DegenerateDirection
-            | Code::DelayEnvelopeExceeded
-            | Code::HighCommBound
-            | Code::MessageRace
-            | Code::InvertedOrientation
-            | Code::HangingNodes => Severity::Warning,
-            Code::Stats | Code::Certified | Code::FaultTraceCertified => Severity::Info,
-        }
+        REGISTRY[self as usize].2
     }
 }
 
@@ -478,13 +417,13 @@ impl Report {
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"subject\": {},\n", json_string(&self.subject)));
+        out.push_str(&format!("  \"subject\": \"{}\",\n", escape(&self.subject)));
         out.push_str("  \"diagnostics\": [\n");
         for (i, d) in self.diags.iter().enumerate() {
             out.push_str("    {");
             out.push_str(&format!("\"code\": \"{}\", ", d.code));
             out.push_str(&format!("\"severity\": \"{}\", ", d.severity.as_str()));
-            out.push_str(&format!("\"message\": {}", json_string(&d.message)));
+            out.push_str(&format!("\"message\": \"{}\"", escape(&d.message)));
             for (key, val) in [
                 ("cell", d.anchor.cell),
                 ("dir", d.anchor.dir),
@@ -528,10 +467,10 @@ impl Report {
             .iter()
             .map(|c| {
                 format!(
-                    "          {{\"id\": \"{}\", \"shortDescription\": {{\"text\": {}}}, \
+                    "          {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}, \
                      \"defaultConfiguration\": {{\"level\": \"{}\"}}}}",
                     c,
-                    json_string(c.title()),
+                    escape(c.title()),
                     c.severity().sarif_level(),
                 )
             })
@@ -555,14 +494,14 @@ impl Report {
                     format!("{} (cycle: {})", d.message, path.join(" -> "))
                 };
                 r.push_str(&format!(
-                    "\"message\": {{\"text\": {}}}",
-                    json_string(&text)
+                    "\"message\": {{\"text\": \"{}\"}}",
+                    escape(&text)
                 ));
                 if !d.anchor.is_none() {
                     r.push_str(&format!(
-                        ", \"locations\": [{{\"logicalLocations\": [{{\"fullyQualifiedName\": {}, \
+                        ", \"locations\": [{{\"logicalLocations\": [{{\"fullyQualifiedName\": \"{}\", \
                          \"kind\": \"member\"}}]}}]",
-                        json_string(&format!("{}::{}", self.subject, d.anchor.render())),
+                        escape(&format!("{}::{}", self.subject, d.anchor.render())),
                     ));
                 }
                 r.push('}');
@@ -579,25 +518,6 @@ impl Report {
             results.join(",\n"),
         )
     }
-}
-
-/// Escapes a string as a JSON string literal (with quotes).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -668,8 +588,32 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let mut r = Report::new("a\"b");
+        r.push(Diagnostic::new(
+            Code::Stats,
+            Anchor::cell(1),
+            "c\\d\ne\u{1}",
+        ));
+        let j = r.render_json();
+        assert!(j.contains(r#""subject": "a\"b","#), "{j}");
+        assert!(j.contains(r#""message": "c\\d\ne\u0001""#), "{j}");
+        let s = r.render_sarif();
+        assert!(s.contains(r#""fullyQualifiedName": "a\"b::cell 1""#), "{s}");
+        for doc in [j, s] {
+            sweep_json::parse(&doc).unwrap();
+        }
+    }
+
+    #[test]
+    fn registry_rows_follow_the_declaration_order() {
+        for (i, &(code, id, ..)) in REGISTRY.iter().enumerate() {
+            assert_eq!(code as usize, i, "{id}");
+        }
+        let ids: Vec<&str> = REGISTRY.iter().map(|r| r.1).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        assert_eq!(Code::DegenerateCell.severity(), Severity::Error);
+        assert_eq!(Code::HangingNodes.severity(), Severity::Warning);
+        assert_eq!(Code::Stats.title(), "structural statistics");
     }
 
     #[test]

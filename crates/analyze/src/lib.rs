@@ -63,7 +63,7 @@ pub use assignment::{analyze_assignment, analyze_assignment_with};
 pub use concurrency::{
     analyze_model_checks, ConcurrencyFinding, ConcurrencyFindingKind, ModelCheckRun,
 };
-pub use diag::{json_string, Anchor, Code, Diagnostic, Report, Severity};
+pub use diag::{Anchor, Code, Diagnostic, Report, Severity};
 pub use happens_before::{analyze_async, analyze_trace};
 pub use identity::{
     analyze_cache_identity, analyze_cluster_identity, CacheIdentityMeta, ClusterIdentityMeta,

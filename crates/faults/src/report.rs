@@ -199,7 +199,7 @@ impl FaultReport {
                 f64j(e.time),
                 e.proc,
                 e.kind.as_str(),
-                escape(&e.detail)
+                sweep_json::escape(&e.detail)
             );
             out.push_str(if i + 1 < self.timeline.len() {
                 ",\n"
@@ -221,23 +221,6 @@ fn f64j(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Minimal JSON string escaping for the deterministic detail strings.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
