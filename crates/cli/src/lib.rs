@@ -173,7 +173,7 @@ const GLOBAL_FLAGS: [&str; 3] = ["telemetry", "telemetry-out", "threads"];
 /// One command's flags, read off its usage entry in [`HELP`]: `[--x]` is a
 /// switch, `--x V` takes a value, and a leading `<x>` is the positional
 /// operand (also accepted as `--x V`).
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Usage {
     operand: Option<&'static str>,
     /// Each flag in usage order, with whether it takes a value.
@@ -181,37 +181,36 @@ struct Usage {
 }
 
 impl Usage {
-    /// The usage entry of `command` (`"mesh import"` for the importer).
+    /// The usage entry of `command` (`"mesh import"` for the importer): a
+    /// line at a two-space indent that starts with the command's words,
+    /// plus its deeper continuation lines.
     fn of(command: &str) -> Option<Usage> {
         let section = HELP.split("COMMANDS:\n").nth(1)?.split("\n\n").next()?;
-        // An entry is a line at a two-space indent plus its deeper
-        // continuation lines; its name is the words before the first flag.
-        let mut tokens: Option<Vec<&'static str>> = None;
-        for line in section.lines() {
-            let words = line.split_whitespace();
-            if line.starts_with("   ") {
-                if let Some(tokens) = tokens.as_mut() {
-                    tokens.extend(words);
-                }
-            } else if tokens.is_some() {
-                break;
-            } else {
-                let name = words
-                    .clone()
-                    .take_while(|w| w.starts_with(char::is_alphabetic));
-                if name.clone().eq(command.split(' ')) {
-                    tokens = Some(words.skip(name.count()).collect());
-                }
-            }
-        }
+        let words = command.split(' ');
+        let names = |line: &&str| {
+            let name = line
+                .split_whitespace()
+                .take_while(|w| w.starts_with(char::is_alphabetic));
+            name.eq(words.clone())
+        };
+        let mut lines = section
+            .lines()
+            .skip_while(|l| l.starts_with("   ") || !names(l));
+        let first = lines.next()?.split_whitespace().skip(words.clone().count());
+        let rest = lines.take_while(|l| l.starts_with("   "));
         let mut usage = Usage::default();
-        for (i, token) in tokens?.into_iter().enumerate() {
+        for (i, token) in first
+            .chain(rest.flat_map(str::split_whitespace))
+            .enumerate()
+        {
             let bare = token.trim_start_matches(['(', '[']);
             if let Some(flag) = bare.strip_prefix("--") {
                 let name = flag.trim_end_matches([']', ')']);
                 usage.flags.push((name, name.len() == flag.len()));
             } else if i == 0 && bare.starts_with('<') {
-                usage.operand = Some(bare.trim_matches(['<', '>']));
+                let operand = bare.trim_matches(['<', '>']);
+                usage.operand = Some(operand);
+                usage.flags.push((operand, true));
             }
         }
         Some(usage)
@@ -221,22 +220,8 @@ impl Usage {
     /// flag.
     fn takes_value(&self, flag: &str) -> Option<bool> {
         let own = self.flags.iter().find(|&&(name, _)| name == flag);
-        let valued = self.operand == Some(flag) || GLOBAL_FLAGS.contains(&flag);
-        own.map(|&(_, value)| value).or(valued.then_some(true))
-    }
-
-    /// `--a, --b, …; global: …` for an error message.
-    fn list(&self) -> String {
-        let own = self
-            .operand
-            .iter()
-            .chain(self.flags.iter().map(|(name, _)| name));
-        let own: Vec<String> = own.map(|f| format!("--{f}")).collect();
-        format!(
-            "{}; global: --{}",
-            own.join(", "),
-            GLOBAL_FLAGS.join(", --")
-        )
+        own.map(|&(_, value)| value)
+            .or(GLOBAL_FLAGS.contains(&flag).then_some(true))
     }
 }
 
@@ -258,17 +243,19 @@ fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>
             return Err(format!("expected --flag, got '{flag}'"));
         };
         let value = match usage.takes_value(key) {
-            None => {
-                return Err(format!(
-                    "`sweep {command}` has no flag --{key} (it takes {})",
-                    usage.list()
-                ))
-            }
-            Some(false) => "true".to_string(),
             Some(true) => it
                 .next()
-                .ok_or_else(|| format!("missing value for --{key}"))?
+                .ok_or(format!("missing value for --{key}"))?
                 .clone(),
+            Some(false) => "true".to_string(),
+            None => {
+                let own: Vec<String> = usage.flags.iter().map(|(f, _)| format!("--{f}")).collect();
+                let global = GLOBAL_FLAGS.join(", --");
+                let own = own.join(", ");
+                return Err(format!(
+                    "`sweep {command}` has no flag --{key} (it takes {own}; global: --{global})"
+                ));
+            }
         };
         map.insert(key.to_string(), value);
     }
