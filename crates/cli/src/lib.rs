@@ -245,7 +245,7 @@ fn parse_flags(command: &str, args: &[String]) -> Result<HashMap<String, String>
         let value = match usage.takes_value(key) {
             Some(true) => it
                 .next()
-                .ok_or(format!("missing value for --{key}"))?
+                .ok_or_else(|| format!("missing value for --{key}"))?
                 .clone(),
             Some(false) => "true".to_string(),
             None => {
