@@ -21,10 +21,12 @@
 //!   connect/read/write deadlines, and bounded retries spaced by
 //!   `sweep_faults::backoff::full_jitter` so retry storms against a
 //!   recovering shard decorrelate deterministically.
-//! * [`RpcServer`] — a bounded accept loop dispatching persistent
-//!   connections to a fixed worker pool; handler panics are caught and
-//!   answered with a typed error, bad frames increment a counter and
-//!   close the connection.
+//! * [`Listener`] — the one accept loop: a fixed worker pool fed until
+//!   a shared [`StopFlag`] is set, with panics in `serve` caught so a
+//!   worker never dies. `sweep-serve`'s HTTP server runs on it too.
+//! * [`RpcServer`] — persistent framed connections on a [`Listener`];
+//!   handler panics are caught and answered with a typed error, bad
+//!   frames increment a counter and close the connection.
 //!
 //! Under the test-only `fault-inject` feature the client consults a
 //! deterministic [`sweep_faults::FaultPlan`] before every send (link
@@ -37,6 +39,7 @@
 
 mod client;
 mod frame;
+mod listener;
 mod message;
 mod server;
 
@@ -45,5 +48,6 @@ pub use frame::{
     Frame, FrameError, KIND_ARTIFACT, KIND_ERROR, KIND_PING, KIND_PONG, KIND_SCHEDULE,
     MAX_FRAME_BYTES, VERSION,
 };
+pub use listener::{Listener, StopFlag};
 pub use message::{RpcRequest, RpcResponse};
-pub use server::{RpcCounters, RpcServer, RpcServerConfig, RpcShutdownHandle};
+pub use server::{RpcCounters, RpcServer};

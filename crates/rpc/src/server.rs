@@ -1,36 +1,18 @@
-//! The RPC accept loop: persistent connections, a fixed worker pool,
-//! and hardening against malformed or stalling peers.
+//! The RPC server: persistent framed connections on the shared accept
+//! loop, hardened against malformed or stalling peers.
 
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::frame::{Frame, FrameError, KIND_ERROR};
+use crate::listener::{Listener, StopFlag};
 
-/// Knobs for the server side.
-#[derive(Debug, Clone)]
-pub struct RpcServerConfig {
-    /// Worker threads handling connections.
-    pub threads: usize,
-    /// Deadline for reading one frame once its first byte has arrived —
-    /// the slow-loris bound.
-    pub read_timeout: Duration,
-    /// Deadline for writing one response frame.
-    pub write_timeout: Duration,
-}
-
-impl Default for RpcServerConfig {
-    fn default() -> Self {
-        RpcServerConfig {
-            threads: 2,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Worker threads serving peer connections.
+const WORKERS: usize = 2;
 
 /// Live counters exposed through the owning server's `/debug/vars`.
 #[derive(Debug, Default)]
@@ -44,57 +26,41 @@ pub struct RpcCounters {
     pub panics: AtomicU64,
 }
 
-/// Flips the shutdown flag and wakes the blocked accept loop.
-#[derive(Debug, Clone)]
-pub struct RpcShutdownHandle {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RpcShutdownHandle {
-    /// Ask the server to stop; `run` returns once in-flight frames are
-    /// answered.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        // Wake the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-    }
-}
-
 /// A framed RPC server bound to one address.
 ///
 /// Connections are persistent: each carries any number of strict
 /// request→response exchanges. Between frames the worker polls with a
-/// short `peek` so shutdown is never pinned behind a peer's idle pooled
-/// connection; once a frame's first byte arrives the full
-/// `read_timeout` applies, which bounds slow-loris writers. A framing
-/// violation closes the connection (the stream is no longer
-/// frame-aligned) and increments `bad_frames`; a handler panic is
+/// short `peek` so a stop is never pinned behind a peer's idle pooled
+/// connection; once a frame's first byte arrives the read deadline
+/// applies (to the write of its answer too), which bounds slow-loris
+/// writers. A framing violation closes the connection (the stream is no
+/// longer frame-aligned) and increments `bad_frames`; a handler panic is
 /// caught, answered with `KIND_ERROR`, and the connection closed — a
 /// poisoned request can neither kill a worker nor wedge a pool slot.
 pub struct RpcServer {
-    listener: TcpListener,
-    config: RpcServerConfig,
-    handler: Arc<dyn Fn(&Frame) -> Frame + Send + Sync>,
-    flag: Arc<AtomicBool>,
+    listener: Listener,
+    stop: StopFlag,
+    read_timeout: Duration,
+    handler: Box<dyn Fn(&Frame) -> Frame + Send + Sync>,
     counters: Arc<RpcCounters>,
 }
 
 impl RpcServer {
-    /// Bind to `addr` (use port 0 for an ephemeral port) with the given
-    /// handler. The handler runs on worker threads, one frame at a time
-    /// per connection.
+    /// Binds `addr` (use port 0 for an ephemeral port) with the given
+    /// handler, which runs on worker threads, one frame at a time per
+    /// connection. `read_timeout` bounds one frame once its first byte
+    /// has arrived; [`RpcServer::run`] returns once `stop` is set.
     pub fn bind(
         addr: &str,
-        config: RpcServerConfig,
-        handler: Arc<dyn Fn(&Frame) -> Frame + Send + Sync>,
+        read_timeout: Duration,
+        stop: &StopFlag,
+        handler: impl Fn(&Frame) -> Frame + Send + Sync + 'static,
     ) -> io::Result<RpcServer> {
-        let listener = TcpListener::bind(addr)?;
         Ok(RpcServer {
-            listener,
-            config,
-            handler,
-            flag: Arc::new(AtomicBool::new(false)),
+            listener: Listener::bind(addr, stop)?,
+            stop: stop.clone(),
+            read_timeout,
+            handler: Box::new(handler),
             counters: Arc::new(RpcCounters::default()),
         })
     }
@@ -104,110 +70,64 @@ impl RpcServer {
         self.listener.local_addr()
     }
 
-    /// A handle that stops `run` from another thread.
-    pub fn shutdown_handle(&self) -> io::Result<RpcShutdownHandle> {
-        Ok(RpcShutdownHandle {
-            flag: Arc::clone(&self.flag),
-            addr: self.local_addr()?,
-        })
-    }
-
     /// The live counters (shared; read at any time).
     pub fn counters(&self) -> Arc<RpcCounters> {
         Arc::clone(&self.counters)
     }
 
-    /// Accept and serve until the shutdown handle fires.
+    /// Accept and serve until the stop flag is set.
     pub fn run(&self) {
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            let rx = Arc::new(Mutex::new(rx));
-            for _ in 0..self.config.threads.max(1) {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&self.handler);
-                let counters = Arc::clone(&self.counters);
-                let flag = Arc::clone(&self.flag);
-                let config = self.config.clone();
-                scope.spawn(move || loop {
-                    let stream = {
-                        let guard = match rx.lock() {
-                            Ok(g) => g,
-                            Err(p) => p.into_inner(),
-                        };
-                        guard.recv()
-                    };
-                    match stream {
-                        Ok(s) => handle_connection(s, &config, &handler, &counters, &flag),
-                        Err(_) => break, // accept loop gone: drain done
-                    }
-                });
-            }
-            for stream in self.listener.incoming() {
-                if self.flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    let _ = tx.send(stream);
-                }
-            }
-            drop(tx);
-        });
+        self.listener
+            .run(WORKERS, Some, |stream| self.handle_connection(stream));
     }
-}
 
-fn handle_connection(
-    stream: TcpStream,
-    config: &RpcServerConfig,
-    handler: &Arc<dyn Fn(&Frame) -> Frame + Send + Sync>,
-    counters: &RpcCounters,
-    flag: &AtomicBool,
-) {
-    let mut stream = stream;
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let _ = stream.set_nodelay(true);
-    loop {
-        // Idle wait: poll for the first byte in short slices so a
-        // shutdown is observed promptly even under a peer's kept-alive
-        // pooled connection.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        let mut first = [0u8; 1];
-        match stream.peek(&mut first) {
-            Ok(0) => return, // peer closed
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if flag.load(Ordering::SeqCst) {
+    fn handle_connection(&self, mut stream: TcpStream) {
+        let _ = stream.set_write_timeout(Some(self.read_timeout));
+        let _ = stream.set_nodelay(true);
+        loop {
+            // Idle wait: poll for the first byte in short slices so a
+            // stop is observed promptly even under a peer's kept-alive
+            // pooled connection.
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+            let mut first = [0u8; 1];
+            match stream.peek(&mut first) {
+                Ok(0) => return, // peer closed
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.stop.is_set() {
+                        return;
+                    }
+                    continue;
+                }
+                Err(_) => return,
+            }
+            // A frame has started: the full deadline bounds slow writers.
+            let _ = stream.set_read_timeout(Some(self.read_timeout));
+            let frame = match Frame::read_from(&mut stream) {
+                Ok(f) => f,
+                Err(FrameError::Bad(_)) => {
+                    self.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
+                    let _ = stream.shutdown(Shutdown::Both);
                     return;
                 }
-                continue;
-            }
-            Err(_) => return,
-        }
-        // A frame has started: the full deadline bounds slow writers.
-        let _ = stream.set_read_timeout(Some(config.read_timeout));
-        let frame = match Frame::read_from(&mut stream) {
-            Ok(f) => f,
-            Err(FrameError::Bad(_)) => {
-                counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.shutdown(Shutdown::Both);
-                return;
-            }
-            Err(FrameError::Io(_)) => return,
-        };
-        counters.calls.fetch_add(1, Ordering::Relaxed);
-        let response = catch_unwind(AssertUnwindSafe(|| handler(&frame)));
-        match response {
-            Ok(response) => {
-                if response.write_to(&mut stream).is_err() {
+                Err(FrameError::Io(_)) => return,
+            };
+            self.counters.calls.fetch_add(1, Ordering::Relaxed);
+            match catch_unwind(AssertUnwindSafe(|| (self.handler)(&frame))) {
+                Ok(response) => {
+                    if response.write_to(&mut stream).is_err() {
+                        return;
+                    }
+                }
+                Err(_) => {
+                    self.counters.panics.fetch_add(1, Ordering::Relaxed);
+                    let err = Frame::new(KIND_ERROR, b"internal: rpc handler panicked".to_vec());
+                    let _ = err.write_to(&mut stream);
                     return;
                 }
-            }
-            Err(_) => {
-                counters.panics.fetch_add(1, Ordering::Relaxed);
-                let err = Frame::new(KIND_ERROR, b"internal: rpc handler panicked".to_vec());
-                let _ = err.write_to(&mut stream);
-                return;
             }
         }
     }

@@ -13,38 +13,47 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweep_rpc::{
-    Frame, RpcClient, RpcClientConfig, RpcCounters, RpcRequest, RpcResponse, RpcServer,
-    RpcServerConfig, RpcShutdownHandle, KIND_PING, MAX_FRAME_BYTES, VERSION,
+    Frame, RpcClient, RpcClientConfig, RpcCounters, RpcRequest, RpcResponse, RpcServer, StopFlag,
+    KIND_PING, MAX_FRAME_BYTES, VERSION,
 };
 
+/// Stops a running echo server: sets its stop flag and wakes its
+/// listener.
+struct Shutdown {
+    stop: StopFlag,
+    addr: std::net::SocketAddr,
+}
+
+impl Shutdown {
+    fn shutdown(&self) {
+        self.stop.set(&[self.addr]);
+    }
+}
+
 /// A server whose handler pongs pings and echoes schedule bodies back
-/// as artifacts; panics on the magic body `"boom"`.
+/// as artifacts; panics on the magic body `"boom"`. Its frame read
+/// deadline is 500 ms.
 fn spawn_echo_server() -> (
     String,
     Arc<RpcCounters>,
-    RpcShutdownHandle,
+    Shutdown,
     std::thread::JoinHandle<()>,
 ) {
-    let handler: Arc<dyn Fn(&Frame) -> Frame + Send + Sync> =
-        Arc::new(|frame: &Frame| match RpcRequest::from_frame(frame) {
-            Ok(RpcRequest::Ping) => RpcResponse::Pong.to_frame(),
-            Ok(RpcRequest::Schedule { body, .. }) => {
-                assert_ne!(body, "boom", "poisoned request");
-                RpcResponse::Artifact(body.into_bytes()).to_frame()
-            }
-            Err(e) => RpcResponse::Error(format!("{e}")).to_frame(),
-        });
-    let config = RpcServerConfig {
-        threads: 2,
-        read_timeout: Duration::from_millis(500),
-        write_timeout: Duration::from_secs(2),
+    let handler = |frame: &Frame| match RpcRequest::from_frame(frame) {
+        Ok(RpcRequest::Ping) => RpcResponse::Pong.to_frame(),
+        Ok(RpcRequest::Schedule { body, .. }) => {
+            assert_ne!(body, "boom", "poisoned request");
+            RpcResponse::Artifact(body.into_bytes()).to_frame()
+        }
+        Err(e) => RpcResponse::Error(format!("{e}")).to_frame(),
     };
-    let server = RpcServer::bind("127.0.0.1:0", config, handler).unwrap();
-    let addr = server.local_addr().unwrap().to_string();
+    let stop = StopFlag::default();
+    let server =
+        RpcServer::bind("127.0.0.1:0", Duration::from_millis(500), &stop, handler).unwrap();
+    let addr = server.local_addr().unwrap();
     let counters = server.counters();
-    let shutdown = server.shutdown_handle().unwrap();
     let join = std::thread::spawn(move || server.run());
-    (addr, counters, shutdown, join)
+    (addr.to_string(), counters, Shutdown { stop, addr }, join)
 }
 
 fn client_for(addr: &str) -> RpcClient {

@@ -9,10 +9,10 @@
 //! agreement traffic.
 //!
 //! The failure detector is deliberately simple: any RPC failure against
-//! a peer marks it `suspect`; [`ClusterConfig::down_after`] consecutive
-//! failures mark it `down`, after which the forward path stops trying
-//! it (requests degrade to local compute immediately instead of paying
-//! a dial timeout). A background prober keeps pinging non-`ok` peers —
+//! a peer marks it `suspect`; three consecutive failures mark it
+//! `down`, after which the forward path stops trying it (requests
+//! degrade to local compute immediately instead of paying a dial
+//! timeout). A background prober keeps pinging non-`ok` peers —
 //! the half-open probe — and one success re-promotes the peer to `ok`.
 //!
 //! Forwarding moves *artifacts*, not rendered responses: the home shard
@@ -82,6 +82,17 @@ pub fn parse_members(text: &str) -> Result<Vec<Member>, String> {
     Ok(members)
 }
 
+/// Read/write deadline per forward attempt — the forward deadline: when
+/// it expires the request degrades to local compute.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(2);
+/// Total attempts per forward call (retries ride the full-jitter
+/// backoff curve).
+const FORWARD_ATTEMPTS: u32 = 2;
+/// Base of the retry jitter curve, in seconds.
+const RETRY_BASE: f64 = 0.05;
+/// Consecutive failures that demote a peer from `suspect` to `down`.
+const DOWN_AFTER: u32 = 3;
+
 /// Cluster-mode knobs; [`ClusterConfig::new`] fills the defaults.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -89,25 +100,10 @@ pub struct ClusterConfig {
     pub self_id: u64,
     /// The full static membership, self included.
     pub members: Vec<Member>,
-    /// Threads serving inbound peer RPCs.
-    pub rpc_threads: usize,
-    /// Read deadline for one inbound RPC frame (slow-loris bound).
-    pub rpc_read_timeout: Duration,
     /// Dial deadline per forward attempt.
     pub connect_timeout: Duration,
-    /// Read/write deadline per forward attempt — the forward deadline:
-    /// when it expires the request degrades to local compute.
-    pub forward_timeout: Duration,
-    /// Total attempts per forward call (retries ride the full-jitter
-    /// backoff curve).
-    pub forward_attempts: u32,
-    /// Base of the retry jitter curve, in seconds.
-    pub retry_base: f64,
     /// Interval between failure-detector probe rounds.
     pub probe_interval: Duration,
-    /// Consecutive failures that demote a peer from `suspect` to
-    /// `down`.
-    pub down_after: u32,
 }
 
 impl ClusterConfig {
@@ -116,14 +112,8 @@ impl ClusterConfig {
         ClusterConfig {
             self_id,
             members,
-            rpc_threads: 2,
-            rpc_read_timeout: Duration::from_secs(5),
             connect_timeout: Duration::from_millis(500),
-            forward_timeout: Duration::from_secs(2),
-            forward_attempts: 2,
-            retry_base: 0.05,
             probe_interval: Duration::from_secs(1),
-            down_after: 3,
         }
     }
 }
@@ -135,7 +125,7 @@ pub enum PeerStatus {
     Up,
     /// At least one recent failure; still tried on the forward path.
     Suspect,
-    /// `down_after` consecutive failures; skipped by the forward path
+    /// Three consecutive failures; skipped by the forward path
     /// until a half-open probe succeeds.
     Down,
 }
@@ -241,9 +231,9 @@ impl ClusterState {
                     &m.rpc_addr,
                     RpcClientConfig {
                         connect_timeout: config.connect_timeout,
-                        io_timeout: config.forward_timeout,
-                        attempts: config.forward_attempts,
-                        retry_base: config.retry_base,
+                        io_timeout: FORWARD_TIMEOUT,
+                        attempts: FORWARD_ATTEMPTS,
+                        retry_base: RETRY_BASE,
                         pool_cap: 4,
                         // Fold both endpoints into the jitter seed so two
                         // shards retrying against the same recovered peer
@@ -318,7 +308,7 @@ impl ClusterState {
 
     fn record_failure(&self, peer: &Peer) {
         let fails = peer.fails.fetch_add(1, Ordering::Relaxed) + 1;
-        peer.set_status(if fails >= self.config.down_after {
+        peer.set_status(if fails >= DOWN_AFTER {
             PeerStatus::Down
         } else {
             PeerStatus::Suspect

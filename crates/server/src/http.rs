@@ -125,12 +125,6 @@ impl Request {
             body,
         })
     }
-
-    /// The body as UTF-8, or a 400-shaped error.
-    pub fn body_utf8(&self) -> Result<&str, ReadError> {
-        std::str::from_utf8(&self.body)
-            .map_err(|_| ReadError::Bad(400, "body is not valid UTF-8".to_string()))
-    }
 }
 
 /// Reads one CRLF- (or LF-) terminated line, rejecting lines past `max`.

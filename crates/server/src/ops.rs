@@ -120,11 +120,6 @@ impl OpsState {
         self.next_conn.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Connections accepted so far.
-    pub fn conns(&self) -> u64 {
-        self.next_conn.load(Ordering::Relaxed)
-    }
-
     /// Builds the tracing context for connection `conn`: every request
     /// gets a deterministic id; 1-in-N (head-based sampling) also get a
     /// recording span tree.

@@ -1,9 +1,14 @@
-//! The socket layer: a bounded accept loop feeding a fixed worker pool,
-//! overload shedding, and cooperative graceful shutdown.
+//! The socket layer: HTTP on `sweep-rpc`'s shared accept loop, with
+//! overload shedding and cooperative graceful shutdown.
 //!
 //! Design notes:
 //!
-//! * **Bounded in-flight work.** The accept loop tracks how many
+//! * **One listener, one stop flag.** HTTP and, in cluster mode, peer
+//!   RPC each run on a [`sweep_rpc::Listener`]: a fixed worker pool fed
+//!   until a shared [`StopFlag`] is set. That one flag is read by both
+//!   accept loops and the cluster prober; [`ShutdownHandle::shutdown`]
+//!   sets it and wakes both listeners.
+//! * **Bounded in-flight work.** The HTTP `admit` step tracks how many
 //!   connections are queued or being served; past
 //!   [`ServerConfig::max_inflight`] it answers `429 Too Many Requests`
 //!   *itself* (cheap — no scheduling work happens) with a `Retry-After`
@@ -11,23 +16,21 @@
 //!   the same capped exponential curve the fault simulator's retry
 //!   protocol was validated against.
 //! * **Graceful shutdown without signals.** The workspace forbids
-//!   `unsafe`, so there is no signal handler; instead a
-//!   [`ShutdownHandle`] flips an atomic flag and pokes the listener with
-//!   a throwaway local connection to wake the blocking `accept`. The
-//!   loop then stops accepting, the channel to the workers is dropped,
-//!   and every in-flight request is drained before `run` returns.
+//!   `unsafe`, so there is no signal handler; once the flag is set the
+//!   loops stop accepting, and every queued connection is served before
+//!   [`Server::run`] returns.
 //! * **Per-connection timeouts.** Read and write timeouts bound how
 //!   long a slow or dead peer can hold a worker; a timeout mid-request
 //!   drops the connection (`ReadError::Io`), a malformed request gets a
 //!   clean 4xx.
 
 use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sweep_rpc::{RpcServer, RpcServerConfig, RpcShutdownHandle};
+use sweep_rpc::{Listener, RpcServer, StopFlag};
 use sweep_telemetry as telemetry;
 use sweep_telemetry::{server_timing_value, STAGES};
 
@@ -35,6 +38,16 @@ use crate::cluster::{ClusterConfig, ClusterState};
 use crate::http::{ReadError, Request, Response};
 use crate::ops::{access_log_line, AccessLogSink};
 use crate::service::{ServiceConfig, SweepService};
+
+/// Per-connection write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Base of the `Retry-After` backoff curve, in seconds.
+const RETRY_BASE_SECS: f64 = 1.0;
+/// Requests per slow-exemplar window.
+const SLOW_WINDOW: u64 = 512;
+/// Read (and answer-write) deadline for one inbound peer RPC frame: the
+/// slow-loris bound.
+const RPC_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Socket-level configuration; service semantics live in
 /// [`ServiceConfig`].
@@ -52,10 +65,6 @@ pub struct ServerConfig {
     pub max_inflight: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
-    /// Base of the `Retry-After` backoff curve, in seconds.
-    pub retry_base_secs: f64,
     /// Record a full span tree for 1 of every N requests (head-based
     /// sampling; 1 = trace everything, 0 = never). Untraced requests
     /// still get a request id and zero-valued `Server-Timing` stages.
@@ -65,10 +74,9 @@ pub struct ServerConfig {
     pub log_sample_every: u64,
     /// Where access-log lines go.
     pub access_log: AccessLogSink,
-    /// Slow-request exemplars retained per window for `/debug/trace`.
+    /// Slow-request exemplars retained per window of 512 requests for
+    /// `/debug/trace`.
     pub slow_keep: usize,
-    /// Requests per slow-exemplar window.
-    pub slow_window: u64,
     /// Cluster membership; `None` (the default) runs a plain
     /// single-node server. `Some` makes [`Server::bind`] also bind this
     /// shard's peer RPC listener and [`Server::run`] route schedule
@@ -84,13 +92,10 @@ impl Default for ServerConfig {
             cache_bytes: ServiceConfig::default().cache_bytes,
             max_inflight: 32,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            retry_base_secs: 1.0,
             trace_sample_every: 1,
             log_sample_every: 1,
             access_log: AccessLogSink::Stderr,
             slow_keep: 8,
-            slow_window: 512,
             cluster: None,
         }
     }
@@ -99,9 +104,9 @@ impl Default for ServerConfig {
 /// A clonable handle that asks a running [`Server`] to stop.
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-    addr: SocketAddr,
-    rpc: Option<RpcShutdownHandle>,
+    stop: StopFlag,
+    /// The HTTP listener and, in cluster mode, the peer RPC listener.
+    wake: Vec<SocketAddr>,
 }
 
 impl ShutdownHandle {
@@ -110,27 +115,21 @@ impl ShutdownHandle {
     /// Idempotent; returns immediately (join the thread running
     /// [`Server::run`] to wait for the drain).
     pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        if let Some(rpc) = &self.rpc {
-            rpc.shutdown();
-        }
-        // Wake the blocking accept with a throwaway connection; if the
-        // connect fails the listener is already gone, which is fine.
-        let _ = TcpStream::connect(self.addr);
+        self.stop.set(&self.wake);
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::SeqCst)
+        self.stop.is_set()
     }
 }
 
 /// A bound (not yet running) server.
 pub struct Server {
-    listener: TcpListener,
+    listener: Listener,
     config: ServerConfig,
     service: Arc<SweepService>,
-    flag: Arc<AtomicBool>,
+    stop: StopFlag,
     cluster: Option<Arc<ClusterState>>,
     rpc: Option<RpcServer>,
 }
@@ -144,7 +143,8 @@ impl Server {
     /// listener at its own member's `rpc_addr`; a bad membership
     /// (self id absent, empty list) surfaces as `InvalidInput`.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
+        let stop = StopFlag::default();
+        let listener = Listener::bind(&config.addr, &stop)?;
         telemetry::set_enabled(true);
         let service = Arc::new(SweepService::new(ServiceConfig {
             cache_bytes: config.cache_bytes,
@@ -154,7 +154,7 @@ impl Server {
         ops.set_trace_sampling(config.trace_sample_every);
         ops.set_log_sampling(config.log_sample_every);
         ops.set_access_log(config.access_log.clone());
-        ops.set_slow_buffer(config.slow_keep, config.slow_window);
+        ops.set_slow_buffer(config.slow_keep, SLOW_WINDOW);
         let (cluster, rpc) = match &config.cluster {
             None => (None, None),
             Some(cluster_config) => {
@@ -167,15 +167,9 @@ impl Server {
                     .map(|m| m.rpc_addr.clone())
                     .ok_or_else(|| bad("self id missing from members".to_string()))?;
                 let handler_service = Arc::clone(&service);
-                let rpc = RpcServer::bind(
-                    &rpc_addr,
-                    RpcServerConfig {
-                        threads: cluster_config.rpc_threads,
-                        read_timeout: cluster_config.rpc_read_timeout,
-                        write_timeout: cluster_config.rpc_read_timeout,
-                    },
-                    Arc::new(move |frame| handler_service.serve_peer_rpc(frame)),
-                )?;
+                let rpc = RpcServer::bind(&rpc_addr, RPC_READ_TIMEOUT, &stop, move |frame| {
+                    handler_service.serve_peer_rpc(frame)
+                })?;
                 service.set_cluster(Arc::clone(&state));
                 (Some(state), Some(rpc))
             }
@@ -184,7 +178,7 @@ impl Server {
             listener,
             config,
             service,
-            flag: Arc::new(AtomicBool::new(false)),
+            stop,
             cluster,
             rpc,
         })
@@ -209,13 +203,13 @@ impl Server {
 
     /// A handle that can stop this server from another thread.
     pub fn shutdown_handle(&self) -> std::io::Result<ShutdownHandle> {
+        let mut wake = vec![self.local_addr()?];
+        if let Some(rpc) = &self.rpc {
+            wake.push(rpc.local_addr()?);
+        }
         Ok(ShutdownHandle {
-            flag: Arc::clone(&self.flag),
-            addr: self.local_addr()?,
-            rpc: match &self.rpc {
-                None => None,
-                Some(rpc) => Some(rpc.shutdown_handle()?),
-            },
+            stop: self.stop.clone(),
+            wake,
         })
     }
 
@@ -232,113 +226,85 @@ impl Server {
     /// shards) and a prober that pings Suspect/Down peers every
     /// `probe_interval` so a healed partition re-promotes them to Up.
     pub fn run(self) -> std::io::Result<()> {
-        let inflight = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let threads = self.config.threads.max(1);
-        let rpc_handle = match &self.rpc {
-            None => None,
-            Some(rpc) => Some(rpc.shutdown_handle()?),
+        let inflight = AtomicUsize::new(0);
+        // Consecutive sheds walk the Retry-After hint up the capped
+        // exponential backoff curve; any admitted connection resets it.
+        let mut sheds: u32 = 0;
+        let admit = |stream: TcpStream| {
+            if inflight.load(Ordering::SeqCst) >= self.config.max_inflight {
+                telemetry::counter_add("serve.http.requests", 1);
+                telemetry::counter_add("serve.http.responses_429", 1);
+                let hint = sweep_faults::backoff::retry_after_secs(RETRY_BASE_SECS, sheds);
+                sheds = sheds.saturating_add(1);
+                self.service.ops().record_shed();
+                self.service.ops().log_shed(hint);
+                shed(stream, hint);
+                return None;
+            }
+            sheds = 0;
+            Some((stream, InflightSlot::take(&inflight)))
         };
         std::thread::scope(|scope| {
             if let Some(rpc) = &self.rpc {
-                scope.spawn(move || rpc.run());
+                scope.spawn(|| rpc.run());
             }
             if let Some(cluster) = &self.cluster {
-                let flag = Arc::clone(&self.flag);
-                let interval = cluster.config().probe_interval;
-                scope.spawn(move || {
+                scope.spawn(|| {
+                    let interval = cluster.config().probe_interval;
                     let slice = Duration::from_millis(50);
                     loop {
                         // Sleep in short slices so shutdown is never
                         // blocked behind a full probe interval.
                         let mut slept = Duration::ZERO;
                         while slept < interval {
-                            if flag.load(Ordering::SeqCst) {
+                            if self.stop.is_set() {
                                 return;
                             }
                             std::thread::sleep(slice);
                             slept += slice;
                         }
-                        if flag.load(Ordering::SeqCst) {
+                        if self.stop.is_set() {
                             return;
                         }
                         cluster.probe_round();
                     }
                 });
             }
-            for _ in 0..threads {
-                let rx = Arc::clone(&rx);
-                let inflight = Arc::clone(&inflight);
-                let service = Arc::clone(&self.service);
-                let config = &self.config;
-                scope.spawn(move || loop {
-                    // Hold the lock only for the recv; hangup means the
-                    // accept loop is done and the queue is drained.
-                    let next = rx.lock().unwrap_or_else(|p| p.into_inner()).recv();
-                    let Ok(stream) = next else { break };
-                    // The in-flight decrement lives in a drop guard and
-                    // the handler runs under catch_unwind, so a
-                    // panicking request costs only its own connection —
-                    // never a worker thread or an in-flight slot.
-                    // AssertUnwindSafe is sound here: the service's
-                    // interior state stays consistent across an unwind
-                    // (single-flight slots publish-on-panic, mutexes
-                    // recover from poisoning with `into_inner`).
-                    let _slot = InflightSlot(&inflight);
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        handle_connection(&service, config, stream);
-                    }));
-                    if outcome.is_err() {
-                        telemetry::counter_add("serve.http.panics", 1);
-                    }
-                });
-            }
-
-            // Consecutive sheds walk the Retry-After hint up the capped
-            // exponential backoff curve; any accepted request resets it.
-            let mut sheds: u32 = 0;
-            for stream in self.listener.incoming() {
-                if self.flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                if inflight.load(Ordering::SeqCst) >= self.config.max_inflight {
-                    telemetry::counter_add("serve.http.requests", 1);
-                    telemetry::counter_add("serve.http.responses_429", 1);
-                    let hint =
-                        sweep_faults::backoff::retry_after_secs(self.config.retry_base_secs, sheds);
-                    sheds = sheds.saturating_add(1);
-                    self.service.ops().record_shed();
-                    self.service.ops().log_shed(hint);
-                    shed(stream, self.config.write_timeout, hint);
-                    continue;
-                }
-                sheds = 0;
-                let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
-                telemetry::gauge_set("serve.inflight", now as f64);
-                if tx.send(stream).is_err() {
-                    break;
-                }
-            }
-            drop(tx); // workers drain the queue, then exit
-            if let Some(rpc) = &rpc_handle {
-                // Idempotent: ensures the RPC accept loop exits even
-                // when `run` stops for a reason other than the handle.
-                rpc.shutdown();
-            }
+            // The loop catches a panicking request, which costs only its
+            // own connection. That is sound for the service: its state
+            // stays consistent across an unwind (single-flight slots
+            // publish on panic, mutexes recover from poisoning).
+            self.listener.run(
+                self.config.threads,
+                admit,
+                |(stream, _slot): (TcpStream, InflightSlot<'_>)| {
+                    handle_connection(&self.service, &self.config, stream)
+                },
+            );
         });
         Ok(())
     }
 }
 
-/// Releases one unit of server capacity on drop — including during a
-/// panic unwind — so a poisoned request can't leak an in-flight slot
-/// and walk the server into answering only `429`.
+/// One unit of server capacity, taken when a connection is admitted and
+/// released on drop — including during a panic unwind, which it also
+/// counts — so a poisoned request can't leak an in-flight slot and walk
+/// the server into answering only `429`.
 struct InflightSlot<'a>(&'a AtomicUsize);
+
+impl<'a> InflightSlot<'a> {
+    fn take(inflight: &'a AtomicUsize) -> InflightSlot<'a> {
+        let now = inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        telemetry::gauge_set("serve.inflight", now as f64);
+        InflightSlot(inflight)
+    }
+}
 
 impl Drop for InflightSlot<'_> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            telemetry::counter_add("serve.http.panics", 1);
+        }
         let now = self.0.fetch_sub(1, Ordering::SeqCst) - 1;
         telemetry::gauge_set("serve.inflight", now as f64);
     }
@@ -351,12 +317,12 @@ impl Drop for InflightSlot<'_> {
 /// makes the kernel send RST, which would discard the 429 from the
 /// client's receive buffer — and that drain must not block the accept
 /// loop.
-fn shed(stream: TcpStream, write_timeout: Duration, retry_after_secs: u64) {
+fn shed(stream: TcpStream, retry_after_secs: u64) {
     std::thread::spawn(move || {
         use std::io::Read as _;
         let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(write_timeout));
-        let _ = stream.set_read_timeout(Some(write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        let _ = stream.set_read_timeout(Some(WRITE_TIMEOUT));
         let _ = Response::error(429, "server is at its in-flight request limit")
             .with_header("Retry-After", retry_after_secs.to_string())
             .write_to(&mut stream);
@@ -391,7 +357,7 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
     let conn = ops.next_conn();
     let ctx = ops.trace_ctx(conn);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -485,6 +451,7 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
 mod tests {
     use super::*;
     use std::io::Read as _;
+    use std::net::TcpListener;
 
     #[test]
     fn stage_histogram_names_follow_the_stage_list() {
@@ -601,6 +568,7 @@ mod tests {
     #[test]
     fn single_member_cluster_serves_and_reports_itself() {
         use crate::cluster::{ClusterConfig, Member};
+        use sweep_rpc::{RpcClient, RpcClientConfig, RpcRequest, RpcResponse};
         let members = vec![Member {
             id: 3,
             http_addr: "127.0.0.1:0".to_string(),
@@ -616,7 +584,18 @@ mod tests {
         let cluster = server.cluster().unwrap();
         assert_eq!(cluster.self_id(), 3);
         let handle = server.shutdown_handle().unwrap();
+        let rpc = RpcClient::new(
+            &server.rpc_addr().unwrap().to_string(),
+            RpcClientConfig::default(),
+        );
+        let ping = || {
+            rpc.call(&RpcRequest::Ping.to_frame())
+                .is_ok_and(|f| RpcResponse::from_frame(&f).is_ok_and(|r| r == RpcResponse::Pong))
+        };
         let join = std::thread::spawn(move || server.run());
+        // The peer RPC loop answers, and keeps the connection pooled.
+        assert!(ping());
+        assert_eq!(rpc.idle_connections(), 1);
 
         // Cluster healthz is a JSON document with the cluster fragment,
         // and every response names the shard that served it.
@@ -643,8 +622,11 @@ mod tests {
         assert!(!reply.contains("X-Sweep-Forwarded-From"), "{reply}");
         assert!(!reply.contains("X-Sweep-Degraded"), "{reply}");
 
+        // One shutdown stops the RPC loop too, idle pooled connection
+        // included: `run` returned, and no Pong comes back.
         handle.shutdown();
         join.join().unwrap().unwrap();
+        assert!(!ping());
     }
 
     #[test]
@@ -675,7 +657,7 @@ mod tests {
             out
         });
         let (stream, _) = listener.accept().unwrap();
-        shed(stream, Duration::from_secs(1), 3);
+        shed(stream, 3);
         let reply = client.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 429 "), "{reply}");
         assert!(reply.contains("Retry-After: 3\r\n"));

@@ -92,7 +92,6 @@ fn boot_pair(log0: AccessLogSink, log1: AccessLogSink) -> (Shard, Shard) {
     let config_for = |self_id: u64| {
         let mut c = ClusterConfig::new(self_id, members.clone());
         c.connect_timeout = Duration::from_millis(200);
-        c.forward_timeout = Duration::from_secs(2);
         c.probe_interval = Duration::from_millis(200);
         c
     };
