@@ -145,6 +145,75 @@ mod tests {
         assert_eq!(steps, vec![0, 1, 2, 3, 4]);
     }
 
+    /// The Graham pass written the plain way: a `BTreeSet` frontier, the
+    /// `m` lowest ready ids run each step, their successors join after it.
+    fn graham_reference(inst: &SweepInstance, m: usize) -> (Vec<u32>, u32) {
+        let n = inst.num_cells();
+        let mut indeg: Vec<u32> = task_in_degrees(inst).collect();
+        let mut ready: std::collections::BTreeSet<usize> =
+            (0..indeg.len()).filter(|&t| indeg[t] == 0).collect();
+        let (mut step, mut t) = (vec![0; indeg.len()], 0);
+        while !ready.is_empty() {
+            let batch: Vec<usize> = ready.iter().take(m).copied().collect();
+            for &task in &batch {
+                ready.remove(&task);
+                step[task] = t;
+            }
+            for task in batch {
+                for &w in inst.dag(task / n).successors((task % n) as u32) {
+                    let wt = task - task % n + w as usize;
+                    indeg[wt] -= 1;
+                    if indeg[wt] == 0 {
+                        ready.insert(wt);
+                    }
+                }
+            }
+            t += 1;
+        }
+        (step, t)
+    }
+
+    #[test]
+    fn graham_matches_the_lowest_id_first_reference() {
+        for inst in crate::list_schedule::tests::oracle_instances() {
+            for m in [1, 2, 7, 64, inst.num_tasks() + 3] {
+                assert_eq!(
+                    graham_union_steps(&inst, m),
+                    graham_reference(&inst, m),
+                    "{} m={m}",
+                    inst.name()
+                );
+            }
+        }
+    }
+
+    /// FNV-1a of the step vector, then `T`, on tetonly × S4: read before
+    /// the frontier was reworked and never changed.
+    #[test]
+    fn graham_steps_on_meshes_are_pinned() {
+        let fnv1a = |words: &[u32]| {
+            let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+            bytes.fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let quad = sweep_quadrature::QuadratureSet::level_symmetric(4).unwrap();
+        // (scale, m, fnv1a(steps ++ [T]), T)
+        let pinned = [
+            (0.05, 16, 0x6455_b83a_f80c_819e, 2373),
+            (0.05, 64, 0x3cf2_d669_7131_c731, 611),
+            (0.125, 16, 0x990b_47b2_0adb_80c9, 5914),
+            (0.125, 64, 0xbd7e_ebb1_0512_bcf3, 1497),
+        ];
+        for (scale, m, hash, makespan) in pinned {
+            let mesh = sweep_mesh::MeshPreset::Tetonly.build_scaled(scale).unwrap();
+            let inst = SweepInstance::from_mesh(&mesh, &quad, "tetonly").0;
+            let (mut steps, t) = graham_union_steps(&inst, m);
+            steps.push(t);
+            assert_eq!((fnv1a(&steps), t), (hash, makespan), "{scale} m={m}");
+        }
+    }
+
     #[test]
     fn graham_on_independent_tasks_packs_m_per_step() {
         let inst = one_direction(TaskDag::edgeless(10));

@@ -494,7 +494,7 @@ pub fn compact(instance: &SweepInstance, schedule: &Schedule) -> Schedule {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schedule::validate;
     use sweep_dag::{TaskDag, TaskId};
@@ -687,7 +687,9 @@ mod tests {
         SweepInstance::from_mesh(&mesh, &quad, "tetonly").0
     }
 
-    fn oracle_instances() -> Vec<SweepInstance> {
+    /// Random, chain, edgeless, one-cell, empty and mesh instances: what
+    /// every kernel oracle in this crate runs on.
+    pub(crate) fn oracle_instances() -> Vec<SweepInstance> {
         vec![
             SweepInstance::random_layered(60, 4, 6, 2, 3),
             SweepInstance::random_layered(130, 3, 9, 3, 8),

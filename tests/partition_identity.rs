@@ -1,14 +1,29 @@
 //! The partitioner's output, pinned bit for bit: a 64-bit FNV-1a of the
-//! part vector (and the edge cut) of 19 partitions. The table was read
-//! off the tree *before* the partitioner's data structures were touched
-//! and never changes: any rework of `sweep-partition` must reproduce the
-//! same blocks, not merely blocks as good.
+//! part vector (and the edge cut) of 20 partitions, each at pool widths
+//! 1, 2 and 4. The table was read off the tree *before* the partitioner's
+//! data structures were touched and never changes: any rework of
+//! `sweep-partition` must reproduce the same blocks, not merely blocks as
+//! good, and the worker count must not show in them.
 
 // Integration tests assert via unwrap/expect by design.
 #![allow(clippy::unwrap_used)]
 
+use std::sync::Mutex;
+
 use sweep_scheduling::partition::{edge_cut, partition};
 use sweep_scheduling::prelude::*;
+
+/// Runs `check` at every pool width, one test at a time: the width is
+/// process-global.
+fn at_every_width(check: impl Fn(usize)) {
+    static WIDTH: Mutex<()> = Mutex::new(());
+    let _one_at_a_time = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 4] {
+        set_global_threads(threads);
+        check(threads);
+    }
+    set_global_threads(0);
+}
 
 fn fnv1a(part: &[u32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -70,25 +85,39 @@ const MESHES: [MeshRow; 4] = [
     ),
 ];
 
+/// Tetonly 0.02 in blocks of 2, the block-size ablation's effective
+/// block: the one row where some subset has no more vertices than parts.
+const TETONLY_002_BLOCK_2: (u64, u64) = (0x21ab_d78d_9331_8167, 724);
+
 #[test]
 fn mesh_blocks_are_bit_identical() {
+    let mut rows = Vec::new();
     for (preset, scale, cells, expect) in MESHES {
         let mesh = preset.build_scaled(scale).expect("mesh");
         assert_eq!(mesh.num_cells(), cells, "{preset:?} at {scale}");
         let (xadj, adjncy) = mesh.adjacency_csr();
         let graph = CsrGraph::from_csr_parts(xadj, adjncy);
-        for (block, (hash, cut)) in BLOCKS.into_iter().zip(expect) {
-            let part = block_partition(&graph, block, &PartitionOptions::default());
-            let got = (fnv1a(&part), edge_cut(&graph, &part));
-            assert_eq!(
-                got,
-                (hash, cut),
-                "{preset:?} {scale} b={block}: got ({:#018x}, {})",
-                got.0,
-                got.1
-            );
+        let mut blocks: Vec<(usize, (u64, u64))> = BLOCKS.into_iter().zip(expect).collect();
+        if (preset, scale) == (MeshPreset::Tetonly, 0.02) {
+            blocks.push((2, TETONLY_002_BLOCK_2));
         }
+        rows.push((preset, scale, graph, blocks));
     }
+    at_every_width(|threads| {
+        for (preset, scale, graph, blocks) in &rows {
+            for &(block, (hash, cut)) in blocks {
+                let part = block_partition(graph, block, &PartitionOptions::default());
+                let got = (fnv1a(&part), edge_cut(graph, &part));
+                assert_eq!(
+                    got,
+                    (hash, cut),
+                    "{preset:?} {scale} b={block} width {threads}: got ({:#018x}, {})",
+                    got.0,
+                    got.1
+                );
+            }
+        }
+    });
 }
 
 /// A `w × h` grid with `vwgt[v] = 1 + 7v mod 5`.
@@ -120,16 +149,18 @@ fn weighted_grid_parts_are_bit_identical() {
         (30, 17, 13, 0xb151_854b_b4eb_d730, 124),
         (5, 5, 3, 0xbe07_afce_a035_2165, 8),
     ];
-    for (w, h, nparts, hash, cut) in rows {
-        let g = weighted_grid(w, h);
-        let part = partition(&g, nparts, &PartitionOptions::default());
-        let got = (fnv1a(&part), edge_cut(&g, &part));
-        assert_eq!(
-            got,
-            (hash, cut),
-            "{w}x{h} / {nparts}: got ({:#018x}, {})",
-            got.0,
-            got.1
-        );
-    }
+    at_every_width(|threads| {
+        for (w, h, nparts, hash, cut) in rows {
+            let g = weighted_grid(w, h);
+            let part = partition(&g, nparts, &PartitionOptions::default());
+            let got = (fnv1a(&part), edge_cut(&g, &part));
+            assert_eq!(
+                got,
+                (hash, cut),
+                "{w}x{h} / {nparts} width {threads}: got ({:#018x}, {})",
+                got.0,
+                got.1
+            );
+        }
+    });
 }
