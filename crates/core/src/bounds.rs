@@ -45,7 +45,8 @@ impl LowerBounds {
     }
 }
 
-/// Computes all lower bounds. `O(n·k + edges)`.
+/// Computes all lower bounds. `O(n·k + |E| + T·⌈nk/4096⌉)`, `T` the
+/// Graham witness's makespan (see [`graham_union_steps`]).
 ///
 /// ```
 /// use sweep_core::lower_bounds;

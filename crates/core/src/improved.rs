@@ -12,11 +12,11 @@
 //! ([`improved_with_priorities`]). The narrowing is what enables the
 //! `O(log m · log log log m)` analysis (Theorem 3).
 
-use sweep_dag::{BitSet, SweepInstance, TaskId};
+use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::{schedule_by, task_in_degrees};
+use crate::list_schedule::{push_if, schedule_by, task_in_degrees, Block};
 use crate::random_delay::{delayed_levels, layer_sequential, random_delays};
 use crate::schedule::Schedule;
 
@@ -27,54 +27,75 @@ use crate::schedule::Schedule;
 /// completion step of every task (0-based, indexed by `TaskId::index`)
 /// and the makespan `T`; also the lower-bound witness of [`crate::bounds`].
 ///
-/// The ready frontier is a word-packed [`BitSet`]: the per-step batch
-/// is the `m` lowest set bits, tasks readied this step accumulate in a
-/// second set and merge in with one bulk `or` per 64 ids. Any greedy
-/// tie-break yields the same `(2 − 1/m)` bound; lowest-id is the one
-/// that makes the frontier a bitset instead of a queue.
+/// The ready frontier is the rank kernel's two-level bitset over task
+/// ids: one bit per id, one summary bit per non-zero word. A step pops
+/// its `m` lowest ids in one walk of the summary, then pushes the tasks
+/// they release straight into the same set — the batch is already out,
+/// so nothing readied this step runs in it. `O(n·k + |E| + T·⌈nk/4096⌉)`.
+/// Any greedy tie-break yields the same `(2 − 1/m)` bound; lowest-id is
+/// the one that makes the frontier a bitset instead of a queue.
 pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32) {
     let _span = telemetry::span!("sched.improved.graham");
     assert!(m > 0);
     let n = instance.num_cells();
-    let k = instance.num_directions();
-    let mut step = vec![0u32; n * k];
+    let nk = n * instance.num_directions();
+    let mut step = vec![0u32; nk];
     if n == 0 {
         return (step, 0);
     }
     let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
-    let mut ready = BitSet::new(n * k);
+    let mut words = vec![0u64; nk.div_ceil(64)];
+    let mut summary = vec![0u64; words.len().div_ceil(64)];
     for (t, &d) in indeg.iter().enumerate() {
-        if d == 0 {
-            ready.insert(t);
-        }
+        push_if(d == 0, &mut words, &mut summary, Block::default(), t as u32);
     }
-    let mut next_ready = BitSet::new(n * k);
-    let mut batch: Vec<u64> = Vec::with_capacity(m.min(n * k));
+    let mut batch: Vec<usize> = Vec::with_capacity(m.min(nk));
     let mut t = 0u32;
     let mut done = 0usize;
-    while done < n * k {
-        debug_assert!(!ready.is_empty(), "acyclic DAG always has ready tasks");
-        // Run the m lowest-id ready tasks this step.
+    while done < nk {
         batch.clear();
-        batch.extend(ready.ones().take(m).map(|task| task as u64));
+        pop_lowest_m(&mut words, &mut summary, m, &mut batch);
+        debug_assert!(!batch.is_empty(), "acyclic DAG always has ready tasks");
         for &task in &batch {
-            ready.remove(task as usize);
-            step[task as usize] = t;
-            done += 1;
-            let (v, dir) = TaskId(task).unpack(n);
-            for &w in instance.dag(dir as usize).successors(v) {
-                let wt = TaskId::pack(w, dir, n).index();
+            step[task] = t;
+            let v = task % n;
+            for &w in instance.dag(task / n).successors(v as u32) {
+                let wt = task - v + w as usize;
                 indeg[wt] -= 1;
-                if indeg[wt] == 0 {
-                    next_ready.insert(wt);
-                }
+                push_if(
+                    indeg[wt] == 0,
+                    &mut words,
+                    &mut summary,
+                    Block::default(),
+                    wt as u32,
+                );
             }
         }
-        ready.union_with(&next_ready);
-        next_ready.clear();
+        done += batch.len();
         t += 1;
     }
     (step, t)
+}
+
+/// Moves the `m` lowest ids of a two-level bitset into `batch` (all of
+/// them if it holds fewer), walking the summary from its first word once.
+fn pop_lowest_m(words: &mut [u64], summary: &mut [u64], m: usize, batch: &mut Vec<usize>) {
+    for (s, nonzero) in summary.iter_mut().enumerate() {
+        while *nonzero != 0 {
+            let w = s << 6 | nonzero.trailing_zeros() as usize;
+            while words[w] != 0 && batch.len() < m {
+                batch.push(w << 6 | words[w].trailing_zeros() as usize);
+                words[w] &= words[w] - 1;
+            }
+            if words[w] != 0 {
+                return;
+            }
+            *nonzero &= *nonzero - 1;
+            if batch.len() == m {
+                return;
+            }
+        }
+    }
 }
 
 /// **Algorithm 3 — Improved Random Delay.** Graham preprocessing, then
@@ -130,7 +151,7 @@ mod tests {
     use crate::list_schedule::list_schedule;
     use crate::random_delay::random_delay_with;
     use crate::schedule::validate;
-    use sweep_dag::TaskDag;
+    use sweep_dag::{TaskDag, TaskId};
 
     /// One direction: the union DAG is the DAG itself.
     fn one_direction(dag: TaskDag) -> SweepInstance {

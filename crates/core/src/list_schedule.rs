@@ -133,7 +133,7 @@ struct Node {
 /// its slice of the ready bitset and of the summary level (slices are
 /// padded to whole words, so processors share none).
 #[derive(Clone, Copy, Default)]
-struct Block {
+pub(crate) struct Block {
     rank: usize,
     word: usize,
     summary: usize,
@@ -274,7 +274,7 @@ impl ListBuffers {
 /// whether an edge releases its head is a coin toss the branch predictor
 /// loses, and that misprediction was the step loop's largest cost.
 #[inline]
-fn push_if(ready: bool, words: &mut [u64], summary: &mut [u64], block: Block, r: u32) {
+pub(crate) fn push_if(ready: bool, words: &mut [u64], summary: &mut [u64], block: Block, r: u32) {
     let bit = r as usize - block.rank;
     let w = bit >> 6;
     words[block.word + w] |= (ready as u64) << (bit & 63);

@@ -4,6 +4,8 @@
 
 use std::borrow::Cow;
 
+use sweep_pool::ThreadPool;
+
 use crate::bisect::{cut_weight, fm_refine, initial_bisection, GainQueue};
 use crate::coarsen::coarsen_to;
 use crate::csr::CsrGraph;
@@ -36,8 +38,9 @@ impl Default for PartitionOptions {
     }
 }
 
-/// Scratch for one [`partition`] call, threaded through every bisection
-/// and dropped on return: sized by the largest subgraph met and reused by
+/// Scratch for one thread of a [`partition`] call (the caller's, or one
+/// pool worker's), threaded through every bisection that thread runs and
+/// dropped on return: sized by the largest subgraph met and reused by
 /// every level, pass and try after it.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
@@ -97,17 +100,34 @@ fn multilevel_bisect(
 /// weight by recursive multilevel bisection. Returns the part id
 /// (`0..nparts`) per vertex.
 ///
+/// The recursion runs on [`sweep_pool::global`]: the calling thread
+/// bisects from the top until it holds one subtree per worker, then the
+/// workers bisect the subtrees. Worker count is not an input: bisection
+/// `i` of the sequential pop order is seeded `seed + i·φ64` however it is
+/// run. A subtree starts at the salt it would reach if every subtree
+/// popped before it bisected `parts − 1` times, which is exact unless
+/// some subset had no more vertices than parts. After the fan-out the
+/// subtrees are walked in pop order, and one whose guess was wrong is
+/// bisected again, on the calling thread, from its true salt.
+///
 /// # Panics
 /// Panics when `nparts == 0`.
 pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u32> {
-    partition_in(g, nparts, opts, &mut Workspace::default())
+    partition_in(
+        g,
+        nparts,
+        opts,
+        sweep_pool::global(),
+        &mut Workspace::default(),
+    )
 }
 
-/// [`partition`] on a caller-held workspace.
+/// [`partition`] on `pool`; at width 1 everything runs on `ws`.
 fn partition_in(
     g: &CsrGraph,
     nparts: usize,
     opts: &PartitionOptions,
+    pool: ThreadPool,
     ws: &mut Workspace,
 ) -> Vec<u32> {
     assert!(nparts > 0, "nparts must be positive");
@@ -124,34 +144,94 @@ fn partition_in(
         return part;
     }
     let gs = sorted_rows(g);
-    ws.local.clear();
-    ws.local.resize(n, u32::MAX);
-    // Work queue of (ascending vertex subset, part-id range).
     let all: Vec<u32> = (0..n as u32).collect();
-    let mut stack: Vec<(Vec<u32>, u32, u32)> = vec![(all, 0, nparts as u32)];
-    let mut salt = 0u64;
-    while let Some((subset, p_lo, p_hi)) = stack.pop() {
+    let mut stack: Vec<Subtree> = vec![(all, 0, nparts as u32)];
+    let mut labels = Vec::new();
+    let hold = if pool.is_sequential() {
+        usize::MAX
+    } else {
+        pool.threads()
+    };
+    let mut salt = bisect_down(&gs, &mut stack, hold, 0, &mut labels, opts, ws);
+    // The held subtrees in pop order, each from its guessed first salt.
+    let subtrees: Vec<Subtree> = stack.into_iter().rev().collect();
+    let guesses: Vec<u64> = subtrees
+        .iter()
+        .scan(salt, |next, (_, p_lo, p_hi)| {
+            let first = *next;
+            *next += u64::from(p_hi - p_lo - 1);
+            Some(first)
+        })
+        .collect();
+    // One subtree to the end from `first_salt`: its labels and bisections.
+    let run = |subtree: &Subtree, first_salt, ws: &mut Workspace| {
+        let (stack, mut labels) = (&mut vec![subtree.clone()], Vec::new());
+        let bisections = bisect_down(&gs, stack, usize::MAX, first_salt, &mut labels, opts, ws);
+        (labels, bisections)
+    };
+    let runs = pool.par_map_scratch(subtrees.len(), Workspace::default, |i, ws| {
+        run(&subtrees[i], guesses[i], ws)
+    });
+    for ((subtree, guess), (mut done, mut bisections)) in subtrees.iter().zip(guesses).zip(runs) {
+        if guess != salt {
+            (done, bisections) = run(subtree, salt, ws);
+        }
+        salt += bisections;
+        labels.append(&mut done);
+    }
+    for (v, p) in labels {
+        part[v as usize] = p;
+    }
+    // Final direct k-way pass: boundary vertices may hop between any
+    // adjacent pair of parts, recovering cut quality recursive bisection
+    // leaves on the table.
+    kway_refine(g, &mut part, nparts, opts.tolerance.max(0.02) * 2.0, 2);
+    part
+}
+
+/// An ascending vertex subset and the part-id range `p_lo..p_hi` it is
+/// split among.
+type Subtree = (Vec<u32>, u32, u32);
+
+/// The bisection loop: pops `stack` and bisects what it pops, pushing the
+/// two halves, until the stack is empty or holds `hold` subtrees. The
+/// `i`-th bisection it runs is salted `first_salt + i`; each vertex that
+/// reaches a single part goes to `labels` as `(vertex, part)`. Returns
+/// how many bisections ran.
+fn bisect_down(
+    g: &CsrGraph,
+    stack: &mut Vec<Subtree>,
+    hold: usize,
+    first_salt: u64,
+    labels: &mut Vec<(u32, u32)>,
+    opts: &PartitionOptions,
+    ws: &mut Workspace,
+) -> u64 {
+    ws.local.resize(g.num_vertices(), u32::MAX);
+    let mut salt = first_salt;
+    while stack.len() < hold {
+        let Some((subset, p_lo, p_hi)) = stack.pop() else {
+            break;
+        };
         let kparts = (p_hi - p_lo) as usize;
         if kparts == 1 {
-            for &v in &subset {
-                part[v as usize] = p_lo;
-            }
+            labels.extend(subset.iter().map(|&v| (v, p_lo)));
             continue;
         }
         if subset.len() <= kparts {
             // Fewer vertices than parts (skewed weights can starve a
             // side): one vertex per part, surplus parts stay empty.
-            for (idx, &v) in subset.iter().enumerate() {
-                part[v as usize] = p_lo + idx as u32;
-            }
+            labels.extend(subset.iter().zip(p_lo..).map(|(&v, p)| (v, p)));
             continue;
         }
-        let sub = induced_subgraph(&gs, &subset, &mut ws.local);
+        let sub = induced_subgraph(g, &subset, &mut ws.local);
         let k0 = kparts.div_ceil(2);
         let target0 = sub.total_vwgt() * k0 as u64 / kparts as u64;
         let mut sub_opts = opts.clone();
-        sub_opts.seed = opts.seed.wrapping_add(salt);
-        salt = salt.wrapping_add(0x9e3779b97f4a7c15);
+        sub_opts.seed = opts
+            .seed
+            .wrapping_add(salt.wrapping_mul(0x9e3779b97f4a7c15));
+        salt += 1;
         let side = multilevel_bisect(&sub, target0, &sub_opts, ws);
         let mut left = Vec::new();
         let mut right = Vec::new();
@@ -172,11 +252,7 @@ fn partition_in(
         stack.push((left, p_lo, p_lo + k0 as u32));
         stack.push((right, p_lo + k0 as u32, p_hi));
     }
-    // Final direct k-way pass: boundary vertices may hop between any
-    // adjacent pair of parts, recovering cut quality recursive bisection
-    // leaves on the table.
-    kway_refine(g, &mut part, nparts, opts.tolerance.max(0.02) * 2.0, 2);
-    part
+    salt - first_salt
 }
 
 /// Partitions into blocks of roughly `block_size` vertices (the paper's
@@ -300,7 +376,8 @@ mod tests {
         ];
         for (name, g, nparts) in cases {
             let mut ws = Workspace::default();
-            let part = partition_in(&g, nparts, &PartitionOptions::default(), &mut ws);
+            let o = PartitionOptions::default();
+            let part = partition_in(&g, nparts, &o, ThreadPool::new(1), &mut ws);
             assert_eq!(part.len(), g.num_vertices(), "{name}");
             assert!(part.iter().all(|&p| (p as usize) < nparts), "{name}");
             let bytes = ws.queue_bytes();

@@ -14,10 +14,10 @@
 //! task.
 //!
 //! Workers run under [`std::thread::scope`], so closures may borrow the
-//! caller's stack (no `'static` bound, no `Arc` plumbing), every task
-//! is joined before `par_map` returns (a pool can never shut down with
-//! queued tasks still pending), and a panicking task propagates to the
-//! caller instead of being lost.
+//! caller's stack (no `'static` bound, no `Arc` plumbing), every worker
+//! thread is joined — exited, not just done — before `par_map` returns
+//! (a pool can never shut down with queued tasks still pending), and a
+//! panicking task propagates to the caller instead of being lost.
 //!
 //! ## Determinism
 //!
@@ -196,21 +196,32 @@ impl ThreadPool {
 
         let (tx, rx) = mpsc::channel::<Batch<R>>();
         thread::scope(|scope| {
-            for w in 1..workers {
-                let tx = tx.clone();
-                let queues = &queues;
-                scope.spawn(move || {
-                    let _ = tx.send(drain_ranges(w, queues, init, f));
-                });
-            }
+            let handles: Vec<_> = (1..workers)
+                .map(|w| {
+                    let tx = tx.clone();
+                    let queues = &queues;
+                    scope.spawn(move || {
+                        let _ = tx.send(drain_ranges(w, queues, init, f));
+                    })
+                })
+                .collect();
             // The caller thread is worker 0 — it participates instead
             // of blocking, so `threads == 2` really means two workers.
             let _ = tx.send(drain_ranges(0, &queues, init, f));
             drop(tx);
+            // Join every OS thread, not just its closure: the scope's own
+            // join returns once the closures finish, and a thread that has
+            // not exited yet still holds its malloc arena, so the next
+            // call's spawn would open (and keep) a fresh one.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         });
 
-        // `thread::scope` has joined every worker and re-raised any
-        // task panic by this point; the channel is fully drained below.
+        // Every worker has exited and any task panic is re-raised by
+        // this point; the channel is fully drained below.
         let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
         for batch in rx {
             for (i, r) in batch.results {
@@ -241,8 +252,8 @@ struct Batch<R> {
 /// back half of the largest victim range (see
 /// [`RangeQueues::next_task`]). Exits when every range is empty — no
 /// task spawns further tasks, so an empty sweep means the index space
-/// is exhausted. On exit the worker records its counters and parks at
-/// the scope join:
+/// is exhausted. On exit the worker records its counters and returns its
+/// batch:
 ///
 /// * `pool.tasks` — indices executed by this worker;
 /// * `pool.steals` — successful back-half steals;
@@ -424,12 +435,10 @@ mod tests {
         }
     }
 
-    // Depending on which worker ends up executing index 13, the caller
-    // sees either the original payload or the scope's generic
-    // "a scoped thread panicked" — the guarantee is propagation, not
-    // the payload, so no `expected` substring here.
+    // Whichever worker executes index 13, the caller sees its payload:
+    // worker 0 unwinds through the scope, the others through `join`.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "task 13 exploded")]
     fn task_panic_propagates() {
         ThreadPool::new(4).par_map_range(64, |i| {
             if i == 13 {
