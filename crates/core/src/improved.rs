@@ -44,10 +44,12 @@ pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32)
         return (step, 0);
     }
     let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
+    // One block of ranks, and the rank of a task is its id.
+    let ids = Block::default();
     let mut words = vec![0u64; nk.div_ceil(64)];
     let mut summary = vec![0u64; words.len().div_ceil(64)];
     for (t, &d) in indeg.iter().enumerate() {
-        push_if(d == 0, &mut words, &mut summary, Block::default(), t as u32);
+        push_if(d == 0, &mut words, &mut summary, ids, t as u32);
     }
     let mut batch: Vec<usize> = Vec::with_capacity(m.min(nk));
     let mut t = 0u32;
@@ -62,13 +64,7 @@ pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32)
             for &w in instance.dag(task / n).successors(v as u32) {
                 let wt = task - v + w as usize;
                 indeg[wt] -= 1;
-                push_if(
-                    indeg[wt] == 0,
-                    &mut words,
-                    &mut summary,
-                    Block::default(),
-                    wt as u32,
-                );
+                push_if(indeg[wt] == 0, &mut words, &mut summary, ids, wt as u32);
             }
         }
         done += batch.len();

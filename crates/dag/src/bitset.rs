@@ -1,14 +1,12 @@
-//! A word-packed fixed-capacity bitset for ready-frontier bookkeeping.
+//! A word-packed fixed-capacity bitset for simulator bookkeeping.
 //!
-//! Level scheduling maintains *sets* of task/cell ids — the ready
-//! frontier of a Graham step, the completed/started sets of the fault
-//! simulator — whose natural operations are membership tests, bulk
-//! unions, and iteration in ascending id order. A `Vec<bool>` wastes
-//! 8x the cache footprint and cannot be unioned a word at a time; a
-//! `HashSet` adds hashing and pointer chasing to the innermost loops.
-//! This is the classic `FixedBitSet` shape, in-tree because the
-//! workspace is dependency-free: 64 ids per `u64` word, O(n/64) bulk
-//! `or`/`andnot`, and a trailing-zeros iterator over set bits.
+//! The fault simulator keeps *sets* of processor and task ids — alive,
+//! idle, started, completed — whose operations are membership tests,
+//! counts, and iteration in ascending id order. A `Vec<bool>` wastes 8x
+//! the cache footprint; a `HashSet` adds hashing and pointer chasing to
+//! the innermost loops. This is the classic `FixedBitSet` shape, in-tree
+//! because the workspace is dependency-free: 64 ids per `u64` word and a
+//! trailing-zeros iterator over set bits.
 //!
 //! ```
 //! use sweep_dag::BitSet;
@@ -18,18 +16,14 @@
 //! ready.insert(64);
 //! ready.insert(129);
 //! assert_eq!(ready.ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-//!
-//! let mut next = BitSet::new(130);
-//! next.insert(7);
-//! ready.union_with(&next); // bulk or, one instruction per 64 ids
-//! assert!(ready.contains(7));
+//! assert!(ready.remove(64));
+//! assert_eq!(ready.count_ones(), 2);
 //! ```
 
 /// A fixed-capacity set of `usize` ids in `0..len`, packed 64 per word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     words: Vec<u64>,
-    len: usize,
 }
 
 impl BitSet {
@@ -37,7 +31,6 @@ impl BitSet {
     pub fn new(len: usize) -> BitSet {
         BitSet {
             words: vec![0u64; len.div_ceil(64)],
-            len,
         }
     }
 
@@ -45,7 +38,6 @@ impl BitSet {
     pub fn full(len: usize) -> BitSet {
         let mut s = BitSet {
             words: vec![!0u64; len.div_ceil(64)],
-            len,
         };
         // Mask the tail so out-of-universe bits never leak into
         // `ones()`/`count_ones`.
@@ -57,39 +49,10 @@ impl BitSet {
         s
     }
 
-    /// Capacity of the id universe (not the number of set bits).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no bit is set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Clears every bit, keeping the allocation.
-    #[inline]
-    pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
-    /// Re-dimensions the universe to `0..len` and clears every bit.
-    /// Only (re)allocates when the new universe needs more words than
-    /// the buffer ever held — arena-friendly for scratch reuse.
-    pub fn reset(&mut self, len: usize) {
-        let words = len.div_ceil(64);
-        self.words.clear();
-        self.words.resize(words, 0);
-        self.len = len;
-    }
-
     /// Inserts `i`, returning true if it was newly inserted.
     ///
     /// # Panics
-    /// Panics when `i >= len` (debug and release: the shift would
-    /// otherwise index out of bounds anyway).
+    /// Panics when `i` lies past the last word of the universe.
     #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
         let (w, b) = (i / 64, 1u64 << (i % 64));
@@ -121,33 +84,6 @@ impl BitSet {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Bulk `self |= other` (other may have a smaller universe).
-    ///
-    /// # Panics
-    /// Panics when `other`'s universe is larger than `self`'s.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert!(other.words.len() <= self.words.len(), "universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Bulk `self &= !other` — removes every member of `other`.
-    pub fn difference_with(&mut self, other: &BitSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// The smallest set id, if any.
-    #[inline]
-    pub fn first(&self) -> Option<usize> {
-        self.words
-            .iter()
-            .position(|&w| w != 0)
-            .map(|i| i * 64 + self.words[i].trailing_zeros() as usize)
-    }
-
     /// Iterates set ids in ascending order (trailing-zeros word scan).
     pub fn ones(&self) -> Ones<'_> {
         Ones {
@@ -155,12 +91,6 @@ impl BitSet {
             word: self.words.first().copied().unwrap_or(0),
             idx: 0,
         }
-    }
-
-    /// The raw 64-bit words (low id = low bit of word 0).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -193,7 +123,7 @@ mod tests {
     #[test]
     fn insert_remove_contains_roundtrip() {
         let mut s = BitSet::new(200);
-        assert!(s.is_empty());
+        assert_eq!(s.count_ones(), 0);
         assert!(s.insert(0));
         assert!(s.insert(63));
         assert!(s.insert(64));
@@ -215,55 +145,13 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.ones().collect::<Vec<_>>(), ids);
-        assert_eq!(s.first(), Some(0));
-        s.remove(0);
-        assert_eq!(s.first(), Some(1));
-    }
-
-    #[test]
-    fn union_and_difference_are_bulk_word_ops() {
-        let mut a = BitSet::new(130);
-        let mut b = BitSet::new(130);
-        for i in (0..130).step_by(3) {
-            a.insert(i);
-        }
-        for i in (0..130).step_by(2) {
-            b.insert(i);
-        }
-        let mut u = a.clone();
-        u.union_with(&b);
-        for i in 0..130 {
-            assert_eq!(u.contains(i), i % 3 == 0 || i % 2 == 0, "union at {i}");
-        }
-        let mut d = u.clone();
-        d.difference_with(&b);
-        for i in 0..130 {
-            assert_eq!(d.contains(i), i % 3 == 0 && i % 2 != 0, "andnot at {i}");
-        }
-    }
-
-    #[test]
-    fn clear_and_reset_keep_capacity() {
-        let mut s = BitSet::new(1000);
-        s.insert(999);
-        let cap = s.words.capacity();
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.len(), 1000);
-        s.reset(500);
-        assert_eq!(s.len(), 500);
-        assert!(s.is_empty());
-        assert_eq!(s.words.capacity(), cap, "reset to smaller must not realloc");
-        s.insert(499);
-        assert_eq!(s.ones().collect::<Vec<_>>(), vec![499]);
     }
 
     #[test]
     fn empty_universe() {
         let s = BitSet::new(0);
-        assert!(s.is_empty());
+        assert_eq!(s.count_ones(), 0);
         assert_eq!(s.ones().count(), 0);
-        assert_eq!(s.first(), None);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! 2. **initial bisection** by greedy region growing (`bisect`);
 //! 3. **uncoarsening** with Fiduccia–Mattheyses boundary refinement;
 //! 4. **k-way** partitions by recursive bisection with proportional weight
-//!    targets ([`partition`]).
+//!    targets ([`partition`]), the subtrees bisected on the global
+//!    `sweep-pool` with the same seeds, and so the same parts, at every
+//!    width.
 //!
 //! ```
 //! use sweep_partition::{CsrGraph, PartitionOptions, block_partition, edge_cut, imbalance};

@@ -113,13 +113,8 @@ fn multilevel_bisect(
 /// # Panics
 /// Panics when `nparts == 0`.
 pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u32> {
-    partition_in(
-        g,
-        nparts,
-        opts,
-        sweep_pool::global(),
-        &mut Workspace::default(),
-    )
+    let pool = sweep_pool::global();
+    partition_in(g, nparts, opts, pool, &mut Workspace::default())
 }
 
 /// [`partition`] on `pool`; at width 1 everything runs on `ws`.
