@@ -52,6 +52,7 @@ pub mod random_delay;
 pub mod replicate;
 pub mod schedule;
 pub mod scratch;
+mod slots;
 pub mod trials;
 pub mod weighted;
 

@@ -9,6 +9,7 @@
 use sweep_dag::{SweepInstance, TaskId};
 
 use crate::assignment::Assignment;
+use crate::slots::SlotSort;
 
 /// A feasible (or to-be-validated) sweep schedule.
 #[derive(Debug, Clone)]
@@ -33,6 +34,12 @@ pub enum ScheduleBuildError {
         /// Cells covered by the assignment.
         cells: usize,
     },
+    /// A task starts at `u32::MAX`, so it would finish at step 2^32 and
+    /// the makespan would not fit a `u32`.
+    MakespanOverflow {
+        /// Index of the first task starting at `u32::MAX`.
+        task: usize,
+    },
 }
 
 impl std::fmt::Display for ScheduleBuildError {
@@ -42,6 +49,11 @@ impl std::fmt::Display for ScheduleBuildError {
                 f,
                 "{starts} start times cannot cover k direction copies of {cells} cells \
                  (need a multiple of the cell count)"
+            ),
+            ScheduleBuildError::MakespanOverflow { task } => write!(
+                f,
+                "task {task} starts at {}, so the makespan overflows a u32",
+                u32::MAX
             ),
         }
     }
@@ -53,9 +65,10 @@ impl Schedule {
     /// Bundles start times with their assignment. The makespan is derived.
     ///
     /// Returns a typed error when `start.len()` is not a multiple of the
-    /// assignment's cell count (it must be `n·k`), so untrusted inputs
-    /// (CSV imports, corrupted schedules under analysis) surface as
-    /// diagnostics rather than panics.
+    /// assignment's cell count (it must be `n·k`) or a task starts at
+    /// `u32::MAX` (the makespan would overflow), so untrusted inputs
+    /// (CSV imports, a peer's artifact, corrupted schedules under
+    /// analysis) surface as diagnostics rather than panics.
     pub fn new(start: Vec<u32>, assignment: Assignment) -> Result<Schedule, ScheduleBuildError> {
         let n = assignment.num_cells();
         if !(n == 0 && start.is_empty() || n > 0 && start.len().is_multiple_of(n)) {
@@ -64,7 +77,13 @@ impl Schedule {
                 cells: n,
             });
         }
-        let makespan = start.iter().map(|&t| t + 1).max().unwrap_or(0);
+        let makespan = match start.iter().max() {
+            Some(&u32::MAX) => {
+                let task = start.iter().position(|&t| t == u32::MAX).unwrap_or(0);
+                return Err(ScheduleBuildError::MakespanOverflow { task });
+            }
+            last => last.map_or(0, |&t| t + 1),
+        };
         Ok(Schedule {
             start,
             assignment,
@@ -76,9 +95,9 @@ impl Schedule {
     /// construction.
     ///
     /// # Panics
-    /// Panics when `start.len()` is not a multiple of the cell count.
+    /// Panics when [`Schedule::new`] returns an error.
     pub fn new_checked(start: Vec<u32>, assignment: Assignment) -> Schedule {
-        Schedule::new(start, assignment).expect("scheduler emitted n·k start times")
+        Schedule::new(start, assignment).expect("scheduler emitted n·k finite start times")
     }
 
     /// Start time of a task.
@@ -200,8 +219,10 @@ impl std::error::Error for ScheduleViolation {}
 
 /// Checks the three feasibility constraints of §3 against `instance`:
 /// precedence within every DAG, one task per processor per timestep, and
-/// (by construction of [`Schedule`]) one processor per cell. Runs in
-/// `O(n·k + edges)` time.
+/// (by construction of [`Schedule`]) one processor per cell. Reports the
+/// first violated precedence in `(dir, u, v)` order, else the smallest
+/// double-booked `(time, proc)` slot. Runs in `O(n·k + edges)` time and
+/// memory, with no comparison sort.
 pub fn validate(instance: &SweepInstance, schedule: &Schedule) -> Result<(), ScheduleViolation> {
     let n = instance.num_cells();
     let k = instance.num_directions();
@@ -218,47 +239,94 @@ pub fn validate(instance: &SweepInstance, schedule: &Schedule) -> Result<(), Sch
         });
     }
     // Constraint 1: precedence. Unit tasks ⇒ start(v) ≥ start(u) + 1.
-    for (i, dag) in instance.dags().iter().enumerate() {
-        for (u, v) in dag.edges() {
-            let su = schedule.start_of(TaskId::pack(u, i as u32, n));
-            let sv = schedule.start_of(TaskId::pack(v, i as u32, n));
-            if sv <= su {
+    // (With no cells there are no starts, and no chunk to pair a DAG with.)
+    let per_dir = schedule.starts().chunks_exact(n.max(1));
+    for (i, (dag, starts)) in instance.dags().iter().zip(per_dir).enumerate() {
+        for (u, &su) in (0..n as u32).zip(starts) {
+            let succ = dag.successors(u);
+            if let Some(&v) = succ.iter().find(|&&v| starts[v as usize] <= su) {
                 return Err(ScheduleViolation::Precedence {
                     dir: i as u32,
                     u,
                     v,
                     start_u: su,
-                    start_v: sv,
+                    start_v: starts[v as usize],
                 });
             }
         }
     }
-    // Constraint 2: one task per processor-timestep. Count slots.
-    let m = schedule.num_procs();
-    let mut slots: Vec<(u32, u32)> = Vec::with_capacity(n * k);
-    for dir in 0..k as u32 {
-        for v in 0..n as u32 {
-            let t = schedule.start_of(TaskId::pack(v, dir, n));
-            slots.push((t, schedule.proc_of_cell(v)));
-        }
+    // Constraint 2: one task per processor-timestep. In slot order the
+    // tasks of a slot are adjacent, smallest `(time, proc)` first.
+    let mut slots = SlotSort::default();
+    let tasks = slots.sort(schedule, |_| 1);
+    match tasks.windows(2).find(|w| w[0].same_slot(&w[1])) {
+        Some(w) => Err(ScheduleViolation::ProcessorConflict {
+            proc: w[0].proc,
+            time: w[0].step,
+        }),
+        None => Ok(()),
     }
-    slots.sort_unstable();
-    for w in slots.windows(2) {
-        if w[0] == w[1] {
-            return Err(ScheduleViolation::ProcessorConflict {
-                proc: w[0].1,
-                time: w[0].0,
-            });
-        }
-    }
-    let _ = m;
-    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sweep_dag::TaskDag;
+
+    /// The body [`validate`] replaced, one comparison sort of every
+    /// `(time, proc)` slot: the oracle it must agree with, violation
+    /// payload included.
+    pub(crate) fn validate_reference(
+        instance: &SweepInstance,
+        schedule: &Schedule,
+    ) -> Result<(), ScheduleViolation> {
+        let n = instance.num_cells();
+        let k = instance.num_directions();
+        if schedule.assignment().num_cells() != n {
+            return Err(ScheduleViolation::AssignmentMismatch {
+                cells: n,
+                assigned: schedule.assignment().num_cells(),
+            });
+        }
+        if schedule.starts().len() != n * k {
+            return Err(ScheduleViolation::WrongTaskCount {
+                expected: n * k,
+                actual: schedule.starts().len(),
+            });
+        }
+        for (i, dag) in instance.dags().iter().enumerate() {
+            for (u, v) in dag.edges() {
+                let su = schedule.start_of(TaskId::pack(u, i as u32, n));
+                let sv = schedule.start_of(TaskId::pack(v, i as u32, n));
+                if sv <= su {
+                    return Err(ScheduleViolation::Precedence {
+                        dir: i as u32,
+                        u,
+                        v,
+                        start_u: su,
+                        start_v: sv,
+                    });
+                }
+            }
+        }
+        let mut slots: Vec<(u32, u32)> = Vec::with_capacity(n * k);
+        for dir in 0..k as u32 {
+            for v in 0..n as u32 {
+                let t = schedule.start_of(TaskId::pack(v, dir, n));
+                slots.push((t, schedule.proc_of_cell(v)));
+            }
+        }
+        slots.sort_unstable();
+        for w in slots.windows(2) {
+            if w[0] == w[1] {
+                return Err(ScheduleViolation::ProcessorConflict {
+                    proc: w[0].1,
+                    time: w[0].0,
+                });
+            }
+        }
+        Ok(())
+    }
 
     /// n=2 cells, k=1 direction, edge 0 -> 1.
     fn tiny_instance() -> SweepInstance {

@@ -254,12 +254,12 @@ impl TrialScratch {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::trials::trial_seeds;
 
     /// All ten algorithms: the §5.2 comparison set and the three outside it.
-    fn all_algorithms() -> Vec<Algorithm> {
+    pub(crate) fn all_algorithms() -> Vec<Algorithm> {
         let mut all = Algorithm::COMPARISON_SET.to_vec();
         all.extend([
             Algorithm::LevelPriority { delays: true },

@@ -735,6 +735,18 @@ mod tests {
         evil.extend_from_slice(&1u32.to_le_bytes());
         evil.extend_from_slice(&0u32.to_le_bytes());
         assert!(decode_artifact(&evil).unwrap_err().contains("processor"));
+        // A start at u32::MAX: the makespan would overflow (this panicked
+        // in debug builds and read as makespan 1 in release).
+        let mut evil = Vec::new();
+        evil.extend_from_slice(&ARTIFACT_MAGIC);
+        evil.push(ARTIFACT_VERSION);
+        evil.extend_from_slice(&[42u64, 0, 1].map(u64::to_le_bytes).concat());
+        for word in [0, 1, 1, 0, 2, 0, u32::MAX] {
+            // no makespans, m = 1, 1 cell on processor 0, starts [0, MAX]
+            evil.extend_from_slice(&u32::to_le_bytes(word));
+        }
+        let err = decode_artifact(&evil).unwrap_err();
+        assert!(err.contains("makespan overflows"), "{err}");
         // Trailing garbage.
         let mut evil = good.clone();
         evil.push(0);

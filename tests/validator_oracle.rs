@@ -98,6 +98,17 @@ fn truncated_schedule_is_rejected_at_construction() {
 }
 
 #[test]
+fn start_at_u32_max_is_rejected_at_construction() {
+    // Regression: the makespan `max(t + 1)` panicked in debug builds and
+    // wrapped to 1 in release.
+    let err = Schedule::new(vec![0, u32::MAX], Assignment::single(2)).unwrap_err();
+    assert_eq!(err, ScheduleBuildError::MakespanOverflow { task: 1 });
+    assert!(err.to_string().contains("overflows"));
+    let last = Schedule::new(vec![0, u32::MAX - 1], Assignment::single(2)).unwrap();
+    assert_eq!(last.makespan(), u32::MAX);
+}
+
+#[test]
 fn whole_direction_missing_is_caught() {
     // Dropping a full direction keeps the length a multiple of n, so
     // construction succeeds — the validator must catch the count mismatch.
