@@ -231,8 +231,8 @@ fn certify_bounds(
             Anchor::none(),
             format!(
                 "makespan {makespan} is below the certified lower bound {best} \
-                 (max of ⌈nk/m⌉={}, k={}, D={}, graham={}) — the schedule cannot be real",
-                lb.avg_load, lb.directions, lb.depth, lb.graham,
+                 (max of ⌈nk/m⌉={}, k={}, D={}) — the schedule cannot be real",
+                lb.avg_load, lb.directions, lb.depth,
             ),
         ));
         return;

@@ -8,10 +8,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, BenchArgs, CsvSink};
-use sweep_core::{
-    c1_interprocessor_edges, c2_comm_delay, cut_fraction, lower_bounds, random_delay_priorities,
-    validate, Assignment,
-};
+use sweep_core::{certify, random_delay_priorities, Assignment};
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -24,7 +21,6 @@ fn main() {
         "ablation_blocks",
         "paper_block,effective_block,nblocks,m,makespan,ratio_lb,c1,cut_fraction,c2",
     );
-    let lb = lower_bounds(&instance, m).paper();
     // paper_block = 1 is the per-cell assignment baseline.
     for paper_block in [1usize, 16, 64, 256, 1024] {
         let (eff, assignment) = if paper_block == 1 {
@@ -36,14 +32,15 @@ fn main() {
         };
         let nblocks = if paper_block == 1 { n } else { n.div_ceil(eff) };
         let s = random_delay_priorities(&instance, assignment, args.seed ^ 7);
-        validate(&instance, &s).expect("feasible");
+        let cert = certify(&instance, &s);
+        cert.verdict.expect("feasible");
         sink.row(format_args!(
             "{paper_block},{eff},{nblocks},{m},{mk},{ratio:.3},{c1},{frac:.4},{c2}",
             mk = s.makespan(),
-            ratio = s.makespan() as f64 / lb as f64,
-            c1 = c1_interprocessor_edges(&instance, s.assignment()),
-            frac = cut_fraction(&instance, s.assignment()),
-            c2 = c2_comm_delay(&instance, &s),
+            ratio = s.makespan() as f64 / cert.bounds.paper() as f64,
+            c1 = cert.c1,
+            frac = cert.c1 as f64 / instance.total_edges() as f64,
+            c2 = cert.c2,
         ));
     }
     sink.finish();

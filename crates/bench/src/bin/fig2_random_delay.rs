@@ -9,9 +9,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, AssignPolicy, BenchArgs, CsvSink};
-use sweep_core::{
-    c1_interprocessor_edges, c2_comm_delay, lower_bounds, random_delay_priorities, validate,
-};
+use sweep_core::{certify, random_delay_priorities};
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -45,10 +43,9 @@ fn main() {
         for (label, policy) in &policies {
             let a = policy.draw(n, m, args.seed ^ m as u64);
             let s = random_delay_priorities(&instance, a, args.seed.wrapping_add(m as u64));
-            validate(&instance, &s).expect("feasible");
-            let lb = lower_bounds(&instance, m).paper();
-            let c1 = c1_interprocessor_edges(&instance, s.assignment());
-            let c2 = c2_comm_delay(&instance, &s);
+            let cert = certify(&instance, &s);
+            cert.verdict.expect("feasible");
+            let (lb, c1, c2) = (cert.bounds.paper(), cert.c1, cert.c2);
             sink.row(format_args!(
                 "{label},{block},{m},{mk},{lb},{ratio:.3},{c1},{c2},{frac:.4}",
                 label = label,

@@ -56,8 +56,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use sweep_core::{
-    c1_interprocessor_edges, c2_comm_delay, lower_bounds, render_gantt, validate, Algorithm,
-    Assignment, Schedule,
+    certify, lower_bounds, render_gantt, Algorithm, Assignment, Certificate, Schedule,
 };
 use sweep_dag::{instance_stats, SweepInstance};
 use sweep_mesh::{quality_report, MeshPreset, SweepMesh, TetMesh};
@@ -347,11 +346,14 @@ impl SchedFlags {
         Assignment::random_cells(inst.num_cells(), self.m, self.seed)
     }
 
-    /// Runs the algorithm on `assignment` and checks the result.
-    fn run(&self, inst: &SweepInstance, assignment: Assignment) -> Result<Schedule, String> {
-        let schedule = self.alg.run(inst, assignment, self.seed ^ 0xabcd);
-        validate(inst, &schedule).map_err(|e| format!("internal: infeasible schedule: {e}"))?;
-        Ok(schedule)
+    /// Runs the algorithm on assignment `a` and certifies the result.
+    fn run(&self, inst: &SweepInstance, a: Assignment) -> Result<(Schedule, Certificate), String> {
+        let schedule = self.alg.run(inst, a, self.seed ^ 0xabcd);
+        let cert = certify(inst, &schedule);
+        match &cert.verdict {
+            Err(e) => Err(format!("internal: infeasible schedule: {e}")),
+            Ok(()) => Ok((schedule, cert)),
+        }
     }
 }
 
@@ -533,7 +535,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
         return Err("--latency must be non-negative".into());
     }
     let assignment = sched.random_cells(&inst);
-    let schedule = sched.run(&inst, assignment.clone())?;
+    let (schedule, _) = sched.run(&inst, assignment.clone())?;
     let sim = sweep_sim::simulate(&inst, &schedule, &sweep_sim::SimConfig::default());
     let prio: Vec<i64> = schedule.starts().iter().map(|&t| t as i64).collect();
     let (async_report, trace) =
@@ -581,7 +583,7 @@ fn cmd_faults(flags: &HashMap<String, String>) -> Result<(String, i32), String> 
     };
     cfg.validate()?;
     let assignment = sched.random_cells(&inst);
-    let schedule = sched.run(&inst, assignment.clone())?;
+    let (schedule, _) = sched.run(&inst, assignment.clone())?;
     let prio: Vec<i64> = schedule.starts().iter().map(|&t| t as i64).collect();
 
     // Fault-free baseline: the degradation denominator and the horizon
@@ -1062,10 +1064,7 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
             Assignment::random_blocks(&blocks, m, seed)
         }
     };
-    let schedule = sched.run(&inst, assignment)?;
-    let lb = lower_bounds(&inst, m);
-    let c1 = c1_interprocessor_edges(&inst, schedule.assignment());
-    let c2 = c2_comm_delay(&inst, &schedule);
+    let (schedule, Certificate { bounds, c1, c2, .. }) = sched.run(&inst, assignment)?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1075,8 +1074,8 @@ fn cmd_schedule(flags: &HashMap<String, String>) -> Result<String, String> {
         name,
         inst.num_tasks(),
         schedule.makespan(),
-        lb.best(),
-        schedule.makespan() as f64 / lb.best() as f64,
+        bounds.best(),
+        schedule.makespan() as f64 / bounds.best() as f64,
     );
     let _ = writeln!(
         out,
@@ -1228,7 +1227,7 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(String, i32), String>
         if !cyclic {
             let assignment = sched.random_cells(&inst);
             report.merge(analyze_assignment_with(&inst, &assignment, &opts));
-            let schedule = sched.run(&inst, assignment.clone())?;
+            let (schedule, _) = sched.run(&inst, assignment.clone())?;
             report.merge(analyze_schedule_with(&inst, &schedule, &opts));
             if flags.contains_key("async") {
                 let latency: f64 = get(flags, "latency", 1.0)?;

@@ -1,19 +1,12 @@
-//! Lower bounds on the optimal sweep makespan.
-//!
-//! The paper's analysis uses `OPT ≥ max{nk/m, k, D}` (proof of Lemma 4)
-//! and its experiments compare against `nk/m` ("Lower Bound of the
-//! Makespan", §5). Two further sound bounds are implemented:
-//!
-//! * **per-cell serialization** — all `k` copies of a cell share one
-//!   processor, so `OPT ≥ k` (subsumed by the paper's `k` bound, listed
-//!   separately for clarity);
-//! * **Graham witness** — relaxing the same-processor constraint can only
-//!   help, so `OPT_sweep ≥ OPT_relaxed ≥ graham/(2 − 1/m)` where `graham`
-//!   is the greedy makespan of the union DAG on `m` machines \[Graham\].
+//! Lower bounds on the optimal sweep makespan: the paper's
+//! `OPT ≥ max{nk/m, k, D}` (proof of Lemma 4; its experiments compare
+//! against `nk/m`, "Lower Bound of the Makespan", §5). `k` holds because
+//! all `k` copies of a cell share one processor. A Graham witness,
+//! `⌈T·m/(2m − 1)⌉` for the greedy makespan `T` of the union DAG, never
+//! beats `max(⌈nk/m⌉, D)`, because greedy unit tasks obey
+//! `T·m ≤ nk + (m − 1)·D`; it is not computed.
 
 use sweep_dag::SweepInstance;
-
-use crate::improved::graham_union_steps;
 
 /// The individual lower bounds for an instance on `m` processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,29 +17,24 @@ pub struct LowerBounds {
     pub directions: u64,
     /// `D` — the deepest critical path over all directions.
     pub depth: u64,
-    /// `⌈graham · m / (2m − 1)⌉` — Graham-witness bound on the relaxed
-    /// problem.
-    pub graham: u64,
 }
 
 impl LowerBounds {
-    /// The best (largest) of the bounds.
+    /// The best (largest) of the bounds: what a makespan is certified
+    /// against.
     pub fn best(&self) -> u64 {
-        self.avg_load
-            .max(self.directions)
-            .max(self.depth)
-            .max(self.graham)
+        self.paper()
     }
 
-    /// The paper's bound `max{nk/m, k, D}` (without the Graham witness) —
-    /// what the experimental sections normalize against.
+    /// The paper's bound `max{nk/m, k, D}` — what the experimental
+    /// sections normalize against.
     pub fn paper(&self) -> u64 {
         self.avg_load.max(self.directions).max(self.depth)
     }
 }
 
-/// Computes all lower bounds. `O(n·k + |E| + T·⌈nk/4096⌉)`, `T` the
-/// Graham witness's makespan (see [`graham_union_steps`]).
+/// Computes all lower bounds in `O(k)`: a read of the task count, `k`
+/// and the depth every DAG stores.
 ///
 /// ```
 /// use sweep_core::lower_bounds;
@@ -63,18 +51,10 @@ impl LowerBounds {
 /// Panics when `m == 0`.
 pub fn lower_bounds(instance: &SweepInstance, m: usize) -> LowerBounds {
     assert!(m > 0, "need at least one processor");
-    let nk = instance.num_tasks() as u64;
-    let avg_load = nk.div_ceil(m as u64);
-    let directions = instance.num_directions() as u64;
-    let depth = instance.max_depth() as u64;
-    let (_, graham_t) = graham_union_steps(instance, m);
-    // graham ≤ (2 - 1/m)·OPT  ⇒  OPT ≥ graham·m/(2m - 1).
-    let graham = (graham_t as u64 * m as u64).div_ceil(2 * m as u64 - 1);
     LowerBounds {
-        avg_load,
-        directions,
-        depth,
-        graham,
+        avg_load: (instance.num_tasks() as u64).div_ceil(m as u64),
+        directions: instance.num_directions() as u64,
+        depth: instance.max_depth() as u64,
     }
 }
 
@@ -103,7 +83,6 @@ mod tests {
         assert_eq!(b.avg_load, 10); // 80/8
         assert_eq!(b.directions, 4);
         assert_eq!(b.depth, 20);
-        assert!(b.graham >= 20 / 2);
         assert_eq!(b.paper(), 20);
         assert!(b.best() >= 20);
     }
@@ -112,9 +91,8 @@ mod tests {
     fn single_processor_bound_is_exact() {
         let inst = SweepInstance::random_layered(30, 3, 4, 2, 1);
         let b = lower_bounds(&inst, 1);
+        // m = 1: ⌈nk/m⌉ = nk, which one processor meets exactly.
         assert_eq!(b.avg_load, 90);
-        // m = 1: graham bound = graham makespan = nk.
-        assert_eq!(b.graham, 90);
         let s = greedy_schedule(&inst, Assignment::single(30));
         assert_eq!(s.makespan() as u64, b.best());
     }
@@ -138,13 +116,15 @@ mod tests {
     }
 
     #[test]
-    fn graham_bound_dominates_on_wide_shallow_instances() {
+    fn avg_load_binds_on_wide_shallow_instances() {
         // Wide instance with one dependency layer: depth small, k small,
-        // avg load the binding constraint; graham should agree with it.
+        // avg load the binding constraint, and greedy meets it exactly.
         let inst = SweepInstance::new(64, vec![TaskDag::edgeless(64)], "wide");
         let b = lower_bounds(&inst, 8);
-        assert_eq!(b.avg_load, 8);
-        assert!(b.graham >= 5); // graham = 8 steps ⇒ 8·8/15 = 4.27 → 5
+        assert_eq!((b.avg_load, b.directions, b.depth), (8, 1, 1));
+        assert_eq!(b.best(), 8);
+        let s = greedy_schedule(&inst, Assignment::round_robin(64, 8));
+        assert_eq!(s.makespan() as u64, b.best());
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::schedule::Schedule;
 /// `(2 − 1/m)`-approximation — of all `n·k` tasks on `m` identical
 /// machines, lowest task id first among ready tasks. Returns the
 /// completion step of every task (0-based, indexed by `TaskId::index`)
-/// and the makespan `T`; also the lower-bound witness of [`crate::bounds`].
+/// and the makespan `T`.
 ///
 /// The ready frontier is the rank kernel's two-level bitset over task
 /// ids: one bit per id, one summary bit per non-zero word. A step pops
@@ -144,7 +144,8 @@ pub fn improved_priorities(instance: &SweepInstance, m: usize, delays: &[u32]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::list_schedule::list_schedule;
+    use crate::bounds::lower_bounds;
+    use crate::list_schedule::{list_schedule, tests::oracle_instances};
     use crate::random_delay::random_delay_with;
     use crate::schedule::validate;
     use sweep_dag::{TaskDag, TaskId};
@@ -249,17 +250,23 @@ mod tests {
         }
     }
 
+    /// Graham's bound `T·m ≤ nk + (m − 1)·D` for greedy unit tasks, and
+    /// what `lower_bounds` rests on: the witness `⌈T·m/(2m − 1)⌉`, a
+    /// weighted mean of `⌈nk/m⌉` and `D` rounded up, never beats their max.
     #[test]
-    fn graham_is_within_two_of_lower_bounds() {
-        // Graham ≤ (2 - 1/m)·OPT and OPT ≥ max(n/m, critical path).
-        let inst = SweepInstance::random_layered(120, 1, 10, 3, 5);
-        let dag = inst.dag(0);
-        let m = 4;
-        let (_, t) = graham_union_steps(&inst, m);
-        let lb = (dag.num_nodes() as u32)
-            .div_ceil(m as u32)
-            .max(sweep_dag::critical_path_len(dag) as u32);
-        assert!(t <= 2 * lb, "graham {t} vs lb {lb}");
+    fn graham_witness_never_beats_load_or_depth() {
+        for inst in oracle_instances() {
+            let (nk, depth) = (inst.num_tasks() as u64, inst.max_depth() as u64);
+            for m in [1, 2, 7, 64, nk + 3] {
+                let (_, t) = graham_union_steps(&inst, m as usize);
+                let t = u64::from(t);
+                let label = format!("{} m={m} T={t}", inst.name());
+                assert!(t * m <= nk + (m - 1) * depth, "{label}");
+                let lb = lower_bounds(&inst, m as usize);
+                let witness = (t * m).div_ceil(2 * m - 1);
+                assert!(witness <= lb.avg_load.max(lb.depth), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -14,23 +14,22 @@
 //!   each composable with random delays;
 //! * [`list_schedule()`](list_schedule()) — the shared priority list-scheduling engine;
 //! * [`metrics`] — the communication measures C1 and C2;
-//! * [`bounds`] — lower bounds (`max{nk/m, k, D}` and a Graham witness);
+//! * [`bounds`] — lower bounds (`max{nk/m, k, D}`);
 //! * [`concentration`] — Chernoff/balls-in-bins helpers mirroring
 //!   Lemma 1 and equation (3), plus empirical congestion probes for
 //!   Lemmas 2–3;
-//! * [`validate`] — an independent feasibility oracle for the three
-//!   sweep-scheduling constraints.
+//! * [`certify`] / [`validate`] — an independent feasibility oracle for the
+//!   three sweep-scheduling constraints (`certify` also measures C1 and C2).
 //!
 //! ```
 //! use sweep_dag::SweepInstance;
-//! use sweep_core::{Algorithm, Assignment, validate, lower_bounds};
+//! use sweep_core::{certify, Algorithm, Assignment};
 //!
 //! let inst = SweepInstance::random_layered(200, 8, 12, 2, 1);
 //! let assignment = Assignment::random_cells(200, 16, 2);
 //! let schedule = Algorithm::RandomDelayPriorities.run(&inst, assignment, 3);
-//! validate(&inst, &schedule).unwrap();
-//! let lb = lower_bounds(&inst, 16);
-//! assert!(schedule.makespan() as u64 >= lb.best());
+//! let cert = certify(&inst, &schedule);
+//! assert!(cert.verdict.is_ok() && cert.makespan as u64 >= cert.bounds.best());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,7 +65,7 @@ pub use gantt::{from_csv, render_gantt, timelines, to_csv};
 pub use improved::{graham_union_steps, improved_random_delay, improved_with_priorities};
 pub use kba::{kba_assignment, processor_grid};
 pub use list_schedule::{compact, greedy_schedule, list_schedule, task_in_degrees};
-pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction, idle_slots, load_profile};
+pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction, load_profile};
 pub use opt::{optimal_makespan_fixed_assignment, optimal_sweep_makespan};
 pub use priorities::{
     descendant_priorities, dfds_priorities, level_priorities, schedule_with_priorities,
@@ -77,7 +76,9 @@ pub use random_delay::{
     random_delay_with, random_delays, random_delays_into,
 };
 pub use replicate::{replicate, AssignmentDraw, ReplicateSummary};
-pub use schedule::{validate, Schedule, ScheduleBuildError, ScheduleViolation};
+pub use schedule::{
+    certify, validate, Certificate, Schedule, ScheduleBuildError, ScheduleViolation,
+};
 pub use scratch::{TrialContext, TrialScratch};
 pub use trials::{
     best_of_trials, best_of_trials_seq, best_of_trials_with_pool, trial_seeds, BestOfTrials,

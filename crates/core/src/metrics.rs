@@ -12,8 +12,7 @@
 use sweep_dag::SweepInstance;
 
 use crate::assignment::Assignment;
-use crate::schedule::Schedule;
-use crate::slots::{SlotSort, SlotTask};
+use crate::schedule::{certify, Schedule};
 
 /// C1: total number of interprocessor edges over all directions.
 pub fn c1_interprocessor_edges(instance: &SweepInstance, assignment: &Assignment) -> u64 {
@@ -43,41 +42,15 @@ pub fn cut_fraction(instance: &SweepInstance, assignment: &Assignment) -> f64 {
 /// C2: Σ over timesteps of the maximum per-processor number of
 /// off-processor messages sent after that step. A message is one cut edge
 /// whose source task completes at the step; a processor running two tasks
-/// in one step (an infeasible schedule) sends both tasks' messages. Runs
-/// in `O(n·k + edges)` time and memory, with no comparison sort.
+/// in one step (an infeasible schedule) sends both tasks' messages. The
+/// C2 of [`certify`].
 ///
 /// # Panics
 /// Panics when the schedule does not cover exactly the instance's tasks.
 pub fn c2_comm_delay(instance: &SweepInstance, schedule: &Schedule) -> u64 {
-    let n = instance.num_cells();
-    assert_eq!(schedule.assignment().num_cells(), n);
+    assert_eq!(schedule.assignment().num_cells(), instance.num_cells());
     assert_eq!(schedule.starts().len(), instance.num_tasks());
-    // Each task's cut out-degree: the messages it sends when it completes.
-    let proc = schedule.assignment().as_slice();
-    let mut cut = Vec::with_capacity(instance.num_tasks());
-    for dag in instance.dags() {
-        cut.extend((0..n as u32).map(|u| {
-            let pu = proc[u as usize];
-            let succ = dag.successors(u).iter();
-            succ.filter(|&&v| proc[v as usize] != pu).count() as u32
-        }));
-    }
-    // Per step, the heaviest slot: in slot order a step's slots are
-    // adjacent, and so are the tasks of one slot. `load` sums the current
-    // slot, `heaviest` holds the step's heaviest slot before it.
-    let mut slots = SlotSort::default();
-    let (mut c2, mut heaviest, mut load) = (0u64, 0u64, 0u64);
-    let mut prev: Option<&SlotTask> = None;
-    for s in slots.sort(schedule, |t| cut[t]) {
-        let w = u64::from(s.weight);
-        match prev {
-            Some(p) if p.same_slot(s) => load += w,
-            Some(p) if p.step == s.step => (heaviest, load) = (heaviest.max(load), w),
-            _ => (c2, heaviest, load) = (c2 + heaviest.max(load), 0, w),
-        }
-        prev = Some(s);
-    }
-    c2 + heaviest.max(load)
+    certify(instance, schedule).c2
 }
 
 /// Per-timestep busy-processor counts (schedule "load profile"): entry `t`
@@ -90,17 +63,6 @@ pub fn load_profile(instance: &SweepInstance, schedule: &Schedule) -> Vec<u32> {
         profile[t as usize] += 1;
     }
     profile
-}
-
-/// Total idle processor-steps: `m · makespan − n·k`.
-///
-/// Saturates at 0: on an empty schedule (makespan 0, no tasks) the answer
-/// is 0, and on an *invalid* schedule that packs more tasks than
-/// `m · makespan` slots the difference would go negative — callers probing
-/// unchecked schedules get 0 instead of a debug-build underflow panic.
-pub fn idle_slots(schedule: &Schedule) -> u64 {
-    (schedule.num_procs() as u64 * schedule.makespan() as u64)
-        .saturating_sub(schedule.starts().len() as u64)
 }
 
 #[cfg(test)]
@@ -228,7 +190,7 @@ pub(crate) mod tests {
         );
         assert!(profile.iter().all(|&x| x <= 4));
         assert_eq!(
-            idle_slots(&s),
+            certify(&inst, &s).idle_slots,
             4 * s.makespan() as u64 - inst.num_tasks() as u64
         );
     }
@@ -241,7 +203,7 @@ pub(crate) mod tests {
         let inst = SweepInstance::new(0, vec![TaskDag::edgeless(0)], "empty");
         let s = greedy_schedule(&inst, Assignment::single(0));
         assert_eq!(s.makespan(), 0);
-        assert_eq!(idle_slots(&s), 0);
+        assert_eq!(certify(&inst, &s).idle_slots, 0);
     }
 
     #[test]
@@ -249,8 +211,9 @@ pub(crate) mod tests {
         // An unchecked schedule packing two tasks into the same (proc, step)
         // slot has m·makespan = 1 < 2 tasks; the metric must clamp to 0,
         // not wrap around to u64::MAX − 1.
+        let inst = SweepInstance::new(2, vec![TaskDag::edgeless(2)], "pair");
         let s = Schedule::new_checked(vec![0, 0], Assignment::single(2));
         assert_eq!(s.makespan(), 1);
-        assert_eq!(idle_slots(&s), 0);
+        assert_eq!(certify(&inst, &s).idle_slots, 0);
     }
 }

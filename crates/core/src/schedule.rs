@@ -4,12 +4,13 @@
 //! take unit time, `p = 1`) and owns the cell → processor [`Assignment`]
 //! it was built for. [`validate`] re-checks the paper's three feasibility
 //! constraints from scratch, so tests can verify *any* scheduler against an
-//! implementation-independent oracle.
+//! implementation-independent oracle; it is the verdict of [`certify`].
 
 use sweep_dag::{SweepInstance, TaskId};
 
 use crate::assignment::Assignment;
-use crate::slots::SlotSort;
+use crate::bounds::{lower_bounds, LowerBounds};
+use crate::slots::{SlotSort, SlotTask};
 
 /// A feasible (or to-be-validated) sweep schedule.
 #[derive(Debug, Clone)]
@@ -217,55 +218,125 @@ impl std::fmt::Display for ScheduleViolation {
 
 impl std::error::Error for ScheduleViolation {}
 
+/// What [`certify`] finds out about a schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Certificate {
+    /// `Ok`, or the first violation [`validate`] reports.
+    pub verdict: Result<(), ScheduleViolation>,
+    /// Number of unit timesteps used.
+    pub makespan: u32,
+    /// C1: interprocessor DAG edges (0 if the schedule has the wrong shape).
+    pub c1: u64,
+    /// C2, feasible schedule or not (0 if it has the wrong shape).
+    pub c2: u64,
+    /// Idle processor-steps, `m · makespan − n·k`, or 0 where a schedule
+    /// that double-books slots packs more tasks than `m · makespan`.
+    pub idle_slots: u64,
+    /// Cells per processor.
+    pub loads: Vec<u32>,
+    /// The instance's lower bounds on the schedule's `m`.
+    pub bounds: LowerBounds,
+}
+
 /// Checks the three feasibility constraints of §3 against `instance`:
 /// precedence within every DAG, one task per processor per timestep, and
 /// (by construction of [`Schedule`]) one processor per cell. Reports the
 /// first violated precedence in `(dir, u, v)` order, else the smallest
-/// double-booked `(time, proc)` slot. Runs in `O(n·k + edges)` time and
-/// memory, with no comparison sort.
+/// double-booked `(time, proc)` slot: the verdict of [`certify`].
 pub fn validate(instance: &SweepInstance, schedule: &Schedule) -> Result<(), ScheduleViolation> {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    if schedule.assignment().num_cells() != n {
-        return Err(ScheduleViolation::AssignmentMismatch {
+    certify(instance, schedule).verdict
+}
+
+/// Certifies `schedule` against `instance` in `O(n·k + edges + m)` time
+/// and memory, with no comparison sort: one walk over each direction's
+/// successor rows finds the first violated precedence and each task's cut
+/// out-degree (C1 is their sum), then one slot sort of the tasks weighted
+/// by that degree finds the smallest double-booked slot and C2.
+/// [`validate`] and [`c2_comm_delay`](crate::c2_comm_delay) are its
+/// projections.
+pub fn certify(instance: &SweepInstance, schedule: &Schedule) -> Certificate {
+    certify_in(instance, schedule, &mut SlotSort::default())
+}
+
+/// [`certify`] on the caller's slot-sort buffers.
+pub(crate) fn certify_in(
+    instance: &SweepInstance,
+    schedule: &Schedule,
+    slots: &mut SlotSort,
+) -> Certificate {
+    let (n, nk) = (instance.num_cells(), instance.num_tasks());
+    let (assignment, starts) = (schedule.assignment(), schedule.starts());
+    let all_slots = schedule.num_procs() as u64 * u64::from(schedule.makespan());
+    let mut cert = Certificate {
+        verdict: Ok(()),
+        makespan: schedule.makespan(),
+        c1: 0,
+        c2: 0,
+        idle_slots: all_slots.saturating_sub(starts.len() as u64),
+        loads: assignment.loads(),
+        bounds: lower_bounds(instance, schedule.num_procs()),
+    };
+    if assignment.num_cells() != n {
+        cert.verdict = Err(ScheduleViolation::AssignmentMismatch {
             cells: n,
-            assigned: schedule.assignment().num_cells(),
+            assigned: assignment.num_cells(),
         });
+        return cert;
     }
-    if schedule.starts().len() != n * k {
-        return Err(ScheduleViolation::WrongTaskCount {
-            expected: n * k,
-            actual: schedule.starts().len(),
+    if starts.len() != nk {
+        cert.verdict = Err(ScheduleViolation::WrongTaskCount {
+            expected: nk,
+            actual: starts.len(),
         });
+        return cert;
     }
-    // Constraint 1: precedence. Unit tasks ⇒ start(v) ≥ start(u) + 1.
+    // Constraint 1, precedence: unit tasks ⇒ start(v) ≥ start(u) + 1.
     // (With no cells there are no starts, and no chunk to pair a DAG with.)
-    let per_dir = schedule.starts().chunks_exact(n.max(1));
-    for (i, (dag, starts)) in instance.dags().iter().zip(per_dir).enumerate() {
-        for (u, &su) in (0..n as u32).zip(starts) {
-            let succ = dag.successors(u);
-            if let Some(&v) = succ.iter().find(|&&v| starts[v as usize] <= su) {
-                return Err(ScheduleViolation::Precedence {
-                    dir: i as u32,
-                    u,
-                    v,
-                    start_u: su,
-                    start_v: starts[v as usize],
-                });
+    let procs = assignment.as_slice();
+    let (mut cut, mut first) = (Vec::with_capacity(nk), None);
+    let per_dir = instance.dags().iter().zip(starts.chunks_exact(n.max(1)));
+    for (dir, (dag, starts)) in (0u32..).zip(per_dir) {
+        for (u, (&start_u, &pu)) in (0..n as u32).zip(starts.iter().zip(procs)) {
+            let mut sent = 0u32;
+            for &v in dag.successors(u) {
+                sent += u32::from(procs[v as usize] != pu);
+                let start_v = starts[v as usize];
+                if start_v <= start_u && first.is_none() {
+                    first = Some(ScheduleViolation::Precedence {
+                        dir,
+                        u,
+                        v,
+                        start_u,
+                        start_v,
+                    });
+                }
             }
+            cut.push(sent);
         }
     }
-    // Constraint 2: one task per processor-timestep. In slot order the
-    // tasks of a slot are adjacent, smallest `(time, proc)` first.
-    let mut slots = SlotSort::default();
-    let tasks = slots.sort(schedule, |_| 1);
-    match tasks.windows(2).find(|w| w[0].same_slot(&w[1])) {
-        Some(w) => Err(ScheduleViolation::ProcessorConflict {
-            proc: w[0].proc,
-            time: w[0].step,
-        }),
-        None => Ok(()),
+    cert.c1 = cut.iter().map(|&c| u64::from(c)).sum();
+    // Constraint 2, one task per processor-step, and C2. In slot order a
+    // step's slots are adjacent, smallest `(step, proc)` first, and so are
+    // the tasks of one slot. `load` sums the current slot's messages,
+    // `heaviest` the step's heaviest slot before it.
+    let (mut heaviest, mut load) = (0u64, 0u64);
+    let mut prev: Option<&SlotTask> = None;
+    for s in slots.sort(schedule, |t| cut[t]) {
+        let w = u64::from(s.weight);
+        match prev {
+            Some(p) if p.same_slot(s) => {
+                load += w;
+                let (proc, time) = (p.proc, p.step);
+                first.get_or_insert(ScheduleViolation::ProcessorConflict { proc, time });
+            }
+            Some(p) if p.step == s.step => (heaviest, load) = (heaviest.max(load), w),
+            _ => (cert.c2, heaviest, load) = (cert.c2 + heaviest.max(load), 0, w),
+        }
+        prev = Some(s);
     }
+    cert.c2 += heaviest.max(load);
+    cert.verdict = first.map_or(Ok(()), Err);
+    cert
 }
 
 #[cfg(test)]
@@ -406,6 +477,37 @@ pub(crate) mod tests {
                 assigned: 3
             })
         ));
+    }
+
+    /// A schedule of the wrong shape gets its shape error and the counts
+    /// that need no edge, and no panic.
+    #[test]
+    fn certify_reports_wrong_shapes_without_panicking() {
+        let inst = SweepInstance::new(2, vec![TaskDag::from_edges(2, &[(0, 1)]); 2], "two");
+        let three_cells =
+            Schedule::new_checked(vec![0, 1, 2], Assignment::from_vec(vec![0, 1, 1], 2));
+        let cert = certify(&inst, &three_cells);
+        let mismatch = ScheduleViolation::AssignmentMismatch {
+            cells: 2,
+            assigned: 3,
+        };
+        assert_eq!(cert.verdict, Err(mismatch));
+        assert_eq!(
+            (cert.makespan, cert.c1, cert.c2, cert.idle_slots),
+            (3, 0, 0, 3)
+        );
+        assert_eq!(cert.loads, [1, 2]);
+        let one_direction = Schedule::new_checked(vec![0, 1], Assignment::from_vec(vec![0, 1], 2));
+        let cert = certify(&inst, &one_direction);
+        let short = ScheduleViolation::WrongTaskCount {
+            expected: 4,
+            actual: 2,
+        };
+        assert_eq!(cert.verdict, Err(short));
+        assert_eq!(
+            (cert.c1, cert.c2, cert.bounds),
+            (0, 0, lower_bounds(&inst, 2))
+        );
     }
 
     #[test]

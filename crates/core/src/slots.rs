@@ -1,8 +1,8 @@
 //! Tasks in processor-step slot order, without a comparison sort.
 //!
-//! [`validate`](crate::validate) (one task per slot) and
-//! [`c2_comm_delay`](crate::c2_comm_delay) (the busiest sender of each
-//! step) both read a schedule slot by slot. [`SlotSort`] puts its tasks
+//! [`certify`](crate::certify) reads a schedule slot by slot, for one
+//! task per slot and for the busiest sender of each step (C2).
+//! [`SlotSort`] puts its tasks
 //! in ascending `(step, proc)` order with stable counting passes: the
 //! cells by processor first, then their tasks, cell by cell, by start
 //! step. A key is cut into as few digits of at most 16 bits as cover its
@@ -41,7 +41,7 @@ pub(crate) struct SlotSort {
 }
 
 impl SlotSort {
-    /// The tasks of `schedule` whose `weight(task index)` is nonzero, in
+    /// The tasks of `schedule`, each weighing `weight(task index)`, in
     /// ascending `(step, proc)` order: the tasks of one slot are adjacent.
     pub fn sort(&mut self, schedule: &Schedule, weight: impl Fn(usize) -> u32) -> &[SlotTask] {
         let (procs, starts) = (schedule.assignment().as_slice(), schedule.starts());
@@ -65,20 +65,16 @@ impl SlotSort {
         // tasks first would take two); any second pass goes through `spare`.
         let (passes, width) = digits(u64::from(schedule.makespan()));
         let low = |step: u32| digit(step, 0, width);
-        let weighted = starts.iter().enumerate().filter(|&(t, _)| weight(t) > 0);
-        bucket_starts(&mut self.next, width, weighted.map(|(_, &step)| low(step)));
-        let total = self.next[1 << width];
+        bucket_starts(&mut self.next, width, starts.iter().map(|&step| low(step)));
         self.tasks.clear();
-        self.tasks.resize(total, SlotTask::default());
+        self.tasks.resize(starts.len(), SlotTask::default());
         for &v in &self.cells {
             let proc = procs[v as usize];
             for t in (v as usize..starts.len()).step_by(n) {
                 let (step, weight) = (starts[t], weight(t));
-                if weight > 0 {
-                    let at = &mut self.next[low(step)];
-                    self.tasks[*at] = SlotTask { step, proc, weight };
-                    *at += 1;
-                }
+                let at = &mut self.next[low(step)];
+                self.tasks[*at] = SlotTask { step, proc, weight };
+                *at += 1;
             }
         }
         for pass in 1..passes {
@@ -140,9 +136,10 @@ fn counting_pass<T: Copy + Default>(
 mod tests {
     use super::*;
     use crate::assignment::Assignment;
+    use crate::bounds::LowerBounds;
     use crate::list_schedule::tests::oracle_instances;
-    use crate::metrics::{c2_comm_delay, tests::c2_reference};
-    use crate::schedule::{tests::validate_reference, validate};
+    use crate::metrics::{c1_interprocessor_edges, c2_comm_delay, tests::c2_reference};
+    use crate::schedule::{certify_in, tests::validate_reference, validate, Certificate};
     use crate::scratch::tests::all_algorithms;
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     use sweep_dag::SweepInstance;
@@ -305,6 +302,92 @@ mod tests {
                             let mut slots = SlotSort::default();
                             let got = slots.sort(&s, |_| 1).iter().map(|x| (x.step, x.proc));
                             assert!(got.eq(want), "{label}");
+                            let bytes = heap_bytes(&slots);
+                            assert!(bytes <= bound, "{label}: {bytes} bytes");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `certify` on one row equals the references: its verdict is
+    /// `validate_reference`'s whole `Result`, its C2 `c2_reference`'s, its
+    /// C1 `c1_interprocessor_edges`', its bounds the paper's three terms
+    /// (`D` read off the levels), and the rest counted from the schedule.
+    fn check_certificate(inst: &SweepInstance, s: &Schedule, slots: &mut SlotSort, label: &str) {
+        let (nk, m) = (inst.num_tasks() as u64, s.num_procs());
+        let makespan = s.starts().iter().max().map_or(0, |&t| t + 1);
+        let mut loads = vec![0; m];
+        for &p in s.assignment().as_slice() {
+            loads[p as usize] += 1;
+        }
+        let levels = inst.dags().iter().map(sweep_dag::levels);
+        let depth = levels.map(|l| l.level_of.iter().max().map_or(0, |&j| j + 1));
+        let want = Certificate {
+            verdict: validate_reference(inst, s),
+            makespan,
+            c1: c1_interprocessor_edges(inst, s.assignment()),
+            c2: c2_reference(inst, s),
+            idle_slots: (m as u64 * u64::from(makespan)).saturating_sub(nk),
+            loads,
+            bounds: LowerBounds {
+                avg_load: nk.div_ceil(m as u64),
+                directions: inst.num_directions() as u64,
+                depth: depth.max().map_or(0, u64::from),
+            },
+        };
+        assert_eq!(certify_in(inst, s, slots), want, "{label}");
+    }
+
+    /// `certify` on the first corpus: every algorithm's schedule at
+    /// m ∈ {1, 5, n + 3} and each of its corruptions.
+    #[test]
+    fn certificate_matches_the_references() {
+        let mut rng = StdRng::seed_from_u64(0xce27);
+        let mut slots = SlotSort::default();
+        for inst in &instances() {
+            let n = inst.num_cells();
+            for m in [1, 5, n + 3] {
+                let a = Assignment::random_cells(n, m, m as u64);
+                for alg in all_algorithms() {
+                    let s = alg.run(inst, a.clone(), 3);
+                    for (what, starts) in corruptions(inst, &s, &mut rng) {
+                        let s = Schedule::new(starts, a.clone()).unwrap();
+                        let label = format!("{} m={m} {alg:?} {what}", inst.name());
+                        check_certificate(inst, &s, &mut slots, &label);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `certify` on the adversarial rows, starts near `u32::MAX` and
+    /// `m = 2^20`, with its slot sort in the same byte bound.
+    #[test]
+    fn certificate_on_adversarial_rows_stays_in_bounded_memory() {
+        let mut rng = StdRng::seed_from_u64(0xce28);
+        for inst in &instances() {
+            let (n, nk) = (inst.num_cells(), inst.num_tasks());
+            let a = Assignment::random_cells(n, n + 3, 7);
+            let stride = (1 << 20) / (n as u32 + 3);
+            let wide = a.as_slice().iter().map(|&p| p * stride).collect();
+            let wide = Assignment::from_vec(wide, 1 << 20);
+            let bound = 2 * std::mem::size_of::<SlotTask>() * (nk + 4)
+                + 2 * std::mem::size_of::<u32>() * (n + 4)
+                + std::mem::size_of::<usize>() * ((1 << DIGIT_BITS) + 1);
+            for alg in all_algorithms() {
+                let s = alg.run(inst, a.clone(), 3);
+                let kept = ["as scheduled", "moved in window", "random"];
+                let rows = corruptions(inst, &s, &mut rng).into_iter();
+                for (what, starts) in rows.filter(|(what, _)| kept.contains(what)) {
+                    for (how, starts) in widened(starts) {
+                        for a in [&a, &wide] {
+                            let s = Schedule::new(starts.clone(), a.clone()).unwrap();
+                            let m = a.num_procs();
+                            let label = format!("{} m={m} {alg:?} {what} {how}", inst.name());
+                            let mut slots = SlotSort::default();
+                            check_certificate(inst, &s, &mut slots, &label);
                             let bytes = heap_bytes(&slots);
                             assert!(bytes <= bound, "{label}: {bytes} bytes");
                         }

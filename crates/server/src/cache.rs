@@ -33,9 +33,7 @@ use std::sync::Arc;
 // becomes a scheduler yield point, which is how `crate::model` explores
 // the single-flight protocol's interleavings.
 use sweep_check::sync::{Condvar, Mutex};
-use sweep_core::{
-    c1_interprocessor_edges, c2_comm_delay, lower_bounds, validate, LowerBounds, Schedule,
-};
+use sweep_core::{certify, LowerBounds, Schedule};
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 use sweep_telemetry::TraceCtx;
@@ -103,10 +101,11 @@ impl ScheduleArtifact {
 impl UncheckedArtifact {
     /// The one artifact constructor, for local trials and for bytes a
     /// peer sent alike: the schedule must be feasible for `inst` on
-    /// exactly `m` processors, and the summary is computed from the
-    /// two right here — the only O(nk) pass over an artifact that is
-    /// not a trial. Counted by `serve.summarize`; the summary's time is
-    /// the `schedule.summarize` span under `ctx`.
+    /// exactly `m` processors, and the summary is read off the one
+    /// [`certify()`] pass that says so — the only O(nk) pass over an
+    /// artifact that is not a trial. A feasible artifact is counted by
+    /// `serve.summarize`; the certification's time is the
+    /// `schedule.summarize` span under `ctx`.
     pub fn check(
         self,
         inst: &SweepInstance,
@@ -117,18 +116,19 @@ impl UncheckedArtifact {
         if procs != m {
             return Err(format!("schedule is on {procs} processors, wanted {m}"));
         }
-        validate(inst, &self.schedule).map_err(|e| e.to_string())?;
         let _span = ctx.span("schedule.summarize");
+        let cert = certify(inst, &self.schedule);
+        cert.verdict.map_err(|e| e.to_string())?;
         telemetry::counter_add("serve.summarize", 1);
         let summary = ScheduleSummary {
             name: inst.name().to_string(),
             cells: inst.num_cells(),
             directions: inst.num_directions(),
             tasks: inst.num_tasks(),
-            makespan: self.schedule.makespan(),
-            bounds: lower_bounds(inst, m),
-            c1: c1_interprocessor_edges(inst, self.schedule.assignment()),
-            c2: c2_comm_delay(inst, &self.schedule),
+            makespan: cert.makespan,
+            bounds: cert.bounds,
+            c1: cert.c1,
+            c2: cert.c2,
         };
         Ok(ScheduleArtifact {
             record: self,

@@ -582,11 +582,6 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<UncheckedArtifact, String> {
     if cur.at != bytes.len() {
         return Err(format!("artifact: {} trailing bytes", bytes.len() - cur.at));
     }
-    if cells == 0 || !n_starts.is_multiple_of(cells) {
-        return Err(format!(
-            "artifact: {n_starts} starts not a multiple of {cells} cells"
-        ));
-    }
     let assignment = Assignment::from_vec(proc_of_cell, m);
     let schedule = Schedule::new(starts, assignment).map_err(|e| format!("artifact: {e}"))?;
     Ok(UncheckedArtifact {
@@ -601,6 +596,9 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<UncheckedArtifact, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep_core::ScheduleViolation;
+    use sweep_dag::{SweepInstance, TaskDag};
+    use sweep_telemetry::TraceCtx;
 
     #[test]
     fn parses_a_members_file() {
@@ -751,5 +749,44 @@ mod tests {
         let mut evil = good.clone();
         evil.push(0);
         assert!(decode_artifact(&evil).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn checked_frames_of_the_wrong_shape_fail_without_panicking() {
+        // Frames that decode but do not fit the instance (2 cells × 2
+        // directions): 3 cells, then one direction's starts.
+        let dag = TaskDag::from_edges(2, &[(0, 1)]);
+        let inst = SweepInstance::new(2, vec![dag; 2], "two");
+        let frame = |procs: &[u32], starts: &[u32]| {
+            let mut f = ARTIFACT_MAGIC.to_vec();
+            f.push(ARTIFACT_VERSION);
+            f.extend_from_slice(&[42u64, 0, 1].map(u64::to_le_bytes).concat());
+            let len = |words: &[u32]| words.len() as u32;
+            let words = [&[0, 2][..], &[len(procs)], procs, &[len(starts)], starts];
+            // no makespans, m = 2, the assignment, the starts
+            f.extend(words.concat().iter().flat_map(|w| w.to_le_bytes()));
+            f
+        };
+        let cases = [
+            (
+                frame(&[0, 1, 1], &[0, 1, 2, 3, 4, 5]),
+                ScheduleViolation::AssignmentMismatch {
+                    cells: 2,
+                    assigned: 3,
+                },
+            ),
+            (
+                frame(&[0, 1], &[0, 1]),
+                ScheduleViolation::WrongTaskCount {
+                    expected: 4,
+                    actual: 2,
+                },
+            ),
+        ];
+        for (bytes, want) in cases {
+            let artifact = decode_artifact(&bytes).expect("a well-formed frame");
+            let got = artifact.check(&inst, 2, &TraceCtx::disabled());
+            assert_eq!(got.unwrap_err(), want.to_string());
+        }
     }
 }

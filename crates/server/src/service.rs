@@ -394,7 +394,7 @@ pub struct ScheduleResponse {
     /// Makespan of the winning trial.
     pub makespan: u32,
     /// Best certified lower bound (`LowerBounds::best()`): the paper's
-    /// `max{nk/m, k, D}` and the Graham-witness bound.
+    /// `max{nk/m, k, D}`.
     pub lower_bound: u64,
     /// C1: interprocessor DAG edges under the assignment.
     pub c1: u64,
