@@ -754,7 +754,7 @@ mod tests {
     #[test]
     fn checked_frames_of_the_wrong_shape_fail_without_panicking() {
         // Frames that decode but do not fit the instance (2 cells × 2
-        // directions): 3 cells, then one direction's starts.
+        // directions): 3 cells, no cells, then one direction's starts.
         let dag = TaskDag::from_edges(2, &[(0, 1)]);
         let inst = SweepInstance::new(2, vec![dag; 2], "two");
         let frame = |procs: &[u32], starts: &[u32]| {
@@ -776,6 +776,13 @@ mod tests {
                 },
             ),
             (
+                frame(&[], &[]),
+                ScheduleViolation::AssignmentMismatch {
+                    cells: 2,
+                    assigned: 0,
+                },
+            ),
+            (
                 frame(&[0, 1], &[0, 1]),
                 ScheduleViolation::WrongTaskCount {
                     expected: 4,
@@ -788,5 +795,8 @@ mod tests {
             let got = artifact.check(&inst, 2, &TraceCtx::disabled());
             assert_eq!(got.unwrap_err(), want.to_string());
         }
+        // Starts that cover no whole number of directions fail to decode.
+        let err = decode_artifact(&frame(&[0, 1], &[0, 1, 2])).unwrap_err();
+        assert!(err.contains("need a multiple of the cell count"), "{err}");
     }
 }

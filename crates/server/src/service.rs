@@ -510,7 +510,7 @@ struct ArtifactOutcome {
 
 /// The local artifact producer: assignment draw, best-of-`b` trials on
 /// the global pool, then the one constructor
-/// ([`UncheckedArtifact::check`]: `validate` + summary). Reads and
+/// ([`UncheckedArtifact::check`]: one `certify` pass). Reads and
 /// writes no cache.
 fn compute_artifact(
     inst: &SweepInstance,
