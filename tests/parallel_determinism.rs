@@ -190,3 +190,52 @@ fn bench_cell_csv_is_byte_identical_across_widths() {
         "bench cell differs between 1 and 4 threads"
     );
 }
+
+/// 64-bit FNV-1a of a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `to_csv`'s bytes, pinned to digests read before the writer went onto
+/// the pool: tetonly 0.05 × S4 under best-of-2 RDP on one processor, on
+/// 16 and on more processors than cells (four-digit processor ids, some
+/// processors idle), then an empty and a one-cell instance — each
+/// rendered at widths 1, 2 and 4.
+#[test]
+fn schedule_csv_is_byte_identical_across_widths() {
+    use sweep_scheduling::core::to_csv;
+    let _guard = POOL_LOCK.lock().unwrap();
+    set_global_threads(1);
+    let mesh = MeshPreset::Tetonly.build_scaled(0.05).expect("mesh");
+    let quad = QuadratureSet::level_symmetric(4).expect("S4");
+    let (tet, _) = SweepInstance::from_mesh(&mesh, &quad, "tetonly");
+    let n = tet.num_cells();
+    let mut cases = Vec::new();
+    for (m, digest) in [
+        (1, 0x0662_eba5_8884_5cbcu64),
+        (16, 0xf41d_7eb1_37ea_19a4),
+        (n + 3, 0x89cb_2c73_cb45_2298),
+    ] {
+        let assignment = Assignment::random_cells(n, m, 5);
+        let best = best_of_trials(&tet, &assignment, Algorithm::RandomDelayPriorities, 2, 7);
+        cases.push((format!("tetonly m={m}"), tet.clone(), best.schedule, digest));
+    }
+    let empty = SweepInstance::new(0, vec![TaskDag::edgeless(0)], "empty");
+    let s = greedy_schedule(&empty, Assignment::single(0));
+    cases.push(("empty".into(), empty, s, 0xda9c_3eb0_2d5a_b30a));
+    let one = SweepInstance::new(1, vec![TaskDag::edgeless(1); 3], "one");
+    let s = greedy_schedule(&one, Assignment::single(1));
+    cases.push(("one cell".into(), one, s, 0xfe91_a8e4_9e5a_c6d8));
+    for threads in [1usize, 2, 4] {
+        set_global_threads(threads);
+        for (name, instance, schedule, digest) in &cases {
+            let got = fnv1a(to_csv(instance, schedule).as_bytes());
+            assert_eq!(got, *digest, "{name} at width {threads}: got {got:#018x}");
+        }
+    }
+    set_global_threads(0);
+}

@@ -1,5 +1,5 @@
 //! The partitioner's output, pinned bit for bit: a 64-bit FNV-1a of the
-//! part vector (and the edge cut) of 20 partitions, each at pool widths
+//! part vector (and the edge cut) of 22 partitions, each at pool widths
 //! 1, 2 and 4. The table was read off the tree *before* the partitioner's
 //! data structures were touched and never changes: any rework of
 //! `sweep-partition` must reproduce the same blocks, not merely blocks as
@@ -152,6 +152,53 @@ fn weighted_grid_parts_are_bit_identical() {
     at_every_width(|threads| {
         for (w, h, nparts, hash, cut) in rows {
             let g = weighted_grid(w, h);
+            let part = partition(&g, nparts, &PartitionOptions::default());
+            let got = (fnv1a(&part), edge_cut(&g, &part));
+            assert_eq!(
+                got,
+                (hash, cut),
+                "{w}x{h} / {nparts} width {threads}: got ({:#018x}, {})",
+                got.0,
+                got.1
+            );
+        }
+    });
+}
+
+/// A `w × h` grid whose `e`-th edge weighs `1 + 7919·e mod 4096`: at the
+/// fine level the weighted degrees run to ~16 000, so gains reach far past
+/// any bounded window of gain buckets.
+fn edge_weighted_grid(w: usize, h: usize) -> CsrGraph {
+    let id = |x: usize, y: usize| (y * w + x) as u32;
+    let mut edges = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if x + 1 < w {
+                edges.push((id(x, y), id(x + 1, y)));
+            }
+            if y + 1 < h {
+                edges.push((id(x, y), id(x, y + 1)));
+            }
+        }
+    }
+    let weighted: Vec<(u32, u32, u32)> = edges
+        .iter()
+        .enumerate()
+        .map(|(e, &(a, b))| (a, b, 1 + (7919 * e as u32) % 4096))
+        .collect();
+    CsrGraph::from_weighted_edges(w * h, &weighted)
+}
+
+#[test]
+fn edge_weighted_grid_parts_are_bit_identical() {
+    // (w, h, nparts, fnv1a, edge cut)
+    let rows: [(usize, usize, usize, u64, u64); 2] = [
+        (30, 17, 13, 0x5788_32d6_157d_7280, 192_333),
+        (64, 40, 40, 0x8ba6_cf69_ef15_b25d, 866_900),
+    ];
+    at_every_width(|threads| {
+        for (w, h, nparts, hash, cut) in rows {
+            let g = edge_weighted_grid(w, h);
             let part = partition(&g, nparts, &PartitionOptions::default());
             let got = (fnv1a(&part), edge_cut(&g, &part));
             assert_eq!(
