@@ -4,7 +4,10 @@
 //! Debugging a scheduler almost always starts with "what was processor P
 //! doing at time t?" — this module answers that without external tooling.
 
+use std::sync::Mutex;
+
 use sweep_dag::{SweepInstance, TaskId};
+use sweep_telemetry as telemetry;
 
 use crate::schedule::Schedule;
 
@@ -68,25 +71,102 @@ pub fn render_gantt(instance: &SweepInstance, schedule: &Schedule, max_cols: usi
 
 /// CSV export of a schedule: `cell,direction,processor,start` per line,
 /// with a header. Readable back by any analysis stack.
+///
+/// Lines run direction by direction, cells ascending within each. Every
+/// cell's `v,` and `,p,` text is rendered once, a digit count over the
+/// start times sizes the output exactly, and each direction's lines are
+/// written into their own slice of that one buffer on
+/// [`sweep_pool::global`]: the bytes are the same at every pool width.
 pub fn to_csv(instance: &SweepInstance, schedule: &Schedule) -> String {
+    const HEADER: &str = "cell,direction,processor,start\n";
+    let _span = telemetry::span!("core.csv");
     let n = instance.num_cells();
-    let mut out = String::with_capacity(instance.num_tasks() * 16);
-    out.push_str("cell,direction,processor,start\n");
-    for dir in 0..instance.num_directions() as u32 {
-        for v in 0..n as u32 {
-            let t = TaskId::pack(v, dir, n);
-            let row = [v, dir, schedule.proc_of_cell(v), schedule.start_of(t)];
-            for (x, end) in row.into_iter().zip([',', ',', ',', '\n']) {
-                push_u32(&mut out, x);
-                out.push(end);
-            }
-        }
+    let k = instance.num_directions();
+    if n == 0 || k == 0 {
+        return HEADER.to_owned();
     }
-    out
+    // Cell `v`'s `v,` is `cells[at[2v]..at[2v + 1]]`, its `,p,` runs on to
+    // `at[2v + 2]`.
+    let mut cells = Vec::with_capacity(n * 8);
+    let mut at = Vec::with_capacity(2 * n + 1);
+    at.push(0);
+    for v in 0..n as u32 {
+        push_u32(&mut cells, v);
+        cells.push(b',');
+        at.push(cells.len());
+        cells.push(b',');
+        push_u32(&mut cells, schedule.proc_of_cell(v));
+        cells.push(b',');
+        at.push(cells.len());
+    }
+    // A direction's line per cell: the cell's text, `d`, the start and a
+    // newline.
+    let starts = &schedule.starts()[..n * k];
+    let lens: Vec<usize> = starts
+        .chunks(n)
+        .zip(0u32..)
+        .map(|(dir, d)| {
+            cells.len() + n * (digits(d) + 1) + dir.iter().map(|&t| digits(t)).sum::<usize>()
+        })
+        .collect();
+    let mut out = vec![0u8; HEADER.len() + lens.iter().sum::<usize>()];
+    let (header, mut rest) = out.split_at_mut(HEADER.len());
+    header.copy_from_slice(HEADER.as_bytes());
+    let slices: Vec<Mutex<&mut [u8]>> = lens
+        .iter()
+        .map(|&len| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            Mutex::new(head)
+        })
+        .collect();
+    sweep_pool::global().par_for_each(&slices, |d, slice| {
+        let mut slice = slice.lock().unwrap_or_else(|e| e.into_inner());
+        let mut dir = Vec::with_capacity(10);
+        push_u32(&mut dir, d as u32);
+        let mut line = &mut **slice;
+        for (v, &t) in starts[d * n..][..n].iter().enumerate() {
+            put(&mut line, &cells[at[2 * v]..at[2 * v + 1]]);
+            put(&mut line, &dir);
+            put(&mut line, &cells[at[2 * v + 1]..at[2 * v + 2]]);
+            let (num, tail) = std::mem::take(&mut line).split_at_mut(digits(t) + 1);
+            write_u32(num, t);
+            line = tail;
+        }
+        debug_assert!(
+            line.is_empty(),
+            "the digit count sized direction {d} exactly"
+        );
+    });
+    drop(slices);
+    String::from_utf8(out).expect("the CSV is ASCII")
+}
+
+/// Decimal digits of `x`.
+fn digits(x: u32) -> usize {
+    x.checked_ilog10().map_or(1, |l| l as usize + 1)
+}
+
+/// Copies `bytes` to the front of `out` and moves `out` past them.
+fn put(out: &mut &mut [u8], bytes: &[u8]) {
+    let (head, tail) = std::mem::take(out).split_at_mut(bytes.len());
+    head.copy_from_slice(bytes);
+    *out = tail;
+}
+
+/// Fills `out`, which is one byte longer than `x` has digits, with `x` in
+/// decimal and a newline.
+fn write_u32(out: &mut [u8], mut x: u32) {
+    let (newline, num) = out.split_last_mut().expect("room for the newline");
+    *newline = b'\n';
+    for d in num.iter_mut().rev() {
+        *d = b'0' + (x % 10) as u8;
+        x /= 10;
+    }
 }
 
 /// Appends `x` in decimal, as `{x}` formats it.
-fn push_u32(out: &mut String, mut x: u32) {
+fn push_u32(out: &mut Vec<u8>, mut x: u32) {
     let mut digits = [0u8; 10];
     let mut at = digits.len();
     loop {
@@ -97,7 +177,7 @@ fn push_u32(out: &mut String, mut x: u32) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| d as char));
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Parses a schedule back from [`to_csv`] output (inverse operation).

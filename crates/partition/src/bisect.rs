@@ -8,20 +8,43 @@ use rand::{RngExt, SeedableRng};
 use crate::csr::CsrGraph;
 use crate::multilevel::{PartitionOptions, Workspace};
 
+/// Bitset words the window of a [`GainQueue`] may hold between all its
+/// buckets: 64 KiB, whatever the graph.
+const WINDOW_WORDS: usize = 8192;
+
 /// An exact max-priority queue of `(gain, vertex)`, a vertex held at most
 /// once: `peek_max` is the argmax of `(gain, vertex id)` over what is
 /// queued. Keys are distinct per vertex, so any queue with this contract
 /// pops the one sequence FM and region growing are defined by.
 ///
-/// A sorted directory of the *live* distinct gains, each owning a pooled
-/// `⌈n/64⌉`-word bitset over vertex ids: `min(distinct gains, n) · n / 8`
-/// bytes, whatever the edge weights are.
+/// Every gain owns a bucket: a `⌈n/64⌉`-word bitset over vertex ids and a
+/// hint below which its highest set word lies. Gains in the *window*
+/// `lo..lo + span` index their bucket directly, slot `gain − lo`, so
+/// insert and remove are one bit and peek finds the top live slot in a
+/// bitset of slots. [`reset`](Self::reset) centres the window on zero and
+/// sizes it to `2 · reach` slots, but never past [`WINDOW_WORDS`] words
+/// of bitsets. Gains outside the window go to a sorted directory of the
+/// live ones, each owning a pooled bitset: `min(distinct gains, n) · n / 8`
+/// bytes, whatever the edge weights are. The window is only a fast path;
+/// which gain lands where never changes what `peek_max` returns.
 #[derive(Debug, Default)]
 pub(crate) struct GainQueue {
     /// Words per bitset for the graph in hand.
     words: usize,
-    /// `(gain, slot, top)` per live gain, ascending by gain; no word of the
-    /// slot's bitset above index `top` is non-zero.
+    /// The window's first gain and its slot count.
+    lo: i64,
+    span: usize,
+    /// Slot `s` owns `win[s * words..][..words]`; all zero unless live.
+    win: Vec<u64>,
+    /// Vertices queued per slot, and the top-word hint per live slot.
+    win_len: Vec<u32>,
+    win_top: Vec<u32>,
+    /// Bit `s` is set iff slot `s` is live; no word above `live_top` is
+    /// non-zero.
+    live: Vec<u64>,
+    live_top: usize,
+    /// `(gain, slot, top)` per live gain outside the window, ascending by
+    /// gain; no word of the slot's bitset above index `top` is non-zero.
     dir: Vec<(i64, u32, u32)>,
     /// Slot `s` owns `bits[s * words..][..words]`; all zero unless live.
     bits: Vec<u64>,
@@ -31,9 +54,31 @@ pub(crate) struct GainQueue {
     free: Vec<u32>,
 }
 
+/// The highest vertex in a non-empty bitset, lowering its top-word hint to
+/// the word that holds it.
+fn highest(set: &[u64], top: &mut u32) -> u32 {
+    while set[*top as usize] == 0 {
+        *top -= 1;
+    }
+    *top * 64 + 63 - set[*top as usize].leading_zeros()
+}
+
 impl GainQueue {
-    /// Empties the queue and sizes its bitsets for vertex ids `< n`.
-    pub(crate) fn reset(&mut self, n: usize) {
+    /// Empties the queue and sizes it for vertex ids `< n`, its window for
+    /// gains in `−reach..reach` (narrower when that would pass
+    /// [`WINDOW_WORDS`]).
+    pub(crate) fn reset(&mut self, n: usize, reach: u64) {
+        let live_words = self.live.len().min(self.live_top + 1);
+        for w in 0..live_words {
+            let mut word = std::mem::take(&mut self.live[w]);
+            while word != 0 {
+                let s = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let top = self.win_top[s] as usize;
+                self.win[s * self.words..][..=top].fill(0);
+                self.win_len[s] = 0;
+            }
+        }
         for &(_, s, _) in &self.dir {
             self.bits[s as usize * self.words..][..self.words].fill(0);
         }
@@ -41,10 +86,74 @@ impl GainQueue {
         self.len.clear();
         self.free.clear();
         self.words = n.div_ceil(64);
+        let cap = WINDOW_WORDS / self.words.max(1);
+        self.span = reach.saturating_mul(2).min(cap as u64) as usize;
+        self.lo = -(self.span as i64 / 2);
+        let need = self.span * self.words;
+        self.win.resize(need.max(self.win.len()), 0);
+        self.win_len.resize(self.span.max(self.win_len.len()), 0);
+        self.win_top.resize(self.span.max(self.win_top.len()), 0);
+        self.live
+            .resize(self.span.div_ceil(64).max(self.live.len()), 0);
+        self.live_top = 0;
+    }
+
+    /// The window slot of `gain`, if it has one.
+    fn slot(&self, gain: i64) -> Option<usize> {
+        let s = gain.wrapping_sub(self.lo) as u64;
+        (s < self.span as u64).then_some(s as usize)
     }
 
     /// Queues `v`, which must not be queued, at `gain`.
     pub(crate) fn insert(&mut self, gain: i64, v: u32) {
+        let Some(s) = self.slot(gain) else {
+            return self.insert_outside(gain, v);
+        };
+        let word = v / 64;
+        if self.win_len[s] == 0 {
+            self.live[s / 64] |= 1 << (s % 64);
+            self.live_top = self.live_top.max(s / 64);
+            self.win_top[s] = word;
+        } else {
+            self.win_top[s] = self.win_top[s].max(word);
+        }
+        self.win[s * self.words + word as usize] |= 1 << (v % 64);
+        self.win_len[s] += 1;
+    }
+
+    /// Removes `v`, which must be queued at `gain`.
+    pub(crate) fn remove(&mut self, gain: i64, v: u32) {
+        let Some(s) = self.slot(gain) else {
+            return self.remove_outside(gain, v);
+        };
+        self.win[s * self.words + v as usize / 64] &= !(1 << (v % 64));
+        self.win_len[s] -= 1;
+        if self.win_len[s] == 0 {
+            self.live[s / 64] &= !(1 << (s % 64));
+        }
+    }
+
+    /// The queued `(gain, vertex)` that is largest in that order.
+    pub(crate) fn peek_max(&mut self) -> Option<(i64, u32)> {
+        let above = self.lo + self.span as i64;
+        if self.dir.last().is_none_or(|e| e.0 < above) {
+            while self.live_top > 0 && self.live[self.live_top] == 0 {
+                self.live_top -= 1;
+            }
+            if let Some(&word) = self.live.get(self.live_top).filter(|&&w| w != 0) {
+                let s = self.live_top * 64 + 63 - word.leading_zeros() as usize;
+                let set = &self.win[s * self.words..][..self.words];
+                let id = highest(set, &mut self.win_top[s]);
+                return Some((self.lo + s as i64, id));
+            }
+        }
+        let (gain, s, top) = self.dir.last_mut()?;
+        let set = &self.bits[*s as usize * self.words..][..self.words];
+        Some((*gain, highest(set, top)))
+    }
+
+    /// [`insert`](Self::insert) for a gain outside the window.
+    fn insert_outside(&mut self, gain: i64, v: u32) {
         let i = self.dir.partition_point(|e| e.0 < gain);
         if self.dir.get(i).is_none_or(|e| e.0 != gain) {
             let s = self.free.pop().unwrap_or_else(|| {
@@ -61,8 +170,8 @@ impl GainQueue {
         self.len[s] += 1;
     }
 
-    /// Removes `v`, which must be queued at `gain`.
-    pub(crate) fn remove(&mut self, gain: i64, v: u32) {
+    /// [`remove`](Self::remove) for a gain outside the window.
+    fn remove_outside(&mut self, gain: i64, v: u32) {
         let i = self.dir.partition_point(|e| e.0 < gain);
         debug_assert_eq!(self.dir[i].0, gain);
         let s = self.dir[i].1 as usize;
@@ -73,18 +182,15 @@ impl GainQueue {
             self.free.push(s as u32);
         }
     }
+}
 
-    /// The queued `(gain, vertex)` that is largest in that order.
-    pub(crate) fn peek_max(&mut self) -> Option<(i64, u32)> {
-        let (gain, s, top) = self.dir.last_mut()?;
-        let set = &self.bits[*s as usize * self.words..][..self.words];
-        // A live bucket is never empty, so the scan stops at a set word.
-        while set[*top as usize] == 0 {
-            *top -= 1;
-        }
-        let id = *top * 64 + 63 - set[*top as usize].leading_zeros();
-        Some((*gain, id))
-    }
+/// How far from zero a gain on `g` can get: FM gains lie in `±d(v)` and
+/// region-growing gains in `0..=2·d(v)`, `d` the weighted degree, so every
+/// one is inside `−reach..reach`.
+fn gain_reach(g: &CsrGraph) -> u64 {
+    let wdeg = |v| g.neighbors(v).map(|(_, w)| u64::from(w)).sum::<u64>();
+    let max = (0..g.num_vertices() as u32).map(wdeg).max().unwrap_or(0);
+    2 * max + 1
 }
 
 /// Sum of weights of edges whose endpoints carry different labels (sides
@@ -103,8 +209,14 @@ pub(crate) fn cut_weight<T: PartialEq>(g: &CsrGraph, label: &[T]) -> u64 {
 
 /// Grows side 0 of `side` from a seed vertex by repeatedly absorbing the
 /// boundary vertex with the highest gain until its weight reaches
-/// `target0`.
-fn grow_from(g: &CsrGraph, seed: u32, target0: u64, side: &mut Vec<u8>, ws: &mut Workspace) {
+/// `target0`. `reach` is [`gain_reach`] of `g`.
+fn grow_from(
+    g: &CsrGraph,
+    (seed, reach): (u32, u64),
+    target0: u64,
+    side: &mut Vec<u8>,
+    ws: &mut Workspace,
+) {
     let n = g.num_vertices();
     let q = &mut ws.queues[0];
     let queued = &mut ws.locked; // ever queued, not FM's lock
@@ -114,7 +226,7 @@ fn grow_from(g: &CsrGraph, seed: u32, target0: u64, side: &mut Vec<u8>, ws: &mut
     ws.gain.resize(n, 0);
     queued.clear();
     queued.resize(n, false);
-    q.reset(n);
+    q.reset(n, reach);
     let mut w0 = 0u64;
     q.insert(0, seed);
     queued[seed as usize] = true;
@@ -163,9 +275,10 @@ pub(crate) fn initial_bisection(
     let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x9e37);
     let (mut best, mut best_cut) = (Vec::new(), u64::MAX);
     let mut side = Vec::new();
+    let reach = gain_reach(g);
     for _ in 0..opts.init_tries.max(1) {
         let s = rng.random_range(0..n as u32);
-        grow_from(g, s, target0, &mut side, ws);
+        grow_from(g, (s, reach), target0, &mut side, ws);
         let cut = cut_weight(g, &side);
         let cut = fm_refine(g, &mut side, cut, (target0, tol), 4, ws);
         if cut < best_cut {
@@ -201,18 +314,23 @@ pub(crate) fn fm_refine(
     for _ in 0..max_passes {
         // w0: weight on side 0 (sides are 0/1). gain[v]: cut reduction if v
         // switches sides. One queue per source side, holding exactly its
-        // unlocked vertices.
-        let mut w0 = 0u64;
-        queues.iter_mut().for_each(|q| q.reset(n));
+        // unlocked vertices, its window reaching past every `±d(v)`.
+        let (mut w0, mut max_wdeg) = (0u64, 0u64);
         gain.clear();
         gain.resize(n, 0);
-        for v in 0..n as u32 {
-            for (u, w) in g.neighbors(v) {
-                let crosses = side[v as usize] != side[u as usize];
-                gain[v as usize] += if crosses { w as i64 } else { -(w as i64) };
+        for v in 0..n {
+            let mut wdeg = 0u64;
+            for (u, w) in g.neighbors(v as u32) {
+                let crosses = side[v] != side[u as usize];
+                gain[v] += if crosses { w as i64 } else { -(w as i64) };
+                wdeg += u64::from(w);
             }
-            queues[side[v as usize] as usize].insert(gain[v as usize], v);
-            w0 += (1 - side[v as usize] as u64) * g.vwgt[v as usize] as u64;
+            max_wdeg = max_wdeg.max(wdeg);
+            w0 += (1 - side[v] as u64) * g.vwgt[v] as u64;
+        }
+        queues.iter_mut().for_each(|q| q.reset(n, max_wdeg + 1));
+        for v in 0..n {
+            queues[side[v] as usize].insert(gain[v], v as u32);
         }
         locked.clear();
         locked.resize(n, false);
@@ -309,58 +427,70 @@ mod tests {
     }
 
     impl GainQueue {
-        /// Bytes of storage held (vectors never shrink: the high-water mark).
+        /// Bytes of storage held, window and directory (vectors never
+        /// shrink: the high-water mark).
         pub(crate) fn bytes(&self) -> usize {
-            8 * self.bits.capacity()
+            8 * (self.win.capacity() + self.live.capacity() + self.bits.capacity())
+                + 4 * (self.win_len.capacity() + self.win_top.capacity())
                 + 16 * self.dir.capacity()
                 + 4 * (self.len.capacity() + self.free.capacity())
         }
     }
 
     /// 10 000 random operations against the ordered-set model the queue's
-    /// contract names: the same maximum after every one of them.
+    /// contract names, at every window shape: none (all outside), one the
+    /// gain band straddles at both edges, one holding the band, and one
+    /// cut down to [`WINDOW_WORDS`]. The same maximum after every
+    /// operation.
     #[test]
     fn queue_agrees_with_an_ordered_set() {
         const N: usize = 300;
-        let mut rng = StdRng::seed_from_u64(0x9a1e);
-        let mut queue = GainQueue::default();
-        let mut model: BTreeSet<(i64, u32)> = BTreeSet::new();
-        let mut gain = [None::<i64>; N];
-        queue.reset(N);
-        for step in 0..10_000 {
-            let v = rng.random_range(0..N as u32);
-            // A narrow band (shared buckets) with rare far outliers.
-            let fresh = if rng.random_range(0..10u32) == 0 {
-                rng.random_range(-(1i64 << 40)..1i64 << 40)
-            } else {
-                rng.random_range(-6i64..7)
-            };
-            match (gain[v as usize], rng.random_range(0..3u32)) {
-                (None, _) => {
-                    queue.insert(fresh, v);
-                    model.insert((fresh, v));
-                    gain[v as usize] = Some(fresh);
+        for reach in [0, 3, 6, 1 << 20] {
+            let mut rng = StdRng::seed_from_u64(0x9a1e ^ reach);
+            let mut queue = GainQueue::default();
+            let mut model: BTreeSet<(i64, u32)> = BTreeSet::new();
+            let mut gain = [None::<i64>; N];
+            queue.reset(N, reach);
+            let (lo, span) = (queue.lo, queue.span as i64);
+            assert!(queue.span * queue.words <= WINDOW_WORDS, "reach {reach}");
+            assert_eq!(span, (2 * reach as i64).min(1638), "reach {reach}");
+            for step in 0..10_000 {
+                let v = rng.random_range(0..N as u32);
+                // A narrow band (shared buckets), both window edges, and
+                // rare far outliers.
+                let fresh = match rng.random_range(0..20u32) {
+                    0 => rng.random_range(-(1i64 << 40)..1i64 << 40),
+                    1 => [lo - 1, lo, lo + span - 1, lo + span][rng.random_range(0..4usize)],
+                    _ => rng.random_range(-6i64..6),
+                };
+                match (gain[v as usize], rng.random_range(0..3u32)) {
+                    (None, _) => {
+                        queue.insert(fresh, v);
+                        model.insert((fresh, v));
+                        gain[v as usize] = Some(fresh);
+                    }
+                    (Some(old), 0) => {
+                        queue.remove(old, v);
+                        model.remove(&(old, v));
+                        gain[v as usize] = None;
+                    }
+                    (Some(old), _) => {
+                        queue.remove(old, v);
+                        queue.insert(fresh, v);
+                        model.remove(&(old, v));
+                        model.insert((fresh, v));
+                        gain[v as usize] = Some(fresh);
+                    }
                 }
-                (Some(old), 0) => {
-                    queue.remove(old, v);
-                    model.remove(&(old, v));
-                    gain[v as usize] = None;
+                let want = model.last().copied();
+                assert_eq!(queue.peek_max(), want, "reach {reach} step {step}");
+                if step % 2500 == 2499 {
+                    // A reset empties it and re-sizes it; storage is reused.
+                    queue.reset(N, reach);
+                    model.clear();
+                    gain = [None; N];
+                    assert_eq!(queue.peek_max(), None);
                 }
-                (Some(old), _) => {
-                    queue.remove(old, v);
-                    queue.insert(fresh, v);
-                    model.remove(&(old, v));
-                    model.insert((fresh, v));
-                    gain[v as usize] = Some(fresh);
-                }
-            }
-            assert_eq!(queue.peek_max(), model.last().copied(), "step {step}");
-            if step % 2500 == 2499 {
-                // A reset empties it and re-sizes it; the pool is reused.
-                queue.reset(N);
-                model.clear();
-                gain = [None; N];
-                assert_eq!(queue.peek_max(), None);
             }
         }
     }

@@ -28,13 +28,23 @@ pub(crate) struct Coarsening {
 /// coarse graph's are sorted too). Returns `None` when matching can no
 /// longer shrink the graph meaningfully (fewer than 10% of vertices
 /// matched), which signals the driver to stop coarsening.
+///
+/// Each coarse row is first gathered in merge order: the members' rows run
+/// through a dense `slot[coarse id]` table, parallel edges summing and the
+/// pair's inner edge dropping. One counting transpose then lists every row
+/// by neighbour id: walking the rows in id order and appending `u` to the
+/// row of each neighbour `c` fills row `c` with its neighbours ascending,
+/// and the adjacency is symmetric, so that is row `c` sorted. Weights are
+/// summed in `u32`: [`partition`](crate::partition) admits only graphs
+/// whose total vertex and edge weights fit it, and every coarse weight is
+/// a sum of distinct fine ones.
 pub(crate) fn coarsen_step(g: &CsrGraph, seed: u64, ws: &mut Workspace) -> Option<Coarsening> {
     let n = g.num_vertices();
     if n < 2 {
         return None;
     }
     let (order, mate) = (&mut ws.order, &mut ws.mate);
-    let (row, slot) = (&mut ws.row, &mut ws.slot);
+    let (merged, slot) = (&mut ws.merged, &mut ws.slot);
     let mut rng = StdRng::seed_from_u64(seed);
     order.clear();
     order.extend(0..n as u32);
@@ -78,12 +88,11 @@ pub(crate) fn coarsen_step(g: &CsrGraph, seed: u64, ws: &mut Workspace) -> Optio
         }
     }
 
-    // The coarse graph, one row per owner in id order: the members' rows
-    // merged through `slot` (parallel edges sum, the inner edge drops),
-    // then sorted by neighbour id, which the next round's matching reads.
-    let (mut xadj, mut vwgt) = (vec![0u32], Vec::with_capacity(nc));
-    let mut adjncy = Vec::with_capacity(g.adjncy.len());
-    let mut ewgt = Vec::with_capacity(g.adjncy.len());
+    // The coarse rows in merge order, one per owner in id order, and how
+    // many entries each coarse vertex receives in the transpose.
+    let mut vwgt = Vec::with_capacity(nc);
+    let mut xadj = vec![0u32; nc + 1];
+    merged.clear();
     slot.clear();
     slot.resize(nc, UNMATCHED);
     for v in 0..n as u32 {
@@ -94,31 +103,38 @@ pub(crate) fn coarsen_step(g: &CsrGraph, seed: u64, ws: &mut Workspace) -> Optio
         let cv = map[v as usize];
         let members = [v, m];
         let members = &members[..if m == v { 1 } else { 2 }];
-        row.clear();
+        let start = merged.len();
         for &x in members {
             for (u, w) in g.neighbors(x) {
                 let cu = map[u as usize];
                 match slot[cu as usize] {
                     _ if cu == cv => {} // the pair's inner edge
                     UNMATCHED => {
-                        slot[cu as usize] = row.len() as u32;
-                        row.push((cu, w));
+                        slot[cu as usize] = merged.len() as u32;
+                        merged.push((cv, cu, w));
                     }
-                    at => row[at as usize].1 += w,
+                    at => merged[at as usize].2 += w,
                 }
             }
         }
-        for &(cu, _) in row.iter() {
+        for &(_, cu, _) in &merged[start..] {
             slot[cu as usize] = UNMATCHED;
+            xadj[cu as usize + 1] += 1;
         }
-        row.sort_unstable_by_key(|e| e.0);
-        adjncy.extend(row.iter().map(|e| e.0));
-        ewgt.extend(row.iter().map(|e| e.1));
-        xadj.push(adjncy.len() as u32);
         vwgt.push(members.iter().map(|&x| g.vwgt[x as usize]).sum());
     }
-    adjncy.shrink_to_fit();
-    ewgt.shrink_to_fit();
+    for c in 0..nc {
+        xadj[c + 1] += xadj[c];
+    }
+    // The transpose, `slot` now the next free entry of each row.
+    slot.clear();
+    slot.extend_from_slice(&xadj[..nc]);
+    let (mut adjncy, mut ewgt) = (vec![0u32; merged.len()], vec![0u32; merged.len()]);
+    for &(cv, cu, w) in merged.iter() {
+        let at = &mut slot[cu as usize];
+        (adjncy[*at as usize], ewgt[*at as usize]) = (cv, w);
+        *at += 1;
+    }
     let graph = CsrGraph {
         xadj,
         adjncy,

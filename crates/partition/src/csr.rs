@@ -30,7 +30,8 @@ impl CsrGraph {
     /// once); parallel edges are merged by summing weights.
     ///
     /// # Panics
-    /// Panics on out-of-range endpoints or self-loops.
+    /// Panics on out-of-range endpoints, self-loops, or parallel edges
+    /// whose weights sum past `u32::MAX`.
     pub fn from_weighted_edges(n: usize, edges: &[(u32, u32, u32)]) -> CsrGraph {
         let mut sym: Vec<(u32, u32, u32)> = Vec::with_capacity(edges.len() * 2);
         for &(a, b, w) in edges {
@@ -47,7 +48,11 @@ impl CsrGraph {
         let mut merged: Vec<(u32, u32, u32)> = Vec::with_capacity(sym.len());
         for (a, b, w) in sym {
             match merged.last_mut() {
-                Some(last) if last.0 == a && last.1 == b => last.2 += w,
+                Some(last) if last.0 == a && last.1 == b => {
+                    last.2 = last.2.checked_add(w).unwrap_or_else(|| {
+                        panic!("edge ({a},{b}) weight overflows u32");
+                    });
+                }
                 _ => merged.push((a, b, w)),
             }
         }
@@ -145,6 +150,12 @@ mod tests {
     fn self_loops_dropped_by_from_edges() {
         let g = CsrGraph::from_edges(2, &[(0, 0), (0, 1)]);
         assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (0,1) weight overflows u32")]
+    fn parallel_edge_weight_overflow_panics() {
+        CsrGraph::from_weighted_edges(2, &[(0, 1, 1 << 31), (0, 1, 1 << 31)]);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! implementation is a greedy positive-gain sweep (no hill climbing):
 //! deterministic, monotone in cut weight, and balance-guarded.
 
+use sweep_telemetry as telemetry;
+
 use crate::csr::CsrGraph;
 
 /// Refines `part` in place with up to `passes` sweeps of positive-gain
@@ -21,6 +23,7 @@ pub(crate) fn kway_refine(
     tolerance: f64,
     passes: usize,
 ) {
+    let _span = telemetry::span!("partition.kway");
     assert!(nparts > 0, "nparts must be positive");
     assert!(
         part.iter().all(|&p| (p as usize) < nparts),

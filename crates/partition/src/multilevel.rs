@@ -5,6 +5,7 @@
 use std::borrow::Cow;
 
 use sweep_pool::ThreadPool;
+use sweep_telemetry as telemetry;
 
 use crate::bisect::{cut_weight, fm_refine, initial_bisection, GainQueue};
 use crate::coarsen::coarsen_to;
@@ -55,9 +56,10 @@ pub(crate) struct Workspace {
     /// (itself for a singleton).
     pub(crate) order: Vec<u32>,
     pub(crate) mate: Vec<u32>,
-    /// The coarse row under construction as `(neighbour, weight)`, and where
-    /// in it each coarse neighbour sits (`u32::MAX` between rows).
-    pub(crate) row: Vec<(u32, u32)>,
+    /// The coarse rows in merge order as `(vertex, neighbour, weight)`, and
+    /// where in the row being merged each coarse neighbour sits (`u32::MAX`
+    /// between rows; the transpose's cursor per row after).
+    pub(crate) merged: Vec<(u32, u32, u32)>,
     pub(crate) slot: Vec<u32>,
     /// Global → subgraph vertex id; `u32::MAX` between subgraphs.
     local: Vec<u32>,
@@ -77,11 +79,18 @@ fn multilevel_bisect(
 
     // hierarchy[i] coarsens graph_i into graph_{i+1}, with graph_0 = g and
     // graph_{i+1} = hierarchy[i].graph.
-    let hierarchy = coarsen_to(g, opts.coarsest_size, opts.seed, ws);
+    let hierarchy = {
+        let _span = telemetry::span!("partition.coarsen");
+        coarsen_to(g, opts.coarsest_size, opts.seed, ws)
+    };
     let coarsest: &CsrGraph = hierarchy.last().map(|c| &c.graph).unwrap_or(g);
-    let (mut side, mut cut) = initial_bisection(coarsest, (target0, tol), opts, ws);
+    let (mut side, mut cut) = {
+        let _span = telemetry::span!("partition.initial_bisection");
+        initial_bisection(coarsest, (target0, tol), opts, ws)
+    };
 
     // Project back through the hierarchy, refining at every level.
+    let _span = telemetry::span!("partition.refine");
     let mut coarse_side = Vec::new();
     for i in (0..hierarchy.len()).rev() {
         std::mem::swap(&mut side, &mut coarse_side);
@@ -111,8 +120,12 @@ fn multilevel_bisect(
 /// bisected again, on the calling thread, from its true salt.
 ///
 /// # Panics
-/// Panics when `nparts == 0`.
+/// Panics when `nparts == 0`, or when the total vertex weight or the total
+/// edge weight (the sum of `ewgt`, each edge counted from both ends) does
+/// not fit `u32`: coarsening sums weights in `u32`, and these two totals
+/// bound every sum it forms.
 pub fn partition(g: &CsrGraph, nparts: usize, opts: &PartitionOptions) -> Vec<u32> {
+    let _span = telemetry::span!("partition.block");
     let pool = sweep_pool::global();
     partition_in(g, nparts, opts, pool, &mut Workspace::default())
 }
@@ -126,6 +139,10 @@ fn partition_in(
     ws: &mut Workspace,
 ) -> Vec<u32> {
     assert!(nparts > 0, "nparts must be positive");
+    let fits = |total: u64| total <= u64::from(u32::MAX);
+    assert!(fits(g.total_vwgt()), "total vertex weight overflows u32");
+    let total_ewgt = g.ewgt.iter().map(|&w| u64::from(w)).sum();
+    assert!(fits(total_ewgt), "total edge weight overflows u32");
     let n = g.num_vertices();
     let mut part = vec![0u32; n];
     if nparts == 1 || n == 0 {
@@ -509,6 +526,35 @@ mod tests {
         let part = partition(&g, 4, &PartitionOptions::default());
         assert!(imbalance(&g, &part, 4) <= 1.01);
         assert_eq!(edge_cut(&g, &part), 0);
+    }
+
+    /// A 4-cycle coarsened to two vertices: both pairs' weights, and the
+    /// two cycle edges between the pairs, sum to `4 · w`.
+    fn heavy_cycle(vwgt: u32, ewgt: u32) -> CsrGraph {
+        let cycle = [(0, 1, ewgt), (1, 2, ewgt), (2, 3, ewgt), (0, 3, ewgt)];
+        let mut g = CsrGraph::from_weighted_edges(4, &cycle);
+        g.vwgt.fill(vwgt);
+        g
+    }
+
+    #[test]
+    #[should_panic(expected = "total vertex weight overflows u32")]
+    fn vertex_weights_past_u32_are_rejected() {
+        let o = PartitionOptions {
+            coarsest_size: 2,
+            ..Default::default()
+        };
+        partition(&heavy_cycle(1 << 31, 1), 2, &o);
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight overflows u32")]
+    fn edge_weights_past_u32_are_rejected() {
+        let o = PartitionOptions {
+            coarsest_size: 2,
+            ..Default::default()
+        };
+        partition(&heavy_cycle(1, 1 << 31), 2, &o);
     }
 
     #[test]
