@@ -73,7 +73,7 @@ pub fn render_gantt(instance: &SweepInstance, schedule: &Schedule, max_cols: usi
 /// with a header. Readable back by any analysis stack.
 ///
 /// Lines run direction by direction, cells ascending within each. Every
-/// cell's `v,` and `,p,` text is rendered once, a digit count over the
+/// cell's `v,` and `p,` text is rendered once, a digit count over the
 /// start times sizes the output exactly, and each direction's lines are
 /// written into their own slice of that one buffer on
 /// [`sweep_pool::global`]: the bytes are the same at every pool width.
@@ -85,53 +85,44 @@ pub fn to_csv(instance: &SweepInstance, schedule: &Schedule) -> String {
     if n == 0 || k == 0 {
         return HEADER.to_owned();
     }
-    // Cell `v`'s `v,` is `cells[at[2v]..at[2v + 1]]`, its `,p,` runs on to
+    // Cell `v`'s `v,` is `cells[at[2v]..at[2v + 1]]`, its `p,` runs on to
     // `at[2v + 2]`.
-    let mut cells = Vec::with_capacity(n * 8);
-    let mut at = Vec::with_capacity(2 * n + 1);
-    at.push(0);
+    let (mut cells, mut at, buf) = (Vec::with_capacity(n * 8), vec![0], &mut [0; 11]);
     for v in 0..n as u32 {
-        push_u32(&mut cells, v);
-        cells.push(b',');
-        at.push(cells.len());
-        cells.push(b',');
-        push_u32(&mut cells, schedule.proc_of_cell(v));
-        cells.push(b',');
-        at.push(cells.len());
+        for x in [v, schedule.proc_of_cell(v)] {
+            cells.extend_from_slice(decimal(x, b',', buf));
+            at.push(cells.len());
+        }
     }
-    // A direction's line per cell: the cell's text, `d`, the start and a
+    // Direction `d`'s line for a cell: `v,`, `d,`, `p,`, the start and a
     // newline.
     let starts = &schedule.starts()[..n * k];
     let lens: Vec<usize> = starts
         .chunks(n)
         .zip(0u32..)
         .map(|(dir, d)| {
-            cells.len() + n * (digits(d) + 1) + dir.iter().map(|&t| digits(t)).sum::<usize>()
+            cells.len() + n * (digits(d) + 1) + dir.iter().map(|&t| digits(t) + 1).sum::<usize>()
         })
         .collect();
     let mut out = vec![0u8; HEADER.len() + lens.iter().sum::<usize>()];
-    let (header, mut rest) = out.split_at_mut(HEADER.len());
-    header.copy_from_slice(HEADER.as_bytes());
+    let mut rest = &mut out[..];
+    put(&mut rest, HEADER.as_bytes());
     let slices: Vec<Mutex<&mut [u8]>> = lens
         .iter()
-        .map(|&len| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
-            rest = tail;
-            Mutex::new(head)
-        })
+        .map(|&len| Mutex::new(take(&mut rest, len)))
         .collect();
     sweep_pool::global().par_for_each(&slices, |d, slice| {
-        let mut slice = slice.lock().unwrap_or_else(|e| e.into_inner());
-        let mut dir = Vec::with_capacity(10);
-        push_u32(&mut dir, d as u32);
+        let mut slice = slice
+            .lock()
+            .expect("each slice is locked once, so never poisoned");
+        let (buf, dir) = (&mut [0; 11], &mut [0; 11]);
+        let dir = decimal(d as u32, b',', dir);
         let mut line = &mut **slice;
         for (v, &t) in starts[d * n..][..n].iter().enumerate() {
             put(&mut line, &cells[at[2 * v]..at[2 * v + 1]]);
-            put(&mut line, &dir);
+            put(&mut line, dir);
             put(&mut line, &cells[at[2 * v + 1]..at[2 * v + 2]]);
-            let (num, tail) = std::mem::take(&mut line).split_at_mut(digits(t) + 1);
-            write_u32(num, t);
-            line = tail;
+            put(&mut line, decimal(t, b'\n', buf));
         }
         debug_assert!(
             line.is_empty(),
@@ -147,37 +138,32 @@ fn digits(x: u32) -> usize {
     x.checked_ilog10().map_or(1, |l| l as usize + 1)
 }
 
+/// The first `len` bytes of `out`, moving `out` past them.
+fn take<'a>(out: &mut &'a mut [u8], len: usize) -> &'a mut [u8] {
+    let (head, tail) = std::mem::take(out).split_at_mut(len);
+    *out = tail;
+    head
+}
+
 /// Copies `bytes` to the front of `out` and moves `out` past them.
 fn put(out: &mut &mut [u8], bytes: &[u8]) {
-    let (head, tail) = std::mem::take(out).split_at_mut(bytes.len());
-    head.copy_from_slice(bytes);
-    *out = tail;
+    take(out, bytes.len()).copy_from_slice(bytes);
 }
 
-/// Fills `out`, which is one byte longer than `x` has digits, with `x` in
-/// decimal and a newline.
-fn write_u32(out: &mut [u8], mut x: u32) {
-    let (newline, num) = out.split_last_mut().expect("room for the newline");
-    *newline = b'\n';
-    for d in num.iter_mut().rev() {
-        *d = b'0' + (x % 10) as u8;
-        x /= 10;
-    }
-}
-
-/// Appends `x` in decimal, as `{x}` formats it.
-fn push_u32(out: &mut Vec<u8>, mut x: u32) {
-    let mut digits = [0u8; 10];
-    let mut at = digits.len();
+/// `x` in decimal, as `{x}` formats it, then `end`: rendered at the back
+/// of `buf`.
+fn decimal(mut x: u32, end: u8, buf: &mut [u8; 11]) -> &[u8] {
+    let mut at = buf.len() - 1;
+    buf[at] = end;
     loop {
         at -= 1;
-        digits[at] = b'0' + (x % 10) as u8;
+        buf[at] = b'0' + (x % 10) as u8;
         x /= 10;
         if x == 0 {
             break;
         }
     }
-    out.extend_from_slice(&digits[at..]);
+    &buf[at..]
 }
 
 /// Parses a schedule back from [`to_csv`] output (inverse operation).

@@ -212,7 +212,8 @@ pub(crate) fn cut_weight<T: PartialEq>(g: &CsrGraph, label: &[T]) -> u64 {
 /// `target0`. `reach` is [`gain_reach`] of `g`.
 fn grow_from(
     g: &CsrGraph,
-    (seed, reach): (u32, u64),
+    seed: u32,
+    reach: u64,
     target0: u64,
     side: &mut Vec<u8>,
     ws: &mut Workspace,
@@ -278,7 +279,7 @@ pub(crate) fn initial_bisection(
     let reach = gain_reach(g);
     for _ in 0..opts.init_tries.max(1) {
         let s = rng.random_range(0..n as u32);
-        grow_from(g, (s, reach), target0, &mut side, ws);
+        grow_from(g, s, reach, target0, &mut side, ws);
         let cut = cut_weight(g, &side);
         let cut = fm_refine(g, &mut side, cut, (target0, tol), 4, ws);
         if cut < best_cut {
@@ -441,13 +442,14 @@ mod tests {
     /// contract names, at every window shape: none (all outside), one the
     /// gain band straddles at both edges, one holding the band, and one
     /// cut down to [`WINDOW_WORDS`]. The same maximum after every
-    /// operation.
+    /// operation. One queue serves every shape, each reset finding it
+    /// non-empty.
     #[test]
     fn queue_agrees_with_an_ordered_set() {
         const N: usize = 300;
+        let mut queue = GainQueue::default();
         for reach in [0, 3, 6, 1 << 20] {
             let mut rng = StdRng::seed_from_u64(0x9a1e ^ reach);
-            let mut queue = GainQueue::default();
             let mut model: BTreeSet<(i64, u32)> = BTreeSet::new();
             let mut gain = [None::<i64>; N];
             queue.reset(N, reach);
@@ -484,7 +486,7 @@ mod tests {
                 }
                 let want = model.last().copied();
                 assert_eq!(queue.peek_max(), want, "reach {reach} step {step}");
-                if step % 2500 == 2499 {
+                if step % 2500 == 1249 {
                     // A reset empties it and re-sizes it; storage is reused.
                     queue.reset(N, reach);
                     model.clear();

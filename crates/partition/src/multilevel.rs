@@ -528,8 +528,9 @@ mod tests {
         assert_eq!(edge_cut(&g, &part), 0);
     }
 
-    /// A 4-cycle coarsened to two vertices: both pairs' weights, and the
-    /// two cycle edges between the pairs, sum to `4 · w`.
+    /// A 4-cycle, which coarsens to two pairs: each pair's weight, and the
+    /// two cycle edges joining the pairs, sum to `2 · w`, past `u32::MAX`
+    /// at `w = 2³¹`.
     fn heavy_cycle(vwgt: u32, ewgt: u32) -> CsrGraph {
         let cycle = [(0, 1, ewgt), (1, 2, ewgt), (2, 3, ewgt), (0, 3, ewgt)];
         let mut g = CsrGraph::from_weighted_edges(4, &cycle);
