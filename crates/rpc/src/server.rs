@@ -132,3 +132,51 @@ impl RpcServer {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::{KIND_ARTIFACT, KIND_PING, KIND_SCHEDULE};
+    use std::io::{Read as _, Write as _};
+
+    /// Sends `request`'s bytes on a fresh connection and returns the
+    /// first `answer_len` bytes the server writes back.
+    fn raw_exchange(addr: SocketAddr, request: &Frame, answer_len: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        request.write_to(&mut bytes).unwrap();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(&bytes).unwrap();
+        let mut answer = vec![0u8; answer_len];
+        stream.read_exact(&mut answer).unwrap();
+        answer
+    }
+
+    /// Byte-exact pins of both answer paths (a handler's frame and the
+    /// typed error a handler panic becomes), read off the server before
+    /// its writes were batched.
+    #[test]
+    fn answer_frames_are_pinned_on_the_wire() {
+        let stop = StopFlag::default();
+        let server = RpcServer::bind("127.0.0.1:0", Duration::from_secs(2), &stop, |f| {
+            assert_ne!(f.kind, KIND_SCHEDULE, "poisoned request");
+            Frame::new(KIND_ARTIFACT, b"SART\x01pinned".to_vec())
+        })
+        .unwrap();
+        let addr = server.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.run());
+            let answer = raw_exchange(addr, &Frame::new(KIND_PING, Vec::new()), 25);
+            assert_eq!(
+                answer,
+                b"SWRP\x01\x04\x0b\x00\x00\x00\x00\x00\x00\x00SART\x01pinned".to_vec()
+            );
+            let answer = raw_exchange(addr, &Frame::new(KIND_SCHEDULE, b"boom".to_vec()), 44);
+            assert_eq!(
+                answer,
+                b"SWRP\x01\x05\x1e\x00\x00\x00\x00\x00\x00\x00internal: rpc handler panicked"
+                    .to_vec()
+            );
+            stop.set(&[addr]);
+        });
+    }
+}

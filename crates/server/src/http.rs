@@ -304,6 +304,81 @@ mod tests {
         ));
     }
 
+    fn wire(response: &Response) -> String {
+        let mut out = Vec::new();
+        response.write_to(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    /// Byte-exact wire pins for the four response shapes the server
+    /// sends, read off the field-by-field serializer.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let hit = Response::json("{\"cache\": \"hit\"}\n".to_string())
+            .with_header("X-Sweep-Request-Id", "0123456789abcdef".to_string())
+            .with_header(
+                "Server-Timing",
+                sweep_telemetry::server_timing_value([12, 3, 0, 1500, 4]),
+            );
+        assert_eq!(
+            wire(&hit),
+            concat!(
+                "HTTP/1.1 200 OK\r\n",
+                "Content-Type: application/json\r\n",
+                "Content-Length: 17\r\n",
+                "Connection: close\r\n",
+                "X-Sweep-Request-Id: 0123456789abcdef\r\n",
+                "Server-Timing: parse;dur=0.012, cache;dur=0.003, induce;dur=0.000, ",
+                "schedule;dur=1.500, serialize;dur=0.004\r\n",
+                "\r\n",
+                "{\"cache\": \"hit\"}\n",
+            )
+        );
+        let shed = Response::error(429, "server is at its in-flight request limit")
+            .with_header("Retry-After", "2".to_string());
+        assert_eq!(
+            wire(&shed),
+            concat!(
+                "HTTP/1.1 429 Too Many Requests\r\n",
+                "Content-Type: application/json\r\n",
+                "Content-Length: 54\r\n",
+                "Connection: close\r\n",
+                "Retry-After: 2\r\n",
+                "\r\n",
+                "{\"error\": \"server is at its in-flight request limit\"}\n",
+            )
+        );
+        assert_eq!(
+            wire(&Response::text(String::new())),
+            concat!(
+                "HTTP/1.1 200 OK\r\n",
+                "Content-Type: text/plain; charset=utf-8\r\n",
+                "Content-Length: 0\r\n",
+                "Connection: close\r\n",
+                "\r\n",
+            )
+        );
+        let metrics = Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            extra_headers: Vec::new(),
+            body: "# TYPE sweep_serve_http_requests_total counter\nsweep_serve_http_requests_total 3\n"
+                .to_string(),
+        };
+        assert_eq!(
+            wire(&metrics),
+            concat!(
+                "HTTP/1.1 200 OK\r\n",
+                "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n",
+                "Content-Length: 81\r\n",
+                "Connection: close\r\n",
+                "\r\n",
+                "# TYPE sweep_serve_http_requests_total counter\n",
+                "sweep_serve_http_requests_total 3\n",
+            )
+        );
+    }
+
     #[test]
     fn response_serializes_with_extra_headers() {
         let mut out = Vec::new();
