@@ -1,6 +1,5 @@
 //! Per-peer RPC client: pooled connections, deadlines, jittered retries.
 
-use std::io::BufWriter;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -206,12 +205,9 @@ impl RpcClient {
 
     /// One request/response exchange on one connection.
     fn exchange(&self, stream: &mut TcpStream, request: &Frame) -> Result<Frame, String> {
-        {
-            let mut w = BufWriter::new(&mut *stream);
-            request
-                .write_to(&mut w)
-                .map_err(|e| format!("write: {e}"))?;
-        }
+        request
+            .write_to(stream)
+            .map_err(|e| format!("write: {e}"))?;
         match Frame::read_from(stream) {
             Ok(frame) => Ok(frame),
             Err(FrameError::Bad(msg)) => Err(format!("bad response frame: {msg}")),

@@ -128,30 +128,33 @@ impl Request {
 }
 
 /// Reads one CRLF- (or LF-) terminated line, rejecting lines past `max`.
+/// Scans the reader's buffer a fill at a time rather than pulling the
+/// line out byte by byte.
 fn read_line_limited(reader: &mut impl BufRead, max: usize) -> Result<String, ReadError> {
     let mut buf = Vec::new();
-    let mut byte = [0u8; 1];
     loop {
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(ReadError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed before a request",
-                    )));
-                }
+        let available = reader.fill_buf().map_err(ReadError::Io)?;
+        if available.is_empty() {
+            if buf.is_empty() {
+                return Err(ReadError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "connection closed before a request",
+                )));
+            }
+            break;
+        }
+        let newline = available.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(available.len());
+        if buf.len() + take > max {
+            return Err(ReadError::Bad(431, "line too long".to_string()));
+        }
+        buf.extend_from_slice(&available[..take]);
+        match newline {
+            Some(_) => {
+                reader.consume(take + 1);
                 break;
             }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                buf.push(byte[0]);
-                if buf.len() > max {
-                    return Err(ReadError::Bad(431, "line too long".to_string()));
-                }
-            }
-            Err(e) => return Err(ReadError::Io(e)),
+            None => reader.consume(take),
         }
     }
     if buf.last() == Some(&b'\r') {
@@ -229,21 +232,34 @@ impl Response {
         }
     }
 
-    /// Serializes status line, headers, and body to `w`.
+    /// Serializes status line, headers, and body to `w` with one
+    /// `write_all` of one buffer. Over an unbuffered `TcpStream` each
+    /// separate write is its own `send`, so formatting field by field
+    /// would cost a syscall per piece.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(
-            w,
+        let mut buf = Vec::with_capacity(
+            128 + self
+                .extra_headers
+                .iter()
+                .map(|(name, value)| name.len() + value.len() + 4)
+                .sum::<usize>()
+                + self.body.len(),
+        );
+        // Formatting into a `Vec` cannot fail.
+        let _ = write!(
+            buf,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        )?;
+        );
         for (name, value) in &self.extra_headers {
-            write!(w, "{name}: {value}\r\n")?;
+            let _ = write!(buf, "{name}: {value}\r\n");
         }
-        write!(w, "\r\n")?;
-        w.write_all(self.body.as_bytes())?;
+        buf.extend_from_slice(b"\r\n");
+        buf.extend_from_slice(self.body.as_bytes());
+        w.write_all(&buf)?;
         w.flush()
     }
 }
@@ -377,6 +393,123 @@ mod tests {
                 "sweep_serve_http_requests_total 3\n",
             )
         );
+    }
+
+    /// A `Write` that counts its `write` calls: over a `TcpStream` each
+    /// one is a `send`.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_leaves_in_one_write() {
+        let big = "x".repeat(1 << 20);
+        let responses = [
+            Response::json(big.clone())
+                .with_header("X-Sweep-Request-Id", "0123456789abcdef".to_string())
+                .with_header(
+                    "Server-Timing",
+                    sweep_telemetry::server_timing_value([1, 2, 3, 4, 5]),
+                ),
+            Response::error(429, "busy").with_header("Retry-After", "4".to_string()),
+            Response::error(404, "no such endpoint '/x'"),
+            Response::text(String::new()),
+        ];
+        for response in &responses {
+            let mut w = CountingWriter::default();
+            response.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{} response", response.status);
+            assert_eq!(w.bytes, wire(response).into_bytes());
+        }
+        assert!(wire(&responses[0]).ends_with(&big));
+    }
+
+    /// A `BufRead` that counts every call the parser makes on it.
+    struct CountingReader<'a> {
+        inner: BufReader<&'a [u8]>,
+        calls: usize,
+    }
+
+    impl std::io::Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl BufRead for CountingReader<'_> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.calls += 1;
+            self.inner.fill_buf()
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.inner.consume(amt)
+        }
+    }
+
+    const SCHEDULE_REQUEST: &str = concat!(
+        "POST /v1/schedule HTTP/1.1\r\n",
+        "Host: 127.0.0.1:7469\r\n",
+        "User-Agent: curl/8.5.0\r\n",
+        "Accept: */*\r\n",
+        "Content-Type: application/json\r\n",
+        "Content-Length: 53\r\n",
+        "\r\n",
+        "{\"preset\": \"tetonly\", \"scale\": 0.01, \"sn\": 2, \"m\": 4}",
+    );
+
+    #[test]
+    fn a_request_is_scanned_a_buffer_at_a_time() {
+        let mut reader = CountingReader {
+            inner: BufReader::new(SCHEDULE_REQUEST.as_bytes()),
+            calls: 0,
+        };
+        let req = Request::read_from(&mut reader).unwrap();
+        assert_eq!(req.body.len(), 53);
+        // One fill per line and one read for the body, where reading
+        // byte by byte took one call per header byte (142 here).
+        assert!(reader.calls <= 8, "{} calls", reader.calls);
+    }
+
+    #[test]
+    fn lines_split_across_buffer_fills_parse_the_same() {
+        let whole = parse(SCHEDULE_REQUEST).unwrap();
+        for capacity in [1, 2, 3, 7, 16] {
+            let mut reader = BufReader::with_capacity(capacity, SCHEDULE_REQUEST.as_bytes());
+            let req = Request::read_from(&mut reader).unwrap();
+            assert_eq!(
+                (&req.method, &req.path, &req.headers, &req.body),
+                (&whole.method, &whole.path, &whole.headers, &whole.body),
+                "capacity {capacity}"
+            );
+        }
+        // The limit counts every byte before the LF, CR included, also
+        // when the line spans fills.
+        for capacity in [2, 8192] {
+            let line = |max| {
+                read_line_limited(
+                    &mut BufReader::with_capacity(capacity, &b"abcdef\r\nrest"[..]),
+                    max,
+                )
+            };
+            assert_eq!(line(7).unwrap(), "abcdef");
+            assert!(matches!(line(6), Err(ReadError::Bad(431, _))));
+        }
     }
 
     #[test]

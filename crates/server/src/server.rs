@@ -24,7 +24,7 @@
 //!   drops the connection (`ReadError::Io`), a malformed request gets a
 //!   clean 4xx.
 
-use std::io::{BufReader, Write as _};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -230,6 +230,7 @@ impl Server {
         // Consecutive sheds walk the Retry-After hint up the capped
         // exponential backoff curve; any admitted connection resets it.
         let mut sheds: u32 = 0;
+        let drains = Drains::new(self.config.max_inflight);
         let admit = |stream: TcpStream| {
             if inflight.load(Ordering::SeqCst) >= self.config.max_inflight {
                 telemetry::counter_add("serve.http.requests", 1);
@@ -238,7 +239,7 @@ impl Server {
                 sheds = sheds.saturating_add(1);
                 self.service.ops().record_shed();
                 self.service.ops().log_shed(hint);
-                shed(stream, hint);
+                shed(stream, hint, &drains);
                 return None;
             }
             sheds = 0;
@@ -310,30 +311,86 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
+/// Live shed-drain threads, capped so that a client flooding
+/// connections and holding them open cannot grow the thread count
+/// without bound.
+struct Drains {
+    live: AtomicUsize,
+    cap: usize,
+}
+
+/// One drain thread's claim on [`Drains`], released on drop (a panic
+/// unwind included).
+struct DrainSlot(Arc<Drains>);
+
+impl Drains {
+    fn new(cap: usize) -> Arc<Drains> {
+        Arc::new(Drains {
+            live: AtomicUsize::new(0),
+            cap,
+        })
+    }
+
+    fn try_take(self: &Arc<Drains>) -> Option<DrainSlot> {
+        self.live
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .ok()?;
+        Some(DrainSlot(Arc::clone(self)))
+    }
+}
+
+impl Drop for DrainSlot {
+    fn drop(&mut self) {
+        self.0.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Answers an over-capacity connection with `429` + `Retry-After`
-/// without handing it to a worker. Runs on a short-lived detached
-/// thread: after writing the response the connection must be drained
-/// until the peer closes — dropping a socket with unread request bytes
-/// makes the kernel send RST, which would discard the 429 from the
-/// client's receive buffer — and that drain must not block the accept
-/// loop.
-fn shed(stream: TcpStream, retry_after_secs: u64) {
-    std::thread::spawn(move || {
-        use std::io::Read as _;
-        let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-        let _ = stream.set_read_timeout(Some(WRITE_TIMEOUT));
-        let _ = Response::error(429, "server is at its in-flight request limit")
-            .with_header("Retry-After", retry_after_secs.to_string())
-            .write_to(&mut stream);
+/// without handing it to a worker. After writing the response the
+/// connection must be drained until the peer closes — dropping a
+/// socket with unread request bytes makes the kernel send RST, which
+/// would discard the 429 from the client's receive buffer — and that
+/// drain must not block the accept loop, so it runs on a detached
+/// thread holding a [`DrainSlot`]. Past the cap the 429 is written on
+/// the calling thread without blocking, whatever the peer has already
+/// sent is discarded, and the socket is closed: a peer still sending
+/// may then see a reset instead of the 429. Returns the drain thread,
+/// if one was started.
+fn shed(
+    stream: TcpStream,
+    retry_after_secs: u64,
+    drains: &Arc<Drains>,
+) -> Option<std::thread::JoinHandle<()>> {
+    use std::io::Read as _;
+    let response = Response::error(429, "server is at its in-flight request limit")
+        .with_header("Retry-After", retry_after_secs.to_string());
+    let Some(slot) = drains.try_take() else {
+        let _ = stream.set_nonblocking(true);
+        let _ = response.write_to(&mut &stream);
         let _ = stream.shutdown(std::net::Shutdown::Write);
         let mut scratch = [0u8; 4096];
-        while let Ok(n) = stream.read(&mut scratch) {
+        for _ in 0..16 {
+            if !matches!((&stream).read(&mut scratch), Ok(n) if n > 0) {
+                break;
+            }
+        }
+        return None;
+    };
+    Some(std::thread::spawn(move || {
+        let _slot = slot;
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        let _ = stream.set_read_timeout(Some(WRITE_TIMEOUT));
+        let _ = response.write_to(&mut &stream);
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut scratch = [0u8; 4096];
+        while let Ok(n) = (&stream).read(&mut scratch) {
             if n == 0 {
                 break;
             }
         }
-    });
+    }))
 }
 
 /// The per-stage latency histograms a traced request feeds,
@@ -358,11 +415,9 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
     let ctx = ops.trace_ctx(conn);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
+    // `Read` and `Write` are implemented for `&TcpStream`, so one
+    // socket serves both directions without a `dup`.
+    let mut reader = BufReader::new(&stream);
     let root = ctx.span("request");
     let read_result = {
         let _parse = root.ctx().span("parse");
@@ -382,7 +437,7 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
                     "Server-Timing",
                     server_timing_value(stages_us.unwrap_or_default()),
                 );
-            let _ = response.write_to(&mut writer);
+            let _ = response.write_to(&mut &stream);
             if let (Some(t), Some(stages_us)) = (&trace, stages_us) {
                 telemetry::histogram_record_each(
                     STAGE_HISTOGRAMS
@@ -412,7 +467,7 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
             telemetry::counter_add("serve.http.responses_4xx", 1);
             let _ = Response::error(status, &message)
                 .with_header("X-Sweep-Request-Id", ctx.request_id_hex())
-                .write_to(&mut writer);
+                .write_to(&mut &stream);
             if ops.should_log(conn) {
                 let trace = ctx.finish();
                 ops.log(&access_log_line(
@@ -429,9 +484,9 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
             // The request was only partially read; drain it so closing
             // the socket doesn't RST the error reply away (see `shed`).
             use std::io::Read as _;
-            let _ = writer.shutdown(std::net::Shutdown::Write);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
             let mut scratch = [0u8; 4096];
-            while let Ok(n) = writer.read(&mut scratch) {
+            while let Ok(n) = (&stream).read(&mut scratch) {
                 if n == 0 {
                     break;
                 }
@@ -440,7 +495,6 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
         // Timeout or peer hangup mid-request: nothing to answer.
         Err(ReadError::Io(_)) => {}
     }
-    let _ = writer.flush();
     telemetry::histogram_record(
         "serve.http.latency_us",
         started.elapsed().as_secs_f64() * 1e6,
@@ -450,7 +504,7 @@ fn handle_connection(service: &SweepService, config: &ServerConfig, stream: TcpS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read as _;
+    use std::io::{Read as _, Write as _};
     use std::net::TcpListener;
 
     #[test]
@@ -657,9 +711,55 @@ mod tests {
             out
         });
         let (stream, _) = listener.accept().unwrap();
-        shed(stream, 3);
+        let drain = shed(stream, 3, &Drains::new(1)).expect("a free drain slot");
         let reply = client.join().unwrap();
+        drain.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 429 "), "{reply}");
         assert!(reply.contains("Retry-After: 3\r\n"));
+    }
+
+    /// A peer holding a shed connection open keeps its drain thread
+    /// alive; past the cap the next shed is answered on the calling
+    /// thread and closed, and a finished drain frees its slot.
+    #[test]
+    fn shed_drain_threads_are_capped() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let drains = Drains::new(1);
+        let shed_next = |retry_after| {
+            let client = TcpStream::connect(addr).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            (client, shed(stream, retry_after, &drains))
+        };
+        let read_reply = |mut client: TcpStream| {
+            let mut out = String::new();
+            client.read_to_string(&mut out).unwrap();
+            out
+        };
+
+        let (held, drain) = shed_next(1);
+        let drain = drain.expect("the first shed takes the one slot");
+        assert_eq!(drains.live.load(Ordering::SeqCst), 1);
+        // The held connection pins the slot: the next shed starts no
+        // thread, and its client still reads a whole 429 and EOF.
+        let (inline, none) = shed_next(2);
+        assert!(none.is_none());
+        let reply = read_reply(inline);
+        assert!(reply.starts_with("HTTP/1.1 429 "), "{reply}");
+        assert!(reply.contains("Retry-After: 2\r\n"), "{reply}");
+        assert_eq!(drains.live.load(Ordering::SeqCst), 1);
+
+        // Closing the held peer ends its drain and frees the slot.
+        let reply = read_reply(held);
+        assert!(reply.contains("Retry-After: 1\r\n"), "{reply}");
+        drain.join().unwrap();
+        assert_eq!(drains.live.load(Ordering::SeqCst), 0);
+        let (client, drain) = shed_next(3);
+        let reply = read_reply(client);
+        assert!(reply.contains("Retry-After: 3\r\n"), "{reply}");
+        drain
+            .expect("the freed slot is taken again")
+            .join()
+            .unwrap();
     }
 }

@@ -939,24 +939,17 @@ impl SweepService {
         // drawn from the fixed endpoint vocabulary (unknown paths all
         // collapse to "other") so a path-scanning client can't mint
         // unbounded label values.
-        let route = match req.path.as_str() {
-            p @ ("/healthz" | "/v1/presets" | "/metrics" | "/v1/schedule" | "/debug/vars"
-            | "/debug/trace") => p,
-            _ => "other",
-        };
+        let route = ROUTES
+            .iter()
+            .position(|r| *r == req.path)
+            .unwrap_or(ROUTES.len());
         let status = match response.status {
-            200..=299 => "2xx",
-            429 => "429",
-            400..=499 => "4xx",
-            _ => "5xx",
+            200..=299 => 0,
+            429 => 1,
+            400..=499 => 2,
+            _ => 3,
         };
-        telemetry::counter_add(
-            &telemetry::labeled(
-                "serve.http.requests_by_route",
-                &[("route", route), ("status", status)],
-            ),
-            1,
-        );
+        telemetry::counter_add(REQUESTS_BY_ROUTE[route][status], 1);
         // Every response from a clustered shard names the shard that
         // produced it, so a client behind a load balancer can tell the
         // shards apart.
@@ -1044,6 +1037,58 @@ impl SweepService {
         out
     }
 }
+
+/// The endpoint vocabulary of the per-route request counter; every
+/// other path counts as `other`, the last row of [`REQUESTS_BY_ROUTE`].
+const ROUTES: [&str; 6] = [
+    "/healthz",
+    "/v1/presets",
+    "/metrics",
+    "/v1/schedule",
+    "/debug/vars",
+    "/debug/trace",
+];
+
+/// One row of [`REQUESTS_BY_ROUTE`]: the route's key per status class.
+macro_rules! by_route {
+    ($route:literal) => {
+        [
+            concat!(
+                "serve.http.requests_by_route{route=\"",
+                $route,
+                "\",status=\"2xx\"}"
+            ),
+            concat!(
+                "serve.http.requests_by_route{route=\"",
+                $route,
+                "\",status=\"429\"}"
+            ),
+            concat!(
+                "serve.http.requests_by_route{route=\"",
+                $route,
+                "\",status=\"4xx\"}"
+            ),
+            concat!(
+                "serve.http.requests_by_route{route=\"",
+                $route,
+                "\",status=\"5xx\"}"
+            ),
+        ]
+    };
+}
+
+/// `serve.http.requests_by_route` storage keys: a row per [`ROUTES`]
+/// entry then `other`, a column per status class (`2xx`, `429`, `4xx`,
+/// `5xx`), spelled out so the per-request path formats no label block.
+const REQUESTS_BY_ROUTE: [[&str; 4]; ROUTES.len() + 1] = [
+    by_route!("/healthz"),
+    by_route!("/v1/presets"),
+    by_route!("/metrics"),
+    by_route!("/v1/schedule"),
+    by_route!("/debug/vars"),
+    by_route!("/debug/trace"),
+    by_route!("other"),
+];
 
 /// The `GET /v1/presets` body.
 fn render_presets() -> String {
@@ -1198,6 +1243,22 @@ mod tests {
 
     fn tiny() -> ScheduleRequest {
         ScheduleRequest::preset("tetonly", 0.01, 2, 4)
+    }
+
+    #[test]
+    fn route_counter_keys_equal_the_labeled_keys() {
+        let routes = ROUTES.iter().copied().chain(["other"]);
+        for (row, route) in REQUESTS_BY_ROUTE.iter().zip(routes) {
+            for (key, status) in row.iter().zip(["2xx", "429", "4xx", "5xx"]) {
+                assert_eq!(
+                    *key,
+                    telemetry::labeled(
+                        "serve.http.requests_by_route",
+                        &[("route", route), ("status", status)],
+                    )
+                );
+            }
+        }
     }
 
     const TINY_OBJ: &str = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 4 3\n";
