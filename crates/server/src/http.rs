@@ -481,8 +481,8 @@ mod tests {
         };
         let req = Request::read_from(&mut reader).unwrap();
         assert_eq!(req.body.len(), 53);
-        // One fill per line and one read for the body, where reading
-        // byte by byte took one call per header byte (142 here).
+        // One fill per line and one read for the body; a byte per call
+        // would take 142 calls on this request.
         assert!(reader.calls <= 8, "{} calls", reader.calls);
     }
 

@@ -14,7 +14,8 @@
 //!   *itself* (cheap — no scheduling work happens) with a `Retry-After`
 //!   hint from [`sweep_faults::backoff`]: consecutive rejections walk up
 //!   the same capped exponential curve the fault simulator's retry
-//!   protocol was validated against.
+//!   protocol was validated against. The threads that drain shed
+//!   connections are capped at `max_inflight` too (see `shed`).
 //! * **Graceful shutdown without signals.** The workspace forbids
 //!   `unsafe`, so there is no signal handler; once the flag is set the
 //!   loops stop accepting, and every queued connection is served before
@@ -370,6 +371,9 @@ fn shed(
         let _ = stream.set_nonblocking(true);
         let _ = response.write_to(&mut &stream);
         let _ = stream.shutdown(std::net::Shutdown::Write);
+        // Non-blocking, so this stops at whatever has arrived, and
+        // bounded (64 KiB) so a peer that keeps sending cannot hold the
+        // accept thread.
         let mut scratch = [0u8; 4096];
         for _ in 0..16 {
             if !matches!((&stream).read(&mut scratch), Ok(n) if n > 0) {
