@@ -379,6 +379,22 @@ mod tests {
         assert!(report.has_code(Code::MakespanBelowBound));
     }
 
+    /// SW007 cannot be reached from a feasible schedule through the
+    /// public entry points, so its message is pinned here.
+    #[test]
+    fn below_bound_message_is_pinned() {
+        let inst = SweepInstance::identical_chains(6, 2);
+        let mut report = Report::new("synthetic");
+        certify_bounds(&inst, 3, 1, &AnalyzeOptions::default(), &mut report);
+        assert_eq!(
+            report.render_text(),
+            "analyzing synthetic\n\
+             error[SW007]: makespan 3 is below the certified lower bound 12 \
+             (max of ⌈nk/m⌉=12, k=2, D=6) — the schedule cannot be real\n\
+             synthetic: 1 error(s), 0 warning(s), 0 info\n"
+        );
+    }
+
     #[test]
     fn slow_makespan_warns_envelope() {
         let inst = SweepInstance::identical_chains(4, 2); // LB = 8 on 1 proc

@@ -369,3 +369,139 @@ fn every_algorithm_output_certifies_on_mesh_instance() {
         assert!(r.has_code(Code::Certified), "{}", alg.name());
     }
 }
+
+// ------------------------------------------------------- byte-exact pins
+
+/// Two chains over six cells on two processors, each direction's
+/// schedule corrupted: four inverted edges, a slot on processor 1 at
+/// time 2 holding two tasks and one on processor 0 at time 9 holding
+/// three. In `(proc, time)` order the slots come `(0, 9)`, `(1, 2)`; in
+/// `(time, proc)` order the other way round.
+fn pinned_corruption() -> (SweepInstance, Schedule) {
+    let d0 = TaskDag::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+    let d1 = TaskDag::from_edges(6, &[(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]);
+    let inst = SweepInstance::new(6, vec![d0, d1], "pinned");
+    let a = Assignment::from_vec(vec![0, 0, 0, 1, 1, 1], 2);
+    let starts = vec![0, 1, 2, 2, 2, 5, 9, 9, 9, 8, 7, 6];
+    (inst, Schedule::new(starts, a).expect("right shape"))
+}
+
+const PINNED_TEXT: &str = "\
+analyzing schedule for 'pinned'
+error[SW002]: direction 0: cell 2 (t=2) must finish before cell 3 (t=2)
+  --> cell 3, direction 0, t=2
+error[SW002]: direction 0: cell 3 (t=2) must finish before cell 4 (t=2)
+  --> cell 4, direction 0, t=2
+error[SW002]: direction 1: cell 1 (t=9) must finish before cell 0 (t=9)
+  --> cell 0, direction 1, t=9
+error[SW002]: direction 1: cell 2 (t=9) must finish before cell 1 (t=9)
+  --> cell 1, direction 1, t=9
+error[SW003]: processor 0 runs 3 tasks at time 9
+  --> t=9, proc 0
+error[SW003]: processor 1 runs 2 tasks at time 2
+  --> t=2, proc 1
+schedule for 'pinned': 6 error(s), 0 warning(s), 0 info
+";
+
+const PINNED_JSON: &str = r#"{
+  "subject": "schedule for 'pinned'",
+  "diagnostics": [
+    {"code": "SW002", "severity": "error", "message": "direction 0: cell 2 (t=2) must finish before cell 3 (t=2)", "cell": 3, "dir": 0, "timestep": 2},
+    {"code": "SW002", "severity": "error", "message": "direction 0: cell 3 (t=2) must finish before cell 4 (t=2)", "cell": 4, "dir": 0, "timestep": 2},
+    {"code": "SW002", "severity": "error", "message": "direction 1: cell 1 (t=9) must finish before cell 0 (t=9)", "cell": 0, "dir": 1, "timestep": 9},
+    {"code": "SW002", "severity": "error", "message": "direction 1: cell 2 (t=9) must finish before cell 1 (t=9)", "cell": 1, "dir": 1, "timestep": 9},
+    {"code": "SW003", "severity": "error", "message": "processor 0 runs 3 tasks at time 9", "timestep": 9, "proc": 0},
+    {"code": "SW003", "severity": "error", "message": "processor 1 runs 2 tasks at time 2", "timestep": 2, "proc": 1}
+  ],
+  "summary": {"errors": 6, "warnings": 0, "infos": 0}
+}
+"#;
+
+const PINNED_SARIF: &str = r#"{
+  "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
+  "version": "2.1.0",
+  "runs": [{
+    "tool": {"driver": {
+      "name": "sweep-analyze",
+      "informationUri": "https://github.com/sweep-scheduling",
+      "rules": [
+          {"id": "SW002", "shortDescription": {"text": "schedule violates a precedence constraint"}, "defaultConfiguration": {"level": "error"}},
+          {"id": "SW003", "shortDescription": {"text": "processor executes two tasks in one timestep"}, "defaultConfiguration": {"level": "error"}}
+      ]
+    }},
+    "results": [
+      {"ruleId": "SW002", "ruleIndex": 0, "level": "error", "message": {"text": "direction 0: cell 2 (t=2) must finish before cell 3 (t=2)"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::cell 3, direction 0, t=2", "kind": "member"}]}]},
+      {"ruleId": "SW002", "ruleIndex": 0, "level": "error", "message": {"text": "direction 0: cell 3 (t=2) must finish before cell 4 (t=2)"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::cell 4, direction 0, t=2", "kind": "member"}]}]},
+      {"ruleId": "SW002", "ruleIndex": 0, "level": "error", "message": {"text": "direction 1: cell 1 (t=9) must finish before cell 0 (t=9)"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::cell 0, direction 1, t=9", "kind": "member"}]}]},
+      {"ruleId": "SW002", "ruleIndex": 0, "level": "error", "message": {"text": "direction 1: cell 2 (t=9) must finish before cell 1 (t=9)"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::cell 1, direction 1, t=9", "kind": "member"}]}]},
+      {"ruleId": "SW003", "ruleIndex": 1, "level": "error", "message": {"text": "processor 0 runs 3 tasks at time 9"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::t=9, proc 0", "kind": "member"}]}]},
+      {"ruleId": "SW003", "ruleIndex": 1, "level": "error", "message": {"text": "processor 1 runs 2 tasks at time 2"}, "locations": [{"logicalLocations": [{"fullyQualifiedName": "schedule for 'pinned'::t=2, proc 1", "kind": "member"}]}]}
+    ]
+  }]
+}
+"#;
+
+#[test]
+fn corrupted_schedule_renders_byte_exact() {
+    let (inst, bad) = pinned_corruption();
+    let r = analyze_schedule(&inst, &bad);
+    assert_eq!(r.render_text(), PINNED_TEXT);
+    assert_eq!(r.render_json(), PINNED_JSON);
+    assert_eq!(r.render_sarif(), PINNED_SARIF);
+    // The same tables through the raw entry point differ only in subject.
+    let raw = analyze_raw_schedule(&inst, &RawSchedule::from_schedule(&bad));
+    assert_eq!(
+        raw.render_text(),
+        PINNED_TEXT.replace("schedule for", "raw schedule for")
+    );
+}
+
+#[test]
+fn shape_and_bound_messages_are_pinned() {
+    let inst = SweepInstance::identical_chains(8, 2);
+    let text = |s: &Schedule| analyze_schedule(&inst, s).render_text();
+    let subject = "schedule for 'identical_chains(n=8,k=2)'";
+
+    let small = SweepInstance::random_layered(20, 3, 4, 2, 6);
+    assert_eq!(
+        text(&good_schedule(&small, 3, 2)),
+        format!(
+            "analyzing {subject}\n\
+             error[SW006]: instance has 8 cells but the schedule's assignment covers 20\n\
+             {subject}: 1 error(s), 0 warning(s), 0 info\n"
+        )
+    );
+
+    let one = SweepInstance::identical_chains(8, 1);
+    assert_eq!(
+        text(&good_schedule(&one, 2, 1)),
+        format!(
+            "analyzing {subject}\n\
+             error[SW005]: expected 16 tasks (8 cells × 2 directions); \
+             start table has 8, proc table has 8\n\
+             {subject}: 1 error(s), 0 warning(s), 0 info\n"
+        )
+    );
+
+    let padded = (0..16u32).map(|t| (t % 8) * 60 + (t / 8) * 31).collect();
+    let padded = Schedule::new(padded, Assignment::single(8)).expect("right shape");
+    assert_eq!(
+        text(&padded),
+        format!(
+            "analyzing {subject}\n\
+             warning[SW014]: makespan 452 exceeds the random-delay envelope 128 \
+             (= 2.0 · log2(16) · LB 16)\n\
+             {subject}: 0 error(s), 1 warning(s), 0 info\n"
+        )
+    );
+
+    assert_eq!(
+        text(&good_schedule(&inst, 2, 1)),
+        format!(
+            "analyzing {subject}\n\
+             info[SW021]: feasible; makespan 13 within [LB 8, envelope 64], \
+             ratio 1.625 vs paper bound 8\n\
+             {subject}: 0 error(s), 0 warning(s), 1 info\n"
+        )
+    );
+}
