@@ -77,7 +77,7 @@ pub use random_delay::{
 };
 pub use replicate::{replicate, AssignmentDraw, ReplicateSummary};
 pub use schedule::{
-    certify, validate, Certificate, Schedule, ScheduleBuildError, ScheduleViolation,
+    certify, certify_each, validate, Certificate, Schedule, ScheduleBuildError, ScheduleViolation,
 };
 pub use scratch::{TrialContext, TrialScratch};
 pub use trials::{

@@ -255,14 +255,26 @@ pub fn validate(instance: &SweepInstance, schedule: &Schedule) -> Result<(), Sch
 /// [`validate`] and [`c2_comm_delay`](crate::c2_comm_delay) are its
 /// projections.
 pub fn certify(instance: &SweepInstance, schedule: &Schedule) -> Certificate {
-    certify_in(instance, schedule, &mut SlotSort::default())
+    certify_each(instance, schedule, |_| {})
 }
 
-/// [`certify`] on the caller's slot-sort buffers.
+/// [`certify`], handing `sink` every violation, the verdict first: a shape
+/// error alone, else each violated edge in `(dir, u, v)` order, then one
+/// conflict per extra task of a slot in `(time, proc)` order.
+pub fn certify_each(
+    instance: &SweepInstance,
+    schedule: &Schedule,
+    sink: impl FnMut(&ScheduleViolation),
+) -> Certificate {
+    certify_in(instance, schedule, &mut SlotSort::default(), sink)
+}
+
+/// [`certify_each`] on the caller's slot-sort buffers.
 pub(crate) fn certify_in(
     instance: &SweepInstance,
     schedule: &Schedule,
     slots: &mut SlotSort,
+    mut sink: impl FnMut(&ScheduleViolation),
 ) -> Certificate {
     let (n, nk) = (instance.num_cells(), instance.num_tasks());
     let (assignment, starts) = (schedule.assignment(), schedule.starts());
@@ -276,24 +288,28 @@ pub(crate) fn certify_in(
         loads: assignment.loads(),
         bounds: lower_bounds(instance, schedule.num_procs()),
     };
-    if assignment.num_cells() != n {
-        cert.verdict = Err(ScheduleViolation::AssignmentMismatch {
-            cells: n,
-            assigned: assignment.num_cells(),
+    let mut first = None;
+    let mut found = |violation: ScheduleViolation| {
+        sink(&violation);
+        first.get_or_insert(violation);
+    };
+    let (assigned, actual) = (assignment.num_cells(), starts.len());
+    if assigned != n || actual != nk {
+        found(if assigned != n {
+            ScheduleViolation::AssignmentMismatch { cells: n, assigned }
+        } else {
+            ScheduleViolation::WrongTaskCount {
+                expected: nk,
+                actual,
+            }
         });
-        return cert;
-    }
-    if starts.len() != nk {
-        cert.verdict = Err(ScheduleViolation::WrongTaskCount {
-            expected: nk,
-            actual: starts.len(),
-        });
+        cert.verdict = first.map_or(Ok(()), Err);
         return cert;
     }
     // Constraint 1, precedence: unit tasks ⇒ start(v) ≥ start(u) + 1.
     // (With no cells there are no starts, and no chunk to pair a DAG with.)
     let procs = assignment.as_slice();
-    let (mut cut, mut first) = (Vec::with_capacity(nk), None);
+    let mut cut = Vec::with_capacity(nk);
     let per_dir = instance.dags().iter().zip(starts.chunks_exact(n.max(1)));
     for (dir, (dag, starts)) in (0u32..).zip(per_dir) {
         for (u, (&start_u, &pu)) in (0..n as u32).zip(starts.iter().zip(procs)) {
@@ -301,8 +317,8 @@ pub(crate) fn certify_in(
             for &v in dag.successors(u) {
                 sent += u32::from(procs[v as usize] != pu);
                 let start_v = starts[v as usize];
-                if start_v <= start_u && first.is_none() {
-                    first = Some(ScheduleViolation::Precedence {
+                if start_v <= start_u {
+                    found(ScheduleViolation::Precedence {
                         dir,
                         u,
                         v,
@@ -327,7 +343,7 @@ pub(crate) fn certify_in(
             Some(p) if p.same_slot(s) => {
                 load += w;
                 let (proc, time) = (p.proc, p.step);
-                first.get_or_insert(ScheduleViolation::ProcessorConflict { proc, time });
+                found(ScheduleViolation::ProcessorConflict { proc, time });
             }
             Some(p) if p.step == s.step => (heaviest, load) = (heaviest.max(load), w),
             _ => (cert.c2, heaviest, load) = (cert.c2 + heaviest.max(load), 0, w),
@@ -508,6 +524,32 @@ pub(crate) mod tests {
             (cert.c1, cert.c2, cert.bounds),
             (0, 0, lower_bounds(&inst, 2))
         );
+    }
+
+    /// `certify_each` hands over every violated edge in walk order, then
+    /// one conflict per extra task of a slot in `(time, proc)` order; the
+    /// verdict is the first, and a feasible schedule reports nothing.
+    #[test]
+    fn certify_each_reports_every_violation() {
+        let chain = TaskDag::from_edges(3, &[(0, 1), (1, 2)]);
+        let inst = SweepInstance::new(3, vec![chain.clone(), chain], "chains");
+        let a = Assignment::from_vec(vec![0, 0, 1], 2);
+        let mut seen = Vec::new();
+        let s = Schedule::new_checked(vec![4, 4, 4, 0, 1, 2], a.clone());
+        let cert = certify_each(&inst, &s, |v| seen.push(v.clone()));
+        let edge = |u, v, t| ScheduleViolation::Precedence {
+            dir: 0,
+            u,
+            v,
+            start_u: t,
+            start_v: t,
+        };
+        let slot = |proc, time| ScheduleViolation::ProcessorConflict { proc, time };
+        assert_eq!(seen, [edge(0, 1, 4), edge(1, 2, 4), slot(0, 4)]);
+        assert_eq!(cert.verdict, Err(edge(0, 1, 4)));
+        assert_eq!(cert, certify(&inst, &s));
+        let s = Schedule::new_checked(vec![0, 1, 2, 3, 4, 5], a);
+        certify_each(&inst, &s, |v| panic!("feasible, yet {v}"));
     }
 
     #[test]

@@ -337,7 +337,7 @@ mod tests {
                 depth: depth.max().map_or(0, u64::from),
             },
         };
-        assert_eq!(certify_in(inst, s, slots), want, "{label}");
+        assert_eq!(certify_in(inst, s, slots, |_| {}), want, "{label}");
     }
 
     /// `certify` on the first corpus: every algorithm's schedule at

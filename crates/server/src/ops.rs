@@ -202,10 +202,10 @@ impl OpsState {
 
     /// Logs a shed: the request never reached the service, so the line
     /// carries only what the accept loop knows.
-    pub fn log_shed(&self, retry_after_secs: u64) {
+    pub fn log_shed(&self, request_id: u64, retry_after_secs: u64, total_us: u64) {
         let line = format!(
-            "{{\"shed\":true,\"status\":429,\"retry_after_s\":{},\"sheds\":{}}}",
-            retry_after_secs,
+            "{{\"request_id\":\"{request_id:016x}\",\"shed\":true,\"status\":429,\
+             \"total_us\":{total_us},\"retry_after_s\":{retry_after_secs},\"sheds\":{}}}",
             self.sheds()
         );
         self.log(&line);
@@ -317,10 +317,17 @@ mod tests {
         let (sink, store) = AccessLogSink::memory();
         ops.set_access_log(sink);
         ops.log("{\"x\":1}");
-        ops.log_shed(2);
+        ops.log_shed(0xbeef, 2, 17);
         let lines = store.lock().unwrap().clone();
         assert_eq!(lines.len(), 2);
         assert!(lines[1].contains("\"shed\":true"));
+        let shed = sweep_json::parse(&lines[1]).unwrap();
+        assert_eq!(
+            shed.get("request_id").and_then(|v| v.as_str()),
+            Some("000000000000beef")
+        );
+        assert_eq!(shed.get("total_us").and_then(|v| v.as_u64()), Some(17));
+        assert_eq!(shed.get("retry_after_s").and_then(|v| v.as_u64()), Some(2));
         ops.set_access_log(AccessLogSink::Null);
         ops.log("dropped");
         assert_eq!(store.lock().unwrap().len(), 2);

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use sweep_rpc::{Listener, RpcServer, StopFlag};
 use sweep_telemetry as telemetry;
-use sweep_telemetry::{server_timing_value, STAGES};
+use sweep_telemetry::{request_id_from_counter, server_timing_value, STAGES};
 
 use crate::cluster::{ClusterConfig, ClusterState};
 use crate::http::{ReadError, Request, Response};
@@ -234,13 +234,16 @@ impl Server {
         let drains = Drains::new(self.config.max_inflight);
         let admit = |stream: TcpStream| {
             if inflight.load(Ordering::SeqCst) >= self.config.max_inflight {
+                let started = Instant::now();
                 telemetry::counter_add("serve.http.requests", 1);
                 telemetry::counter_add("serve.http.responses_429", 1);
                 let hint = sweep_faults::backoff::retry_after_secs(RETRY_BASE_SECS, sheds);
                 sheds = sheds.saturating_add(1);
-                self.service.ops().record_shed();
-                self.service.ops().log_shed(hint);
-                shed(stream, hint, &drains);
+                let ops = self.service.ops();
+                ops.record_shed();
+                let request_id = request_id_from_counter(ops.next_conn());
+                shed(stream, request_id, hint, &drains);
+                ops.log_shed(request_id, hint, started.elapsed().as_micros() as u64);
                 return None;
             }
             sheds = 0;
@@ -348,8 +351,8 @@ impl Drop for DrainSlot {
     }
 }
 
-/// Answers an over-capacity connection with `429` + `Retry-After`
-/// without handing it to a worker. After writing the response the
+/// Answers an over-capacity connection with `429`, `Retry-After` and
+/// its `X-Sweep-Request-Id` without handing it to a worker. After writing the response the
 /// connection must be drained until the peer closes — dropping a
 /// socket with unread request bytes makes the kernel send RST, which
 /// would discard the 429 from the client's receive buffer — and that
@@ -361,12 +364,14 @@ impl Drop for DrainSlot {
 /// if one was started.
 fn shed(
     stream: TcpStream,
+    request_id: u64,
     retry_after_secs: u64,
     drains: &Arc<Drains>,
 ) -> Option<std::thread::JoinHandle<()>> {
     use std::io::Read as _;
     let response = Response::error(429, "server is at its in-flight request limit")
-        .with_header("Retry-After", retry_after_secs.to_string());
+        .with_header("Retry-After", retry_after_secs.to_string())
+        .with_header("X-Sweep-Request-Id", format!("{request_id:016x}"));
     let Some(slot) = drains.try_take() else {
         let _ = stream.set_nonblocking(true);
         let _ = response.write_to(&mut &stream);
@@ -715,11 +720,12 @@ mod tests {
             out
         });
         let (stream, _) = listener.accept().unwrap();
-        let drain = shed(stream, 3, &Drains::new(1)).expect("a free drain slot");
+        let drain = shed(stream, 0xbeef, 3, &Drains::new(1)).expect("a free drain slot");
         let reply = client.join().unwrap();
         drain.join().unwrap();
         assert!(reply.starts_with("HTTP/1.1 429 "), "{reply}");
         assert!(reply.contains("Retry-After: 3\r\n"));
+        assert!(reply.contains("X-Sweep-Request-Id: 000000000000beef\r\n"));
     }
 
     /// A peer holding a shed connection open keeps its drain thread
@@ -733,7 +739,7 @@ mod tests {
         let shed_next = |retry_after| {
             let client = TcpStream::connect(addr).unwrap();
             let (stream, _) = listener.accept().unwrap();
-            (client, shed(stream, retry_after, &drains))
+            (client, shed(stream, 1, retry_after, &drains))
         };
         let read_reply = |mut client: TcpStream| {
             let mut out = String::new();
