@@ -19,11 +19,9 @@
 //! * [`analyze_assignment`] — empty processors (SW010), load imbalance
 //!   (SW011), the pre-scheduling C1 communication bound (SW015);
 //! * [`analyze_schedule`] / [`analyze_raw_schedule`] — collect-**all**
-//!   feasibility: every violation [`sweep_core::certify_each`] finds
-//!   (SW002, SW003, SW005, SW006), where [`sweep_core::validate`] keeps
-//!   the first, plus the raw-table checks a `Schedule` cannot express
-//!   (SW004, processors `≥ m`); feasible schedules are graded against the
-//!   certificate's bounds (SW007, SW014, SW021);
+//!   feasibility from [`sweep_core::certify_each`] (SW002–SW006, where
+//!   [`sweep_core::validate`] keeps the first violation) and grading
+//!   against the certificate's bounds (SW007, SW014, SW021);
 //! * [`analyze_async`] — a vector-clock happens-before race detector
 //!   over the distributed execution trace (SW016);
 //! * [`analyze_parallel_determinism`] — re-runs a best-of-`b`

@@ -31,10 +31,14 @@ pub struct RawSchedule {
 impl RawSchedule {
     /// Expands a well-formed [`Schedule`] into raw tables.
     pub fn from_schedule(schedule: &Schedule) -> RawSchedule {
-        let cells = schedule.assignment().as_slice().iter().cycle();
+        let n = schedule.assignment().num_cells();
+        let total = schedule.starts().len();
+        let proc = (0..total)
+            .map(|t| schedule.proc_of_cell((t % n.max(1)) as u32))
+            .collect();
         RawSchedule {
             start: schedule.starts().to_vec(),
-            proc: cells.take(schedule.starts().len()).copied().collect(),
+            proc,
             m: schedule.num_procs(),
         }
     }

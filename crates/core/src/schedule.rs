@@ -258,9 +258,10 @@ pub fn certify(instance: &SweepInstance, schedule: &Schedule) -> Certificate {
     certify_each(instance, schedule, |_| {})
 }
 
-/// [`certify`], handing `sink` every violation, the verdict first: a shape
+/// [`certify`], handing `sink` each violation as it is found: a shape
 /// error alone, else each violated edge in `(dir, u, v)` order, then one
-/// conflict per extra task of a slot in `(time, proc)` order.
+/// conflict per extra task of a slot in `(time, proc)` order. The first
+/// is the verdict; a feasible schedule never calls `sink`.
 pub fn certify_each(
     instance: &SweepInstance,
     schedule: &Schedule,
