@@ -253,7 +253,8 @@ pub fn validate(instance: &SweepInstance, schedule: &Schedule) -> Result<(), Sch
 /// out-degree (C1 is their sum), then one slot sort of the tasks weighted
 /// by that degree finds the smallest double-booked slot and C2.
 /// [`validate`] and [`c2_comm_delay`](crate::c2_comm_delay) are its
-/// projections.
+/// projections; [`certify_each`] is the same pass handing over every
+/// violation, which is how `sweep-analyze` reports them all.
 pub fn certify(instance: &SweepInstance, schedule: &Schedule) -> Certificate {
     certify_each(instance, schedule, |_| {})
 }
