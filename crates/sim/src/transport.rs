@@ -293,6 +293,86 @@ mod tests {
         .unwrap()
     }
 
+    /// FNV-1a over the bit pattern of every `φ` entry.
+    fn phi_digest(phi: &[f64]) -> u64 {
+        let bytes = phi.iter().flat_map(|x| x.to_bits().to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `(iterations, residual bits, φ digest)`: everything a solve returns.
+    fn pin(r: &TransportResult) -> (usize, u64, u64) {
+        (r.iterations, r.residual.to_bits(), phi_digest(&r.phi))
+    }
+
+    fn uniform(sigma_s: f64) -> Material {
+        Material {
+            sigma_t: 1.0,
+            sigma_s,
+            source: 1.0,
+        }
+    }
+
+    fn warped_msh() -> sweep_mesh::PolyMesh {
+        let bytes = include_bytes!("../../../examples/meshes/warped.msh");
+        let imported = sweep_mesh::import_bytes(bytes, sweep_mesh::ImportFormat::Msh);
+        imported.unwrap().mesh
+    }
+
+    /// A source in the left half of the unit square, a purer absorber in
+    /// the right.
+    fn split_materials(mesh: &TriMesh2d) -> Vec<Material> {
+        (0..mesh.num_cells() as u32)
+            .map(|c| match mesh.centroid(CellId(c)).x < 0.5 {
+                true => uniform(0.3),
+                false => Material {
+                    sigma_t: 2.0,
+                    sigma_s: 0.6,
+                    source: 0.0,
+                },
+            })
+            .collect()
+    }
+
+    /// The solves' outputs, bit for bit, as read before the sweep moved
+    /// onto the claim-order loop: a tetrahedral mesh, the cyclic
+    /// `warped.msh` (cut faces drop out of the stencil) and a
+    /// heterogeneous problem.
+    #[test]
+    fn solve_outputs_are_pinned() {
+        let tet = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.005).unwrap();
+        let s2 = QuadratureSet::level_symmetric(2).unwrap();
+        let warped = warped_msh();
+        let s4 = QuadratureSet::level_symmetric(4).unwrap();
+        let (_, stats) = SweepInstance::from_mesh(&warped, &s4, "warped");
+        assert!(
+            stats.iter().any(|s| s.dropped_edges > 0),
+            "warped.msh × S4 is cyclic"
+        );
+        let square = TriMesh2d::unit_square(8, 8, 0.1, 4).unwrap();
+        let dirs = QuadratureSet::uniform_2d(8).unwrap();
+        let got = [
+            pin(&TransportSolver::new(&tet, &s2, uniform(0.5))
+                .unwrap()
+                .solve(300, 1e-8)),
+            pin(&TransportSolver::new(&warped, &s4, uniform(0.9))
+                .unwrap()
+                .solve(500, 1e-10)),
+            pin(
+                &TransportSolver::with_materials(&square, &dirs, split_materials(&square))
+                    .unwrap()
+                    .solve(300, 1e-9),
+            ),
+        ];
+        let want = [
+            (17, 0x3e31_7f82_b000_0000, 0x27c7_46c5_c631_b9ca),
+            (33, 0x3dd8_957c_0000_0000, 0x7e41_c689_be7f_0e7a),
+            (13, 0x3e10_a09b_2800_0000, 0x8672_0578_b537_9cc1),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn pure_absorber_converges_fast() {
         let mesh = TriMesh2d::unit_square(6, 6, 0.15, 1).unwrap();
