@@ -9,9 +9,6 @@
 //!   [`CommModel::MaxSend`], and [`CommModel::EdgeColoring`] based on the
 //!   distributed edge-coloring idea the paper cites);
 //! * [`coloring`] — greedy message edge coloring (≤ 2Δ−1 rounds);
-//! * [`execute_parallel`] — a real multithreaded sweep executor (one
-//!   thread per simulated processor, per-worker message queues, atomic dependence
-//!   counters) demonstrating that assignments drive actual parallel runs;
 //! * [`latency_makespan`] — an overlap-capable message-latency model
 //!   sitting between the paper's two communication extremes;
 //! * [`async_makespan`] / [`async_makespan_faulty`] — the event-driven
@@ -21,7 +18,9 @@
 //!   partitions, crash recovery by whole-cell reassignment — and the
 //!   former is that call on the empty plan;
 //! * [`TransportSolver`] — a toy one-group S_n source-iteration solver,
-//!   the application sweeps exist for.
+//!   the application sweeps exist for, and the crate's only code that
+//!   sweeps a mesh: [`TransportSolver::solve_scheduled`] runs its sweeps
+//!   in a certified schedule's order on a `sweep-pool` pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@
 
 pub mod async_exec;
 pub mod coloring;
-pub mod executor;
 pub mod faulty;
 pub mod latency;
 pub mod sync_sim;
@@ -40,7 +38,6 @@ pub use async_exec::{
     TraceMessage,
 };
 pub use coloring::{color_edges, is_proper_coloring, max_degree};
-pub use executor::{execute_parallel, execute_sequential, ExecReport};
 pub use faulty::{
     async_makespan_faulty, degradation_csv, degradation_curve, publish_fault_report,
     DegradationPoint,

@@ -8,15 +8,28 @@
 //! `φ(v) = Σ_i w_i ψ(v, i)`. With scattering ratio `σ_s/σ_t < 1` the
 //! iteration is a contraction and converges geometrically.
 //!
+//! One loop sweeps: it runs the tasks `(v, d)` in a claim order on a
+//! [`ThreadPool`], each task waiting on its upwind faces' ready flags.
+//! [`TransportSolver::solve`] claims in topological order on one worker;
+//! [`TransportSolver::solve_scheduled`] claims in a certified
+//! [`Schedule`]'s start order on any pool, with bit-identical results.
+//!
 //! The discretization is deliberately simple (area-weighted upwind
 //! average, uniform characteristic cell size `h`): the point is to
 //! exercise the sweep machinery end-to-end — mesh → quadrature →
 //! per-direction DAGs → ordered cell solves — not to compete with
 //! production discretizations.
 
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+
+use sweep_core::{validate, Schedule, ScheduleViolation};
 use sweep_dag::SweepInstance;
 use sweep_mesh::{CellId, SweepMesh};
+use sweep_pool::ThreadPool;
 use sweep_quadrature::{DirectionId, QuadratureSet};
+
+/// Claim-order positions a worker takes from the shared cursor at once.
+const CHUNK: usize = 64;
 
 /// Material and source description (uniform over the mesh).
 #[derive(Debug, Clone, Copy)]
@@ -70,9 +83,8 @@ pub struct TransportSolver<'m, M: SweepMesh> {
     materials: Vec<Material>,
     /// Characteristic cell size `h ≈ n^{-1/dim}` of the unit-ish domain.
     h: f64,
-    /// Topological orders of all directions, concatenated: direction
-    /// `d`'s sequential sweep order is `topo[d·n .. (d+1)·n]`. Flat so
-    /// the inner sweep loop walks one contiguous allocation.
+    /// [`Self::solve`]'s claim order: the topological orders of all
+    /// directions, concatenated, as task ids `d·n + cell`.
     topo: Vec<u32>,
     /// CSR offsets into the stencil arrays, indexed by `d·n + cell`
     /// (length `k·n + 1`).
@@ -126,8 +138,9 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         // array. The solve loop then streams contiguous memory instead
         // of chasing a Vec<Vec<Vec<_>>>.
         let mut topo = Vec::with_capacity(k * n);
-        for dag in instance.dags() {
-            topo.extend(dag.topo_order().expect("induced DAGs are acyclic"));
+        for (base, dag) in (0..).step_by(n.max(1)).zip(instance.dags()) {
+            let order = dag.topo_order().expect("induced DAGs are acyclic");
+            topo.extend(order.into_iter().map(|v| base + v));
         }
         let mut stencil_xadj = Vec::with_capacity(k * n + 1);
         let mut stencil_up = Vec::new();
@@ -163,38 +176,65 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
     /// Runs source iteration until the max-norm change of `φ` drops below
     /// `tol` or `max_iters` is hit.
     pub fn solve(&self, max_iters: usize, tol: f64) -> TransportResult {
+        self.iterate(&self.topo, &ThreadPool::new(1), max_iters, tol)
+    }
+
+    /// [`Self::solve`], sweeping the tasks in `schedule`'s start order
+    /// (ties by task id) on `pool`. A schedule [`validate`] rejects
+    /// against [`Self::instance`], for its shape or its feasibility, is
+    /// returned as that violation before anything runs. `φ`, the
+    /// iteration count and the residual equal `solve`'s bit for bit.
+    pub fn solve_scheduled(
+        &self,
+        schedule: &Schedule,
+        pool: &ThreadPool,
+        max_iters: usize,
+        tol: f64,
+    ) -> Result<TransportResult, ScheduleViolation> {
+        validate(&self.instance, schedule)?;
+        let starts = schedule.starts();
+        let mut order: Vec<u32> = (0..starts.len() as u32).collect();
+        order.sort_by_key(|&t| starts[t as usize]);
+        Ok(self.iterate(&order, pool, max_iters, tol))
+    }
+
+    /// Source iteration whose sweeps run the tasks `d·n + v` of `order` on
+    /// `pool`, [`CHUNK`] positions a claim, each task waiting on its upwind
+    /// faces' ready flags. A feasible `order` never blocks, and the bits do
+    /// not depend on it or on the width (DESIGN.md §12, "The transport
+    /// sweep on the pool").
+    fn iterate(
+        &self,
+        order: &[u32],
+        pool: &ThreadPool,
+        max_iters: usize,
+        tol: f64,
+    ) -> TransportResult {
         let n = self.mesh.num_cells();
-        let k = self.quadrature.len();
-        let weight_total: f64 = self.quadrature.ordinates().iter().map(|o| o.weight).sum();
-        let mut phi = vec![0.0f64; n];
-        let mut psi = vec![0.0f64; n]; // per-direction workspace
-        let mut iterations = 0usize;
-        let mut residual = f64::INFINITY;
-        for _ in 0..max_iters {
+        let ordinates = self.quadrature.ordinates();
+        let weight_total: f64 = ordinates.iter().map(|o| o.weight).sum();
+        // ψ per task as `f64` bits, and the parity of the iteration that
+        // last wrote it: every task is written once an iteration, so the
+        // flags never need a reset.
+        let psi: Vec<AtomicU64> = order.iter().map(|_| AtomicU64::new(0)).collect();
+        let ready: Vec<AtomicU8> = order.iter().map(|_| AtomicU8::new(0)).collect();
+        let (mut phi, mut iterations, mut residual) = (vec![0.0f64; n], 0, f64::INFINITY);
+        while iterations < max_iters {
             iterations += 1;
-            let mut phi_new = vec![0.0f64; n];
-            for d in 0..k {
-                let w_d = self.quadrature.ordinates()[d].weight;
-                let base = d * n;
-                for &v in &self.topo[base..base + n] {
-                    let mat = self.materials[v as usize];
-                    let atten = 1.0 + mat.sigma_t * self.h;
-                    let mut inflow = 0.0f64;
-                    let (s, e) = (
-                        self.stencil_xadj[base + v as usize] as usize,
-                        self.stencil_xadj[base + v as usize + 1] as usize,
-                    );
-                    for (u, w) in self.stencil_up[s..e].iter().zip(&self.stencil_w[s..e]) {
-                        inflow += w * psi[*u as usize];
-                    }
-                    // Upwind balance: attenuated inflow plus the cell's
-                    // isotropic emission (fixed source + scattering of the
-                    // previous iterate's scalar flux).
-                    let emission = (mat.source + mat.sigma_s * phi[v as usize]) / weight_total;
-                    psi[v as usize] = (inflow + emission * self.h) / atten;
+            let parity = (iterations & 1) as u8;
+            let cursor = AtomicUsize::new(0);
+            pool.par_map_range(pool.threads(), |_| loop {
+                let from = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+                if from >= order.len() {
+                    break;
                 }
-                for v in 0..n {
-                    phi_new[v] += w_d * psi[v];
+                let tasks = &order[from..order.len().min(from + CHUNK)];
+                self.sweep_tasks(tasks, &psi, &ready, &phi, parity, weight_total);
+            });
+            let mut phi_new = vec![0.0f64; n];
+            for (o, psi_d) in ordinates.iter().zip(psi.chunks_exact(n.max(1))) {
+                for (p, x) in phi_new.iter_mut().zip(psi_d) {
+                    *p += o.weight * f64::from_bits(x.load(Ordering::Relaxed));
                 }
             }
             residual = phi
@@ -204,19 +244,57 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
                 .fold(0.0, f64::max);
             phi = phi_new;
             if residual <= tol {
-                return TransportResult {
-                    phi,
-                    iterations,
-                    residual,
-                    converged: true,
-                };
+                break;
             }
         }
         TransportResult {
             phi,
             iterations,
             residual,
-            converged: false,
+            converged: iterations > 0 && residual <= tol,
+        }
+    }
+
+    /// Solves `tasks` in order, each after its upwind `ψ` is written this
+    /// iteration, then marks it written with `parity`.
+    fn sweep_tasks(
+        &self,
+        tasks: &[u32],
+        psi: &[AtomicU64],
+        ready: &[AtomicU8],
+        phi: &[f64],
+        parity: u8,
+        weight_total: f64,
+    ) {
+        // Plain locals: the acquire loads below would otherwise make every
+        // read through `self` reload.
+        let (xadj, ups, ws) = (
+            &self.stencil_xadj[..],
+            &self.stencil_up[..],
+            &self.stencil_w[..],
+        );
+        let (materials, h, n) = (&self.materials[..], self.h, phi.len());
+        for &t in tasks {
+            let t = t as usize;
+            let (v, base) = (t % n, t - t % n);
+            let mat = materials[v];
+            let atten = 1.0 + mat.sigma_t * h;
+            let mut inflow = 0.0f64;
+            let (s, e) = (xadj[t] as usize, xadj[t + 1] as usize);
+            for (u, w) in ups[s..e].iter().zip(&ws[s..e]) {
+                let up = base + *u as usize;
+                if ready[up].load(Ordering::Acquire) != parity {
+                    spin_until(&ready[up], parity);
+                }
+                inflow += w * f64::from_bits(psi[up].load(Ordering::Relaxed));
+            }
+            // Upwind balance: attenuated inflow plus the cell's isotropic
+            // emission (fixed source + scattering of the previous
+            // iterate's scalar flux).
+            let emission = (mat.source + mat.sigma_s * phi[v]) / weight_total;
+            let psi_t = (inflow + emission * h) / atten;
+            psi[t].store(psi_t.to_bits(), Ordering::Relaxed);
+            ready[t].store(parity, Ordering::Release);
         }
     }
 
@@ -231,6 +309,23 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
     /// Centroid of the given cell (exposed for plotting in examples).
     pub fn centroid(&self, c: u32) -> sweep_mesh::Point3 {
         self.mesh.centroid(CellId(c))
+    }
+}
+
+/// Spins, yielding every 64 tries, until `flag` holds `parity`: the mark
+/// of a `ψ` written this iteration. Kept out of line, so the sweep's
+/// fast path is one load and a compare.
+#[cold]
+#[inline(never)]
+fn spin_until(flag: &AtomicU8, parity: u8) {
+    let mut spins = 0u32;
+    while flag.load(Ordering::Acquire) != parity {
+        spins = spins.wrapping_add(1);
+        if spins.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
     }
 }
 
@@ -271,6 +366,7 @@ fn stencil_for_direction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep_core::{Algorithm, Assignment};
     use sweep_mesh::TriMesh2d;
 
     fn solver_on(
@@ -291,6 +387,63 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// The sequential sweep `solve` ran before the claim-order loop: one
+    /// `ψ` workspace per direction, cells in topological order.
+    fn reference_solve<M: SweepMesh + Sync>(
+        s: &TransportSolver<M>,
+        max_iters: usize,
+        tol: f64,
+    ) -> TransportResult {
+        let n = s.mesh.num_cells();
+        let k = s.quadrature.len();
+        let weight_total: f64 = s.quadrature.ordinates().iter().map(|o| o.weight).sum();
+        let mut phi = vec![0.0f64; n];
+        let mut psi = vec![0.0f64; n];
+        let mut iterations = 0usize;
+        let mut residual = f64::INFINITY;
+        for _ in 0..max_iters {
+            iterations += 1;
+            let mut phi_new = vec![0.0f64; n];
+            for d in 0..k {
+                let w_d = s.quadrature.ordinates()[d].weight;
+                let base = d * n;
+                for &t in &s.topo[base..base + n] {
+                    let v = t as usize - base;
+                    let mat = s.materials[v];
+                    let atten = 1.0 + mat.sigma_t * s.h;
+                    let mut inflow = 0.0f64;
+                    let (b, e) = (
+                        s.stencil_xadj[base + v] as usize,
+                        s.stencil_xadj[base + v + 1] as usize,
+                    );
+                    for (u, w) in s.stencil_up[b..e].iter().zip(&s.stencil_w[b..e]) {
+                        inflow += w * psi[*u as usize];
+                    }
+                    let emission = (mat.source + mat.sigma_s * phi[v]) / weight_total;
+                    psi[v] = (inflow + emission * s.h) / atten;
+                }
+                for v in 0..n {
+                    phi_new[v] += w_d * psi[v];
+                }
+            }
+            residual = phi
+                .iter()
+                .zip(&phi_new)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            phi = phi_new;
+            if residual <= tol {
+                break;
+            }
+        }
+        TransportResult {
+            phi,
+            iterations,
+            residual,
+            converged: residual <= tol,
+        }
     }
 
     /// FNV-1a over the bit pattern of every `φ` entry.
@@ -371,6 +524,112 @@ mod tests {
             (13, 0x3e10_a09b_2800_0000, 0x8672_0578_b537_9cc1),
         ];
         assert_eq!(got, want);
+    }
+
+    /// Everything a solve returns, `φ` as bit patterns.
+    fn bits(r: &TransportResult) -> (Vec<u64>, usize, u64, bool) {
+        let phi = r.phi.iter().map(|x| x.to_bits()).collect();
+        (phi, r.iterations, r.residual.to_bits(), r.converged)
+    }
+
+    #[test]
+    fn solve_matches_the_sequential_reference() {
+        let warped = warped_msh();
+        let square = TriMesh2d::unit_square(8, 8, 0.1, 4).unwrap();
+        let dirs = QuadratureSet::uniform_2d(8).unwrap();
+        for sn in [2, 4, 6] {
+            let quad = QuadratureSet::level_symmetric(sn).unwrap();
+            let s = TransportSolver::new(&warped, &quad, uniform(0.9)).unwrap();
+            assert_eq!(
+                bits(&s.solve(500, 1e-10)),
+                bits(&reference_solve(&s, 500, 1e-10))
+            );
+        }
+        let s = TransportSolver::with_materials(&square, &dirs, split_materials(&square)).unwrap();
+        for (iters, tol) in [(0, 0.0), (3, 0.0), (300, 1e-9)] {
+            assert_eq!(
+                bits(&s.solve(iters, tol)),
+                bits(&reference_solve(&s, iters, tol))
+            );
+        }
+    }
+
+    /// Every algorithm in the §5.2 comparison set and the three outside it.
+    fn all_algorithms() -> Vec<Algorithm> {
+        let mut all = Algorithm::COMPARISON_SET.to_vec();
+        all.extend([
+            Algorithm::LevelPriority { delays: true },
+            Algorithm::ImprovedRandomDelay,
+            Algorithm::ImprovedWithPriorities,
+        ]);
+        all
+    }
+
+    /// The schedule-driven sweep on worker pools: any feasible order at
+    /// any width gives `solve`'s bits. Also the ThreadSanitizer target for
+    /// the ready flags' release/acquire pairs.
+    #[test]
+    fn solve_scheduled_matches_solve_for_every_algorithm_and_width() {
+        let mesh = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.05).unwrap();
+        let quad = QuadratureSet::level_symmetric(4).unwrap();
+        let s = TransportSolver::new(&mesh, &quad, uniform(0.5)).unwrap();
+        let want = bits(&s.solve(3, 0.0));
+        let assignment = Assignment::random_cells(mesh.num_cells(), 16, 1);
+        for algorithm in all_algorithms() {
+            let schedule = algorithm.run(s.instance(), assignment.clone(), 7);
+            for width in [1, 2, 4] {
+                let pool = ThreadPool::new(width);
+                let got = s.solve_scheduled(&schedule, &pool, 3, 0.0).unwrap();
+                assert!(bits(&got) == want, "{} at width {width}", algorithm.name());
+            }
+        }
+    }
+
+    #[test]
+    fn infeasible_or_foreign_schedules_are_errors_not_hangs() {
+        let mesh = TriMesh2d::unit_square(6, 6, 0.15, 1).unwrap();
+        let (s2, s4) = (
+            QuadratureSet::uniform_2d(2).unwrap(),
+            QuadratureSet::uniform_2d(4).unwrap(),
+        );
+        let s = TransportSolver::new(&mesh, &s4, uniform(0.5)).unwrap();
+        let assignment = Assignment::round_robin(mesh.num_cells(), 4);
+        let pool = ThreadPool::new(2);
+        let good = Algorithm::Greedy.run(s.instance(), assignment.clone(), 1);
+        // Swap the starts across one edge of direction 0.
+        let dag = s.instance().dag(0);
+        let u = (0..mesh.num_cells() as u32)
+            .find(|&u| !dag.successors(u).is_empty())
+            .unwrap();
+        let v = dag.successors(u)[0];
+        let mut starts = good.starts().to_vec();
+        starts.swap(u as usize, v as usize);
+        let inverted = Schedule::new(starts, assignment.clone()).unwrap();
+        let err = s.solve_scheduled(&inverted, &pool, 5, 0.0).unwrap_err();
+        assert!(
+            matches!(err, ScheduleViolation::Precedence { dir: 0, .. }),
+            "{err}"
+        );
+        // A schedule of the same mesh under another quadrature.
+        let other = TransportSolver::new(&mesh, &s2, uniform(0.5)).unwrap();
+        let foreign = Algorithm::Greedy.run(other.instance(), assignment, 1);
+        let err = s.solve_scheduled(&foreign, &pool, 5, 0.0).unwrap_err();
+        let (expected, actual) = (4 * mesh.num_cells(), 2 * mesh.num_cells());
+        assert_eq!(err, ScheduleViolation::WrongTaskCount { expected, actual });
+        // A schedule of another mesh.
+        let small = TriMesh2d::unit_square(3, 3, 0.15, 1).unwrap();
+        let other = TransportSolver::new(&small, &s4, uniform(0.5)).unwrap();
+        let foreign = Algorithm::Greedy.run(
+            other.instance(),
+            Assignment::round_robin(small.num_cells(), 4),
+            1,
+        );
+        let err = s.solve_scheduled(&foreign, &pool, 5, 0.0).unwrap_err();
+        let (cells, assigned) = (mesh.num_cells(), small.num_cells());
+        assert_eq!(
+            err,
+            ScheduleViolation::AssignmentMismatch { cells, assigned }
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Actually runs a sweep in parallel on OS threads — one worker per
-//! simulated processor — and cross-checks the result against a sequential
-//! sweep. Demonstrates that the cell→processor assignments produced by
-//! `sweep-core` drive a real shared-memory parallel computation (the
-//! message-passing structure mirrors MPI-based transport codes).
+//! Runs the transport solve's sweeps in the order of the paper's
+//! schedules, on worker pools of several widths, and checks each run
+//! against the sequential topological solve bit for bit: every task
+//! reads the same inputs in the same order whatever the feasible
+//! schedule and the width, so a schedule drives the computation
+//! without changing its answer.
 //!
 //! ```sh
 //! cargo run --release --example parallel_execution
@@ -11,50 +12,63 @@
 use std::time::Instant;
 
 use sweep_scheduling::prelude::*;
-use sweep_scheduling::sim::execute_sequential;
+
+/// Source iterations per solve (`tol = 0`, so every solve runs them all).
+const ITERS: usize = 20;
 
 fn main() {
     let mesh = MeshPreset::Tetonly.build_scaled(0.25).expect("mesh");
     let quad = QuadratureSet::level_symmetric(4).expect("S4");
-    let (instance, _) = SweepInstance::from_mesh(&mesh, &quad, "exec");
+    let material = Material {
+        sigma_t: 1.0,
+        sigma_s: 0.5,
+        source: 1.0,
+    };
+    let solver = TransportSolver::new(&mesh, &quad, material).expect("solver");
+    let instance = solver.instance();
     println!(
-        "executing {} tasks ({} cells × {} directions)\n",
+        "solving {} tasks ({} cells × {} directions), {ITERS} source iterations\n",
         instance.num_tasks(),
         instance.num_cells(),
         instance.num_directions()
     );
 
     let t0 = Instant::now();
-    let reference = execute_sequential(&instance);
+    let reference = solver.solve(ITERS, 0.0);
     let seq_time = t0.elapsed().as_secs_f64();
-    println!("sequential reference: checksum {reference:.3}, {seq_time:.3}s");
-
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    println!("hardware threads available: {hw}\n");
+    println!("topological order, 1 worker: {seq_time:.3}s\n");
     println!(
-        "{:>4} {:>10} {:>9} {:>11}",
-        "m", "wall (s)", "speedup", "checksum ok"
+        "{:>5} {:>9} {:>6} {:>9} {:>10}",
+        "m", "makespan", "width", "wall (s)", "identical"
     );
-    for m in [1usize, 2, 4, 8] {
-        if m > hw {
-            break;
-        }
+    let bits = |r: &TransportResult| -> (Vec<u64>, usize, u64) {
+        let phi = r.phi.iter().map(|x| x.to_bits()).collect();
+        (phi, r.iterations, r.residual.to_bits())
+    };
+    for m in [1usize, 4, 64, 1024] {
         let assignment = Assignment::random_cells(instance.num_cells(), m, 9);
-        let report = execute_parallel(&instance, &assignment, hw);
-        let ok = (report.checksum - reference).abs() < 1e-6 * reference.abs().max(1.0);
-        println!(
-            "{:>4} {:>10.3} {:>9.2} {:>11}",
-            m,
-            report.wall_seconds,
-            seq_time / report.wall_seconds,
-            if ok { "yes" } else { "MISMATCH" }
-        );
-        assert!(ok, "parallel execution diverged from the sequential sweep");
+        let schedule = Algorithm::RandomDelayPriorities.run(instance, assignment, 1);
+        for width in [1usize, 2] {
+            let pool = ThreadPool::new(width);
+            let t0 = Instant::now();
+            let result = solver
+                .solve_scheduled(&schedule, &pool, ITERS, 0.0)
+                .expect("RDP schedules are feasible");
+            let wall = t0.elapsed().as_secs_f64();
+            let identical = bits(&result) == bits(&reference);
+            println!(
+                "{m:>5} {:>9} {width:>6} {wall:>9.3} {:>10}",
+                schedule.makespan(),
+                if identical { "yes" } else { "NO" }
+            );
+            assert!(
+                identical,
+                "m = {m}, width {width}: the scheduled solve diverged"
+            );
+        }
     }
     println!(
-        "\n(speedups here reflect the executor's fine task granularity; the \
-         schedules' value shows in the makespan/communication studies)"
+        "\n(a scheduled wall time includes certifying the schedule and sorting \
+         its tasks by start)"
     );
 }

@@ -6,7 +6,6 @@
 #![allow(clippy::unwrap_used)]
 
 use sweep_scheduling::prelude::*;
-use sweep_scheduling::sim::execute_sequential;
 
 /// A small but fully unstructured 3-D pipeline shared by several tests.
 fn small_3d() -> (TetMesh, QuadratureSet) {
@@ -120,11 +119,24 @@ fn simulator_consistent_with_metrics() {
 #[test]
 fn executor_agrees_with_sequential_on_mesh_instances() {
     let (mesh, quad) = small_3d();
-    let (instance, _) = SweepInstance::from_mesh(&mesh, &quad, "exec");
-    let reference = execute_sequential(&instance);
-    let assignment = Assignment::random_cells(instance.num_cells(), 2, 4);
-    let report = execute_parallel(&instance, &assignment, 4);
-    assert!((report.checksum - reference).abs() < 1e-9 * reference.abs());
+    let material = Material {
+        sigma_t: 1.0,
+        sigma_s: 0.4,
+        source: 1.0,
+    };
+    let solver = TransportSolver::new(&mesh, &quad, material).unwrap();
+    let bits = |r: &TransportResult| -> (Vec<u64>, usize, u64) {
+        let phi = r.phi.iter().map(|x| x.to_bits()).collect();
+        (phi, r.iterations, r.residual.to_bits())
+    };
+    let reference = bits(&solver.solve(5, 0.0));
+    let assignment = Assignment::random_cells(solver.instance().num_cells(), 2, 4);
+    let schedule = Algorithm::RandomDelayPriorities.run(solver.instance(), assignment, 4);
+    for width in [1, 2] {
+        let pool = ThreadPool::new(width);
+        let result = solver.solve_scheduled(&schedule, &pool, 5, 0.0).unwrap();
+        assert_eq!(bits(&result), reference, "width {width}");
+    }
 }
 
 #[test]
