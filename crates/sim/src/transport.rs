@@ -132,11 +132,9 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         let n = mesh.num_cells();
         let k = quadrature.len();
         let h = 1.0 / (n as f64).powf(1.0 / mesh.dim() as f64);
-        // Flatten the per-direction topological orders and stencils
-        // into CSR-style arrays: one offset table indexed by
-        // `d·n + cell`, one flat upstream-cell array, one flat weight
-        // array. The solve loop then streams contiguous memory instead
-        // of chasing a Vec<Vec<Vec<_>>>.
+        // Flat arrays, so the sweep streams contiguous memory: the claim
+        // order, and CSR stencils (offsets indexed by `d·n + cell`, one
+        // upstream-cell array, one weight array).
         let mut topo = Vec::with_capacity(k * n);
         for (base, dag) in (0..).step_by(n.max(1)).zip(instance.dags()) {
             let order = dag.topo_order().expect("induced DAGs are acyclic");
@@ -222,6 +220,8 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         while iterations < max_iters {
             iterations += 1;
             let parity = (iterations & 1) as u8;
+            // The cursor hands out positions and publishes nothing, so it
+            // is `Relaxed`; the pool's join orders the sweep before the sum.
             let cursor = AtomicUsize::new(0);
             pool.par_map_range(pool.threads(), |_| loop {
                 let from = cursor.fetch_add(CHUNK, Ordering::Relaxed);
@@ -293,6 +293,7 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
             // iterate's scalar flux).
             let emission = (mat.source + mat.sigma_s * phi[v]) / weight_total;
             let psi_t = (inflow + emission * h) / atten;
+            // `Release` publishes `ψ` to the readers' `Acquire` flag loads.
             psi[t].store(psi_t.to_bits(), Ordering::Relaxed);
             ready[t].store(parity, Ordering::Release);
         }

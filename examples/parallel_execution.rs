@@ -12,6 +12,7 @@
 use std::time::Instant;
 
 use sweep_scheduling::prelude::*;
+use sweep_scheduling::sim::TransportResult;
 
 /// Source iterations per solve (`tol = 0`, so every solve runs them all).
 const ITERS: usize = 20;

@@ -70,7 +70,6 @@ pub mod prelude {
     pub use sweep_pool::{set_global_threads, ThreadPool};
     pub use sweep_quadrature::{DirectionId, QuadratureSet};
     pub use sweep_sim::{
-        latency_makespan, simulate, CommModel, Material, SimConfig, TransportResult,
-        TransportSolver,
+        latency_makespan, simulate, CommModel, Material, SimConfig, TransportSolver,
     };
 }

@@ -6,6 +6,7 @@
 #![allow(clippy::unwrap_used)]
 
 use sweep_scheduling::prelude::*;
+use sweep_scheduling::sim::TransportResult;
 
 /// A small but fully unstructured 3-D pipeline shared by several tests.
 fn small_3d() -> (TetMesh, QuadratureSet) {
