@@ -10,7 +10,7 @@
 //! # The rank kernel
 //!
 //! Priorities are fixed for the length of a run, so the order a priority
-//! queue would pop in is known before the first step. A run starts by
+//! queue would pop in is known before the first step. A run reads a
 //! *ranking*: tasks are sorted by `(processor, priority, task id)`, which
 //! gives every task a dense `u32` rank and every processor a contiguous
 //! block of ranks. The ready set is one bit per rank in a word-packed
@@ -28,13 +28,16 @@
 //! compaction); otherwise a counting sort on the processor alone, then one
 //! `sort_unstable` per block over packed `(priority − min, task id)` keys.
 //! The choice is read from the observed priority range and nothing else.
+//! A ranking also groups every direction's sources for its release. Where
+//! no seed moves the priorities (Level, Descendant, DFDS, Greedy),
+//! [`crate::TrialContext`] ranks once and every trial borrows it.
 //!
-//! A run costs `O(rank + T·m + n·k + |E|)`, `rank = O(n·k + m·range)` or
-//! `O(n·k·log(n·k/m))` — inside Theorem 2's `O(T·m + n·k·log(n·k))` (`T`
-//! is the produced makespan) — plus `c / 4096` summary words scanned per
-//! pop on a processor holding `c` tasks. Ranks and task ids are `u32`: an
-//! instance may have at most `2³² − 1` tasks (asserted; the service
-//! admits 8 M).
+//! A run costs `O(T·m + n·k + |E|)` plus its ranking, `O(n·k + m·range)`
+//! or `O(n·k·log(n·k/m))` — inside Theorem 2's `O(T·m + n·k·log(n·k))`
+//! (`T` is the produced makespan) — plus `c / 4096` summary words scanned
+//! per pop on a processor holding `c` tasks. Ranks and task ids are
+//! `u32`: an instance may have at most `2³² − 1` tasks (asserted; the
+//! service admits 8 M).
 
 use sweep_dag::{SweepInstance, TaskDag};
 use sweep_telemetry as telemetry;
@@ -73,7 +76,7 @@ pub(crate) fn schedule_by(
     release: Option<&[u32]>,
 ) -> Schedule {
     let mut bufs = ListBuffers::default();
-    list_schedule_core(instance, &assignment, priority, release, None, &mut bufs);
+    list_schedule_core(instance, &assignment, priority, release, &mut bufs);
     Schedule::new_checked(std::mem::take(&mut bufs.start), assignment)
 }
 
@@ -93,23 +96,37 @@ fn checked_num_tasks(n: usize, k: usize) -> usize {
     nk.unwrap_or_else(|| panic!("task ids are u32: {n} cells x {k} directions is over 2^32 - 1"))
 }
 
+/// The `(processor, priority, task id)` order: all a run reads.
+#[derive(Default)]
+pub(crate) struct Ranking {
+    /// `(in-degree, rank)` per task: the template a run counts down.
+    nodes: Vec<Node>,
+    /// The task at every rank.
+    task_at: Vec<u32>,
+    /// Where every processor's block starts (`m + 1` entries).
+    blocks: Vec<Block>,
+    /// `(processor, rank)` of every source, direction `d`'s at
+    /// `source_xadj[d]..source_xadj[d + 1]`.
+    sources: Vec<(u32, u32)>,
+    source_xadj: Vec<u32>,
+    /// Counting-sort histogram, then write cursors.
+    counts: Vec<u32>,
+    /// One block's sort keys (wide priority ranges only).
+    keys: Vec<u128>,
+}
+
 /// Reusable buffers for [`list_schedule_core`] — the arena the trial
 /// scratch ([`crate::scratch::TrialScratch`]) keeps warm so repeated
 /// trials never reallocate. All buffers are reset, not freed, at the
 /// start of every run.
 #[derive(Default)]
 pub(crate) struct ListBuffers {
+    /// The ranking of a run that ranks its own tasks.
+    pub ranking: Ranking,
+    /// The run's `(predecessors left, rank)` per task.
     nodes: Vec<Node>,
     /// Start times per task (the run's output).
     pub start: Vec<u32>,
-    /// The task at every rank.
-    task_at: Vec<u32>,
-    /// Where every processor's block starts (`m + 1` entries).
-    blocks: Vec<Block>,
-    /// Counting-sort histogram, then write cursors.
-    counts: Vec<u32>,
-    /// One block's sort keys (wide priority ranges only).
-    keys: Vec<u128>,
     /// Ready set: one bit per rank, and one bit per non-zero word.
     words: Vec<u64>,
     summary: Vec<u64>,
@@ -155,40 +172,50 @@ pub(crate) fn reserve<T>(v: &mut Vec<T>, cap: usize) {
     }
 }
 
-impl ListBuffers {
-    /// Reserves every buffer for any run over `n·k` tasks on `m`
-    /// processors whose priorities span at most `max_span` (max − min).
-    pub fn reserve(&mut self, n: usize, k: usize, m: usize, max_span: usize) {
-        let nk = n * k;
-        reserve(&mut self.nodes, nk);
-        reserve(&mut self.start, nk);
-        reserve(&mut self.task_at, nk);
-        reserve(&mut self.blocks, m + 1);
-        let width = max_counting_width(nk, m);
-        let values = max_span.saturating_add(1);
-        reserve(&mut self.counts, m * width.min(values) + 1);
-        if max_span >= width {
-            reserve(&mut self.keys, nk);
-        }
-        reserve(&mut self.words, nk / 64 + m);
-        reserve(&mut self.summary, (nk / 64 + m) / 64 + m);
-        reserve(&mut self.dir_hint, 2 * k + 1);
-        reserve(&mut self.completed, m);
+impl Ranking {
+    /// A ranking made once and shared by many runs, its sort buffers freed.
+    pub(crate) fn new(
+        instance: &SweepInstance,
+        assignment: &Assignment,
+        priority: impl Fn(usize, usize) -> i64,
+    ) -> Ranking {
+        let mut ranking = Ranking::default();
+        ranking.rank_tasks(instance, assignment, priority);
+        (ranking.counts, ranking.keys) = Default::default();
+        ranking
     }
 
-    /// Fingerprint of every buffer's capacity (capacities never shrink,
-    /// so inequality means something grew).
-    pub fn capacity_cells(&self) -> usize {
-        self.nodes.capacity()
-            + self.start.capacity()
-            + self.task_at.capacity()
-            + self.blocks.capacity()
-            + self.counts.capacity()
-            + self.keys.capacity()
-            + self.words.capacity()
-            + self.summary.capacity()
-            + self.dir_hint.capacity()
-            + self.completed.capacity()
+    /// The one ranking function: ranks by `priority(task, direction)`,
+    /// read here and never again, and groups each direction's sources as
+    /// `(processor, rank)`.
+    pub(crate) fn rank_tasks(
+        &mut self,
+        instance: &SweepInstance,
+        assignment: &Assignment,
+        priority: impl Fn(usize, usize) -> i64,
+    ) {
+        let _span = telemetry::span!("sched.list_schedule.rank");
+        let (n, k) = (instance.num_cells(), instance.num_directions());
+        let cells = assignment.num_cells();
+        assert_eq!(cells, n, "assignment covers the instance cells");
+        self.nodes.clear();
+        reserve(&mut self.nodes, checked_num_tasks(n, k));
+        for dag in instance.dags() {
+            let indeg = (0..n as u32).map(|v| dag.in_degree(v));
+            self.nodes
+                .extend(indeg.map(|waiting| Node { waiting, rank: 0 }));
+        }
+        self.rank(n, k, assignment, priority);
+        self.sources.clear();
+        self.source_xadj.clear();
+        self.source_xadj.push(0);
+        for tasks in self.nodes.chunks(n.max(1)) {
+            let sources = tasks.iter().zip(assignment.as_slice());
+            let sources = sources.filter(|(node, _)| node.waiting == 0);
+            self.sources
+                .extend(sources.map(|(node, &p)| (p, node.rank)));
+            self.source_xadj.push(self.sources.len() as u32);
+        }
     }
 
     /// Fills `nodes[..].rank`, `task_at` and `blocks` with the
@@ -270,6 +297,56 @@ impl ListBuffers {
     }
 }
 
+impl ListBuffers {
+    /// Reserves every buffer for any run over `n·k` tasks on `m`
+    /// processors that ranks its own, by priorities that span at most
+    /// `max_span` (max − min), on DAGs with `sources` sources in all.
+    pub fn reserve(&mut self, n: usize, k: usize, m: usize, max_span: usize, sources: usize) {
+        let (nk, ranking) = (n * k, &mut self.ranking);
+        reserve(&mut ranking.task_at, nk);
+        reserve(&mut ranking.blocks, m + 1);
+        reserve(&mut ranking.sources, sources);
+        reserve(&mut ranking.source_xadj, k + 1);
+        let width = max_counting_width(nk, m);
+        let values = max_span.saturating_add(1);
+        reserve(&mut ranking.counts, m * width.min(values) + 1);
+        if max_span >= width {
+            reserve(&mut ranking.keys, nk);
+        }
+        self.reserve_run(n, k, m);
+    }
+
+    /// Reserves the buffers a run on a borrowed ranking uses.
+    pub fn reserve_run(&mut self, n: usize, k: usize, m: usize) {
+        let nk = n * k;
+        reserve(&mut self.nodes, nk);
+        reserve(&mut self.start, nk);
+        reserve(&mut self.words, nk / 64 + m);
+        reserve(&mut self.summary, (nk / 64 + m) / 64 + m);
+        reserve(&mut self.dir_hint, 2 * k + 1);
+        reserve(&mut self.completed, m);
+    }
+
+    /// Fingerprint of every buffer's capacity (capacities never shrink,
+    /// so inequality means something grew).
+    pub fn capacity_cells(&self) -> usize {
+        let ranking = &self.ranking;
+        ranking.nodes.capacity()
+            + ranking.task_at.capacity()
+            + ranking.blocks.capacity()
+            + ranking.sources.capacity()
+            + ranking.source_xadj.capacity()
+            + ranking.counts.capacity()
+            + ranking.keys.capacity()
+            + self.nodes.capacity()
+            + self.start.capacity()
+            + self.words.capacity()
+            + self.summary.capacity()
+            + self.dir_hint.capacity()
+            + self.completed.capacity()
+    }
+}
+
 /// Marks rank `r` of `block` ready — if `ready`. Branch-free on purpose:
 /// whether an edge releases its head is a coin toss the branch predictor
 /// loses, and that misprediction was the step loop's largest cost.
@@ -324,68 +401,70 @@ pub(crate) fn per_task_table<'a, T, I: IntoIterator<Item = T>>(
     table
 }
 
-/// The list-scheduling engine proper: fills `bufs.start` and returns
-/// the makespan. Both the allocating wrappers ([`list_schedule`] and
-/// friends) and the arena-reusing trial path run *this* code, so the
-/// two can never diverge. `priority(task, direction)` is read while
-/// ranking and never again. `indeg_template`, when given, must be the
-/// per-task in-degree vector of `instance` (precomputed once per trial
-/// batch); otherwise it is derived here.
+/// The list-scheduling engine proper: ranks, then runs; fills
+/// `bufs.start` and returns the makespan. Both the allocating wrappers
+/// ([`list_schedule`] and friends) and the arena-reusing trial path run
+/// *this* code, so the two can never diverge.
 pub(crate) fn list_schedule_core(
     instance: &SweepInstance,
     assignment: &Assignment,
     priority: impl Fn(usize, usize) -> i64,
     release: Option<&[u32]>,
-    indeg_template: Option<&[u32]>,
     bufs: &mut ListBuffers,
 ) -> u32 {
-    let _span = telemetry::span!("sched.list_schedule");
-    let (n, k) = (instance.num_cells(), instance.num_directions());
-    let nk = checked_num_tasks(n, k);
-    let cells = assignment.num_cells();
-    assert_eq!(cells, n, "assignment covers the instance cells");
-    if let Some(r) = release {
-        assert!(r.len() >= k, "one release time per direction");
-    }
-    bufs.start.clear();
-    bufs.start.resize(nk, 0);
-    if n == 0 {
-        return 0;
-    }
-    let node = |waiting| Node { waiting, rank: 0 };
-    bufs.nodes.clear();
-    bufs.nodes.reserve(nk);
-    match indeg_template {
-        Some(template) => {
-            debug_assert_eq!(template.len(), nk);
-            bufs.nodes.extend(template.iter().copied().map(node));
-        }
-        None => bufs.nodes.extend(task_in_degrees(instance).map(node)),
-    }
-    bufs.rank(n, k, assignment, priority);
-    run_steps(instance, assignment.as_slice(), release, bufs)
+    // No other run reads this template: rank it in the run's node buffer.
+    let mut ranking = std::mem::take(&mut bufs.ranking);
+    ranking.nodes = std::mem::take(&mut bufs.nodes);
+    ranking.rank_tasks(instance, assignment, priority);
+    std::mem::swap(&mut ranking.nodes, &mut bufs.nodes);
+    let makespan = run_steps(instance, assignment.as_slice(), release, &ranking, bufs);
+    bufs.ranking = ranking;
+    makespan
 }
 
-/// The step loop over ranked tasks (`bufs.rank` has run); `procs` is the
-/// cell → processor map.
+/// One run on a ranking made once for many: copies its template, steps.
+pub(crate) fn run_ranked(
+    instance: &SweepInstance,
+    assignment: &Assignment,
+    release: Option<&[u32]>,
+    ranking: &Ranking,
+    bufs: &mut ListBuffers,
+) -> u32 {
+    bufs.nodes.clone_from(&ranking.nodes);
+    run_steps(instance, assignment.as_slice(), release, ranking, bufs)
+}
+
+/// The step loop over `ranking`, counting down `bufs.nodes` (which holds
+/// its template); `procs` is the cell → processor map.
 fn run_steps(
     instance: &SweepInstance,
     procs: &[u32],
     release: Option<&[u32]>,
+    ranking: &Ranking,
     bufs: &mut ListBuffers,
 ) -> u32 {
+    let _span = telemetry::span!("sched.list_schedule");
     let (n, k) = (instance.num_cells(), instance.num_directions());
+    if let Some(r) = release {
+        assert!(r.len() >= k, "one release time per direction");
+    }
     let ListBuffers {
         nodes,
         start,
-        task_at,
-        blocks,
         words,
         summary,
         dir_hint,
         completed,
         ..
     } = bufs;
+    start.clear();
+    start.resize(n * k, 0);
+    if n == 0 {
+        return 0;
+    }
+    let Ranking {
+        task_at, blocks, ..
+    } = ranking;
     let end = blocks[blocks.len() - 1];
     words.clear();
     words.resize(end.word, 0);
@@ -398,41 +477,27 @@ fn run_steps(
     dir_hint.clear();
     dir_hint.extend((0..=(n * k) >> shift).map(|run| ((run << shift) / n) as u32));
 
-    // Sources of a direction not yet released wait, as `(processor,
-    // rank)`, in the bucket of its release time. Nothing else ever does
-    // (see the step loop), so the buckets are filled here and only
-    // drained later; with no releases in play they do not exist.
-    let max_release = release.map_or(0, |r| r[..k].iter().copied().max().unwrap_or(0));
-    let mut release_buckets: Vec<Vec<(u32, u32)>> = match release {
-        Some(_) => vec![Vec::new(); max_release as usize + 1],
-        None => Vec::new(),
+    // Only sources wait for their direction's release (see the step
+    // loop): releasing the directions due at `now` pushes their sources.
+    let release_of = |dir: usize| release.map_or(0, |r| r[dir]);
+    let max_release = (0..k).map(release_of).max().unwrap_or(0);
+    let (sources, xadj) = (&ranking.sources, &ranking.source_xadj);
+    let release_at = |now, words: &mut [u64], summary: &mut [u64]| {
+        let due = (0..k).filter(|&dir| release_of(dir) == now);
+        let due = due.flat_map(|d| &sources[xadj[d] as usize..xadj[d + 1] as usize]);
+        due.map(|&(p, r)| push_if(true, words, summary, blocks[p as usize], r))
+            .count()
     };
     // `ready` counts the set bits of the ready set.
-    let mut ready = 0usize;
-    for_each_task(n, k, |t, dir, v| {
-        if nodes[t].waiting > 0 {
-            return;
-        }
-        let (p, rank) = (procs[v], nodes[t].rank);
-        match release.map_or(0, |r| r[dir]) {
-            0 => {
-                push_if(true, words, summary, blocks[p as usize], rank);
-                ready += 1;
-            }
-            rel => release_buckets[rel as usize].push((p, rank)),
-        }
-    });
+    let mut ready = release_at(0, words, summary);
 
     let mut pending = n * k;
     let mut ready_peak = 0usize;
     let mut t_now: u32 = 0;
     while pending > 0 {
         ready_peak = ready_peak.max(ready);
-        if let Some(bucket) = release_buckets.get_mut(t_now as usize) {
-            ready += bucket.len();
-            for (p, r) in std::mem::take(bucket) {
-                push_if(true, words, summary, blocks[p as usize], r);
-            }
+        if (1..=max_release).contains(&t_now) {
+            ready += release_at(t_now, words, summary);
         }
         completed.clear();
         for block in blocks.windows(2) {
@@ -447,7 +512,7 @@ fn run_steps(
             let hint = dir_hint[(task >> shift) as usize] as usize;
             let dir = hint + usize::from(task as usize >= (hint + 1) * n);
             // A task that ran was released, and so are its successors:
-            // they share its direction. Only sources wait in buckets.
+            // they share its direction. Only sources wait for a release.
             debug_assert!(release.map_or(0, |r| r[dir]) <= t_now);
             for &w in instance.dag(dir).successors(task - (dir * n) as u32) {
                 let node = &mut nodes[dir * n + w as usize];
@@ -820,7 +885,7 @@ pub(crate) mod tests {
 
     /// `task_at` after ranking `prio` on `a`.
     fn ranked(n: usize, k: usize, a: &Assignment, prio: &[i64]) -> Vec<u32> {
-        let mut bufs = ListBuffers::default();
+        let mut bufs = Ranking::default();
         bufs.nodes.resize(
             n * k,
             Node {
@@ -859,12 +924,12 @@ pub(crate) mod tests {
         let a = Assignment::random_cells(n, m, 1);
         assert_eq!(max_counting_width(n * k, m), 18);
         let mut bufs = ListBuffers::default();
-        bufs.reserve(n, k, m, 30);
+        bufs.reserve(n, k, m, 30, n * k);
         let reserved = bufs.capacity_cells();
         // Spans 0, 17 (the widest counting sort) and 18, 30 (comparison sort).
         for span in [0, 17, 18, 30] {
             let priority = |t: usize, _| (t * 7 % (span + 1)) as i64 - 9;
-            let makespan = list_schedule_core(&inst, &a, priority, None, None, &mut bufs);
+            let makespan = list_schedule_core(&inst, &a, priority, None, &mut bufs);
             assert!(makespan > 0);
             assert_eq!(bufs.capacity_cells(), reserved, "span {span}");
         }

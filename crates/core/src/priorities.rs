@@ -8,7 +8,7 @@
 //! delays" to a heuristic is modeled with per-direction release times, as
 //! in the paper's experiments where directions are "randomly delayed".
 
-use sweep_dag::{b_levels, descendant_counts, DescendantMode, SweepInstance};
+use sweep_dag::{descendant_counts, levels, DescendantMode, SweepInstance};
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
@@ -46,6 +46,8 @@ pub fn descendant_priorities(instance: &SweepInstance, mode: DescendantMode) -> 
 ///
 /// *Larger is preferred* (negated for the engine). Unlike Level and
 /// Descendant, DFDS depends on the processor assignment.
+/// One pass over each direction's stored layers, deepest first. Panics
+/// with "levels require an acyclic graph" on a cyclic DAG.
 pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec<i64> {
     let n = instance.num_cells();
     assert_eq!(assignment.num_cells(), n);
@@ -53,12 +55,11 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
     // keeps priorities comparable across directions.
     let kconst = instance.max_depth() as i64 + 1;
     per_task_table(instance, |_, dag| {
-        let b = b_levels(dag);
-        let order = dag.topo_order().expect("instance DAGs are acyclic");
-        // raw[v]: DFDS priority of (v, i); computed sinks-first.
+        // raw[v]: DFDS priority of (v, i); b[v]: its b-level.
         let mut raw = vec![0i64; n];
+        let mut b = vec![0u32; n];
         let mut has_offproc_desc = vec![false; n];
-        for &v in order.iter().rev() {
+        for &v in levels(dag).layer_nodes.iter().rev() {
             let pv = assignment.proc_of(v);
             let mut off_child = false;
             let mut any_off_desc = false;
@@ -74,6 +75,7 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
                 max_child_b = max_child_b.max(b[w as usize] as i64);
                 max_child_prio = max_child_prio.max(raw[w as usize]);
             }
+            b[v as usize] = max_child_b as u32 + 1;
             has_offproc_desc[v as usize] = any_off_desc;
             raw[v as usize] = if off_child {
                 max_child_b + kconst
@@ -138,7 +140,80 @@ pub fn schedule_with_priorities(
 mod tests {
     use super::*;
     use crate::schedule::validate;
-    use sweep_dag::{TaskDag, TaskId};
+    use sweep_dag::{b_levels, TaskDag, TaskId};
+
+    /// [`dfds_priorities`] as it walked before the stored layers: a
+    /// fresh Kahn order per direction, reversed, and a separate b-level
+    /// pass.
+    fn dfds_reference(instance: &SweepInstance, assignment: &Assignment) -> Vec<i64> {
+        let n = instance.num_cells();
+        let kconst = instance.max_depth() as i64 + 1;
+        per_task_table(instance, |_, dag| {
+            let b = b_levels(dag);
+            let order = dag.topo_order().expect("instance DAGs are acyclic");
+            let mut raw = vec![0i64; n];
+            let mut has_offproc_desc = vec![false; n];
+            for &v in order.iter().rev() {
+                let pv = assignment.proc_of(v);
+                let mut off_child = false;
+                let mut any_off_desc = false;
+                let mut max_child_b = 0i64;
+                let mut max_child_prio = i64::MIN;
+                for &w in dag.successors(v) {
+                    if assignment.proc_of(w) != pv {
+                        off_child = true;
+                    }
+                    if has_offproc_desc[w as usize] || assignment.proc_of(w) != pv {
+                        any_off_desc = true;
+                    }
+                    max_child_b = max_child_b.max(b[w as usize] as i64);
+                    max_child_prio = max_child_prio.max(raw[w as usize]);
+                }
+                has_offproc_desc[v as usize] = any_off_desc;
+                raw[v as usize] = if off_child {
+                    max_child_b + kconst
+                } else if any_off_desc {
+                    max_child_prio - 1
+                } else {
+                    0
+                };
+            }
+            raw.into_iter().map(|priority| -priority)
+        })
+    }
+
+    fn warped_s4() -> SweepInstance {
+        let bytes = include_bytes!("../../../examples/meshes/warped.msh");
+        let mesh = sweep_mesh::import_bytes(bytes, sweep_mesh::ImportFormat::Msh).unwrap();
+        let quad = sweep_quadrature::QuadratureSet::level_symmetric(4).unwrap();
+        let (inst, stats) = SweepInstance::from_mesh(&mesh.mesh, &quad, "warped");
+        assert!(
+            stats.iter().any(|s| s.dropped_edges > 0),
+            "warped.msh is cyclic"
+        );
+        inst
+    }
+
+    #[test]
+    fn dfds_layer_walk_matches_the_kahn_order_reference() {
+        let mut instances = crate::list_schedule::tests::oracle_instances();
+        instances.push(warped_s4());
+        for inst in &instances {
+            for m in [1, 3, 16, inst.num_cells() + 2] {
+                let a = Assignment::random_cells(inst.num_cells(), m, 7);
+                let want = dfds_reference(inst, &a);
+                assert_eq!(dfds_priorities(inst, &a), want, "{} m={m}", inst.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "levels require an acyclic graph")]
+    fn dfds_on_a_cyclic_dag_panics() {
+        let cyclic = TaskDag::from_edges(2, &[(0, 1), (1, 0)]);
+        let inst = SweepInstance::new_unchecked(2, vec![cyclic], "cyclic");
+        dfds_priorities(&inst, &Assignment::single(2));
+    }
 
     fn sample() -> SweepInstance {
         SweepInstance::random_layered(60, 4, 6, 2, 11)

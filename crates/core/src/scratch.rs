@@ -2,32 +2,32 @@
 //!
 //! [`TrialContext`] computes, once per `(instance, assignment,
 //! algorithm)`, the one seed-independent table the algorithm's trials
-//! read — levels, Graham steps or a §5.2 priority vector, by the same
-//! functions [`Algorithm::run`] calls — together with how a trial's delay
-//! draw enters it (`Table`), and the in-degree template.
-//! [`TrialScratch`] keeps every per-trial buffer warm across trials
-//! (reset, never freed), threaded through the pool as one scratch slot
-//! per worker ([`sweep_pool::ThreadPool::par_map_scratch`]). For the list
-//! scheduler those buffers are the rank kernel's
-//! ([`mod@crate::list_schedule`]): the `(predecessors left, rank)` pair per
-//! task, the rank → task table, the per-processor block offsets, the
-//! counting-sort histogram and the ready bitset with its summary level.
+//! read — levels, Graham steps, or, for a priority no trial's seed moves
+//! (Level, Descendant, DFDS, Greedy), the ranking itself — by the same
+//! functions [`Algorithm::run`] calls, together with how a trial's delay
+//! draw enters it (`Table`). [`TrialScratch`] keeps every per-trial
+//! buffer warm across trials (reset, never freed), threaded through the
+//! pool as one scratch slot per worker
+//! ([`sweep_pool::ThreadPool::par_map_scratch`]). For the list scheduler
+//! those buffers are the rank kernel's ([`mod@crate::list_schedule`]):
+//! the `(predecessors left, rank)` pair per task and the ready bitset
+//! with its summary level, plus — only for the tables whose trials rank
+//! their own (Algorithm 2 and Algorithm 3 with priorities) — the rank →
+//! task table, the per-processor block offsets and the sort buffers.
 //! Priorities are read straight off the table while ranking; no
 //! per-trial priority vector exists.
 //!
 //! Every algorithm's trial is one of the two engines
-//! (`random_delay_core` / `list_schedule_core`) on the scratch: what
+//! (`random_delay_core` / the list engine) on the scratch: what
 //! [`TrialContext::run_trial`] returns is the makespan, and the start
 //! times stay in the scratch until the next trial, where
 //! [`crate::trials`] copies the winner's out. The scratch reserves every
 //! buffer to its worst case on first use (warm-up) — the ranking buffers
-//! from the table's real priority span — so later trials never grow one:
-//! [`TrialScratch::grow_events`] counts the runs in which any buffer
-//! capacity changed, `scratch_grows_only_during_warm_up` asserts the
-//! count stays flat after warm-up for all ten algorithms, and the repo
-//! benchmark reports it as `core.scratch.grow_events`. (The list
-//! engine's release-time buckets, `k` short vectors a delayed §5.2
-//! heuristic fills once per run, are the one thing a trial allocates.)
+//! from the table's real priority span — so later trials never grow one
+//! and allocate nothing: [`TrialScratch::grow_events`] counts the runs in
+//! which any buffer capacity changed, `scratch_grows_only_during_warm_up`
+//! asserts the count stays flat after warm-up for all ten algorithms, and
+//! the repo benchmark reports it as `core.scratch.grow_events`.
 
 use sweep_dag::{DescendantMode, SweepInstance};
 use sweep_telemetry as telemetry;
@@ -35,7 +35,7 @@ use sweep_telemetry as telemetry;
 use crate::algorithms::Algorithm;
 use crate::assignment::Assignment;
 use crate::improved::graham_union_steps;
-use crate::list_schedule::{list_schedule_core, reserve, task_in_degrees, ListBuffers};
+use crate::list_schedule::{list_schedule_core, reserve, run_ranked, ListBuffers, Ranking};
 use crate::priorities::{descendant_priorities, dfds_priorities, level_priorities};
 use crate::random_delay::{
     base_task_levels, delayed_levels, random_delay_core, random_delays_into, LayerBuffers,
@@ -49,13 +49,12 @@ enum Table {
     /// behind layer barriers. `base` is the levels or the Graham steps.
     Layers(Vec<u32>),
     /// Algorithm 2 and Algorithm 3 with priorities: `base + X_i` is the
-    /// list-scheduling priority.
-    Shifted(Vec<u32>),
-    /// §5.2 heuristics: the priority is fixed; if `released`, the `X_i`
-    /// are per-direction release times, and if not, nothing is drawn.
-    Fixed { priority: Vec<i64>, released: bool },
-    /// Greedy: all priorities equal, nothing drawn.
-    Fifo,
+    /// list-scheduling priority; also the number of sources it groups.
+    Shifted(Vec<u32>, usize),
+    /// §5.2 heuristics and Greedy: the priority is fixed, so the tasks
+    /// are ranked once, here. If `released`, the `X_i` are per-direction
+    /// release times, and if not, nothing is drawn.
+    Ranked { ranking: Ranking, released: bool },
 }
 
 /// Everything about a best-of-`b` run that does not depend on the
@@ -64,11 +63,8 @@ pub struct TrialContext<'a> {
     instance: &'a SweepInstance,
     assignment: &'a Assignment,
     table: Table,
-    /// In-degree template per task (copied, not recomputed, per trial);
-    /// empty for the layer engine, which counts nothing down.
-    indeg: Vec<u32>,
-    /// Widest `max − min` a trial's priorities can reach, or for
-    /// [`Table::Layers`] the most combined layers: `max base + k`.
+    /// The most combined layers ([`Table::Layers`]) or the widest
+    /// `max − min` of a trial's priorities ([`Table::Shifted`]): `max base + k`.
     span: usize,
 }
 
@@ -81,13 +77,19 @@ impl<'a> TrialContext<'a> {
         algorithm: Algorithm,
     ) -> TrialContext<'a> {
         let graham = || graham_union_steps(instance, assignment.num_procs()).0;
-        let fixed = |priority, released| Table::Fixed { priority, released };
+        let sources = || crate::task_in_degrees(instance).filter(|&d| d == 0).count();
+        let fixed = |priority: Vec<i64>, released| Table::Ranked {
+            ranking: Ranking::new(instance, assignment, |t, _| priority[t]),
+            released,
+        };
         let table = match algorithm {
             Algorithm::RandomDelay => Table::Layers(base_task_levels(instance)),
-            Algorithm::RandomDelayPriorities => Table::Shifted(base_task_levels(instance)),
+            Algorithm::RandomDelayPriorities => {
+                Table::Shifted(base_task_levels(instance), sources())
+            }
             Algorithm::ImprovedRandomDelay => Table::Layers(graham()),
-            Algorithm::ImprovedWithPriorities => Table::Shifted(graham()),
-            Algorithm::Greedy => Table::Fifo,
+            Algorithm::ImprovedWithPriorities => Table::Shifted(graham(), sources()),
+            Algorithm::Greedy => fixed(vec![0; instance.num_tasks()], false),
             Algorithm::LevelPriority { delays } => fixed(level_priorities(instance), delays),
             Algorithm::DescendantPriority { delays } => {
                 let approximate = descendant_priorities(instance, DescendantMode::Approximate);
@@ -96,27 +98,15 @@ impl<'a> TrialContext<'a> {
             Algorithm::Dfds { delays } => fixed(dfds_priorities(instance, assignment), delays),
         };
         let span = match &table {
-            Table::Layers(base) | Table::Shifted(base) => {
+            Table::Layers(base) | Table::Shifted(base, _) => {
                 base.iter().max().map_or(0, |&top| top as usize) + instance.num_directions()
             }
-            Table::Fixed { priority, .. } => {
-                let lo = priority.iter().min().copied().unwrap_or(0);
-                let hi = priority.iter().max().copied().unwrap_or(0);
-                // As the ranking pass reads it: the wrapping difference,
-                // unsigned — no `i64` range overflows.
-                usize::try_from(hi.wrapping_sub(lo) as u64).unwrap_or(usize::MAX)
-            }
-            Table::Fifo => 0,
-        };
-        let indeg = match table {
-            Table::Layers(_) => Vec::new(),
-            _ => task_in_degrees(instance).collect(),
+            Table::Ranked { .. } => 0,
         };
         TrialContext {
             instance,
             assignment,
             table,
-            indeg,
             span,
         }
     }
@@ -124,22 +114,18 @@ impl<'a> TrialContext<'a> {
     /// Whether a trial draws delays. An algorithm that draws none ignores
     /// its seed: its `b` trials are one schedule `b` times.
     pub(crate) fn draws_delays(&self) -> bool {
-        !matches!(
-            self.table,
-            Table::Fifo
-                | Table::Fixed {
-                    released: false,
-                    ..
-                }
-        )
+        match self.table {
+            Table::Ranked { released, .. } => released,
+            _ => true,
+        }
     }
 
     /// Runs one trial and returns its makespan; the start times stay in
     /// `scratch` until its next trial. Both are, by construction, those
     /// of `algorithm.run(instance, assignment, seed)`: the same tables go
-    /// into the very same scheduling cores (`list_schedule_core` /
-    /// `random_delay_core`) the allocating wrappers use, only on reused
-    /// buffers.
+    /// into the very same scheduling cores (the list engine's ranking and
+    /// step loop / `random_delay_core`) the allocating wrappers use, only
+    /// on reused buffers.
     pub fn run_trial(&self, seed: u64, scratch: &mut TrialScratch) -> u32 {
         let (instance, assignment) = (self.instance, self.assignment);
         scratch.ensure(self);
@@ -148,20 +134,21 @@ impl<'a> TrialContext<'a> {
             random_delays_into(instance.num_directions(), seed, &mut scratch.delays);
         }
         let (delays, list) = (&scratch.delays[..], &mut scratch.list);
-        let indeg = Some(&self.indeg[..]);
         let makespan = match &self.table {
             Table::Layers(base) => {
                 random_delay_core(instance, assignment, delays, base, &mut scratch.layer)
             }
-            Table::Shifted(base) => {
+            Table::Shifted(base, _) => {
                 let gamma = delayed_levels(base, delays);
-                list_schedule_core(instance, assignment, gamma, None, indeg, list)
+                list_schedule_core(instance, assignment, gamma, None, list)
             }
-            Table::Fixed { priority, released } => {
-                let (priority, release) = (|t: usize, _| priority[t], released.then_some(delays));
-                list_schedule_core(instance, assignment, priority, release, indeg, list)
-            }
-            Table::Fifo => list_schedule_core(instance, assignment, |_, _| 0, None, indeg, list),
+            Table::Ranked { ranking, released } => run_ranked(
+                instance,
+                assignment,
+                released.then_some(delays),
+                ranking,
+                list,
+            ),
         };
         scratch.trials += 1;
         telemetry::counter_add("sched.scratch.trials", 1);
@@ -222,16 +209,19 @@ impl TrialScratch {
         let nk = ctx.instance.num_tasks();
         let k = ctx.instance.num_directions();
         let m = ctx.assignment.num_procs();
+        let n = ctx.instance.num_cells();
         reserve(&mut self.delays, k);
-        if let Table::Layers(_) = ctx.table {
-            reserve(&mut self.layer.start, nk);
-            reserve(&mut self.layer.buckets.layer_of, nk);
-            reserve(&mut self.layer.buckets.layer_tasks, nk);
-            reserve(&mut self.layer.buckets.layer_xadj, ctx.span + 1);
-            reserve(&mut self.layer.buckets.cursor, ctx.span);
-            reserve(&mut self.layer.next_slot, m);
-        } else {
-            self.list.reserve(ctx.instance.num_cells(), k, m, ctx.span);
+        match &ctx.table {
+            Table::Layers(_) => {
+                reserve(&mut self.layer.start, nk);
+                reserve(&mut self.layer.buckets.layer_of, nk);
+                reserve(&mut self.layer.buckets.layer_tasks, nk);
+                reserve(&mut self.layer.buckets.layer_xadj, ctx.span + 1);
+                reserve(&mut self.layer.buckets.cursor, ctx.span);
+                reserve(&mut self.layer.next_slot, m);
+            }
+            Table::Shifted(_, sources) => self.list.reserve(n, k, m, ctx.span, *sources),
+            Table::Ranked { .. } => self.list.reserve_run(n, k, m),
         }
         if self.capacity_cells() != before {
             self.grows += 1;
@@ -304,8 +294,23 @@ pub(crate) mod tests {
                 ctx.run_trial(rand::split_seed(1, 0), &mut scratch);
                 let warmed = scratch.grow_events();
                 assert!(warmed >= 1, "{alg:?}: warm-up must reserve");
+                // A trial on its context's ranking reserves no `task_at`,
+                // `counts` or `keys`: only what a run on it writes.
+                if let Table::Ranked { .. } = ctx.table {
+                    let mut run_only = ListBuffers::default();
+                    run_only.reserve_run(80, 5, m);
+                    let reserved = scratch.list.capacity_cells();
+                    assert_eq!(reserved, run_only.capacity_cells(), "{alg:?} m={m}");
+                }
+                let capacity = scratch.capacity_cells();
                 for i in 1..64u64 {
                     ctx.run_trial(rand::split_seed(1, i), &mut scratch);
+                    // Delayed trials included: every capacity stays put.
+                    assert_eq!(
+                        scratch.capacity_cells(),
+                        capacity,
+                        "{alg:?} m={m} trial {i}"
+                    );
                 }
                 assert_eq!(
                     scratch.grow_events(),

@@ -57,4 +57,23 @@ fn ready_peak_steps_and_tasks_are_counted_exactly() {
         let graham_passes = snap.spans.iter().filter(graham).count();
         assert_eq!(graham_passes, usize::from(algorithm == improved));
     }
+
+    // A priority no trial's seed moves is ranked once per call, in the
+    // context; Algorithm 2's and Algorithm 3's shift with the delays, so
+    // every trial ranks its own.
+    for (algorithm, rankings) in [
+        (Algorithm::LevelPriority { delays: true }, 1),
+        (Algorithm::DescendantPriority { delays: true }, 1),
+        (Algorithm::Dfds { delays: true }, 1),
+        (Algorithm::Greedy, 1),
+        (Algorithm::RandomDelayPriorities, 4),
+        (improved, 4),
+    ] {
+        telemetry::reset();
+        best_of_trials_with_pool(&ThreadPool::new(1), &inst, &a, algorithm, 4, 9);
+        let snap = telemetry::snapshot();
+        let rank = |s: &&telemetry::SpanEvent| s.name == "sched.list_schedule.rank";
+        let ranked = snap.spans.iter().filter(rank).count();
+        assert_eq!(ranked, rankings, "{algorithm:?}");
+    }
 }

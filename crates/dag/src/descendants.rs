@@ -4,7 +4,7 @@
 //!
 //! * [`descendant_counts_exact`] — the true number of *distinct* nodes
 //!   reachable from each node, computed with chunked bitsets in reverse
-//!   topological order. Memory is `O(n · chunk/8)` per pass and
+//!   layer order. Memory is `O(n · chunk/8)` per pass and
 //!   `⌈n/chunk⌉` passes are made, so even 100k-node DAGs fit comfortably.
 //! * [`descendant_counts_approx`] — the cheap bottom-up recurrence
 //!   `d(v) = Σ_{w ∈ succ(v)} (1 + d(w))` (saturating), which counts
@@ -13,9 +13,11 @@
 //!   priority, and it only needs one linear pass.
 //!
 //! The approximate count dominates the exact one (every descendant is
-//! reached by at least one path), which the tests verify.
+//! reached by at least one path), which the tests verify. Both walk the
+//! stored layers deepest first (one counting pass, no topological sort).
 
 use crate::graph::TaskDag;
+use crate::levels::layers;
 
 /// Number of target nodes processed per exact-counting pass.
 const CHUNK_BITS: usize = 4096;
@@ -23,10 +25,10 @@ const CHUNK_BITS: usize = 4096;
 /// Exact number of distinct descendants (excluding the node itself).
 ///
 /// # Panics
-/// Panics if the graph is cyclic.
+/// Panics with "levels require an acyclic graph" if the graph is cyclic.
 pub fn descendant_counts_exact(dag: &TaskDag) -> Vec<u64> {
     let n = dag.num_nodes();
-    let order = dag.topo_order().expect("descendant counts require a DAG");
+    let order = layers(dag).adj;
     let mut counts = vec![0u64; n];
     if n == 0 {
         return counts;
@@ -37,7 +39,7 @@ pub fn descendant_counts_exact(dag: &TaskDag) -> Vec<u64> {
     for chunk_start in (0..n).step_by(CHUNK_BITS) {
         let chunk_end = (chunk_start + CHUNK_BITS).min(n);
         reach.iter_mut().for_each(|w| *w = 0);
-        // Reverse topological order: successors are finalized before
+        // Deepest layer first: successors are finalized before
         // predecessors.
         for &v in order.iter().rev() {
             let vi = v as usize;
@@ -69,11 +71,10 @@ pub fn descendant_counts_exact(dag: &TaskDag) -> Vec<u64> {
 /// `d(v) = Σ_{w ∈ succ(v)} (1 + d(w))`. Upper-bounds the exact count.
 ///
 /// # Panics
-/// Panics if the graph is cyclic.
+/// Panics with "levels require an acyclic graph" if the graph is cyclic.
 pub fn descendant_counts_approx(dag: &TaskDag) -> Vec<u64> {
-    let order = dag.topo_order().expect("descendant counts require a DAG");
     let mut d = vec![0u64; dag.num_nodes()];
-    for &v in order.iter().rev() {
+    for &v in layers(dag).adj.iter().rev() {
         let mut acc = 0u64;
         for &w in dag.successors(v) {
             acc = acc.saturating_add(1).saturating_add(d[w as usize]);
@@ -104,6 +105,103 @@ pub fn descendant_counts(dag: &TaskDag, mode: DescendantMode) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepInstance;
+
+    /// [`descendant_counts_exact`] as it walked before the stored layers:
+    /// a fresh Kahn order, reversed.
+    fn exact_reference(dag: &TaskDag) -> Vec<u64> {
+        let n = dag.num_nodes();
+        let order = dag.topo_order().expect("descendant counts require a DAG");
+        let mut counts = vec![0u64; n];
+        if n == 0 {
+            return counts;
+        }
+        let words = CHUNK_BITS / 64;
+        let mut reach: Vec<u64> = vec![0; n * words];
+        for chunk_start in (0..n).step_by(CHUNK_BITS) {
+            let chunk_end = (chunk_start + CHUNK_BITS).min(n);
+            reach.iter_mut().for_each(|w| *w = 0);
+            for &v in order.iter().rev() {
+                let vi = v as usize;
+                for &w in dag.successors(v) {
+                    let wi = w as usize;
+                    for b in 0..words {
+                        let val = reach[wi * words + b];
+                        reach[vi * words + b] |= val;
+                    }
+                    if (chunk_start..chunk_end).contains(&wi) {
+                        let bit = wi - chunk_start;
+                        reach[vi * words + bit / 64] |= 1u64 << (bit % 64);
+                    }
+                }
+                let c: u32 = (0..words).map(|b| reach[vi * words + b].count_ones()).sum();
+                counts[vi] += c as u64;
+            }
+        }
+        counts
+    }
+
+    /// [`descendant_counts_approx`] on a fresh Kahn order, reversed.
+    fn approx_reference(dag: &TaskDag) -> Vec<u64> {
+        let order = dag.topo_order().expect("descendant counts require a DAG");
+        let mut d = vec![0u64; dag.num_nodes()];
+        for &v in order.iter().rev() {
+            let mut acc = 0u64;
+            for &w in dag.successors(v) {
+                acc = acc.saturating_add(1).saturating_add(d[w as usize]);
+            }
+            d[v as usize] = acc;
+        }
+        d
+    }
+
+    /// Chains, edgeless, one-cell, empty, random, tetonly and the cyclic
+    /// `warped.msh` (after cycle breaking) instances.
+    fn reference_instances() -> Vec<SweepInstance> {
+        let quad = |sn| sweep_quadrature::QuadratureSet::level_symmetric(sn).unwrap();
+        let tetonly = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.01).unwrap();
+        let bytes = include_bytes!("../../../examples/meshes/warped.msh");
+        let warped = sweep_mesh::import_bytes(bytes, sweep_mesh::ImportFormat::Msh).unwrap();
+        let (warped, stats) = SweepInstance::from_mesh(&warped.mesh, &quad(4), "warped");
+        assert!(
+            stats.iter().any(|s| s.dropped_edges > 0),
+            "warped.msh is cyclic"
+        );
+        vec![
+            SweepInstance::identical_chains(17, 5),
+            SweepInstance::new(9, vec![TaskDag::edgeless(9); 3], "edgeless"),
+            SweepInstance::new(1, vec![TaskDag::edgeless(1); 4], "one cell"),
+            SweepInstance::new(0, vec![TaskDag::edgeless(0)], "empty"),
+            SweepInstance::random_layered(130, 3, 9, 3, 8),
+            SweepInstance::from_mesh(&tetonly, &quad(2), "tetonly").0,
+            warped,
+        ]
+    }
+
+    #[test]
+    fn layer_walks_match_the_kahn_order_references() {
+        for inst in reference_instances() {
+            for (i, dag) in inst.dags().iter().enumerate() {
+                let what = format!("{} direction {i}", inst.name());
+                assert_eq!(descendant_counts_exact(dag), exact_reference(dag), "{what}");
+                assert_eq!(
+                    descendant_counts_approx(dag),
+                    approx_reference(dag),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_graphs_panic_with_the_levels_message() {
+        let cyclic = TaskDag::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        for count in [descendant_counts_exact, descendant_counts_approx] {
+            let panic = std::panic::catch_unwind(|| count(&cyclic)).unwrap_err();
+            let message = *panic.downcast::<&str>().unwrap();
+            assert_eq!(message, "levels require an acyclic graph");
+        }
+    }
 
     fn diamond() -> TaskDag {
         TaskDag::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -9,7 +9,8 @@
 //!
 //! Nothing here walks a graph to find an order: [`TaskDag`] stores
 //! `level_of` and the depth from its constructor's peel, [`levels()`] is a
-//! counting sort of that table and [`b_levels`] one pass over its layers.
+//! counting sort of that table and [`b_levels`] (like the descendant
+//! counts and DFDS) one pass over its layers.
 
 use crate::graph::{Csr, TaskDag};
 
@@ -55,7 +56,7 @@ impl Levels {
 
 /// The nodes bucketed by their stored level, a layer in id order: one
 /// counting pass, no graph walk — the constructor's peel already did it.
-fn layers(dag: &TaskDag) -> Csr {
+pub(crate) fn layers(dag: &TaskDag) -> Csr {
     Csr::bucket(dag.depth(), dag.level_of().iter().copied().zip(0u32..))
 }
 
