@@ -4,6 +4,8 @@
 //! on before they ranked once per call; a change to how they rank, or to
 //! how the priority passes walk a DAG, must leave every one unmoved.
 
+#![allow(clippy::unwrap_used)]
+
 use sweep_core::{best_of_trials, descendant_priorities, dfds_priorities, Algorithm, Assignment};
 use sweep_dag::{DescendantMode, SweepInstance};
 use sweep_quadrature::QuadratureSet;
