@@ -380,4 +380,69 @@ mod tests {
         let dag = TaskDag::from_edges(200_000, &edges);
         assert!(nontrivial_sccs(&dag).is_empty());
     }
+
+    /// `warped.msh` × S4 as induced, before cycle breaking.
+    fn raw_warped_s4() -> SweepInstance {
+        let bytes = include_bytes!("../../../examples/meshes/warped.msh");
+        let mesh = sweep_mesh::import_bytes(bytes, sweep_mesh::ImportFormat::Msh)
+            .unwrap()
+            .mesh;
+        let n = sweep_mesh::SweepMesh::num_cells(&mesh);
+        let quad = QuadratureSet::level_symmetric(4).unwrap();
+        let dags = quad
+            .iter()
+            .map(|(_, omega)| TaskDag::from_edges(n, &sweep_dag::induce_raw(&mesh, omega)));
+        SweepInstance::new_unchecked(n, dags.collect(), "warped-raw")
+    }
+
+    /// The text report of the raw `warped.msh` × S4 graphs: one
+    /// 23-cell component in each of the 24 directions.
+    #[test]
+    fn sw001_text_on_the_raw_warped_mesh_is_pinned() {
+        let text = analyze_instance(&raw_warped_s4()).render_text();
+        assert_eq!(
+            text,
+            include_str!("../../../ci/golden/analyze_warped_raw.txt")
+        );
+    }
+
+    /// Eight components of sizes 2–4 in one direction, some reached
+    /// only through others: the five with the smallest ids get a
+    /// witness and the other three are suppressed.
+    #[test]
+    fn sw001_text_past_the_cycle_cap_is_pinned() {
+        let edges = [
+            (30, 31),
+            (31, 32),
+            (32, 30),
+            (5, 20),
+            (20, 5),
+            (12, 13),
+            (13, 10),
+            (10, 11),
+            (11, 12),
+            (0, 39),
+            (39, 0),
+            (25, 26),
+            (26, 25),
+            (8, 7),
+            (7, 8),
+            (35, 15),
+            (15, 35),
+            (1, 30),
+            (32, 5),
+            (20, 10),
+            (2, 3),
+            (3, 4),
+            (4, 2),
+            (6, 2),
+        ];
+        let dag = TaskDag::from_edges(40, &edges);
+        let inst = SweepInstance::new_unchecked(40, vec![TaskDag::edgeless(40), dag], "seven");
+        let text = analyze_instance(&inst).render_text();
+        assert_eq!(
+            text,
+            include_str!("../../../ci/golden/analyze_seven_cycles.txt")
+        );
+    }
 }

@@ -3,6 +3,10 @@
 //! values were read off the per-trial-ranking code these families ran
 //! on before they ranked once per call; a change to how they rank, or to
 //! how the priority passes walk a DAG, must leave every one unmoved.
+//!
+//! One [`Algorithm::run`] of every algorithm is pinned the same way, read
+//! off the tree in which it still dispatched through the seed-taking
+//! wrapper functions; running each family's cores inline must not move it.
 
 #![allow(clippy::unwrap_used)]
 
@@ -140,4 +144,83 @@ fn priority_passes_are_pinned() {
         ],
         "warped"
     );
+}
+
+/// Every algorithm [`Algorithm::run`] dispatches to: the paper's
+/// Algorithms 1–3 and §5.2's heuristics, each with and without delays.
+const EVERY_ALGORITHM: [Algorithm; 11] = [
+    Algorithm::RandomDelay,
+    Algorithm::RandomDelayPriorities,
+    Algorithm::ImprovedRandomDelay,
+    Algorithm::ImprovedWithPriorities,
+    Algorithm::Greedy,
+    Algorithm::LevelPriority { delays: false },
+    Algorithm::LevelPriority { delays: true },
+    Algorithm::DescendantPriority { delays: false },
+    Algorithm::DescendantPriority { delays: true },
+    Algorithm::Dfds { delays: false },
+    Algorithm::Dfds { delays: true },
+];
+
+/// `(makespan, FNV-1a of the starts)` of one [`Algorithm::run`] per
+/// algorithm, in `EVERY_ALGORITHM` order.
+fn single_runs(instance: &SweepInstance, m: usize) -> Vec<(u32, u64)> {
+    let a = Assignment::random_cells(instance.num_cells(), m, 1);
+    let run = |alg: &Algorithm| {
+        let schedule = alg.run(instance, a.clone(), 7);
+        (schedule.makespan(), digest_u32(schedule.starts()))
+    };
+    EVERY_ALGORITHM.iter().map(run).collect()
+}
+
+#[test]
+fn single_runs_are_pinned_on_tetonly() {
+    let inst = tetonly_s4();
+    let want_16 = vec![
+        (3181, 0xc34d_601c_6aa3_003b),
+        (2665, 0xf21a_9a38_79ea_5f48),
+        (7218, 0x9e9f_964c_444c_9f0e),
+        (2703, 0x5b44_89c1_f4ee_4c0e),
+        (2723, 0x3bbd_e1cd_c273_f423),
+        (2664, 0x3482_c43d_62d8_7f95),
+        (2665, 0x8e49_6164_417c_96c2),
+        (2664, 0x40f5_0f1f_e733_7c46),
+        (2665, 0x9095_1518_4e63_670a),
+        (2664, 0x5b9b_165d_6621_6ac7),
+        (2665, 0x6d6e_1963_3156_a8ad),
+    ];
+    let want_64 = vec![
+        (1227, 0x651d_51a8_a77e_86a1),
+        (894, 0x75aa_e262_5964_04ba),
+        (2427, 0x4244_3487_5d0b_5c87),
+        (911, 0xa777_dac4_2959_3a08),
+        (927, 0x25c1_b720_cb88_8caf),
+        (890, 0x7e31_0a76_6aef_7442),
+        (891, 0x55f1_b71a_092b_0ceb),
+        (888, 0x2b0e_fa4f_d970_2030),
+        (889, 0xd5dc_80cf_f57f_b052),
+        (888, 0x88a8_093b_38e9_82c5),
+        (889, 0x1025_dbc5_e241_e7af),
+    ];
+    assert_eq!(single_runs(&inst, 16), want_16, "m = 16");
+    assert_eq!(single_runs(&inst, 64), want_64, "m = 64");
+}
+
+#[test]
+fn single_runs_are_pinned_on_a_random_layered_instance() {
+    let inst = SweepInstance::random_layered(300, 6, 12, 3, 5);
+    let want = vec![
+        (124, 0x6c39_b9e5_f5b7_435a),
+        (96, 0x355f_7f73_de2c_430d),
+        (179, 0xe438_6df9_b615_b9ba),
+        (102, 0xf081_9c2f_22f5_6e4f),
+        (105, 0xd763_163c_6c94_0252),
+        (96, 0xce52_8b53_7866_11dd),
+        (97, 0x0296_d420_1a0b_c653),
+        (96, 0x11c5_a2c9_671b_a7bc),
+        (97, 0x4a09_f132_a666_3fbf),
+        (96, 0x654f_dc53_ff96_0a42),
+        (97, 0xc1f3_655c_5eba_59ef),
+    ];
+    assert_eq!(single_runs(&inst, 40), want);
 }
