@@ -4,7 +4,7 @@
 
 use std::collections::VecDeque;
 
-use sweep_dag::{levels, SweepInstance, TaskDag};
+use sweep_dag::{cyclic_components, levels, SweepInstance, TaskDag};
 use sweep_quadrature::QuadratureSet;
 
 use crate::diag::{Anchor, Code, Diagnostic, Report};
@@ -25,7 +25,7 @@ pub fn analyze_instance(instance: &SweepInstance) -> Report {
 
     let mut all_acyclic = true;
     for (i, dag) in instance.dags().iter().enumerate() {
-        let sccs = nontrivial_sccs(dag);
+        let sccs = cyclic_components(dag);
         if !sccs.is_empty() {
             all_acyclic = false;
         }
@@ -159,74 +159,6 @@ pub fn analyze_quadrature(quadrature: &QuadratureSet) -> Report {
     report
 }
 
-/// Iterative Tarjan SCC; returns the strongly connected components with
-/// more than one node (the graphs have no self-loops, so those are
-/// exactly the components containing cycles), in reverse topological
-/// order of discovery.
-fn nontrivial_sccs(dag: &TaskDag) -> Vec<Vec<u32>> {
-    let n = dag.num_nodes();
-    const UNSEEN: u32 = u32::MAX;
-    let mut index = vec![UNSEEN; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut sccs = Vec::new();
-
-    // Explicit DFS frames: (node, position in its successor list).
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-    for root in 0..n as u32 {
-        if index[root as usize] != UNSEEN {
-            continue;
-        }
-        frames.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(&mut (v, ref mut si)) = frames.last_mut() {
-            let succs = dag.successors(v);
-            if *si < succs.len() {
-                let w = succs[*si];
-                *si += 1;
-                if index[w as usize] == UNSEEN {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    frames.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w as usize] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    if comp.len() > 1 {
-                        comp.sort_unstable();
-                        sccs.push(comp);
-                    }
-                }
-            }
-        }
-    }
-    sccs.sort();
-    sccs
-}
-
 /// A shortest cycle through the smallest-id node of `scc`: BFS restricted
 /// to the component from that node back to itself, returned as
 /// `v0 → v1 → … → v0` (first element repeated at the end).
@@ -320,7 +252,7 @@ mod tests {
     fn witness_is_shortest_through_entry() {
         // Two cycles through node 0: length 2 (0-4) and length 4.
         let dag = TaskDag::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 0)]);
-        let sccs = nontrivial_sccs(&dag);
+        let sccs = cyclic_components(&dag);
         assert_eq!(sccs.len(), 1);
         let w = witness_cycle(&dag, &sccs[0]);
         assert_eq!(w, vec![0, 4, 0]);
@@ -370,15 +302,17 @@ mod tests {
     #[test]
     fn scc_of_acyclic_graph_is_empty() {
         let dag = TaskDag::from_edges(5, &[(0, 1), (1, 2), (0, 3), (3, 4)]);
-        assert!(nontrivial_sccs(&dag).is_empty());
+        assert!(cyclic_components(&dag).is_empty());
     }
 
     #[test]
     fn deep_chain_does_not_overflow_stack() {
-        // 200k-node chain — iterative Tarjan must not recurse.
-        let edges: Vec<(u32, u32)> = (0..199_999u32).map(|v| (v, v + 1)).collect();
-        let dag = TaskDag::from_edges(200_000, &edges);
-        assert!(nontrivial_sccs(&dag).is_empty());
+        // A 200k-node chain closed into one cycle — the iterative Tarjan
+        // walks all of it without recursing.
+        let n = 200_000u32;
+        let edges: Vec<(u32, u32)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+        let dag = TaskDag::from_edges(n as usize, &edges);
+        assert_eq!(cyclic_components(&dag), vec![(0..n).collect::<Vec<u32>>()]);
     }
 
     /// `warped.msh` × S4 as induced, before cycle breaking.

@@ -8,7 +8,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, BenchArgs, CsvSink};
-use sweep_core::{certify, random_delay_priorities, Assignment};
+use sweep_core::{certify, Algorithm, Assignment};
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
             (eff, Assignment::random_blocks(&blocks, m, args.seed))
         };
         let nblocks = if paper_block == 1 { n } else { n.div_ceil(eff) };
-        let s = random_delay_priorities(&instance, assignment, args.seed ^ 7);
+        let s = Algorithm::RandomDelayPriorities.run(&instance, assignment, args.seed ^ 7);
         let cert = certify(&instance, &s);
         cert.verdict.expect("feasible");
         sink.row(format_args!(

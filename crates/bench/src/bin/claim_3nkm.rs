@@ -8,7 +8,7 @@
 //! ```
 
 use sweep_bench::{geometric_mean, BenchArgs, CsvSink};
-use sweep_core::{lower_bounds, random_delay_priorities, validate, Assignment};
+use sweep_core::{lower_bounds, validate, Algorithm, Assignment};
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
         let ms = args.proc_sweep(512, instance.num_tasks());
         for &m in &ms {
             let a = Assignment::random_cells(n, m, args.seed ^ m as u64);
-            let s = random_delay_priorities(&instance, a, args.seed ^ (m as u64) << 4);
+            let s = Algorithm::RandomDelayPriorities.run(&instance, a, args.seed ^ (m as u64) << 4);
             validate(&instance, &s).expect("feasible");
             let avg = nk / m as f64;
             let r_avg = s.makespan() as f64 / avg;

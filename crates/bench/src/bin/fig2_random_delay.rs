@@ -9,7 +9,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, AssignPolicy, BenchArgs, CsvSink};
-use sweep_core::{certify, random_delay_priorities};
+use sweep_core::{certify, Algorithm};
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -42,7 +42,11 @@ fn main() {
         }
         for (label, policy) in &policies {
             let a = policy.draw(n, m, args.seed ^ m as u64);
-            let s = random_delay_priorities(&instance, a, args.seed.wrapping_add(m as u64));
+            let s = Algorithm::RandomDelayPriorities.run(
+                &instance,
+                a,
+                args.seed.wrapping_add(m as u64),
+            );
             let cert = certify(&instance, &s);
             cert.verdict.expect("feasible");
             let (lb, c1, c2) = (cert.bounds.paper(), cert.c1, cert.c2);

@@ -8,7 +8,7 @@
 //! ```
 
 use sweep_bench::{run_fig3, BenchArgs};
-use sweep_core::PriorityScheme;
+use sweep_core::Algorithm;
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
         &args,
         MeshPreset::Long,
         64,
-        PriorityScheme::Level,
+        |delays| Algorithm::LevelPriority { delays },
         "fig3a_level",
     );
 }

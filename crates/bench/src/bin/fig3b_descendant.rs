@@ -7,8 +7,7 @@
 //! ```
 
 use sweep_bench::{run_fig3, BenchArgs};
-use sweep_core::PriorityScheme;
-use sweep_dag::DescendantMode;
+use sweep_core::Algorithm;
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -17,7 +16,7 @@ fn main() {
         &args,
         MeshPreset::Tetonly,
         256,
-        PriorityScheme::Descendant(DescendantMode::Approximate),
+        |delays| Algorithm::DescendantPriority { delays },
         "fig3b_descendant",
     );
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use sweep_bench::{run_fig3, BenchArgs};
-use sweep_core::PriorityScheme;
+use sweep_core::Algorithm;
 use sweep_mesh::MeshPreset;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
         &args,
         MeshPreset::WellLogging,
         128,
-        PriorityScheme::Dfds,
+        |delays| Algorithm::Dfds { delays },
         "fig3c_dfds",
     );
 }

@@ -13,8 +13,7 @@
 
 use sweep_bench::{BenchArgs, CsvSink};
 use sweep_core::{
-    c1_interprocessor_edges, kba_assignment, lower_bounds, random_delay_priorities,
-    schedule_with_priorities, validate, Assignment, PriorityScheme,
+    c1_interprocessor_edges, kba_assignment, lower_bounds, validate, Algorithm, Assignment,
 };
 use sweep_dag::SweepInstance;
 use sweep_mesh::{generate, GeneratorConfig, SweepMesh};
@@ -50,16 +49,15 @@ fn main() {
         let runs: Vec<(&str, sweep_core::Schedule)> = vec![
             (
                 "kba_wavefront",
-                schedule_with_priorities(
+                Algorithm::LevelPriority { delays: false }.run(
                     &instance,
                     kba_assignment(cfg.nx, cfg.ny, cfg.nz, mesh.num_cells(), m),
-                    PriorityScheme::Level,
-                    None,
+                    args.seed,
                 ),
             ),
             (
                 "rdp_per_cell",
-                random_delay_priorities(
+                Algorithm::RandomDelayPriorities.run(
                     &instance,
                     Assignment::random_cells(mesh.num_cells(), m, args.seed ^ m as u64),
                     args.seed,
@@ -67,7 +65,7 @@ fn main() {
             ),
             (
                 "rdp_kba_assignment",
-                random_delay_priorities(
+                Algorithm::RandomDelayPriorities.run(
                     &instance,
                     kba_assignment(cfg.nx, cfg.ny, cfg.nz, mesh.num_cells(), m),
                     args.seed,

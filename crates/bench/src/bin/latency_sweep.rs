@@ -10,7 +10,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, BenchArgs, CsvSink};
-use sweep_core::{random_delay_priorities, validate, Assignment};
+use sweep_core::{validate, Algorithm, Assignment};
 use sweep_mesh::MeshPreset;
 use sweep_sim::latency_makespan;
 
@@ -23,8 +23,8 @@ fn main() {
 
     let per_cell = Assignment::random_cells(n, m, args.seed);
     let per_block = Assignment::random_blocks(&blocks, m, args.seed);
-    let s_cell = random_delay_priorities(&instance, per_cell, args.seed ^ 1);
-    let s_block = random_delay_priorities(&instance, per_block, args.seed ^ 1);
+    let s_cell = Algorithm::RandomDelayPriorities.run(&instance, per_cell, args.seed ^ 1);
+    let s_block = Algorithm::RandomDelayPriorities.run(&instance, per_block, args.seed ^ 1);
     validate(&instance, &s_cell).expect("feasible");
     validate(&instance, &s_block).expect("feasible");
 

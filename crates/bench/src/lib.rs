@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use sweep_core::Assignment;
+use sweep_core::{Algorithm, Assignment};
 use sweep_dag::SweepInstance;
 use sweep_mesh::{MeshPreset, SweepMesh, TetMesh};
 use sweep_partition::{block_partition, CsrGraph, PartitionOptions};
@@ -217,18 +217,19 @@ impl CsvSink {
 }
 
 /// Shared driver for the Figure 3 family: compares "Random Delays with
-/// Priorities" against a heuristic priority scheme with and without random
-/// delays, under a fixed block assignment (the paper fixes the block
-/// assignment so C1 is identical across algorithms and only makespans are
-/// compared). One CSV row per `(S_n, m)`.
+/// Priorities" against a heuristic, `heuristic(false)` without and
+/// `heuristic(true)` with random delays, under a fixed block assignment
+/// (the paper fixes the block assignment so C1 is identical across
+/// algorithms and only makespans are compared). One CSV row per
+/// `(S_n, m)`.
 pub fn run_fig3(
     args: &BenchArgs,
     preset: MeshPreset,
     paper_block: usize,
-    scheme: sweep_core::PriorityScheme,
+    heuristic: fn(bool) -> Algorithm,
     experiment: &str,
 ) {
-    use sweep_core::{approx_ratio, random_delay_priorities, schedule_with_priorities, validate};
+    use sweep_core::{approx_ratio, validate};
     let mut sink = CsvSink::new(
         args,
         experiment,
@@ -247,9 +248,10 @@ pub fn run_fig3(
         let rows = par_grid(&ms, |&m| {
             let seed = args.seed ^ ((m as u64) << 16) ^ sn as u64;
             let a = Assignment::random_blocks(&blocks, m, seed);
-            let s_rdp = random_delay_priorities(&instance, a.clone(), seed);
-            let s_heur = schedule_with_priorities(&instance, a.clone(), scheme, None);
-            let s_heur_d = schedule_with_priorities(&instance, a, scheme, Some(seed ^ 0xd3));
+            let s_rdp = Algorithm::RandomDelayPriorities.run(&instance, a.clone(), seed);
+            // Without delays the heuristic draws nothing from its seed.
+            let s_heur = heuristic(false).run(&instance, a.clone(), seed);
+            let s_heur_d = heuristic(true).run(&instance, a, seed ^ 0xd3);
             for s in [&s_rdp, &s_heur, &s_heur_d] {
                 validate(&instance, s).expect("feasible");
             }
@@ -346,7 +348,7 @@ mod tests {
             &args,
             MeshPreset::Tetonly,
             64,
-            sweep_core::PriorityScheme::Level,
+            |delays| Algorithm::LevelPriority { delays },
             "fig3_smoke_test",
         );
         let csv = std::fs::read_to_string(args.out.join("fig3_smoke_test.csv"))

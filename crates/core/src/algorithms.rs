@@ -3,12 +3,16 @@
 //! are driven identically.
 
 use sweep_dag::{DescendantMode, SweepInstance};
+use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::improved::{improved_random_delay, improved_with_priorities};
-use crate::list_schedule::greedy_schedule;
-use crate::priorities::{schedule_with_priorities, PriorityScheme};
-use crate::random_delay::{random_delay, random_delay_priorities};
+use crate::improved::graham_union_steps;
+use crate::list_schedule::{greedy_schedule, list_schedule, schedule_by};
+use crate::priorities::{descendant_priorities, dfds_priorities, level_priorities};
+use crate::random_delay::{
+    delayed_levels, layer_sequential, random_delay_priorities_with, random_delay_with,
+    random_delays,
+};
 use crate::schedule::Schedule;
 
 /// Every scheduling algorithm studied in the paper's experiments.
@@ -95,26 +99,50 @@ impl Algorithm {
     /// algorithm uses one); the processor assignment is supplied by the
     /// caller so that communication costs are comparable across algorithms
     /// (§5.2 fixes the block assignment and compares makespans).
+    ///
+    /// This is the allocating reference every scheduler runs through;
+    /// [`crate::TrialContext::run_trial`] computes the same makespans on
+    /// reused buffers. The §5.2 heuristics model "adding random delays"
+    /// with per-direction release times drawn from `{0, …, k−1}`.
     pub fn run(&self, instance: &SweepInstance, assignment: Assignment, seed: u64) -> Schedule {
-        let heuristic = |scheme, delays: bool, assignment| {
-            schedule_with_priorities(instance, assignment, scheme, delays.then_some(seed))
+        let k = instance.num_directions();
+        let heuristic = |prio: Vec<i64>, delays: bool, assignment| {
+            let release = delays.then(|| random_delays(k, seed));
+            list_schedule(instance, assignment, &prio, release.as_deref())
         };
         match *self {
-            Algorithm::RandomDelay => random_delay(instance, assignment, seed),
-            Algorithm::RandomDelayPriorities => random_delay_priorities(instance, assignment, seed),
-            Algorithm::ImprovedRandomDelay => improved_random_delay(instance, assignment, seed),
+            Algorithm::RandomDelay => {
+                random_delay_with(instance, assignment, &random_delays(k, seed))
+            }
+            Algorithm::RandomDelayPriorities => {
+                random_delay_priorities_with(instance, assignment, &random_delays(k, seed))
+            }
+            Algorithm::ImprovedRandomDelay => {
+                let delays = random_delays(k, seed);
+                let _span = telemetry::span!("sched.improved");
+                let (steps, _) = graham_union_steps(instance, assignment.num_procs());
+                layer_sequential(instance, assignment, &delays, &steps)
+            }
             Algorithm::ImprovedWithPriorities => {
-                improved_with_priorities(instance, assignment, seed)
+                let _span = telemetry::span!("sched.improved");
+                let delays = random_delays(k, seed);
+                let (steps, _) = graham_union_steps(instance, assignment.num_procs());
+                schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
             }
             Algorithm::Greedy => greedy_schedule(instance, assignment),
             Algorithm::LevelPriority { delays } => {
-                heuristic(PriorityScheme::Level, delays, assignment)
+                let _span = telemetry::span!("sched.priorities.level");
+                heuristic(level_priorities(instance), delays, assignment)
             }
             Algorithm::DescendantPriority { delays } => {
-                let approximate = PriorityScheme::Descendant(DescendantMode::Approximate);
-                heuristic(approximate, delays, assignment)
+                let _span = telemetry::span!("sched.priorities.descendant");
+                let prio = descendant_priorities(instance, DescendantMode::Approximate);
+                heuristic(prio, delays, assignment)
             }
-            Algorithm::Dfds { delays } => heuristic(PriorityScheme::Dfds, delays, assignment),
+            Algorithm::Dfds { delays } => {
+                let _span = telemetry::span!("sched.priorities.dfds");
+                heuristic(dfds_priorities(instance, &assignment), delays, assignment)
+            }
         }
     }
 }

@@ -71,9 +71,9 @@ pub fn approx_ratio(instance: &SweepInstance, m: usize, makespan: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use crate::assignment::Assignment;
     use crate::list_schedule::greedy_schedule;
-    use crate::random_delay::random_delay_priorities;
     use sweep_dag::TaskDag;
 
     #[test]
@@ -104,7 +104,7 @@ mod tests {
             for m in [2usize, 4, 16] {
                 let b = lower_bounds(&inst, m);
                 let a = Assignment::random_cells(60, m, seed);
-                let s = random_delay_priorities(&inst, a, seed);
+                let s = Algorithm::RandomDelayPriorities.run(&inst, a, seed);
                 assert!(
                     s.makespan() as u64 >= b.best(),
                     "makespan {} below lower bound {}",

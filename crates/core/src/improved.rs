@@ -8,17 +8,17 @@
 //! are at most `m`. That is all Algorithm 3 adds: the narrowed levels are a
 //! base layering like `level_i(v)`, and they go where levels go — shifted
 //! by the delays `X_i`, then processed behind layer barriers by Algorithm
-//! 1's engine ([`improved_random_delay`]) or ranked by Algorithm 2's
-//! ([`improved_with_priorities`]). The narrowing is what enables the
-//! `O(log m · log log log m)` analysis (Theorem 3).
+//! 1's engine ([`Algorithm::ImprovedRandomDelay`]) or ranked by
+//! Algorithm 2's ([`Algorithm::ImprovedWithPriorities`]). The narrowing
+//! is what enables the `O(log m · log log log m)` analysis (Theorem 3).
+//!
+//! [`Algorithm::ImprovedRandomDelay`]: crate::Algorithm::ImprovedRandomDelay
+//! [`Algorithm::ImprovedWithPriorities`]: crate::Algorithm::ImprovedWithPriorities
 
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
-use crate::assignment::Assignment;
-use crate::list_schedule::{push_if, schedule_by, task_in_degrees, Block};
-use crate::random_delay::{delayed_levels, layer_sequential, random_delays};
-use crate::schedule::Schedule;
+use crate::list_schedule::{push_if, task_in_degrees, Block};
 
 /// Graham preprocessing on the union DAG `H` (step 1 of Algorithm 3):
 /// the classical greedy list schedule of [Graham et al.] — a
@@ -94,61 +94,37 @@ fn pop_lowest_m(words: &mut [u64], summary: &mut [u64], m: usize, batch: &mut Ve
     }
 }
 
-/// **Algorithm 3 — Improved Random Delay.** Graham preprocessing, then
-/// random delays over the narrowed levels, then layer-sequential
-/// processing (as Algorithm 1, but on layers `L''`).
-pub fn improved_random_delay(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    seed: u64,
-) -> Schedule {
-    let delays = random_delays(instance.num_directions(), seed);
-    improved_random_delay_with(instance, assignment, &delays)
-}
-
-/// Algorithm 3 with explicit delays.
-pub fn improved_random_delay_with(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    delays: &[u32],
-) -> Schedule {
-    let _span = telemetry::span!("sched.improved");
-    let (steps, _) = graham_union_steps(instance, assignment.num_procs());
-    layer_sequential(instance, assignment, delays, &steps)
-}
-
-/// Practical variant: the narrowed levels are used as *priorities* for
-/// list scheduling instead of hard layer barriers (the same compaction
-/// trick that turns Algorithm 1 into Algorithm 2).
-pub fn improved_with_priorities(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    seed: u64,
-) -> Schedule {
-    let _span = telemetry::span!("sched.improved");
-    let delays = random_delays(instance.num_directions(), seed);
-    let (steps, _) = graham_union_steps(instance, assignment.num_procs());
-    schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
-}
-
-/// The combined-layer index `step_i(v) + X_i` of every task under
-/// Algorithm 3's preprocessing.
-pub fn improved_priorities(instance: &SweepInstance, m: usize, delays: &[u32]) -> Vec<i64> {
-    let (n, k) = (instance.num_cells(), instance.num_directions());
-    assert_eq!(delays.len(), k, "one delay per direction");
-    let (steps, _t) = graham_union_steps(instance, m);
-    let gamma = delayed_levels(&steps, delays);
-    (0..n * k).map(|t| gamma(t, t / n)).collect()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::assignment::Assignment;
     use crate::bounds::lower_bounds;
     use crate::list_schedule::{list_schedule, tests::oracle_instances};
-    use crate::random_delay::random_delay_with;
-    use crate::schedule::validate;
+    use crate::random_delay::{delayed_levels, layer_sequential, random_delay_with, random_delays};
+    use crate::schedule::{validate, Schedule};
+    use crate::Algorithm;
     use sweep_dag::{TaskDag, TaskId};
+
+    /// Algorithm 3 under the given delays: layer-sequential processing
+    /// of the Graham steps, as `Algorithm::ImprovedRandomDelay` runs it.
+    fn algorithm3_with(inst: &SweepInstance, a: Assignment, delays: &[u32]) -> Schedule {
+        let (steps, _) = graham_union_steps(inst, a.num_procs());
+        layer_sequential(inst, a, delays, &steps)
+    }
+
+    /// The combined-layer index `step_i(v) + X_i` of every task under
+    /// Algorithm 3's preprocessing.
+    pub(crate) fn improved_priorities(
+        instance: &SweepInstance,
+        m: usize,
+        delays: &[u32],
+    ) -> Vec<i64> {
+        let (n, k) = (instance.num_cells(), instance.num_directions());
+        assert_eq!(delays.len(), k, "one delay per direction");
+        let (steps, _t) = graham_union_steps(instance, m);
+        let gamma = delayed_levels(&steps, delays);
+        (0..n * k).map(|t| gamma(t, t / n)).collect()
+    }
 
     /// One direction: the union DAG is the DAG itself.
     fn one_direction(dag: TaskDag) -> SweepInstance {
@@ -287,9 +263,9 @@ mod tests {
         for seed in 0..5u64 {
             let inst = SweepInstance::random_layered(70, 4, 7, 2, seed);
             let a = Assignment::random_cells(70, 6, seed ^ 3);
-            let s = improved_random_delay(&inst, a.clone(), seed);
+            let s = Algorithm::ImprovedRandomDelay.run(&inst, a.clone(), seed);
             validate(&inst, &s).unwrap();
-            let s2 = improved_with_priorities(&inst, a, seed);
+            let s2 = Algorithm::ImprovedWithPriorities.run(&inst, a, seed);
             validate(&inst, &s2).unwrap();
         }
     }
@@ -299,7 +275,7 @@ mod tests {
         let inst = SweepInstance::random_layered(100, 5, 8, 2, 1);
         let a = Assignment::random_cells(100, 8, 2);
         let delays = random_delays(5, 3);
-        let s1 = improved_random_delay_with(&inst, a.clone(), &delays);
+        let s1 = algorithm3_with(&inst, a.clone(), &delays);
         let prio = improved_priorities(&inst, 8, &delays);
         let s2 = list_schedule(&inst, a, &prio, None);
         assert!(s2.makespan() <= s1.makespan());
@@ -343,7 +319,7 @@ mod tests {
         let a = Assignment::random_cells(90, 8, 7);
         let delays = random_delays(4, 8);
         let s1 = random_delay_with(&inst, a.clone(), &delays);
-        let s3 = improved_random_delay_with(&inst, a, &delays);
+        let s3 = algorithm3_with(&inst, a, &delays);
         validate(&inst, &s3).unwrap();
         // Loose sanity envelope (not a theorem, a regression tripwire).
         assert!(s3.makespan() <= 3 * s1.makespan().max(1));
@@ -387,7 +363,7 @@ mod tests {
             let inst = SweepInstance::random_layered(400, 6, 9, 3, s);
             let a = Assignment::random_cells(400, 7, s ^ 3);
             let delays = random_delays(6, s ^ 5);
-            let schedule = improved_random_delay_with(&inst, a.clone(), &delays);
+            let schedule = algorithm3_with(&inst, a.clone(), &delays);
             validate(&inst, &schedule).unwrap();
             assert_eq!(schedule.makespan(), makespan, "seed {s}");
             let layer = improved_priorities(&inst, 7, &delays);
@@ -406,7 +382,7 @@ mod tests {
         // before any task of step j+1 starts.
         let inst = SweepInstance::random_layered(60, 1, 5, 2, 3);
         let a = Assignment::random_cells(60, 4, 4);
-        let s = improved_random_delay_with(&inst, a, &[0]);
+        let s = algorithm3_with(&inst, a, &[0]);
         validate(&inst, &s).unwrap();
         let (steps, t) = graham_union_steps(&inst, 4);
         let mut first = vec![u32::MAX; t as usize];

@@ -77,8 +77,8 @@ pub fn kba_assignment(nx: usize, ny: usize, nz: usize, num_cells: usize, m: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use crate::metrics::c1_interprocessor_edges;
-    use crate::priorities::{schedule_with_priorities, PriorityScheme};
     use crate::schedule::validate;
     use sweep_dag::SweepInstance;
     use sweep_mesh::{generate, GeneratorConfig};
@@ -153,7 +153,7 @@ mod tests {
         let (inst, _) = SweepInstance::from_mesh(&mesh, &quad, "kba");
         let m = 9;
         let kba = kba_assignment(cfg.nx, cfg.ny, cfg.nz, mesh.num_cells(), m);
-        let s = schedule_with_priorities(&inst, kba, PriorityScheme::Level, None);
+        let s = Algorithm::LevelPriority { delays: false }.run(&inst, kba, 0);
         validate(&inst, &s).unwrap();
         let lb = crate::bounds::lower_bounds(&inst, m).best();
         assert!(

@@ -4,14 +4,16 @@
 //! Zust, *Provable Algorithms for Parallel Sweep Scheduling on
 //! Unstructured Meshes* (IPPS 2005):
 //!
-//! * [`random_delay()`](random_delay()) — Algorithm 1, the `O(log² n)`-approximate
+//! * [`Algorithm`] — the one switch over every scheduler below, run with
+//!   [`Algorithm::run`] (or `b` times by [`best_of_trials`]);
+//! * [`random_delay_with`] — Algorithm 1, the `O(log² n)`-approximate
 //!   layer-sequential Random Delay algorithm;
-//! * [`random_delay_priorities`] — Algorithm 2, the priority-compacted
-//!   variant (same guarantee, much better in practice);
-//! * [`improved_random_delay`] — Algorithm 3, Graham-preprocessed delays
-//!   with the `O(log m · log log log m)` expected guarantee;
+//! * [`random_delay_priorities_with`] — Algorithm 2, the
+//!   priority-compacted variant (same guarantee, much better in practice);
+//! * [`improved`] — Algorithm 3, Graham-preprocessed delays with the
+//!   `O(log m · log log log m)` expected guarantee;
 //! * [`priorities`] — the Level / Descendant / DFDS heuristics of §5.2,
-//!   each composable with random delays;
+//!   each run with or without random delays;
 //! * [`list_schedule()`](list_schedule()) — the shared priority list-scheduling engine;
 //! * [`metrics`] — the communication measures C1 and C2;
 //! * [`bounds`] — lower bounds (`max{nk/m, k, D}`);
@@ -48,7 +50,6 @@ pub mod metrics;
 pub mod opt;
 pub mod priorities;
 pub mod random_delay;
-pub mod replicate;
 pub mod schedule;
 pub mod scratch;
 mod slots;
@@ -62,20 +63,16 @@ pub use concentration::{
     balls_in_bins_h, chernoff_f, chernoff_g, layer_congestion, CongestionStats,
 };
 pub use gantt::{from_csv, render_gantt, timelines, to_csv};
-pub use improved::{graham_union_steps, improved_random_delay, improved_with_priorities};
+pub use improved::graham_union_steps;
 pub use kba::{kba_assignment, processor_grid};
 pub use list_schedule::{compact, greedy_schedule, list_schedule, task_in_degrees};
 pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction, load_profile};
 pub use opt::{optimal_makespan_fixed_assignment, optimal_sweep_makespan};
-pub use priorities::{
-    descendant_priorities, dfds_priorities, level_priorities, schedule_with_priorities,
-    PriorityScheme,
-};
+pub use priorities::{descendant_priorities, dfds_priorities, level_priorities};
 pub use random_delay::{
-    delayed_level_priorities, random_delay, random_delay_priorities, random_delay_priorities_with,
-    random_delay_with, random_delays, random_delays_into,
+    delayed_level_priorities, random_delay_priorities_with, random_delay_with, random_delays,
+    random_delays_into,
 };
-pub use replicate::{replicate, AssignmentDraw, ReplicateSummary};
 pub use schedule::{
     certify, certify_each, validate, Certificate, Schedule, ScheduleBuildError, ScheduleViolation,
 };

@@ -651,12 +651,11 @@ pub(crate) mod tests {
 
     #[test]
     fn compaction_never_increases_makespan() {
-        use crate::random_delay::random_delay;
         for seed in 0..6u64 {
             let inst = SweepInstance::random_layered(70, 4, 7, 2, seed);
             let a = crate::assignment::Assignment::random_cells(70, 8, seed);
             // Layer-sequential schedules have idle gaps to reclaim.
-            let s = random_delay(&inst, a, seed ^ 5);
+            let s = crate::Algorithm::RandomDelay.run(&inst, a, seed ^ 5);
             let c = compact(&inst, &s);
             validate(&inst, &c).unwrap();
             assert!(
@@ -848,7 +847,7 @@ pub(crate) mod tests {
                             }
                             Algorithm::Greedy => (vec![0; n * k], false),
                             Algorithm::ImprovedWithPriorities => (
-                                crate::improved::improved_priorities(&inst, m, &delays),
+                                crate::improved::tests::improved_priorities(&inst, m, &delays),
                                 false,
                             ),
                             Algorithm::LevelPriority { delays } => {

@@ -18,7 +18,7 @@
 //!   (set partitions into ≤ m blocks) so processor symmetry is not
 //!   re-explored.
 
-use sweep_dag::{SweepInstance, TaskId};
+use sweep_dag::{levels, SweepInstance, TaskId};
 
 use crate::assignment::Assignment;
 use crate::bounds::lower_bounds;
@@ -72,8 +72,7 @@ fn optimal_fixed_with_memo(
     // Simple critical-path tail bound per task (in tasks, including self).
     let mut tail = vec![1u32; total];
     for (i, dag) in instance.dags().iter().enumerate() {
-        let order = dag.topo_order().expect("acyclic");
-        for &v in order.iter().rev() {
+        for &v in levels(dag).layer_nodes.iter().rev() {
             let t = TaskId::pack(v, i as u32, n).index();
             for &w in dag.successors(v) {
                 let wt = TaskId::pack(w, i as u32, n).index();
@@ -274,8 +273,8 @@ pub fn optimal_sweep_makespan(instance: &SweepInstance, m: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::Algorithm;
     use crate::list_schedule::greedy_schedule;
-    use crate::random_delay::random_delay_priorities;
     use crate::schedule::validate;
     use sweep_dag::TaskDag;
 
@@ -341,7 +340,7 @@ mod tests {
             let m = 3;
             let opt = optimal_sweep_makespan(&inst, m) as f64;
             let a = Assignment::random_cells(7, m, seed ^ 5);
-            let s = random_delay_priorities(&inst, a, seed ^ 9);
+            let s = Algorithm::RandomDelayPriorities.run(&inst, a, seed ^ 9);
             worst = worst.max(s.makespan() as f64 / opt);
         }
         assert!(

@@ -1,20 +1,16 @@
 //! The heuristic prioritizations of §5.2: Level, Descendant (Plimpton et
-//! al.), and Depth-First Descendant-Seeking (DFDS, Pautz) — each optionally
-//! composed with random delays.
+//! al.), and Depth-First Descendant-Seeking (DFDS, Pautz).
 //!
 //! All three produce a per-task priority vector for
 //! [`crate::list_schedule::list_schedule`] (which prefers *smaller*
-//! values, so largest-first schemes are negated here). "Adding random
-//! delays" to a heuristic is modeled with per-direction release times, as
-//! in the paper's experiments where directions are "randomly delayed".
+//! values, so largest-first schemes are negated here).
+//! [`Algorithm`](crate::Algorithm) runs each of them, with or without
+//! random delays.
 
 use sweep_dag::{descendant_counts, levels, DescendantMode, SweepInstance};
-use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
-use crate::list_schedule::{list_schedule, per_task_table};
-use crate::random_delay::random_delays;
-use crate::schedule::Schedule;
+use crate::list_schedule::per_task_table;
 
 /// Level priorities: task `(v, i)` gets the level of `v` in `G_i`;
 /// *smaller is preferred* (§5.2 "Level Priorities").
@@ -89,57 +85,13 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
     })
 }
 
-/// Which heuristic prioritization to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PriorityScheme {
-    /// Level priorities (§5.2).
-    Level,
-    /// Descendant priorities with the given counting mode.
-    Descendant(DescendantMode),
-    /// DFDS priorities (assignment-dependent).
-    Dfds,
-}
-
-impl PriorityScheme {
-    /// Short display name matching the paper's plots.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PriorityScheme::Level => "level",
-            PriorityScheme::Descendant(DescendantMode::Exact) => "descendant-exact",
-            PriorityScheme::Descendant(DescendantMode::Approximate) => "descendant",
-            PriorityScheme::Dfds => "dfds",
-        }
-    }
-}
-
-/// Schedules with the given heuristic, optionally composing random delays
-/// (per-direction release times drawn from `{0, …, k−1}`).
-pub fn schedule_with_priorities(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    scheme: PriorityScheme,
-    delays: Option<u64>, // seed for the delay draw; None = no delays
-) -> Schedule {
-    // Static span name per scheme so the guard stays allocation-free.
-    let _span = telemetry::span(match scheme {
-        PriorityScheme::Level => "sched.priorities.level",
-        PriorityScheme::Descendant(DescendantMode::Exact) => "sched.priorities.descendant_exact",
-        PriorityScheme::Descendant(DescendantMode::Approximate) => "sched.priorities.descendant",
-        PriorityScheme::Dfds => "sched.priorities.dfds",
-    });
-    let prio = match scheme {
-        PriorityScheme::Level => level_priorities(instance),
-        PriorityScheme::Descendant(mode) => descendant_priorities(instance, mode),
-        PriorityScheme::Dfds => dfds_priorities(instance, &assignment),
-    };
-    let release = delays.map(|seed| random_delays(instance.num_directions(), seed));
-    list_schedule(instance, assignment, &prio, release.as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::list_schedule::list_schedule;
+    use crate::random_delay::random_delays;
     use crate::schedule::validate;
+    use crate::Algorithm;
     use sweep_dag::{b_levels, TaskDag, TaskId};
 
     /// [`dfds_priorities`] as it walked before the stored layers: a
@@ -289,17 +241,23 @@ mod tests {
     #[test]
     fn all_schemes_produce_feasible_schedules() {
         let inst = sample();
-        for scheme in [
-            PriorityScheme::Level,
-            PriorityScheme::Descendant(DescendantMode::Approximate),
-            PriorityScheme::Descendant(DescendantMode::Exact),
-            PriorityScheme::Dfds,
-        ] {
-            for delays in [None, Some(5u64)] {
+        // Exact descendant counts run through the engine directly: no
+        // `Algorithm` selects them.
+        let exact = descendant_priorities(&inst, DescendantMode::Exact);
+        for delays in [false, true] {
+            for alg in [
+                Algorithm::LevelPriority { delays },
+                Algorithm::DescendantPriority { delays },
+                Algorithm::Dfds { delays },
+            ] {
                 let a = Assignment::random_cells(60, 8, 3);
-                let s = schedule_with_priorities(&inst, a, scheme, delays);
+                let s = alg.run(&inst, a, 5);
                 validate(&inst, &s).unwrap();
             }
+            let a = Assignment::random_cells(60, 8, 3);
+            let release = delays.then(|| random_delays(inst.num_directions(), 5));
+            let s = list_schedule(&inst, a, &exact, release.as_deref());
+            validate(&inst, &s).unwrap();
         }
     }
 
@@ -307,18 +265,8 @@ mod tests {
     fn delayed_variant_changes_the_schedule() {
         let inst = sample();
         let a = Assignment::random_cells(60, 8, 3);
-        let s_plain = schedule_with_priorities(&inst, a.clone(), PriorityScheme::Level, None);
-        let s_delay = schedule_with_priorities(&inst, a, PriorityScheme::Level, Some(17));
+        let s_plain = Algorithm::LevelPriority { delays: false }.run(&inst, a.clone(), 17);
+        let s_delay = Algorithm::LevelPriority { delays: true }.run(&inst, a, 17);
         assert_ne!(s_plain.starts(), s_delay.starts());
-    }
-
-    #[test]
-    fn scheme_names() {
-        assert_eq!(PriorityScheme::Level.name(), "level");
-        assert_eq!(PriorityScheme::Dfds.name(), "dfds");
-        assert_eq!(
-            PriorityScheme::Descendant(DescendantMode::Approximate).name(),
-            "descendant"
-        );
     }
 }

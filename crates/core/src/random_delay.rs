@@ -72,16 +72,11 @@ pub fn delayed_level_priorities(instance: &SweepInstance, delays: &[u32]) -> Vec
 }
 
 /// **Algorithm 1 — Random Delay.** Layer-sequential processing of the
-/// combined DAG. `seed` drives the delay draw only; the processor
-/// assignment is supplied by the caller (draw it with
-/// [`Assignment::random_cells`] for the paper's setting).
-pub fn random_delay(instance: &SweepInstance, assignment: Assignment, seed: u64) -> Schedule {
-    let delays = random_delays(instance.num_directions(), seed);
-    random_delay_with(instance, assignment, &delays)
-}
-
-/// Algorithm 1 with explicit delays (used by tests and the ablation that
-/// sets all delays to zero).
+/// combined DAG under the given delays (one per direction). The
+/// processor assignment is supplied by the caller (draw it with
+/// [`Assignment::random_cells`] for the paper's setting);
+/// [`Algorithm::RandomDelay`](crate::Algorithm::RandomDelay) draws the
+/// delays from a seed.
 pub fn random_delay_with(
     instance: &SweepInstance,
     assignment: Assignment,
@@ -221,28 +216,20 @@ pub(crate) fn random_delay_core(
 }
 
 /// **Algorithm 2 — Random Delays with Priorities.** List scheduling with
-/// `Γ(v,i) = level_i(v) + X_i`, lowest Γ first.
+/// `Γ(v,i) = level_i(v) + X_i`, lowest Γ first, under the given delays;
+/// [`Algorithm::RandomDelayPriorities`](crate::Algorithm::RandomDelayPriorities)
+/// draws them from a seed.
 ///
 /// ```
-/// use sweep_core::{random_delay_priorities, validate, Assignment};
+/// use sweep_core::{random_delay_priorities_with, random_delays, validate, Assignment};
 /// use sweep_dag::SweepInstance;
 ///
 /// let inst = SweepInstance::random_layered(100, 8, 10, 2, 1);
 /// let a = Assignment::random_cells(100, 16, 2);
-/// let schedule = random_delay_priorities(&inst, a, 3);
+/// let schedule = random_delay_priorities_with(&inst, a, &random_delays(8, 3));
 /// validate(&inst, &schedule).unwrap();
 /// assert!(schedule.makespan() as usize >= inst.num_tasks() / 16);
 /// ```
-pub fn random_delay_priorities(
-    instance: &SweepInstance,
-    assignment: Assignment,
-    seed: u64,
-) -> Schedule {
-    let delays = random_delays(instance.num_directions(), seed);
-    random_delay_priorities_with(instance, assignment, &delays)
-}
-
-/// Algorithm 2 with explicit delays.
 pub fn random_delay_priorities_with(
     instance: &SweepInstance,
     assignment: Assignment,
@@ -261,6 +248,7 @@ pub fn random_delay_priorities_with(
 mod tests {
     use super::*;
     use crate::schedule::validate;
+    use crate::Algorithm;
     use sweep_dag::{TaskDag, TaskId};
 
     #[test]
@@ -277,7 +265,7 @@ mod tests {
         for seed in 0..6u64 {
             let inst = SweepInstance::random_layered(80, 5, 6, 2, seed);
             let a = Assignment::random_cells(80, 8, seed ^ 1);
-            let s = random_delay(&inst, a, seed ^ 2);
+            let s = Algorithm::RandomDelay.run(&inst, a, seed ^ 2);
             validate(&inst, &s).unwrap();
         }
     }
@@ -287,7 +275,7 @@ mod tests {
         for seed in 0..6u64 {
             let inst = SweepInstance::random_layered(80, 5, 6, 2, seed);
             let a = Assignment::random_cells(80, 8, seed ^ 1);
-            let s = random_delay_priorities(&inst, a, seed ^ 2);
+            let s = Algorithm::RandomDelayPriorities.run(&inst, a, seed ^ 2);
             validate(&inst, &s).unwrap();
         }
     }
@@ -345,7 +333,7 @@ mod tests {
         let a = Assignment::random_cells(n, m, 11);
         let zero = vec![0u32; k];
         let s_no = random_delay_with(&inst, a.clone(), &zero);
-        let s_yes = random_delay(&inst, a, 13);
+        let s_yes = Algorithm::RandomDelay.run(&inst, a, 13);
         validate(&inst, &s_no).unwrap();
         validate(&inst, &s_yes).unwrap();
         assert_eq!(
@@ -364,10 +352,10 @@ mod tests {
     fn single_cell_instance() {
         let inst = SweepInstance::new(1, vec![TaskDag::edgeless(1); 3], "one");
         let a = Assignment::single(1);
-        let s = random_delay(&inst, a.clone(), 0);
+        let s = Algorithm::RandomDelay.run(&inst, a.clone(), 0);
         validate(&inst, &s).unwrap();
         assert_eq!(s.makespan(), 3); // three copies serialize on one proc
-        let s2 = random_delay_priorities(&inst, a, 0);
+        let s2 = Algorithm::RandomDelayPriorities.run(&inst, a, 0);
         assert_eq!(s2.makespan(), 3);
     }
 

@@ -13,7 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sweep_dag::{SweepInstance, TaskId};
+use sweep_dag::{levels, SweepInstance, TaskId};
 
 use crate::assignment::Assignment;
 use crate::list_schedule::task_in_degrees;
@@ -226,9 +226,8 @@ pub fn weighted_lower_bound(instance: &SweepInstance, weights: &[u64], m: usize)
     // Weighted critical path per direction.
     let mut cp = 0u64;
     for dag in instance.dags() {
-        let order = dag.topo_order().expect("acyclic");
         let mut f = vec![0u64; n];
-        for &v in &order {
+        for v in levels(dag).layer_nodes {
             let mut best = 0u64;
             for &u in dag.predecessors(v) {
                 best = best.max(f[u as usize]);

@@ -195,6 +195,10 @@ impl TaskDag {
     }
 
     /// A topological order via Kahn's algorithm, or `None` if cyclic.
+    ///
+    /// The library walks the stored layers ([`crate::levels`]) instead;
+    /// this fresh walk stays as the independent reference the tests hold
+    /// those walks to, `tests/induction_oracle.rs` first among them.
     pub fn topo_order(&self) -> Option<Vec<u32>> {
         let n = self.num_nodes();
         let mut indeg: Vec<u32> = (0..n as u32).map(|v| self.in_degree(v)).collect();

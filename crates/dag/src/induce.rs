@@ -301,6 +301,39 @@ fn breaks(scc: &[u32], height: &[f64], u: u32, v: u32) -> bool {
 
 const UNVISITED: u32 = u32::MAX;
 
+/// The strongly connected components of `dag` with at least two nodes —
+/// exactly those holding a cycle, since a [`TaskDag`] has no self-loops.
+/// Each component is sorted, and so is the list. `O(1)` when the
+/// constructor's peel found the graph acyclic; otherwise one iterative
+/// Tarjan pass, so a cycle of any length cannot overflow the stack.
+pub fn cyclic_components(dag: &TaskDag) -> Vec<Vec<u32>> {
+    if dag.is_acyclic() {
+        return Vec::new();
+    }
+    let n = dag.num_nodes();
+    let (comp, _) = tarjan_scc(dag.succ_csr(), 0..n as u32);
+    let mut size = vec![0u32; n];
+    for &c in &comp {
+        size[c as usize] += 1;
+    }
+    // A component's list opens at its smallest node, so walking the
+    // nodes in id order yields sorted lists in sorted order.
+    let mut list_of = vec![UNVISITED; n];
+    let mut components: Vec<Vec<u32>> = Vec::new();
+    for (v, &c) in (0u32..).zip(&comp) {
+        let c = c as usize;
+        if size[c] < 2 {
+            continue;
+        }
+        if list_of[c] == UNVISITED {
+            list_of[c] = components.len() as u32;
+            components.push(Vec::with_capacity(size[c] as usize));
+        }
+        components[list_of[c] as usize].push(v);
+    }
+    components
+}
+
 /// Iterative Tarjan SCC over a successor CSR, searching from `roots` only.
 /// Returns the component id of every node reached ([`UNVISITED`] for the
 /// rest) and the number of components with at least two nodes.
@@ -377,6 +410,28 @@ mod tests {
         assert_eq!(scc[0], scc[1]);
         assert_ne!(scc[0], scc[2]);
         assert_eq!(nontrivial, 1);
+    }
+
+    #[test]
+    fn cyclic_components_are_sorted_lists_in_sorted_order() {
+        // {0, 4}, {1, 3, 5} and {2, 6}, entered through edges that reach
+        // the larger ids first; 7 only feeds a cycle and stays alone.
+        let edges = [
+            (6, 2),
+            (2, 6),
+            (5, 3),
+            (3, 1),
+            (1, 5),
+            (4, 0),
+            (0, 4),
+            (7, 6),
+            (6, 5),
+        ];
+        let dag = TaskDag::from_edges(8, &edges);
+        let want = vec![vec![0, 4], vec![1, 3, 5], vec![2, 6]];
+        assert_eq!(cyclic_components(&dag), want);
+        let acyclic = TaskDag::from_edges(3, &[(0, 1), (1, 2)]);
+        assert!(cyclic_components(&acyclic).is_empty());
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub use descendants::{
     descendant_counts, descendant_counts_approx, descendant_counts_exact, DescendantMode,
 };
 pub use graph::TaskDag;
-pub use induce::{break_cycles, induce_all, induce_dag, induce_raw, InduceStats};
+pub use induce::{
+    break_cycles, cyclic_components, induce_all, induce_dag, induce_raw, InduceStats,
+};
 pub use instance::{SweepInstance, TaskId};
 pub use levels::{b_levels, critical_path_len, levels, Levels};
 pub use serialize::{from_text, from_text_unchecked, peek_counts, to_text};

@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use sweep_core::{validate, Schedule, ScheduleViolation};
-use sweep_dag::SweepInstance;
+use sweep_dag::{levels, SweepInstance};
 use sweep_mesh::{CellId, SweepMesh};
 use sweep_pool::ThreadPool;
 use sweep_quadrature::{DirectionId, QuadratureSet};
@@ -83,8 +83,8 @@ pub struct TransportSolver<'m, M: SweepMesh> {
     materials: Vec<Material>,
     /// Characteristic cell size `h ≈ n^{-1/dim}` of the unit-ish domain.
     h: f64,
-    /// [`Self::solve`]'s claim order: the topological orders of all
-    /// directions, concatenated, as task ids `d·n + cell`.
+    /// [`Self::solve`]'s claim order: every direction's stored layers in
+    /// order (a topological order), concatenated, as task ids `d·n + cell`.
     topo: Vec<u32>,
     /// CSR offsets into the stencil arrays, indexed by `d·n + cell`
     /// (length `k·n + 1`).
@@ -137,8 +137,7 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         // upstream-cell array, one weight array).
         let mut topo = Vec::with_capacity(k * n);
         for (base, dag) in (0..).step_by(n.max(1)).zip(instance.dags()) {
-            let order = dag.topo_order().expect("induced DAGs are acyclic");
-            topo.extend(order.into_iter().map(|v| base + v));
+            topo.extend(levels(dag).layer_nodes.into_iter().map(|v| base + v));
         }
         let mut stencil_xadj = Vec::with_capacity(k * n + 1);
         let mut stencil_up = Vec::new();

@@ -9,7 +9,7 @@
 //! cargo run --release --example custom_instance
 //! ```
 
-use sweep_scheduling::core::{random_delay, random_delay_with};
+use sweep_scheduling::core::random_delay_with;
 use sweep_scheduling::prelude::*;
 
 fn report(label: &str, instance: &SweepInstance, m: usize) {
@@ -49,7 +49,7 @@ fn main() {
     let inst = SweepInstance::identical_chains(200, 16);
     let a = Assignment::random_cells(200, m, 5);
     let no_delay = random_delay_with(&inst, a.clone(), &[0; 16]);
-    let with_delay = random_delay(&inst, a.clone(), 7);
+    let with_delay = Algorithm::RandomDelay.run(&inst, a.clone(), 7);
     let compacted = Algorithm::RandomDelayPriorities.run(&inst, a, 7);
     println!(
         "  layer-sequential, zero delays : {:>6}  (= n·k, full serialization)",

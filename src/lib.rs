@@ -56,10 +56,9 @@ pub mod prelude {
     };
     pub use sweep_core::{
         approx_ratio, c1_interprocessor_edges, c2_comm_delay, greedy_schedule, kba_assignment,
-        list_schedule, lower_bounds, optimal_sweep_makespan, random_delay, random_delay_priorities,
-        render_gantt, replicate, validate, validate_weighted, weighted_lower_bound,
-        weighted_random_delay_priorities, Algorithm, Assignment, AssignmentDraw, BestOfTrials,
-        PriorityScheme, Schedule,
+        list_schedule, lower_bounds, optimal_sweep_makespan, render_gantt, validate,
+        validate_weighted, weighted_lower_bound, weighted_random_delay_priorities, Algorithm,
+        Assignment, BestOfTrials, Schedule,
     };
     pub use sweep_core::{best_of_trials, best_of_trials_seq};
     pub use sweep_dag::{dag_stats, instance_stats, SweepInstance, TaskDag, TaskId};

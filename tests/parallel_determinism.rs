@@ -176,7 +176,7 @@ fn bench_cell_csv_is_byte_identical_across_widths() {
             &args,
             MeshPreset::Tetonly,
             64,
-            PriorityScheme::Level,
+            |delays| Algorithm::LevelPriority { delays },
             "det_cell",
         );
         csvs.push(

@@ -9,7 +9,6 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use sweep_scheduling::core::{improved_random_delay, random_delay, random_delay_priorities};
 use sweep_scheduling::dag::break_cycles;
 use sweep_scheduling::prelude::*;
 
@@ -39,9 +38,9 @@ fn all_schedulers_always_feasible() {
     for (inst, m, seed) in instance_cases(48) {
         let n = inst.num_cells();
         let schedules = [
-            random_delay(&inst, Assignment::random_cells(n, m, seed), seed),
-            random_delay_priorities(&inst, Assignment::random_cells(n, m, seed), seed),
-            improved_random_delay(&inst, Assignment::random_cells(n, m, seed), seed),
+            Algorithm::RandomDelay.run(&inst, Assignment::random_cells(n, m, seed), seed),
+            Algorithm::RandomDelayPriorities.run(&inst, Assignment::random_cells(n, m, seed), seed),
+            Algorithm::ImprovedRandomDelay.run(&inst, Assignment::random_cells(n, m, seed), seed),
             greedy_schedule(&inst, Assignment::random_cells(n, m, seed)),
             Algorithm::Dfds { delays: true }.run(&inst, Assignment::random_cells(n, m, seed), seed),
             Algorithm::DescendantPriority { delays: false }.run(
@@ -65,7 +64,7 @@ fn all_schedulers_always_feasible() {
 fn makespan_never_beats_lower_bounds() {
     for (inst, m, seed) in instance_cases(48) {
         let lb = lower_bounds(&inst, m);
-        let s = random_delay_priorities(
+        let s = Algorithm::RandomDelayPriorities.run(
             &inst,
             Assignment::random_cells(inst.num_cells(), m, seed),
             seed,
