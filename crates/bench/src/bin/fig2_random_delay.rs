@@ -42,11 +42,8 @@ fn main() {
         }
         for (label, policy) in &policies {
             let a = policy.draw(n, m, args.seed ^ m as u64);
-            let s = Algorithm::RandomDelayPriorities.run(
-                &instance,
-                a,
-                args.seed.wrapping_add(m as u64),
-            );
+            let seed = args.seed.wrapping_add(m as u64);
+            let s = Algorithm::RandomDelayPriorities.run(&instance, a, seed);
             let cert = certify(&instance, &s);
             cert.verdict.expect("feasible");
             let (lb, c1, c2) = (cert.bounds.paper(), cert.c1, cert.c2);

@@ -77,13 +77,13 @@ fn replicate(
     (0..runs as u64).map(makespan).collect()
 }
 
-/// Summary statistics over replicated makespans.
+/// Summary statistics over replicated makespans; `std_dev` is the
+/// sample standard deviation (n−1 denominator; 0 for a single run).
 struct Summary {
     runs: usize,
     min: u32,
     max: u32,
     mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for a single run).
     std_dev: f64,
 }
 
@@ -91,16 +91,14 @@ impl Summary {
     fn of(samples: &[u32]) -> Summary {
         let runs = samples.len();
         let mean = samples.iter().map(|&x| x as f64).sum::<f64>() / runs as f64;
-        let var = if runs > 1 {
-            let squares = samples.iter().map(|&x| (x as f64 - mean).powi(2));
-            squares.sum::<f64>() / (runs - 1) as f64
-        } else {
-            0.0
-        };
+        // A single run's one square is 0, so dividing it by 1 gives 0.
+        let squares = samples.iter().map(|&x| (x as f64 - mean).powi(2));
+        let var = squares.sum::<f64>() / (runs.max(2) - 1) as f64;
+        let (min, max) = (samples.iter().min(), samples.iter().max());
         Summary {
             runs,
-            min: samples.iter().copied().min().expect("non-empty"),
-            max: samples.iter().copied().max().expect("non-empty"),
+            min: *min.expect("non-empty"),
+            max: *max.expect("non-empty"),
             mean,
             std_dev: var.sqrt(),
         }

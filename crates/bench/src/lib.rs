@@ -217,11 +217,10 @@ impl CsvSink {
 }
 
 /// Shared driver for the Figure 3 family: compares "Random Delays with
-/// Priorities" against a heuristic, `heuristic(false)` without and
-/// `heuristic(true)` with random delays, under a fixed block assignment
-/// (the paper fixes the block assignment so C1 is identical across
-/// algorithms and only makespans are compared). One CSV row per
-/// `(S_n, m)`.
+/// Priorities" against a heuristic without and with random delays
+/// (`heuristic(false)`, `heuristic(true)`), under a fixed block assignment
+/// (the paper fixes it so C1 is identical across algorithms and only
+/// makespans are compared). One CSV row per `(S_n, m)`.
 pub fn run_fig3(
     args: &BenchArgs,
     preset: MeshPreset,

@@ -95,37 +95,30 @@ impl Algorithm {
         })
     }
 
-    /// Runs the algorithm. `seed` drives the random-delay draw (where the
-    /// algorithm uses one); the processor assignment is supplied by the
-    /// caller so that communication costs are comparable across algorithms
-    /// (§5.2 fixes the block assignment and compares makespans).
-    ///
-    /// This is the allocating reference every scheduler runs through;
-    /// [`crate::TrialContext::run_trial`] computes the same makespans on
-    /// reused buffers. The §5.2 heuristics model "adding random delays"
-    /// with per-direction release times drawn from `{0, …, k−1}`.
+    /// Runs the algorithm: the allocating reference that
+    /// [`crate::TrialContext::run_trial`] must equal. `seed` drives the delay
+    /// draw (a §5.2 heuristic's delays are per-direction release times); the
+    /// caller supplies the assignment, so communication costs compare across
+    /// algorithms (§5.2 fixes the block assignment and compares makespans).
     pub fn run(&self, instance: &SweepInstance, assignment: Assignment, seed: u64) -> Schedule {
-        let k = instance.num_directions();
+        let draw = || random_delays(instance.num_directions(), seed);
         let heuristic = |prio: Vec<i64>, delays: bool, assignment| {
-            let release = delays.then(|| random_delays(k, seed));
-            list_schedule(instance, assignment, &prio, release.as_deref())
+            list_schedule(instance, assignment, &prio, delays.then(draw).as_deref())
         };
         match *self {
-            Algorithm::RandomDelay => {
-                random_delay_with(instance, assignment, &random_delays(k, seed))
-            }
+            Algorithm::RandomDelay => random_delay_with(instance, assignment, &draw()),
             Algorithm::RandomDelayPriorities => {
-                random_delay_priorities_with(instance, assignment, &random_delays(k, seed))
+                random_delay_priorities_with(instance, assignment, &draw())
             }
             Algorithm::ImprovedRandomDelay => {
-                let delays = random_delays(k, seed);
+                let delays = draw();
                 let _span = telemetry::span!("sched.improved");
                 let (steps, _) = graham_union_steps(instance, assignment.num_procs());
                 layer_sequential(instance, assignment, &delays, &steps)
             }
             Algorithm::ImprovedWithPriorities => {
                 let _span = telemetry::span!("sched.improved");
-                let delays = random_delays(k, seed);
+                let delays = draw();
                 let (steps, _) = graham_union_steps(instance, assignment.num_procs());
                 schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
             }

@@ -8,12 +8,10 @@
 //! are at most `m`. That is all Algorithm 3 adds: the narrowed levels are a
 //! base layering like `level_i(v)`, and they go where levels go — shifted
 //! by the delays `X_i`, then processed behind layer barriers by Algorithm
-//! 1's engine ([`Algorithm::ImprovedRandomDelay`]) or ranked by
-//! Algorithm 2's ([`Algorithm::ImprovedWithPriorities`]). The narrowing
-//! is what enables the `O(log m · log log log m)` analysis (Theorem 3).
-//!
-//! [`Algorithm::ImprovedRandomDelay`]: crate::Algorithm::ImprovedRandomDelay
-//! [`Algorithm::ImprovedWithPriorities`]: crate::Algorithm::ImprovedWithPriorities
+//! 1's engine or ranked by Algorithm 2's — the
+//! [`Algorithm`](crate::Algorithm) variants `ImprovedRandomDelay` and
+//! `ImprovedWithPriorities`. The narrowing is what enables the
+//! `O(log m · log log log m)` analysis (Theorem 3).
 
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;

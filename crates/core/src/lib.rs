@@ -4,8 +4,7 @@
 //! Zust, *Provable Algorithms for Parallel Sweep Scheduling on
 //! Unstructured Meshes* (IPPS 2005):
 //!
-//! * [`Algorithm`] — the one switch over every scheduler below, run with
-//!   [`Algorithm::run`] (or `b` times by [`best_of_trials`]);
+//! * [`Algorithm`] — the one switch over every scheduler below;
 //! * [`random_delay_with`] — Algorithm 1, the `O(log² n)`-approximate
 //!   layer-sequential Random Delay algorithm;
 //! * [`random_delay_priorities_with`] — Algorithm 2, the

@@ -3,9 +3,8 @@
 //!
 //! All three produce a per-task priority vector for
 //! [`crate::list_schedule::list_schedule`] (which prefers *smaller*
-//! values, so largest-first schemes are negated here).
-//! [`Algorithm`](crate::Algorithm) runs each of them, with or without
-//! random delays.
+//! values, so largest-first schemes are negated here). Each runs as an
+//! [`Algorithm`](crate::Algorithm), with or without random delays.
 
 use sweep_dag::{descendant_counts, levels, DescendantMode, SweepInstance};
 

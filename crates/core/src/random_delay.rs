@@ -72,11 +72,9 @@ pub fn delayed_level_priorities(instance: &SweepInstance, delays: &[u32]) -> Vec
 }
 
 /// **Algorithm 1 — Random Delay.** Layer-sequential processing of the
-/// combined DAG under the given delays (one per direction). The
-/// processor assignment is supplied by the caller (draw it with
-/// [`Assignment::random_cells`] for the paper's setting);
-/// [`Algorithm::RandomDelay`](crate::Algorithm::RandomDelay) draws the
-/// delays from a seed.
+/// combined DAG under the given delays, one per direction. The caller
+/// supplies the assignment ([`Assignment::random_cells`] in the paper's
+/// setting); [`crate::Algorithm::RandomDelay`] draws the delays.
 pub fn random_delay_with(
     instance: &SweepInstance,
     assignment: Assignment,
@@ -216,9 +214,8 @@ pub(crate) fn random_delay_core(
 }
 
 /// **Algorithm 2 — Random Delays with Priorities.** List scheduling with
-/// `Γ(v,i) = level_i(v) + X_i`, lowest Γ first, under the given delays;
-/// [`Algorithm::RandomDelayPriorities`](crate::Algorithm::RandomDelayPriorities)
-/// draws them from a seed.
+/// `Γ(v,i) = level_i(v) + X_i`, lowest Γ first, under the given delays
+/// (which [`crate::Algorithm::RandomDelayPriorities`] draws).
 ///
 /// ```
 /// use sweep_core::{random_delay_priorities_with, random_delays, validate, Assignment};

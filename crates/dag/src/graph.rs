@@ -196,7 +196,7 @@ impl TaskDag {
 
     /// A topological order via Kahn's algorithm, or `None` if cyclic.
     ///
-    /// The library walks the stored layers ([`crate::levels`]) instead;
+    /// The library walks the stored layers ([`crate::levels()`]) instead;
     /// this fresh walk stays as the independent reference the tests hold
     /// those walks to, `tests/induction_oracle.rs` first among them.
     pub fn topo_order(&self) -> Option<Vec<u32>> {
