@@ -89,7 +89,7 @@ pub fn analyze_trace(
             join(&mut vc, &clock[prev as usize]);
         }
         let (v, dir) = TaskId(e.task).unpack(n);
-        for &u in instance.dag(dir as usize).predecessors(v) {
+        for u in instance.dag(dir as usize).predecessors(v) {
             let pred = TaskId::pack(u, dir, n).index();
             join(&mut vc, &clock[pred]);
         }

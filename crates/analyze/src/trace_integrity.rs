@@ -123,7 +123,7 @@ pub fn analyze_trace_integrity(instance: &SweepInstance, trace: &AsyncTrace) -> 
             let Some(ue) = first[ut].map(|i| &trace.execs[i]) else {
                 continue; // already reported as missing
             };
-            for &w in dag.successors(u) {
+            for w in dag.successors(u) {
                 let wt = TaskId::pack(w, dir as u32, n).index();
                 let Some(we) = first[wt].map(|i| &trace.execs[i]) else {
                     continue;

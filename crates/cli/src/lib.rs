@@ -999,7 +999,7 @@ fn cmd_mesh_import(flags: &HashMap<String, String>) -> Result<(String, i32), Str
         );
     }
     if let Some(p) = flags.get("svg") {
-        let level_of = sweep_dag::levels(&inst.dags()[0]).level_of;
+        let level_of = inst.dag(0).level_of();
         let values: Vec<f64> = level_of.iter().map(|&l| l as f64).collect();
         let svg = sweep_mesh::poly_to_svg(&got.mesh, &values, sweep_mesh::ColorMap::BlueRed, 640)
             .map_err(|e| {
@@ -1038,6 +1038,9 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<String, String> {
         st.total_edges,
         st.max_depth,
     );
+    let bytes = inst.heap_bytes();
+    let per_task = bytes as f64 / st.total_tasks.max(1) as f64;
+    let _ = writeln!(out, "heap {bytes} bytes, {per_task:.2} bytes/task");
     let _ = writeln!(out, "dir  depth  width(max)  sources  sinks  edges");
     for (i, d) in st.per_direction.iter().enumerate() {
         let _ = writeln!(
@@ -1637,7 +1640,8 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("8 directions"), "{out}");
-        assert_eq!(out.lines().count(), 2 + 8);
+        assert!(out.lines().nth(1).unwrap().starts_with("heap "), "{out}");
+        assert_eq!(out.lines().count(), 3 + 8);
     }
 
     #[test]

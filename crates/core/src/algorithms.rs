@@ -110,17 +110,15 @@ impl Algorithm {
             Algorithm::RandomDelayPriorities => {
                 random_delay_priorities_with(instance, assignment, &draw())
             }
-            Algorithm::ImprovedRandomDelay => {
-                let delays = draw();
-                let _span = telemetry::span!("sched.improved");
-                let (steps, _) = graham_union_steps(instance, assignment.num_procs());
-                layer_sequential(instance, assignment, &delays, &steps)
-            }
-            Algorithm::ImprovedWithPriorities => {
+            Algorithm::ImprovedRandomDelay | Algorithm::ImprovedWithPriorities => {
                 let _span = telemetry::span!("sched.improved");
                 let delays = draw();
                 let (steps, _) = graham_union_steps(instance, assignment.num_procs());
-                schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
+                if *self == Algorithm::ImprovedRandomDelay {
+                    layer_sequential(instance, assignment, &delays, &steps)
+                } else {
+                    schedule_by(instance, assignment, delayed_levels(&steps, &delays), None)
+                }
             }
             Algorithm::Greedy => greedy_schedule(instance, assignment),
             Algorithm::LevelPriority { delays } => {

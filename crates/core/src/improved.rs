@@ -56,11 +56,11 @@ pub fn graham_union_steps(instance: &SweepInstance, m: usize) -> (Vec<u32>, u32)
         batch.clear();
         pop_lowest_m(&mut words, &mut summary, m, &mut batch);
         debug_assert!(!batch.is_empty(), "acyclic DAG always has ready tasks");
-        for &task in &batch {
-            step[task] = t;
-            let v = task % n;
-            for &w in instance.dag(task / n).successors(v as u32) {
-                let wt = task - v + w as usize;
+        batch.iter().for_each(|&task| step[task] = t);
+        let cells = batch.iter().map(|&task| (task / n, (task % n) as u32));
+        for (dir, successors) in instance.successors_of(cells) {
+            for w in successors {
+                let wt = dir * n + w as usize;
                 indeg[wt] -= 1;
                 push_if(indeg[wt] == 0, &mut words, &mut summary, ids, wt as u32);
             }
@@ -152,7 +152,7 @@ pub(crate) mod tests {
                 step[task] = t;
             }
             for task in batch {
-                for &w in inst.dag(task / n).successors((task % n) as u32) {
+                for w in inst.dag(task / n).successors((task % n) as u32) {
                     let wt = task - task % n + w as usize;
                     indeg[wt] -= 1;
                     if indeg[wt] == 0 {

@@ -15,8 +15,9 @@
 //! gives every task a dense `u32` rank and every processor a contiguous
 //! block of ranks. The ready set is one bit per rank in a word-packed
 //! bitset plus a summary level (one bit per non-zero word): a push sets
-//! two bits, a processor's pop is the lowest set bit of its block — two
-//! `trailing_zeros`. `(priority, task id)` is a total order, so "lowest
+//! two bits and flags the processor, a step visits only the flagged
+//! processors, and a processor's pop is the lowest set bit of its block —
+//! two `trailing_zeros`. `(priority, task id)` is a total order, so "lowest
 //! ready rank of the block" and "minimum of a binary heap keyed by
 //! `(priority, task id)`" are the same task at every step: the start times
 //! are exactly those of the per-processor heaps this replaced (kept under
@@ -32,12 +33,12 @@
 //! no seed moves the priorities (Level, Descendant, DFDS, Greedy),
 //! [`crate::TrialContext`] ranks once and every trial borrows it.
 //!
-//! A run costs `O(T·m + n·k + |E|)` plus its ranking, `O(n·k + m·range)`
-//! or `O(n·k·log(n·k/m))` — inside Theorem 2's `O(T·m + n·k·log(n·k))`
-//! (`T` is the produced makespan) — plus `c / 4096` summary words scanned
-//! per pop on a processor holding `c` tasks. Ranks and task ids are
-//! `u32`: an instance may have at most `2³² − 1` tasks (asserted; the
-//! service admits 8 M).
+//! A run costs `O(T·⌈m/8⌉ + n·k + |E|)` plus its ranking, `O(n·k +
+//! m·range)` or `O(n·k·log(n·k/m) + m)` — inside Theorem 2's `O(T·m +
+//! n·k·log(n·k))` (`T` is the produced makespan) — plus `c / 4096`
+//! summary words scanned per pop on a processor holding `c` tasks. Ranks
+//! and task ids are `u32`: an instance may have at most `2³² − 1` tasks
+//! (asserted; the service admits 8 M).
 
 use sweep_dag::{SweepInstance, TaskDag};
 use sweep_telemetry as telemetry;
@@ -127,9 +128,7 @@ pub(crate) struct ListBuffers {
     nodes: Vec<Node>,
     /// Start times per task (the run's output).
     pub start: Vec<u32>,
-    /// Ready set: one bit per rank, and one bit per non-zero word.
-    words: Vec<u64>,
-    summary: Vec<u64>,
+    ready: ReadySet,
     /// Direction of the first of every `2^s ≤ n` consecutive task ids.
     dir_hint: Vec<u32>,
     /// Tasks scheduled in the current step.
@@ -154,6 +153,70 @@ pub(crate) struct Block {
     rank: usize,
     word: usize,
     summary: usize,
+}
+
+/// The ready tasks of a run, by rank: one bit per rank and one bit per
+/// non-zero word. Beside them one flag byte per processor that a push may
+/// have given work, so a step visits only the flagged processors.
+#[derive(Default)]
+struct ReadySet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    flagged: Vec<u8>,
+}
+
+impl ReadySet {
+    /// Empties the set for a run whose last block ends at `end`, on `m`
+    /// processors.
+    fn reset(&mut self, end: Block, m: usize) {
+        for (bits, len) in [
+            (&mut self.words, end.word),
+            (&mut self.summary, end.summary),
+        ] {
+            bits.clear();
+            bits.resize(len, 0);
+        }
+        self.flagged.clear();
+        self.flagged.resize(m.div_ceil(8) * 8, 0);
+    }
+
+    /// Marks rank `r` of processor `p`'s block ready — if `ready` — and
+    /// flags `p` either way: a store, where setting a bit only when
+    /// `ready` would be a read-modify-write that makes every push of a
+    /// step wait on the one before it.
+    #[inline]
+    fn push_if(&mut self, ready: bool, blocks: &[Block], p: u32, r: u32) {
+        push_if(
+            ready,
+            &mut self.words,
+            &mut self.summary,
+            blocks[p as usize],
+            r,
+        );
+        self.flagged[p as usize] = 1;
+    }
+
+    /// Removes and returns the lowest ready rank of processor `p`; unflags
+    /// `p` if it has none.
+    #[inline]
+    fn pop_lowest(&mut self, blocks: &[Block], p: usize) -> Option<usize> {
+        let (block, next) = (blocks[p], blocks[p + 1]);
+        for s in block.summary..next.summary {
+            let nonzero = self.summary[s];
+            if nonzero != 0 {
+                let w = (s - block.summary) << 6 | nonzero.trailing_zeros() as usize;
+                let word = self.words[block.word + w];
+                let rest = word & (word - 1);
+                self.words[block.word + w] = rest;
+                if rest == 0 {
+                    self.summary[s] = nonzero & (nonzero - 1);
+                }
+                return Some(block.rank + (w << 6 | word.trailing_zeros() as usize));
+            }
+        }
+        self.flagged[p] = 0;
+        None
+    }
 }
 
 /// Calls `f(task, direction, cell)` for every task in id order.
@@ -201,7 +264,7 @@ impl Ranking {
         self.nodes.clear();
         reserve(&mut self.nodes, checked_num_tasks(n, k));
         for dag in instance.dags() {
-            let indeg = (0..n as u32).map(|v| dag.in_degree(v));
+            let indeg = dag.in_degrees();
             self.nodes
                 .extend(indeg.map(|waiting| Node { waiting, rank: 0 }));
         }
@@ -321,8 +384,9 @@ impl ListBuffers {
         let nk = n * k;
         reserve(&mut self.nodes, nk);
         reserve(&mut self.start, nk);
-        reserve(&mut self.words, nk / 64 + m);
-        reserve(&mut self.summary, (nk / 64 + m) / 64 + m);
+        reserve(&mut self.ready.words, nk / 64 + m);
+        reserve(&mut self.ready.summary, (nk / 64 + m) / 64 + m);
+        reserve(&mut self.ready.flagged, m.div_ceil(8) * 8);
         reserve(&mut self.dir_hint, 2 * k + 1);
         reserve(&mut self.completed, m);
     }
@@ -340,8 +404,9 @@ impl ListBuffers {
             + ranking.keys.capacity()
             + self.nodes.capacity()
             + self.start.capacity()
-            + self.words.capacity()
-            + self.summary.capacity()
+            + self.ready.words.capacity()
+            + self.ready.summary.capacity()
+            + self.ready.flagged.capacity()
             + self.dir_hint.capacity()
             + self.completed.capacity()
     }
@@ -358,33 +423,11 @@ pub(crate) fn push_if(ready: bool, words: &mut [u64], summary: &mut [u64], block
     summary[block.summary + (w >> 6)] |= (ready as u64) << (w & 63);
 }
 
-/// Removes and returns the lowest ready rank of the block that starts at
-/// `block` and ends at `next`.
-#[inline]
-fn pop_lowest(words: &mut [u64], summary: &mut [u64], block: Block, next: Block) -> Option<usize> {
-    for s in block.summary..next.summary {
-        let nonzero = summary[s];
-        if nonzero != 0 {
-            let w = (s - block.summary) << 6 | nonzero.trailing_zeros() as usize;
-            let word = words[block.word + w];
-            let rest = word & (word - 1);
-            words[block.word + w] = rest;
-            if rest == 0 {
-                summary[s] = nonzero & (nonzero - 1);
-            }
-            return Some(block.rank + (w << 6 | word.trailing_zeros() as usize));
-        }
-    }
-    None
-}
-
 /// In-degree of every task, in id order — what every engine (the list
 /// scheduler, the Graham pass, the weighted scheduler, the simulators)
 /// counts down to find ready tasks.
 pub fn task_in_degrees(instance: &SweepInstance) -> impl Iterator<Item = u32> + '_ {
-    let cells = 0..instance.num_cells() as u32;
-    let dags = instance.dags().iter();
-    dags.flat_map(move |dag| cells.clone().map(move |v| dag.in_degree(v)))
+    instance.dags().iter().flat_map(TaskDag::in_degrees)
 }
 
 /// The per-task table (indexed by `TaskId::index`: direction-major) of a
@@ -451,8 +494,7 @@ fn run_steps(
     let ListBuffers {
         nodes,
         start,
-        words,
-        summary,
+        ready,
         dir_hint,
         completed,
         ..
@@ -465,11 +507,7 @@ fn run_steps(
     let Ranking {
         task_at, blocks, ..
     } = ranking;
-    let end = blocks[blocks.len() - 1];
-    words.clear();
-    words.resize(end.word, 0);
-    summary.clear();
-    summary.resize(end.summary, 0);
+    ready.reset(blocks[blocks.len() - 1], blocks.len() - 1);
     // Task → direction without dividing: `2^shift ≤ n` consecutive ids
     // span at most two directions, so the direction of the first of them
     // is the task's own or the one before it.
@@ -482,46 +520,53 @@ fn run_steps(
     let release_of = |dir: usize| release.map_or(0, |r| r[dir]);
     let max_release = (0..k).map(release_of).max().unwrap_or(0);
     let (sources, xadj) = (&ranking.sources, &ranking.source_xadj);
-    let release_at = |now, words: &mut [u64], summary: &mut [u64]| {
+    let release_at = |now, ready: &mut ReadySet| {
         let due = (0..k).filter(|&dir| release_of(dir) == now);
         let due = due.flat_map(|d| &sources[xadj[d] as usize..xadj[d + 1] as usize]);
-        due.map(|&(p, r)| push_if(true, words, summary, blocks[p as usize], r))
-            .count()
+        due.map(|&(p, r)| ready.push_if(true, blocks, p, r)).count()
     };
-    // `ready` counts the set bits of the ready set.
-    let mut ready = release_at(0, words, summary);
+    // `waiting` counts the ranks in the ready set.
+    let mut waiting = release_at(0, ready);
 
     let mut pending = n * k;
     let mut ready_peak = 0usize;
     let mut t_now: u32 = 0;
     while pending > 0 {
-        ready_peak = ready_peak.max(ready);
+        ready_peak = ready_peak.max(waiting);
         if (1..=max_release).contains(&t_now) {
-            ready += release_at(t_now, words, summary);
+            waiting += release_at(t_now, ready);
         }
         completed.clear();
-        for block in blocks.windows(2) {
-            if let Some(r) = pop_lowest(words, summary, block[0], block[1]) {
-                start[task_at[r] as usize] = t_now;
-                completed.push(task_at[r]);
+        for i in 0..ready.flagged.len() / 8 {
+            let flags = ready.flagged[8 * i..8 * i + 8].try_into();
+            let mut flags = u64::from_le_bytes(flags.expect("eight flags"));
+            while flags != 0 {
+                let p = i << 3 | (flags.trailing_zeros() >> 3) as usize;
+                flags &= flags - 1;
+                if let Some(r) = ready.pop_lowest(blocks, p) {
+                    start[task_at[r] as usize] = t_now;
+                    completed.push(task_at[r]);
+                }
             }
         }
-        ready -= completed.len();
+        waiting -= completed.len();
         pending -= completed.len();
-        for &task in completed.iter() {
+        let cells = completed.iter().map(|&task| {
             let hint = dir_hint[(task >> shift) as usize] as usize;
             let dir = hint + usize::from(task as usize >= (hint + 1) * n);
+            (dir, task - (dir * n) as u32)
+        });
+        for (dir, successors) in instance.successors_of(cells) {
             // A task that ran was released, and so are its successors:
             // they share its direction. Only sources wait for a release.
             debug_assert!(release.map_or(0, |r| r[dir]) <= t_now);
-            for &w in instance.dag(dir).successors(task - (dir * n) as u32) {
+            successors.for_each(|w| {
                 let node = &mut nodes[dir * n + w as usize];
                 node.waiting -= 1;
                 let now_ready = node.waiting == 0;
-                let block = blocks[procs[w as usize] as usize];
-                push_if(now_ready, words, summary, block, node.rank);
-                ready += now_ready as usize;
-            }
+                ready.push_if(now_ready, blocks, procs[w as usize], node.rank);
+                waiting += now_ready as usize;
+            });
         }
         t_now += 1;
         // Safety net: after the last release some processor runs a task
@@ -703,40 +748,51 @@ pub(crate) mod tests {
         priority: &[i64],
         release: Option<&[u32]>,
     ) -> Vec<u32> {
-        use std::{cmp::Reverse, collections::BinaryHeap};
+        use std::{cmp::Reverse, collections::BTreeMap, collections::BinaryHeap};
         let (n, k) = (instance.num_cells(), instance.num_directions());
         let proc_of = |t: usize| assignment.proc_of((t % n) as u32) as usize;
         let release_of = |t: usize| release.map_or(0, |r| r[t / n]) as usize;
         let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
         let mut start = vec![0u32; n * k];
-        let mut heaps = vec![BinaryHeap::new(); assignment.num_procs()];
+        // One heap per processor that holds a cell: `m` may be 2^20.
+        let mut heaps: BTreeMap<usize, BinaryHeap<_>> =
+            (0..n).map(|v| (proc_of(v), BinaryHeap::new())).collect();
         let mut held = vec![Vec::new(); (0..n * k).map(release_of).max().unwrap_or(0) + 1];
         for t in (0..n * k).filter(|&t| indeg[t] == 0) {
             match release_of(t) {
-                0 => heaps[proc_of(t)].push(Reverse((priority[t], t))),
+                0 => heaps
+                    .get_mut(&proc_of(t))
+                    .unwrap()
+                    .push(Reverse((priority[t], t))),
                 rel => held[rel].push(t),
             }
         }
         let (mut pending, mut now) = (n * k, 0usize);
         while pending > 0 {
             for t in held.get_mut(now).map(std::mem::take).unwrap_or_default() {
-                heaps[proc_of(t)].push(Reverse((priority[t], t)));
+                heaps
+                    .get_mut(&proc_of(t))
+                    .unwrap()
+                    .push(Reverse((priority[t], t)));
             }
             let ran: Vec<usize> = heaps
-                .iter_mut()
+                .values_mut()
                 .filter_map(BinaryHeap::pop)
                 .map(|r| r.0 .1)
                 .collect();
             pending -= ran.len();
             for t in ran {
                 start[t] = now as u32;
-                for &w in instance.dag(t / n).successors((t % n) as u32) {
+                for w in instance.dag(t / n).successors((t % n) as u32) {
                     let wt = t - t % n + w as usize;
                     indeg[wt] -= 1;
                     if indeg[wt] == 0 && release_of(wt) > now + 1 {
                         held[release_of(wt)].push(wt);
                     } else if indeg[wt] == 0 {
-                        heaps[proc_of(wt)].push(Reverse((priority[wt], wt)));
+                        heaps
+                            .get_mut(&proc_of(wt))
+                            .unwrap()
+                            .push(Reverse((priority[wt], wt)));
                     }
                 }
             }
@@ -797,9 +853,16 @@ pub(crate) mod tests {
             let mut late = vec![0u32; k];
             late[k - 1] = (n * k) as u32 + 5;
             let releases = [None, Some(crate::random_delays(k, 11)), Some(late)];
-            for m in [1, 2, 7, 64, n + 3] {
+            // 2^20 processors, almost all idle, on the small instances;
+            // every priority but "all equal" takes the comparison sort
+            // there, so two of them stand for the rest.
+            let huge = (n * k < 1000).then_some(1 << 20);
+            for m in [1, 2, 7, 64, n + 3].into_iter().chain(huge) {
                 let a = Assignment::random_cells(n, m, 5 + i as u64);
-                for (name, prio) in oracle_priorities(inst, m as u64) {
+                let priorities = oracle_priorities(inst, m as u64).into_iter();
+                let priorities = priorities
+                    .filter(|(name, _)| m < 1 << 20 || ["all equal", "extremes"].contains(name));
+                for (name, prio) in priorities {
                     for release in &releases {
                         let s = list_schedule(inst, a.clone(), &prio, release.as_deref());
                         let want = heap_reference(inst, &a, &prio, release.as_deref());

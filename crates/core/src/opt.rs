@@ -64,7 +64,7 @@ fn optimal_fixed_with_memo(
         for v in 0..n as u32 {
             let t = TaskId::pack(v, i as u32, n).index();
             proc[t] = assignment.proc_of(v) as u8;
-            for &u in dag.predecessors(v) {
+            for u in dag.predecessors(v) {
                 pred_mask[t] |= 1 << TaskId::pack(u, i as u32, n).index();
             }
         }
@@ -74,7 +74,7 @@ fn optimal_fixed_with_memo(
     for (i, dag) in instance.dags().iter().enumerate() {
         for &v in levels(dag).layer_nodes.iter().rev() {
             let t = TaskId::pack(v, i as u32, n).index();
-            for &w in dag.successors(v) {
+            for w in dag.successors(v) {
                 let wt = TaskId::pack(w, i as u32, n).index();
                 tail[t] = tail[t].max(tail[wt] + 1);
             }

@@ -60,7 +60,7 @@ pub fn dfds_priorities(instance: &SweepInstance, assignment: &Assignment) -> Vec
             let mut any_off_desc = false;
             let mut max_child_b = 0i64;
             let mut max_child_prio = i64::MIN;
-            for &w in dag.successors(v) {
+            for w in dag.successors(v) {
                 if assignment.proc_of(w) != pv {
                     off_child = true;
                 }
@@ -110,7 +110,7 @@ mod tests {
                 let mut any_off_desc = false;
                 let mut max_child_b = 0i64;
                 let mut max_child_prio = i64::MIN;
-                for &w in dag.successors(v) {
+                for w in dag.successors(v) {
                     if assignment.proc_of(w) != pv {
                         off_child = true;
                     }

@@ -290,7 +290,7 @@ mod tests {
         let mut max_per_level = vec![0u32; lv.depth()];
         let mut min_per_level = vec![u32::MAX; lv.depth()];
         for v in 0..60u32 {
-            let l = lv.level_of[v as usize] as usize;
+            let l = inst.dag(0).level_of()[v as usize] as usize;
             let t = s.start_of(TaskId::pack(v, 0, 60));
             max_per_level[l] = max_per_level[l].max(t);
             min_per_level[l] = min_per_level[l].min(t);
@@ -361,11 +361,11 @@ mod tests {
         let inst = SweepInstance::random_layered(50, 3, 6, 2, 2);
         let zero = vec![0u32; 3];
         let p = delayed_level_priorities(&inst, &zero);
-        let lv0 = sweep_dag::levels(inst.dag(0));
+        let level_of = inst.dag(0).level_of();
         for v in 0..50u32 {
             assert_eq!(
                 p[TaskId::pack(v, 0, 50).index()],
-                lv0.level_of[v as usize] as i64
+                level_of[v as usize] as i64
             );
         }
     }

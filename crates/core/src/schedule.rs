@@ -311,25 +311,21 @@ pub(crate) fn certify_in(
     // Constraint 1, precedence: unit tasks ⇒ start(v) ≥ start(u) + 1.
     // (With no cells there are no starts, and no chunk to pair a DAG with.)
     let procs = assignment.as_slice();
-    let mut cut = Vec::with_capacity(nk);
+    let mut cut = vec![0u32; nk];
     let per_dir = instance.dags().iter().zip(starts.chunks_exact(n.max(1)));
-    for (dir, (dag, starts)) in (0u32..).zip(per_dir) {
-        for (u, (&start_u, &pu)) in (0..n as u32).zip(starts.iter().zip(procs)) {
-            let mut sent = 0u32;
-            for &v in dag.successors(u) {
-                sent += u32::from(procs[v as usize] != pu);
-                let start_v = starts[v as usize];
-                if start_v <= start_u {
-                    found(ScheduleViolation::Precedence {
-                        dir,
-                        u,
-                        v,
-                        start_u,
-                        start_v,
-                    });
-                }
+    for ((dir, (dag, starts)), sent) in (0u32..).zip(per_dir).zip(cut.chunks_exact_mut(n.max(1))) {
+        for (u, v) in dag.edges() {
+            sent[u as usize] += u32::from(procs[v as usize] != procs[u as usize]);
+            let (start_u, start_v) = (starts[u as usize], starts[v as usize]);
+            if start_v <= start_u {
+                found(ScheduleViolation::Precedence {
+                    dir,
+                    u,
+                    v,
+                    start_u,
+                    start_v,
+                });
             }
-            cut.push(sent);
         }
     }
     cert.c1 = cut.iter().map(|&c| u64::from(c)).sum();

@@ -187,11 +187,8 @@ mod tests {
         let mut x = starts.to_vec();
         for t in 0..x.len() {
             let (dag, base, v) = (inst.dag(t / n), t - t % n, (t % n) as u32);
-            let preds = dag
-                .predecessors(v)
-                .iter()
-                .map(|&u| x[base + u as usize] + 1);
-            let succs = dag.successors(v).iter().map(|&w| x[base + w as usize]);
+            let preds = dag.predecessors(v).map(|u| x[base + u as usize] + 1);
+            let succs = dag.successors(v).map(|w| x[base + w as usize]);
             let (lo, hi) = (
                 preds.max().unwrap_or(0),
                 succs.min().unwrap_or(s.makespan()),
@@ -322,8 +319,8 @@ mod tests {
         for &p in s.assignment().as_slice() {
             loads[p as usize] += 1;
         }
-        let levels = inst.dags().iter().map(sweep_dag::levels);
-        let depth = levels.map(|l| l.level_of.iter().max().map_or(0, |&j| j + 1));
+        let levels = inst.dags().iter().map(sweep_dag::TaskDag::level_of);
+        let depth = levels.map(|l| l.iter().max().map_or(0, |&j| j + 1));
         let want = Certificate {
             verdict: validate_reference(inst, s),
             makespan,

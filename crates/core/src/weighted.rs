@@ -100,7 +100,7 @@ pub fn weighted_list_schedule(
         busy[p as usize] = false;
         pending -= 1;
         let (v, dir) = TaskId(task).unpack(n);
-        for &w in instance.dag(dir as usize).successors(v) {
+        for w in instance.dag(dir as usize).successors(v) {
             let wt = TaskId::pack(w, dir, n).index();
             indeg[wt] -= 1;
             if indeg[wt] == 0 {
@@ -229,7 +229,7 @@ pub fn weighted_lower_bound(instance: &SweepInstance, weights: &[u64], m: usize)
         let mut f = vec![0u64; n];
         for v in levels(dag).layer_nodes {
             let mut best = 0u64;
-            for &u in dag.predecessors(v) {
+            for u in dag.predecessors(v) {
                 best = best.max(f[u as usize]);
             }
             f[v as usize] = best + weights[v as usize];

@@ -76,4 +76,23 @@ fn ready_peak_steps_and_tasks_are_counted_exactly() {
         let ranked = snap.spans.iter().filter(rank).count();
         assert_eq!(ranked, rankings, "{algorithm:?}");
     }
+
+    // Both Algorithm 3 variants draw their delays inside `sched.improved`,
+    // one level below it.
+    for algorithm in [Algorithm::ImprovedRandomDelay, improved] {
+        telemetry::reset();
+        algorithm.run(&inst, a.clone(), 9);
+        let snap = telemetry::snapshot();
+        let depth_of = |name: &str| {
+            let mut spans = snap.spans.iter().filter(|s| s.name == name);
+            let span = spans.next().unwrap_or_else(|| panic!("no {name} span"));
+            assert!(spans.next().is_none(), "one {name} span");
+            span.depth
+        };
+        let (outer, draw) = (
+            depth_of("sched.improved"),
+            depth_of("sched.random_delay.delay_draw"),
+        );
+        assert_eq!(draw, outer + 1, "{algorithm:?}");
+    }
 }

@@ -46,7 +46,7 @@ pub fn descendant_counts_exact(dag: &TaskDag) -> Vec<u64> {
             // Union of successor sets, plus the successor's own bit when it
             // falls inside the chunk.
             // (Split borrows via split_at_mut-free manual indexing.)
-            for &w in dag.successors(v) {
+            for w in dag.successors(v) {
                 let wi = w as usize;
                 for b in 0..words {
                     let val = reach[wi * words + b];
@@ -76,7 +76,7 @@ pub fn descendant_counts_approx(dag: &TaskDag) -> Vec<u64> {
     let mut d = vec![0u64; dag.num_nodes()];
     for &v in layers(dag).adj.iter().rev() {
         let mut acc = 0u64;
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             acc = acc.saturating_add(1).saturating_add(d[w as usize]);
         }
         d[v as usize] = acc;
@@ -123,7 +123,7 @@ mod tests {
             reach.iter_mut().for_each(|w| *w = 0);
             for &v in order.iter().rev() {
                 let vi = v as usize;
-                for &w in dag.successors(v) {
+                for w in dag.successors(v) {
                     let wi = w as usize;
                     for b in 0..words {
                         let val = reach[wi * words + b];
@@ -147,7 +147,7 @@ mod tests {
         let mut d = vec![0u64; dag.num_nodes()];
         for &v in order.iter().rev() {
             let mut acc = 0u64;
-            for &w in dag.successors(v) {
+            for w in dag.successors(v) {
                 acc = acc.saturating_add(1).saturating_add(d[w as usize]);
             }
             d[v as usize] = acc;

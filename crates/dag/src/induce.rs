@@ -6,22 +6,22 @@
 //! `n · ω < −ε` (faces nearly parallel to the sweep contribute nothing —
 //! no flux crosses them).
 //!
-//! What does not depend on `ω` is computed once per mesh: every cell's
-//! neighbours in ascending order, each with the face it comes from. A
-//! direction then costs one sign byte per face and one pass over that
-//! adjacency, which cuts the successor and predecessor rows out already
-//! sorted and de-duplicated — no edge list, no sort — and hands them to
-//! the [`TaskDag`] constructor, whose level peel is also the acyclicity
-//! proof. Conforming meshes never cycle (Camminady & Frank), so that is
-//! the whole common path.
+//! What does not depend on `ω` is computed once per mesh: the face graph,
+//! every cell's neighbours in ascending order with the parallel faces of
+//! one cell pair merged, which every direction's [`TaskDag`] shares. A
+//! direction then costs one sign byte per face, each setting one bit in
+//! the DAG's forward plane and one in its backward plane — no edge list,
+//! no sort — and the [`TaskDag`] constructor's level peel, which is also
+//! the acyclicity proof. Conforming meshes never cycle (Camminady &
+//! Frank), so that is the whole common path.
 //!
 //! Hanging-node, polytopal and jittered meshes can induce directed cycles;
 //! following the paper ("we break the cycles") we repair them. Only when
 //! the peel leaves nodes behind does Tarjan run, on that residue: within
 //! each non-trivial strongly connected component only edges consistent
 //! with the *geometric height* order `h(v) = centroid(v) · ω` (ties by
-//! cell id) are kept — the other faces' signs are zeroed and the cut and
-//! the peel run once more. Cross-SCC edges can never participate in a
+//! cell id) are kept — the other faces' signs are zeroed and the planes
+//! and the peel are made once more. Cross-SCC edges can never participate in a
 //! cycle and are all preserved, so the repair is minimal in that sense.
 //! [`induce_raw`] + [`break_cycles`] + [`TaskDag::from_edges`] is the same
 //! function by the edge-list route; `tests/induction_oracle.rs` holds
@@ -31,7 +31,7 @@ use sweep_mesh::{CellId, SweepMesh, Vec3};
 use sweep_quadrature::QuadratureSet;
 use sweep_telemetry as telemetry;
 
-use crate::graph::{Csr, TaskDag};
+use crate::graph::{Neighbours, PairGraph, TaskDag};
 
 /// Faces whose normal is within this tolerance of perpendicular to the
 /// sweep direction induce no dependence.
@@ -62,73 +62,22 @@ pub struct InduceStats {
 /// assert!(stats.raw_edges > 0);
 /// ```
 pub fn induce_dag(mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, InduceStats) {
-    induce_with(&face_adjacency(mesh), mesh, omega)
+    induce_with(&face_graph(mesh), mesh, omega)
 }
 
-/// The interior faces as a per-cell adjacency — the direction-independent
-/// half of induction, built once per mesh and shared by every direction.
-/// Cell `c`'s row holds its half-faces `neighbour << 32 | face << 1 | side`
-/// (`side` = 1 when `c` is the face's `b`) in ascending order, so the
-/// faces of one cell pair are adjacent; sorted here because an imported
-/// mesh's faces come in no particular order.
+/// The interior faces as a neighbour graph — the direction-independent
+/// half of induction, built once per mesh and shared by every direction's
+/// [`TaskDag`].
 ///
 /// # Panics
 /// Panics on a face with an endpoint `>= n` or with `a == b`.
-fn face_adjacency(mesh: &impl SweepMesh) -> Csr<u64> {
-    let n = mesh.num_cells();
-    let faces = mesh.interior_faces();
-    assert!(faces.len() <= i32::MAX as usize, "face index overflows");
-    for f in faces {
-        let (a, b) = (f.a.0, f.b.0);
-        assert!(a.max(b) < n as u32, "edge ({a},{b}) out of range");
-        assert_ne!(a, b, "self-loop at {a}");
-    }
-    let halves = faces.iter().zip(0u64..).flat_map(|(f, i)| {
-        let (a, b) = (u64::from(f.a.0), u64::from(f.b.0));
-        [(f.a.0, b << 32 | i << 1), (f.b.0, a << 32 | i << 1 | 1)]
-    });
-    let mut adj = Csr::bucket(n, halves);
-    for c in adj.xadj.windows(2) {
-        adj.adj[c[0] as usize..c[1] as usize].sort_unstable();
-    }
-    adj
+fn face_graph(mesh: &impl SweepMesh) -> PairGraph {
+    let faces = mesh.interior_faces().iter().map(|f| (f.a.0, f.b.0));
+    PairGraph::new(mesh.num_cells(), faces)
 }
 
-/// Cuts the digraph the face signs describe (`+1`: `a → b`, `−1`: `b → a`,
-/// `0`: no edge) out of the adjacency, `edges` being a capacity hint.
-/// Returns the DAG and the nodes its peel left (see [`TaskDag::from_csr`]).
-fn cut(adj: &Csr<u64>, sign: &[i8], edges: usize) -> (TaskDag, Vec<u32>) {
-    let rows = || Csr {
-        xadj: Vec::with_capacity(adj.xadj.len()),
-        adj: Vec::with_capacity(edges),
-    };
-    let (mut succ, mut pred) = (rows(), rows());
-    for c in 0..adj.xadj.len() as u32 - 1 {
-        succ.xadj.push(succ.adj.len() as u32);
-        pred.xadj.push(pred.adj.len() as u32);
-        // The neighbour last written per side: parallel faces of one cell
-        // pair (`PolyPreset::Pillow` has four) yield one edge.
-        let (mut last_succ, mut last_pred) = (u32::MAX, u32::MAX);
-        for &half in adj.row(c) {
-            let neighbour = (half >> 32) as u32;
-            let s = sign[(half as u32 >> 1) as usize];
-            let outward = if half & 1 == 0 { s } else { -s };
-            if outward > 0 && neighbour != last_succ {
-                succ.adj.push(neighbour);
-                last_succ = neighbour;
-            } else if outward < 0 && neighbour != last_pred {
-                pred.adj.push(neighbour);
-                last_pred = neighbour;
-            }
-        }
-    }
-    succ.xadj.push(succ.adj.len() as u32);
-    pred.xadj.push(pred.adj.len() as u32);
-    TaskDag::from_csr(succ, pred)
-}
-
-/// [`induce_dag`] on the prebuilt [`face_adjacency`] of `mesh`.
-fn induce_with(adj: &Csr<u64>, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, InduceStats) {
+/// [`induce_dag`] on the prebuilt [`face_graph`] of `mesh`.
+fn induce_with(graph: &PairGraph, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, InduceStats) {
     let faces = mesh.interior_faces();
     let mut sign: Vec<i8> = faces
         .iter()
@@ -137,19 +86,18 @@ fn induce_with(adj: &Csr<u64>, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, 
             i8::from(d > PARALLEL_EPS) - i8::from(d < -PARALLEL_EPS)
         })
         .collect();
-    let raw_edges = sign.iter().filter(|&&s| s != 0).count();
     let mut stats = InduceStats {
-        raw_edges,
+        raw_edges: sign.iter().filter(|&&s| s != 0).count(),
         ..InduceStats::default()
     };
-    let (dag, residue) = cut(adj, &sign, raw_edges);
+    let (dag, residue) = graph.orient(&sign);
     if residue.is_empty() {
         return (dag, stats);
     }
 
     // Cyclic: every non-trivial SCC lies inside the residue, and so do all
     // successors of a residue node, so Tarjan need not look further.
-    let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), residue.iter().copied());
+    let (scc, nontrivial) = tarjan_scc(&dag, residue.iter().copied());
     stats.nontrivial_sccs = nontrivial;
     let height: Vec<f64> = (0..mesh.num_cells() as u32)
         .map(|c| mesh.centroid(CellId(c)).dot(omega))
@@ -165,7 +113,7 @@ fn induce_with(adj: &Csr<u64>, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDag, 
             stats.dropped_edges += 1;
         }
     }
-    let (dag, residue) = cut(adj, &sign, raw_edges - stats.dropped_edges);
+    let (dag, residue) = graph.orient(&sign);
     assert!(residue.is_empty(), "height order within SCCs is acyclic");
     (dag, stats)
 }
@@ -218,8 +166,9 @@ pub fn induce_all(
 ) -> (Vec<TaskDag>, Vec<InduceStats>) {
     let _span = telemetry::span!("dag.induce");
     let omegas: Vec<Vec3> = quadrature.iter().map(|(_, omega)| omega).collect();
-    let adj = face_adjacency(mesh);
-    let per_dir = sweep_pool::global().par_map(&omegas, |_, &omega| induce_with(&adj, mesh, omega));
+    let graph = face_graph(mesh);
+    let per_dir =
+        sweep_pool::global().par_map(&omegas, |_, &omega| induce_with(&graph, mesh, omega));
     let mut dags = Vec::with_capacity(quadrature.len());
     let mut stats = Vec::with_capacity(quadrature.len());
     for (d, s) in per_dir {
@@ -279,8 +228,7 @@ pub fn break_cycles(
     height: &[f64],
 ) -> (Vec<(u32, u32)>, usize, usize) {
     assert_eq!(height.len(), n, "one height per node");
-    let succ = Csr::bucket(n, edges.iter().copied());
-    let (scc, nontrivial) = tarjan_scc(&succ, 0..n as u32);
+    let (scc, nontrivial) = tarjan_scc(&TaskDag::from_edges(n, &edges), 0..n as u32);
     let before = edges.len();
     let kept: Vec<(u32, u32)> = edges
         .into_iter()
@@ -311,7 +259,7 @@ pub fn cyclic_components(dag: &TaskDag) -> Vec<Vec<u32>> {
         return Vec::new();
     }
     let n = dag.num_nodes();
-    let (comp, _) = tarjan_scc(dag.succ_csr(), 0..n as u32);
+    let (comp, _) = tarjan_scc(dag, 0..n as u32);
     let mut size = vec![0u32; n];
     for &c in &comp {
         size[c as usize] += 1;
@@ -334,11 +282,11 @@ pub fn cyclic_components(dag: &TaskDag) -> Vec<Vec<u32>> {
     components
 }
 
-/// Iterative Tarjan SCC over a successor CSR, searching from `roots` only.
+/// Iterative Tarjan SCC over `dag`'s successors, searching from `roots` only.
 /// Returns the component id of every node reached ([`UNVISITED`] for the
 /// rest) and the number of components with at least two nodes.
-fn tarjan_scc(succ: &Csr, roots: impl Iterator<Item = u32>) -> (Vec<u32>, usize) {
-    let n = succ.xadj.len() - 1;
+fn tarjan_scc(dag: &TaskDag, roots: impl Iterator<Item = u32>) -> (Vec<u32>, usize) {
+    let n = dag.num_nodes();
     let mut index = vec![UNVISITED; n];
     let mut lowlink = vec![0u32; n];
     // A visited node is on the stack until it has a component.
@@ -348,27 +296,27 @@ fn tarjan_scc(succ: &Csr, roots: impl Iterator<Item = u32>) -> (Vec<u32>, usize)
     let mut next_comp = 0u32;
     let mut nontrivial = 0;
 
-    // Explicit DFS stack of (node, next-child-offset).
-    let mut dfs: Vec<(u32, u32)> = Vec::new();
+    // Explicit DFS stack of (node, its successors not yet visited).
+    let mut dfs: Vec<(u32, Neighbours)> = Vec::new();
     for root in roots {
         if index[root as usize] != UNVISITED {
             continue;
         }
-        dfs.push((root, 0));
+        dfs.push((root, dag.successors(root)));
         index[root as usize] = next_index;
         lowlink[root as usize] = next_index;
         next_index += 1;
         stack.push(root);
 
-        while let Some(&mut (v, ref mut ci)) = dfs.last_mut() {
-            if let Some(&w) = succ.row(v).get(*ci as usize) {
-                *ci += 1;
+        while let Some((v, children)) = dfs.last_mut() {
+            let v = *v;
+            if let Some(w) = children.next() {
                 if index[w as usize] == UNVISITED {
                     index[w as usize] = next_index;
                     lowlink[w as usize] = next_index;
                     next_index += 1;
                     stack.push(w);
-                    dfs.push((w, 0));
+                    dfs.push((w, dag.successors(w)));
                 } else if comp[w as usize] == UNVISITED {
                     lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
                 }
@@ -406,7 +354,7 @@ mod tests {
     fn tarjan_identifies_components() {
         // 0 <-> 1 form a cycle; 2 is separate; 1 -> 2.
         let dag = TaskDag::from_edges(3, &[(0, 1), (1, 0), (1, 2)]);
-        let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), 0..3);
+        let (scc, nontrivial) = tarjan_scc(&dag, 0..3);
         assert_eq!(scc[0], scc[1]);
         assert_ne!(scc[0], scc[2]);
         assert_eq!(nontrivial, 1);
@@ -437,7 +385,7 @@ mod tests {
     #[test]
     fn tarjan_on_dag_gives_singletons() {
         let dag = TaskDag::from_edges(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
-        let (scc, nontrivial) = tarjan_scc(dag.succ_csr(), 0..4);
+        let (scc, nontrivial) = tarjan_scc(&dag, 0..4);
         let mut ids = scc.clone();
         ids.sort_unstable();
         ids.dedup();

@@ -12,7 +12,10 @@ use sweep_mesh::SweepMesh;
 use sweep_quadrature::QuadratureSet;
 use sweep_telemetry as telemetry;
 
-use crate::graph::TaskDag;
+use std::mem::size_of;
+use std::sync::Arc;
+
+use crate::graph::{Csr, Neighbours, TaskDag};
 use crate::induce::{induce_all, InduceStats};
 use crate::levels::{levels, Levels};
 
@@ -138,6 +141,28 @@ impl SweepInstance {
         &self.name
     }
 
+    /// The successors of the tasks `(direction, cell)` of `tasks`, in that
+    /// order, each task's row looked up one task before it is yielded: its
+    /// loads are issued before the walk of the task before it, so they do
+    /// not wait behind that walk's mispredicted exit.
+    pub fn successors_of(
+        &self,
+        tasks: impl IntoIterator<Item = (usize, u32)>,
+    ) -> impl Iterator<Item = (usize, Neighbours<'_>)> {
+        let mut tasks = tasks.into_iter();
+        let mut row = move || {
+            tasks
+                .next()
+                .map(|(dir, v)| (dir, self.dags[dir].successors(v)))
+        };
+        let mut ahead = row();
+        std::iter::from_fn(move || {
+            let current = ahead.take()?;
+            ahead = row();
+            Some(current)
+        })
+    }
+
     /// Level decompositions of every direction.
     pub fn all_levels(&self) -> Vec<Levels> {
         self.dags.iter().map(levels).collect()
@@ -152,6 +177,20 @@ impl SweepInstance {
     /// Total number of precedence edges over all directions.
     pub fn total_edges(&self) -> usize {
         self.dags.iter().map(TaskDag::num_edges).sum()
+    }
+
+    /// The heap bytes the instance holds, exactly, by capacity: every
+    /// direction's bit planes and levels, every distinct neighbour graph
+    /// once (with its reference-count header), the DAG vector and the
+    /// name. Directions induced from one mesh share one graph.
+    pub fn heap_bytes(&self) -> usize {
+        let mut graphs: Vec<&Arc<Csr>> = self.dags.iter().map(TaskDag::graph).collect();
+        graphs.sort_unstable_by_key(|g| Arc::as_ptr(g));
+        graphs.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        let header = 2 * size_of::<usize>() + size_of::<Csr>();
+        let shared: usize = graphs.iter().map(|g| header + g.heap_bytes()).sum();
+        let own: usize = self.dags.iter().map(TaskDag::own_heap_bytes).sum();
+        shared + own + self.dags.capacity() * size_of::<TaskDag>() + self.name.capacity()
     }
 
     // ---------------------------------------------------------------
@@ -284,6 +323,38 @@ mod tests {
         assert_eq!(stats.len(), 6);
         assert!(inst.max_depth() >= 2);
         assert!(inst.total_edges() > 0);
+    }
+
+    #[test]
+    fn a_mesh_instance_stores_its_face_graph_once() {
+        let mesh = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.05).unwrap();
+        let quad = QuadratureSet::level_symmetric(4).unwrap();
+        let (inst, _) = SweepInstance::from_mesh(&mesh, &quad, "tetonly");
+        let graph = inst.dag(0).graph();
+        assert!(inst.dags().iter().all(|d| Arc::ptr_eq(d.graph(), graph)));
+        // What every direction stored on its own before: successor and
+        // predecessor offsets and arrays, and its levels.
+        let n = inst.num_cells();
+        let csr_and_levels: usize = inst
+            .dags()
+            .iter()
+            .map(|d| 4 * (2 * (n + 1) + 2 * d.num_edges() + n))
+            .sum();
+        assert!(
+            4 * inst.heap_bytes() <= csr_and_levels,
+            "{} > {csr_and_levels} / 4",
+            inst.heap_bytes()
+        );
+        // Term by term: the graph and its header once, every direction's
+        // planes and levels, the DAG vector and the name.
+        let k = inst.num_directions();
+        let own: usize = inst.dags().iter().map(TaskDag::own_heap_bytes).sum();
+        let vectors = k * size_of::<TaskDag>() + inst.name().len();
+        let header = 2 * size_of::<usize>() + size_of::<Csr>();
+        assert_eq!(
+            inst.heap_bytes(),
+            own + graph.heap_bytes() + header + vectors
+        );
     }
 
     #[test]

@@ -14,11 +14,10 @@
 
 use crate::graph::{Csr, TaskDag};
 
-/// The level decomposition of one DAG.
+/// The layers of one DAG; a node's own level is the DAG's
+/// [`TaskDag::level_of`].
 #[derive(Debug, Clone)]
 pub struct Levels {
-    /// `level_of[v]` ∈ `0..depth` (0-based; the paper's `L_{i,1}` is level 0).
-    pub level_of: Vec<u32>,
     /// CSR layout of the layers: nodes of layer `j` are
     /// `layer_nodes[layer_xadj[j]..layer_xadj[j+1]]`.
     pub layer_xadj: Vec<u32>,
@@ -68,7 +67,6 @@ pub(crate) fn layers(dag: &TaskDag) -> Csr {
 pub fn levels(dag: &TaskDag) -> Levels {
     let layers = layers(dag);
     Levels {
-        level_of: dag.level_of().to_vec(),
         layer_xadj: layers.xadj,
         layer_nodes: layers.adj,
     }
@@ -83,7 +81,7 @@ pub fn b_levels(dag: &TaskDag) -> Vec<u32> {
     let mut b = vec![1u32; dag.num_nodes()];
     // Deepest layer first: a node's successors all sit in later layers.
     for &v in layers(dag).adj.iter().rev() {
-        for &w in dag.successors(v) {
+        for w in dag.successors(v) {
             b[v as usize] = b[v as usize].max(b[w as usize] + 1);
         }
     }
@@ -141,18 +139,19 @@ mod tests {
 
     #[test]
     fn level_of_is_longest_path() {
-        let l = levels(&figure1());
-        assert_eq!(l.level_of[0], 0);
-        assert_eq!(l.level_of[7], 4);
+        let g = figure1();
+        let l = levels(&g);
+        assert_eq!(g.level_of()[0], 0);
+        assert_eq!(g.level_of()[7], 4);
         assert_eq!(l.max_width(), 2);
     }
 
     #[test]
     fn edges_go_to_strictly_higher_levels() {
         let g = figure1();
-        let l = levels(&g);
+        let level_of = g.level_of();
         for (u, v) in g.edges() {
-            assert!(l.level_of[u as usize] < l.level_of[v as usize]);
+            assert!(level_of[u as usize] < level_of[v as usize]);
         }
     }
 
@@ -182,7 +181,7 @@ mod tests {
         let g = figure1();
         let l = levels(&g);
         let b = b_levels(&g);
-        for (lv, bv) in l.level_of.iter().zip(&b) {
+        for (lv, bv) in g.level_of().iter().zip(&b) {
             // level is 0-based, b-level counts nodes: any source-to-sink
             // path through v has level(v) + b(v) nodes ≤ depth.
             assert!(lv + bv <= l.depth() as u32);

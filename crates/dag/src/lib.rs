@@ -2,8 +2,8 @@
 //!
 //! Everything between the mesh and the schedulers:
 //!
-//! * [`TaskDag`] — compact CSR digraph of one direction's precedence
-//!   constraints;
+//! * [`TaskDag`] — one direction's precedence constraints: two bit planes
+//!   over a neighbour graph every direction of a mesh shares;
 //! * [`induce_dag`] / [`induce_all`] — induction of per-direction DAGs
 //!   from face normals, with geometric cycle breaking (paper §3);
 //! * [`levels()`](levels()) / [`b_levels`] — the layer structure `L_{i,j}` that both
@@ -42,7 +42,7 @@ pub use bitset::BitSet;
 pub use descendants::{
     descendant_counts, descendant_counts_approx, descendant_counts_exact, DescendantMode,
 };
-pub use graph::TaskDag;
+pub use graph::{Edges, Neighbours, TaskDag};
 pub use induce::{
     break_cycles, cyclic_components, induce_all, induce_dag, induce_raw, InduceStats,
 };

@@ -221,7 +221,7 @@ impl<'a> Engine<'a> {
         // The `&'a` copied out of `self` lends the successor slice, so
         // the loop body is free to borrow `self` mutably.
         let instance = self.instance;
-        for &w in instance.dag(dir as usize).successors(v) {
+        for w in instance.dag(dir as usize).successors(v) {
             let wt = TaskId::pack(w, dir, self.n).index();
             let wp = self.owner[w as usize] as usize;
             let arrives = if wp == p {
@@ -326,7 +326,7 @@ impl<'a> Engine<'a> {
                 // store: anything the old owner had received (or
                 // produced locally) died with it.
                 let mut fetched = 0u32;
-                for &u in instance.dag(d as usize).predecessors(v as u32) {
+                for u in instance.dag(d as usize).predecessors(v as u32) {
                     let ut = TaskId::pack(u, d, self.n).index();
                     if self.completed.contains(ut) && self.exec_proc[ut] != q {
                         self.report.messages += 1;

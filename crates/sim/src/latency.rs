@@ -85,7 +85,7 @@ pub fn latency_makespan(
             ready = ready.max(finish[p as usize]);
             ready0 = ready0.max(zero_finish[p as usize]);
         }
-        for &u in instance.dag(dir as usize).predecessors(v) {
+        for u in instance.dag(dir as usize).predecessors(v) {
             let ut = TaskId::pack(u, dir, n).index();
             let cross = schedule.proc_of_cell(u) != pv;
             let delay = if cross { latency } else { 0.0 };

@@ -34,7 +34,7 @@ fn main() {
     }
 
     // SVG renderings: the sweep wavefront and a 4-processor assignment.
-    let svg_levels = levels_svg(&mesh, &lv.level_of, 480).expect("svg");
+    let svg_levels = levels_svg(&mesh, instance.dag(0).level_of(), 480).expect("svg");
     std::fs::write("figure1_levels.svg", &svg_levels).expect("write svg");
     let assignment = Assignment::random_cells(mesh.num_cells(), 4, 3);
     let procs: Vec<f64> = assignment.as_slice().iter().map(|&p| p as f64).collect();

@@ -59,8 +59,8 @@ fn main() {
     let proc_field: Vec<f64> = (0..n as u32)
         .map(|v| schedule.proc_of_cell(v) as f64)
         .collect();
-    let level0 = sweep_scheduling::dag::levels(instance.dag(0));
-    let level_field: Vec<f64> = (0..n).map(|v| level0.level_of[v] as f64).collect();
+    let level0 = instance.dag(0).level_of();
+    let level_field: Vec<f64> = level0.iter().map(|&l| f64::from(l)).collect();
     let start_field: Vec<f64> = (0..n as u32)
         .map(|v| schedule.start_of(TaskId::pack(v, 0, n)) as f64)
         .collect();

@@ -164,7 +164,7 @@ fn random_perturbations_never_silently_accepted() {
             let n = inst.num_cells();
             let (v, dir) = TaskId(idx as u64).unpack(n);
             // All predecessors must still finish before the new start.
-            for &u in inst.dag(dir as usize).predecessors(v) {
+            for u in inst.dag(dir as usize).predecessors(v) {
                 let su = bad.start_of(TaskId::pack(u, dir, n));
                 assert!(su < bad.start_of(TaskId(idx as u64)));
             }
