@@ -96,15 +96,32 @@ impl Frame {
         w.flush()
     }
 
-    /// Read and validate one frame from `r`.
+    /// Read and validate one frame from `r`: one `read` of up to the
+    /// whole header, then `read_exact` of whatever of the header is
+    /// still missing and of the body — two reads for a frame whose
+    /// header arrives whole. Magic, version and kind are checked as soon
+    /// as their 6 bytes are in, before waiting on the length.
     ///
     /// Returns [`FrameError::Bad`] on any header violation — the caller
     /// must close the connection, because after a framing error the
     /// byte stream is unparseable. Truncation mid-frame surfaces as
     /// [`FrameError::Io`] (`UnexpectedEof` or a read timeout).
     pub fn read_from<R: Read>(r: &mut R) -> Result<Frame, FrameError> {
-        let mut header = [0u8; 6];
-        r.read_exact(&mut header)?;
+        let mut header = [0u8; HEADER_BYTES];
+        let mut got = 0;
+        while got < 6 {
+            match r.read(&mut header[got..]) {
+                Ok(0) => {
+                    return Err(FrameError::Io(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "stream ended inside a frame header",
+                    )))
+                }
+                Ok(n) => got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
         if header[..4] != MAGIC {
             return Err(FrameError::Bad(format!(
                 "bad magic {:02x}{:02x}{:02x}{:02x}",
@@ -118,8 +135,9 @@ impl Frame {
         if !(KIND_PING..=KIND_ERROR).contains(&kind) {
             return Err(FrameError::Bad(format!("unknown frame kind {kind}")));
         }
+        r.read_exact(&mut header[got..])?;
         let mut len_bytes = [0u8; 8];
-        r.read_exact(&mut len_bytes)?;
+        len_bytes.copy_from_slice(&header[6..]);
         let len = u64::from_le_bytes(len_bytes);
         if len > MAX_FRAME_BYTES {
             return Err(FrameError::Bad(format!(
@@ -177,6 +195,74 @@ mod tests {
             assert_eq!(w.writes, 1, "{}-byte body", frame.body.len());
             assert_eq!(w.bytes.len(), HEADER_BYTES + frame.body.len());
             assert_eq!(Frame::read_from(&mut w.bytes.as_slice()).unwrap(), frame);
+        }
+    }
+
+    /// A `Read` over a byte slice that counts its `read` calls (over a
+    /// `TcpStream` each one is a `recv`), hands out at most `chunk`
+    /// bytes a call, and times out once the slice is spent, as a socket
+    /// whose peer went quiet does.
+    struct CountingReader<'a> {
+        reads: usize,
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl<'a> CountingReader<'a> {
+        fn new(bytes: &'a [u8], chunk: usize) -> CountingReader<'a> {
+            CountingReader {
+                reads: 0,
+                bytes,
+                chunk,
+            }
+        }
+    }
+
+    impl Read for CountingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.bytes.is_empty() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_whose_header_arrives_whole_takes_two_reads() {
+        for frame in [
+            Frame::new(KIND_SCHEDULE, b"hello".to_vec()),
+            Frame::new(KIND_ARTIFACT, vec![0xa5; 1 << 20]),
+        ] {
+            let mut buf = Vec::new();
+            frame.write_to(&mut buf).unwrap();
+            let mut r = CountingReader::new(&buf, usize::MAX);
+            assert_eq!(Frame::read_from(&mut r).unwrap(), frame);
+            assert_eq!(r.reads, 2, "{}-byte body", frame.body.len());
+            // A byte at a time, the header still assembles.
+            let mut r = CountingReader::new(&buf, 1);
+            assert_eq!(Frame::read_from(&mut r).unwrap(), frame);
+        }
+    }
+
+    #[test]
+    fn a_bad_header_is_refused_once_six_bytes_are_in() {
+        // Only the first 6 bytes ever arrive: a bad magic, version or
+        // kind is refused on them alone; a good one waits for the length.
+        let mut good = MAGIC.to_vec();
+        good.extend_from_slice(&[VERSION, KIND_PING]);
+        for (i, byte) in [(0, b'X'), (4, 9), (5, 200)] {
+            let mut bad = good.clone();
+            bad[i] = byte;
+            let result = Frame::read_from(&mut CountingReader::new(&bad, 2));
+            assert!(matches!(result, Err(FrameError::Bad(_))), "{result:?}");
+        }
+        match Frame::read_from(&mut CountingReader::new(&good, 2)) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::TimedOut),
+            other => panic!("expected Io(TimedOut), got {other:?}"),
         }
     }
 

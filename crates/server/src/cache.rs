@@ -33,10 +33,12 @@ use std::sync::Arc;
 // becomes a scheduler yield point, which is how `crate::model` explores
 // the single-flight protocol's interleavings.
 use sweep_check::sync::{Condvar, Mutex};
-use sweep_core::{certify, LowerBounds, Schedule};
+use sweep_core::{certify, Assignment, LowerBounds, Schedule};
 use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 use sweep_telemetry::TraceCtx;
+
+use crate::packed::PackedU32;
 
 /// What the trials produce and what a `SART` frame carries: a schedule
 /// and its trial record, not yet checked against any instance.
@@ -82,12 +84,21 @@ pub struct ScheduleSummary {
 
 /// The tier-2 value: a winning schedule known to be feasible for its
 /// instance, with its trial record and the summary a response needs,
-/// sized for the LRU accounting. `summary` is private so
+/// sized for the LRU accounting. The start times and the assignment are
+/// held bit-packed at the width of their own maxima (`⌈log₂ makespan⌉`
+/// and `⌈log₂ m⌉` bits), since a hit reads only the summary; the rare
+/// readers that need the schedule itself (peer serving, the SW024 and
+/// SW029 identity diffs) unpack it. The fields are private so
 /// [`UncheckedArtifact::check`] stays the only constructor.
 #[derive(Debug, Clone)]
 pub struct ScheduleArtifact {
-    /// The schedule and trial record that passed the check.
-    pub(crate) record: UncheckedArtifact,
+    starts: PackedU32,
+    assignment: PackedU32,
+    m: usize,
+    trial: usize,
+    trial_seed: u64,
+    trial_makespans: Box<[u32]>,
+    digest: u64,
     summary: ScheduleSummary,
 }
 
@@ -95,6 +106,31 @@ impl ScheduleArtifact {
     /// What a response reports about this artifact.
     pub fn summary(&self) -> &ScheduleSummary {
         &self.summary
+    }
+
+    /// Index of the winning trial in `0..b`.
+    pub(crate) fn trial(&self) -> usize {
+        self.trial
+    }
+
+    /// The tier-2 content digest this artifact is addressed by.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// The schedule and trial record exactly as they passed
+    /// [`UncheckedArtifact::check`]: what peer serving encodes and the
+    /// identity certifications diff. O(nk), off every hit's path.
+    pub(crate) fn unpack(&self) -> UncheckedArtifact {
+        let assignment = Assignment::from_vec(self.assignment.unpack(), self.m);
+        UncheckedArtifact {
+            schedule: Schedule::new(self.starts.unpack(), assignment)
+                .expect("a checked artifact unpacks to the schedule it was built from"),
+            trial: self.trial,
+            trial_seed: self.trial_seed,
+            trial_makespans: self.trial_makespans.to_vec(),
+            digest: self.digest,
+        }
     }
 }
 
@@ -105,7 +141,8 @@ impl UncheckedArtifact {
     /// [`certify()`] pass that says so — the only O(nk) pass over an
     /// artifact that is not a trial. A feasible artifact is counted by
     /// `serve.summarize`; the certification's time is the
-    /// `schedule.summarize` span under `ctx`.
+    /// `schedule.summarize` span under `ctx`. The schedule is kept
+    /// packed; see [`ScheduleArtifact`].
     pub fn check(
         self,
         inst: &SweepInstance,
@@ -130,8 +167,21 @@ impl UncheckedArtifact {
             c1: cert.c1,
             c2: cert.c2,
         };
+        let UncheckedArtifact {
+            schedule,
+            trial,
+            trial_seed,
+            trial_makespans,
+            digest,
+        } = self;
         Ok(ScheduleArtifact {
-            record: self,
+            starts: PackedU32::pack(schedule.starts()),
+            assignment: PackedU32::pack(schedule.assignment().as_slice()),
+            m,
+            trial,
+            trial_seed,
+            trial_makespans: trial_makespans.into_boxed_slice(),
+            digest,
             summary,
         })
     }
@@ -383,12 +433,13 @@ fn instance_bytes(inst: &SweepInstance) -> usize {
     16 * edges + 12 * tasks + 128 * inst.num_directions() + 256
 }
 
-/// Rough resident size of a schedule artifact: one u32 start per task
-/// plus one u32 processor per cell plus the trial record plus the
-/// summary (its `name` is the only heap part; the rest sits in the
-/// fixed overhead).
+/// Resident size of a schedule artifact: the packed start and
+/// assignment words, one u32 per trial makespan, and the summary's name
+/// (its only heap part; the rest sits in the fixed overhead).
 fn artifact_bytes(a: &ScheduleArtifact) -> usize {
-    4 * (a.record.schedule.starts().len() + a.summary.cells + a.record.trial_makespans.len())
+    a.starts.heap_bytes()
+        + a.assignment.heap_bytes()
+        + 4 * a.trial_makespans.len()
         + a.summary.name.len()
         + 256
 }
@@ -547,6 +598,7 @@ impl ScheduleCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep_core::{best_of_trials, Algorithm};
     use sweep_dag::TaskDag;
 
     fn tiny(name: &str) -> SweepInstance {
@@ -593,40 +645,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn artifact_bytes_counts_starts_assignment_trials_and_the_summary() {
-        use sweep_core::{best_of_trials, Algorithm, Assignment};
-        let inst = SweepInstance::random_layered(40, 3, 5, 2, 9);
-        let best = best_of_trials(
-            &inst,
-            &Assignment::random_cells(40, 4, 1),
-            Algorithm::RandomDelay,
-            3,
-            1,
-        );
-        let artifact = UncheckedArtifact {
+    /// The winning trials of `b` on a random cell assignment over `m`
+    /// processors, as the service's miss path builds them.
+    fn trials(inst: &SweepInstance, m: usize, algorithm: Algorithm, b: usize) -> UncheckedArtifact {
+        let assignment = Assignment::random_cells(inst.num_cells(), m, 1);
+        let best = best_of_trials(inst, &assignment, algorithm, b, 1);
+        UncheckedArtifact {
             trial: best.trial,
             trial_seed: best.seed,
             trial_makespans: best.outcomes.iter().map(|o| o.makespan).collect(),
             schedule: best.schedule,
             digest: 7,
         }
-        .check(&inst, 4, &TraceCtx::disabled())
-        .unwrap();
-        let record = &artifact.record;
-        let cells = record.schedule.assignment().num_cells();
-        assert_eq!((cells, artifact.summary().cells), (40, 40));
-        assert!(
-            artifact_bytes(&artifact)
-                >= 4 * (record.schedule.starts().len() + cells + record.trial_makespans.len())
-                    + artifact.summary().name.len()
-        );
+    }
+
+    /// Tetonly 0.05 under S4: the mesh every serve request schedules.
+    fn serve_instance() -> SweepInstance {
+        use sweep_mesh::MeshPreset;
+        use sweep_quadrature::QuadratureSet;
+        let mesh = MeshPreset::Tetonly.build_scaled(0.05).unwrap();
+        let quad = QuadratureSet::level_symmetric(4).unwrap();
+        SweepInstance::from_mesh(&mesh, &quad, "tetonly").0
+    }
+
+    #[test]
+    fn artifact_bytes_counts_starts_assignment_trials_and_the_summary() {
+        let small = SweepInstance::random_layered(40, 3, 5, 2, 9);
+        let serve = serve_instance();
+        for (inst, m, b) in [(&small, 4, 3), (&serve, 64, 4)] {
+            let unchecked = trials(inst, m, Algorithm::RandomDelayPriorities, b);
+            let artifact = unchecked.check(inst, m, &TraceCtx::disabled()).unwrap();
+            let heap = artifact.starts.heap_bytes()
+                + artifact.assignment.heap_bytes()
+                + std::mem::size_of_val(&*artifact.trial_makespans)
+                + artifact.summary().name.capacity();
+            let charge = artifact_bytes(&artifact);
+            assert!(charge >= heap, "{}: {charge} < {heap}", inst.name());
+            if m == 64 {
+                // The serve shape: makespan below 2^10 and m = 2^6, so
+                // the packed entry is under a third of 32 bits a value.
+                let (n, nk) = (inst.num_cells(), inst.num_tasks());
+                let unpacked = 4 * (nk + n + b);
+                assert!(artifact.summary().makespan < 1024);
+                assert!(3 * charge <= unpacked, "{charge} vs {unpacked}");
+            }
+        }
         // A schedule on the wrong processor count is not an artifact.
-        let err = record
-            .clone()
-            .check(&inst, 5, &TraceCtx::disabled())
+        let err = trials(&small, 4, Algorithm::RandomDelay, 3)
+            .check(&small, 5, &TraceCtx::disabled())
             .unwrap_err();
         assert!(err.contains("4 processors, wanted 5"), "{err}");
+    }
+
+    #[test]
+    fn a_cached_artifact_encodes_to_the_bytes_it_was_built_from() {
+        use crate::cluster::encode_artifact;
+        let small = SweepInstance::random_layered(40, 3, 5, 2, 9);
+        let serve = serve_instance();
+        // m = 1 packs the assignment at width 0; the rest span widths
+        // of starts and processors alike.
+        for (inst, m) in [(&small, 1), (&small, 3), (&small, 40), (&serve, 64)] {
+            for algorithm in [Algorithm::RandomDelayPriorities, Algorithm::Greedy] {
+                let unchecked = trials(inst, m, algorithm, 2);
+                let wire = encode_artifact(&unchecked);
+                let artifact = unchecked.check(inst, m, &TraceCtx::disabled()).unwrap();
+                assert!(
+                    encode_artifact(&artifact.unpack()) == wire,
+                    "{} on m = {m}: the cached artifact's frame moved",
+                    inst.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -73,6 +73,7 @@ pub mod http;
 #[cfg(feature = "model-check")]
 pub mod model;
 pub mod ops;
+mod packed;
 pub mod ring;
 pub mod server;
 pub mod service;

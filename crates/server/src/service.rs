@@ -508,17 +508,17 @@ struct ArtifactOutcome {
     cluster: Option<ClusterDisposition>,
 }
 
-/// The local artifact producer: assignment draw, best-of-`b` trials on
-/// the global pool, then the one constructor
-/// ([`UncheckedArtifact::check`]: one `certify` pass). Reads and
+/// The local trials: assignment draw, then best-of-`b` on the global
+/// pool. What comes back is the winning schedule as the trials left it,
+/// not yet checked ([`UncheckedArtifact::check`]) or packed. Reads and
 /// writes no cache.
-fn compute_artifact(
+fn run_trials(
     inst: &SweepInstance,
     req: &ScheduleRequest,
     algorithm: Algorithm,
     digest: u64,
     ctx: &TraceCtx,
-) -> Result<ScheduleArtifact, String> {
+) -> UncheckedArtifact {
     // Attribute the pool work this request triggered: the `pool.tasks`
     // counter delta across the trials is the number of pool tasks
     // charged to this request.
@@ -543,8 +543,6 @@ fn compute_artifact(
         schedule: best.schedule,
         digest,
     }
-    .check(inst, req.m, ctx)
-    .map_err(|e| format!("internal: infeasible schedule: {e}"))
 }
 
 /// The scheduling service: config + the two-tier cache + the shared
@@ -656,11 +654,11 @@ impl SweepService {
             lower_bound: summary.bounds.best(),
             c1: summary.c1,
             c2: summary.c2,
-            trial: outcome.artifact.record.trial,
+            trial: outcome.artifact.trial(),
             b: req.b,
             cache_hit: outcome.hit,
             instance_cache_hit: outcome.inst_hit,
-            digest: outcome.artifact.record.digest,
+            digest: outcome.artifact.digest(),
             cluster: outcome.cluster,
         })
     }
@@ -718,7 +716,9 @@ impl SweepService {
                 }
             }
             let _span = telemetry::span!("serve.compute");
-            compute_artifact(&inst, req, algorithm, key, stage.ctx())
+            run_trials(&inst, req, algorithm, key, stage.ctx())
+                .check(&inst, req.m, stage.ctx())
+                .map_err(|e| format!("internal: infeasible schedule: {e}"))
         })?;
         let inst_hit = induced.unwrap_or_else(|| self.cache.instance_resident(inst_key, cctx));
         Ok(ArtifactOutcome {
@@ -807,7 +807,7 @@ impl SweepService {
                 let trace = ctx.finish();
                 let (response, status, bytes) = match result {
                     Ok(artifact) => {
-                        let encoded = encode_artifact(&artifact.record);
+                        let encoded = encode_artifact(&artifact.unpack());
                         let n = encoded.len();
                         (RpcResponse::Artifact(encoded), 200, n)
                     }
@@ -835,17 +835,19 @@ impl SweepService {
     }
 
     /// Recomputes a request **cold** — no cache read, no cache write —
-    /// for the SW024 identity certification.
+    /// for the SW024 and SW029 identity certifications: the winning
+    /// schedule exactly as the trials returned it, never checked or
+    /// packed, so a packing fault on the served side cannot cancel out
+    /// in the diff.
     pub fn compute_cold(
         &self,
         req: &ScheduleRequest,
-    ) -> Result<(SweepInstance, ScheduleArtifact), String> {
+    ) -> Result<(SweepInstance, UncheckedArtifact), String> {
         check_m(req.m)?;
         let algorithm = Algorithm::from_name(&req.algorithm, req.delays)?;
         let inst = self.induce(req)?;
-        let artifact =
-            compute_artifact(&inst, req, algorithm, req.digest(), &TraceCtx::disabled())?;
-        Ok((inst, artifact))
+        let cold = run_trials(&inst, req, algorithm, req.digest(), &TraceCtx::disabled());
+        Ok((inst, cold))
     }
 
     /// Routes one parsed HTTP request with no request-scoped tracing.
@@ -1109,18 +1111,18 @@ fn render_presets() -> String {
 }
 
 /// What both identity certifications start from: `req` served through
-/// the service's full path, the artifact now resident under its digest,
-/// and the instance and artifact of a cold recomputation outside the
-/// cache.
+/// the service's full path, the artifact now resident under its digest
+/// (unpacked), and the instance and artifact of a cold recomputation
+/// outside the cache.
 fn serve_and_recompute(
     service: &SweepService,
     req: &ScheduleRequest,
 ) -> Result<
     (
         ScheduleResponse,
-        Arc<ScheduleArtifact>,
+        UncheckedArtifact,
         SweepInstance,
-        ScheduleArtifact,
+        UncheckedArtifact,
     ),
     String,
 > {
@@ -1131,7 +1133,7 @@ fn serve_and_recompute(
             Err("internal: artifact vanished after serving".to_string())
         })?;
     let (inst, cold) = service.compute_cold(req)?;
-    Ok((served, resident, inst, cold))
+    Ok((served, resident.unpack(), inst, cold))
 }
 
 /// Runs the SW024 cache-identity certification for one request against
@@ -1147,7 +1149,6 @@ pub fn certify_cache_identity(
     if !warm.cache_hit {
         return Err("second identical request did not hit the schedule cache".to_string());
     }
-    let (cached, cold) = (&cached.record, &cold.record);
     Ok(sweep_analyze::analyze_cache_identity(
         &inst,
         &cached.schedule,
@@ -1179,7 +1180,6 @@ pub fn certify_cluster_identity(
         None if served.cache_hit => "cached",
         None => "local",
     };
-    let (artifact, cold) = (&artifact.record, &cold.record);
     Ok(sweep_analyze::analyze_cluster_identity(
         &inst,
         &artifact.schedule,
