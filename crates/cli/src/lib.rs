@@ -2243,6 +2243,17 @@ mod tests {
     }
 
     #[test]
+    fn trace_first_line_is_pinned() {
+        let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let out = run(&args(&["trace", "tetonly", "--scale", "0.01", "--sn", "2"])).unwrap();
+        assert_eq!(
+            out.lines().next().unwrap(),
+            "trace tetonly with random_delay_prio (2520 tasks, m = 8): makespan 433, \
+             sync C2 time 1422.0, async makespan 436.0 (latency 1, 3768 messages)"
+        );
+    }
+
+    #[test]
     fn trace_chrome_export_is_valid_and_multi_category() {
         let _guard = TELEMETRY_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let dir = std::env::temp_dir().join("sweep-cli-trace-test");
