@@ -10,7 +10,7 @@
 //! ```
 
 use sweep_bench::{mesh_blocks, BenchArgs, CsvSink};
-use sweep_core::{validate, Algorithm, Assignment};
+use sweep_core::{c1_interprocessor_edges, validate, Algorithm, Assignment};
 use sweep_mesh::MeshPreset;
 use sweep_sim::latency_makespan;
 
@@ -27,6 +27,8 @@ fn main() {
     let s_block = Algorithm::RandomDelayPriorities.run(&instance, per_block, args.seed ^ 1);
     validate(&instance, &s_cell).expect("feasible");
     validate(&instance, &s_block).expect("feasible");
+    let mc = c1_interprocessor_edges(&instance, s_cell.assignment());
+    let mb = c1_interprocessor_edges(&instance, s_block.assignment());
 
     let mut sink = CsvSink::new(
         &args,
@@ -35,19 +37,13 @@ fn main() {
     );
     let mut crossover: Option<f64> = None;
     for &lat in &[0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0] {
-        let rc = latency_makespan(&instance, &s_cell, lat);
-        let rb = latency_makespan(&instance, &s_block, lat);
-        let wins = rb.makespan < rc.makespan;
+        let tc = latency_makespan(&instance, &s_cell, lat);
+        let tb = latency_makespan(&instance, &s_block, lat);
+        let wins = tb < tc;
         if wins && crossover.is_none() {
             crossover = Some(lat);
         }
-        sink.row(format_args!(
-            "{lat},{m},{tc:.0},{tb:.0},{mc},{mb},{wins}",
-            tc = rc.makespan,
-            tb = rb.makespan,
-            mc = rc.messages,
-            mb = rb.messages,
-        ));
+        sink.row(format_args!("{lat},{m},{tc:.0},{tb:.0},{mc},{mb},{wins}"));
     }
     match crossover {
         Some(l) => eprintln!("# block assignment overtakes per-cell at latency ≈ {l}"),

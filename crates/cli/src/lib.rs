@@ -527,9 +527,10 @@ pub fn run_with_status(args: &[String]) -> Result<(String, i32), String> {
     Ok((out, status))
 }
 
-/// `trace` — runs the full pipeline (mesh build, DAG induction, scheduling,
-/// synchronous and asynchronous simulation) under telemetry so the export
-/// covers every span category. The schedule's start times serve as the
+/// `trace` — runs the full pipeline (mesh build, DAG induction, scheduling
+/// and certification, asynchronous simulation) under telemetry so the
+/// export covers every span category. The synchronous C2 time is the
+/// certificate's makespan plus C2. The schedule's start times serve as the
 /// async priorities, mirroring how a distributed run would replay an
 /// offline schedule.
 fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
@@ -540,8 +541,7 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
         return Err("--latency must be non-negative".into());
     }
     let assignment = sched.random_cells(&inst);
-    let (schedule, _) = sched.run(&inst, assignment.clone())?;
-    let sim = sweep_sim::simulate(&inst, &schedule, &sweep_sim::SimConfig::default());
+    let (schedule, cert) = sched.run(&inst, assignment.clone())?;
     let prio: Vec<i64> = schedule.starts().iter().map(|&t| t as i64).collect();
     let (async_report, trace) =
         sweep_sim::async_makespan_traced(&inst, &assignment, &prio, None, latency);
@@ -556,8 +556,8 @@ fn cmd_trace(flags: &HashMap<String, String>) -> Result<String, String> {
         sched.alg.name(),
         inst.num_tasks(),
         sched.m,
-        schedule.makespan(),
-        sim.total_time,
+        cert.makespan,
+        f64::from(cert.makespan) + cert.c2 as f64,
         async_report.makespan,
         async_report.messages,
     );

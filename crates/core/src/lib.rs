@@ -65,7 +65,7 @@ pub use gantt::{from_csv, render_gantt, timelines, to_csv};
 pub use improved::graham_union_steps;
 pub use kba::{kba_assignment, processor_grid};
 pub use list_schedule::{compact, greedy_schedule, list_schedule, task_in_degrees};
-pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction, load_profile};
+pub use metrics::{c1_interprocessor_edges, c2_comm_delay, cut_fraction};
 pub use opt::{optimal_makespan_fixed_assignment, optimal_sweep_makespan};
 pub use priorities::{descendant_priorities, dfds_priorities, level_priorities};
 pub use random_delay::{

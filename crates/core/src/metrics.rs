@@ -53,18 +53,6 @@ pub fn c2_comm_delay(instance: &SweepInstance, schedule: &Schedule) -> u64 {
     certify(instance, schedule).c2
 }
 
-/// Per-timestep busy-processor counts (schedule "load profile"): entry `t`
-/// is the number of processors running a task at time `t`. Useful for
-/// idle-time analysis and plots.
-pub fn load_profile(instance: &SweepInstance, schedule: &Schedule) -> Vec<u32> {
-    let mut profile = vec![0u32; schedule.makespan() as usize];
-    let _ = instance;
-    for &t in schedule.starts() {
-        profile[t as usize] += 1;
-    }
-    profile
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -176,23 +164,6 @@ pub(crate) mod tests {
         let f = cut_fraction(&inst, &a);
         let expect = (m - 1) as f64 / m as f64;
         assert!((f - expect).abs() < 0.05, "fraction {f} vs {expect}");
-    }
-
-    #[test]
-    fn load_profile_sums_to_task_count() {
-        let inst = SweepInstance::random_layered(40, 3, 5, 2, 2);
-        let a = Assignment::random_cells(40, 4, 1);
-        let s = greedy_schedule(&inst, a);
-        let profile = load_profile(&inst, &s);
-        assert_eq!(
-            profile.iter().map(|&x| x as usize).sum::<usize>(),
-            inst.num_tasks()
-        );
-        assert!(profile.iter().all(|&x| x <= 4));
-        assert_eq!(
-            certify(&inst, &s).idle_slots,
-            4 * s.makespan() as u64 - inst.num_tasks() as u64
-        );
     }
 
     #[test]

@@ -7,6 +7,35 @@
 //! edge coloring groups them into rounds in which every processor sends
 //! and receives at most one message. Greedy coloring uses at most
 //! `2Δ − 1` colors (Δ = max degree), within 2× of the optimum (≥ Δ).
+//! [`coloring_rounds`] sums those rounds over a schedule's steps: the
+//! one communication measure a schedule's certificate does not carry.
+
+use sweep_core::Schedule;
+use sweep_dag::{SweepInstance, TaskId};
+
+/// The communication rounds of `schedule` when every step's messages are
+/// delivered in edge-colored rounds: the sum over steps of the colors
+/// [`color_edges`] gives the step's message multigraph. A message is one
+/// cut edge, sent at its source task's step. A round delivers at most one
+/// message per sender, so the sum is at least the schedule's C2.
+pub fn coloring_rounds(instance: &SweepInstance, schedule: &Schedule) -> u64 {
+    let n = instance.num_cells();
+    let mut per_step: Vec<Vec<(u32, u32)>> = vec![Vec::new(); schedule.makespan() as usize];
+    for (i, dag) in instance.dags().iter().enumerate() {
+        for (u, v) in dag.edges() {
+            let (pu, pv) = (schedule.proc_of_cell(u), schedule.proc_of_cell(v));
+            if pu != pv {
+                let t = schedule.start_of(TaskId::pack(u, i as u32, n));
+                per_step[t as usize].push((pu, pv));
+            }
+        }
+    }
+    per_step
+        .iter()
+        .filter(|msgs| !msgs.is_empty())
+        .map(|msgs| color_edges(schedule.num_procs(), msgs).1 as u64)
+        .sum()
+}
 
 /// Colors the edges of a multigraph over `m` vertices so that edges
 /// sharing an endpoint get distinct colors. Returns `(color_per_edge,
@@ -85,6 +114,25 @@ pub fn max_degree(m: usize, edges: &[(u32, u32)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweep_core::{certify, greedy_schedule, Assignment};
+
+    #[test]
+    fn coloring_rounds_at_least_max_send() {
+        // Each color round delivers ≤ 1 message per sender, so the number
+        // of rounds is ≥ the busiest sender's load at that step.
+        let inst = SweepInstance::random_layered(60, 4, 6, 2, 7);
+        let s = greedy_schedule(&inst, Assignment::random_cells(60, 6, 0xf07));
+        let c2 = certify(&inst, &s).c2;
+        assert!(c2 > 0);
+        assert!(coloring_rounds(&inst, &s) >= c2);
+    }
+
+    #[test]
+    fn single_processor_has_no_messages() {
+        let inst = SweepInstance::random_layered(40, 3, 5, 2, 3);
+        let s = greedy_schedule(&inst, Assignment::single(40));
+        assert_eq!(coloring_rounds(&inst, &s), 0);
+    }
 
     #[test]
     fn colors_triangle_with_three() {

@@ -23,92 +23,48 @@
 use sweep_core::Schedule;
 use sweep_dag::{SweepInstance, TaskId};
 
-/// Result of a latency-model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyReport {
-    /// Completion time of the last task.
-    pub makespan: f64,
-    /// Completion time with `latency = 0` (non-idling replay baseline).
-    pub zero_latency_makespan: f64,
-    /// Number of cross-processor messages (= C1).
-    pub messages: u64,
-}
-
-/// Evaluates `schedule` under the overlap model with per-message
-/// `latency ≥ 0` and unit task cost.
-pub fn latency_makespan(
-    instance: &SweepInstance,
-    schedule: &Schedule,
-    latency: f64,
-) -> LatencyReport {
+/// The completion time of the last task when `schedule` runs under the
+/// overlap model with per-message `latency ≥ 0` and unit task cost.
+pub fn latency_makespan(instance: &SweepInstance, schedule: &Schedule, latency: f64) -> f64 {
     assert!(latency >= 0.0, "latency must be non-negative");
     let n = instance.num_cells();
-    let k = instance.num_directions();
-    let total = n * k;
-    let m = schedule.num_procs();
-
-    // Per-processor execution order, by scheduled start time.
-    let mut per_proc: Vec<Vec<u64>> = vec![Vec::new(); m];
-    for t in 0..total as u64 {
-        let (v, _) = TaskId(t).unpack(n);
-        per_proc[schedule.proc_of_cell(v) as usize].push(t);
-    }
-    for list in per_proc.iter_mut() {
-        list.sort_unstable_by_key(|&t| (schedule.starts()[t as usize], t));
-    }
+    let starts = schedule.starts();
 
     // Completion-time recurrence over the union of dependence edges and
     // same-processor order edges. Process tasks globally ordered by
     // (scheduled start, id): every predecessor of either kind has a
     // strictly smaller scheduled start (dependence ⇒ earlier start by
-    // feasibility; order ⇒ earlier by construction), so one pass suffices.
-    let mut order: Vec<u64> = (0..total as u64).collect();
-    order.sort_unstable_by_key(|&t| (schedule.starts()[t as usize], t));
+    // feasibility; order ⇒ earlier by construction), so one pass suffices,
+    // and a task's predecessor on its processor is the last task of that
+    // processor the pass has seen.
+    let mut order: Vec<u64> = (0..starts.len() as u64).collect();
+    order.sort_unstable_by_key(|&t| (starts[t as usize], t));
 
-    // Predecessor in the per-processor sequence.
-    let mut prev_on_proc: Vec<Option<u64>> = vec![None; total];
-    for list in &per_proc {
-        for w in list.windows(2) {
-            prev_on_proc[w[1] as usize] = Some(w[0]);
-        }
-    }
-
-    let mut finish = vec![0.0f64; total];
-    let mut messages = 0u64;
-    let mut zero_finish = vec![0.0f64; total];
+    let mut finish = vec![0.0f64; starts.len()];
+    // The finish time of the last task seen on each processor.
+    let mut proc_free = vec![0.0f64; schedule.num_procs()];
     for &t in &order {
         let (v, dir) = TaskId(t).unpack(n);
         let pv = schedule.proc_of_cell(v);
-        let mut ready = 0.0f64;
-        let mut ready0 = 0.0f64;
-        if let Some(p) = prev_on_proc[t as usize] {
-            ready = ready.max(finish[p as usize]);
-            ready0 = ready0.max(zero_finish[p as usize]);
-        }
+        let mut ready = proc_free[pv as usize];
         for u in instance.dag(dir as usize).predecessors(v) {
-            let ut = TaskId::pack(u, dir, n).index();
-            let cross = schedule.proc_of_cell(u) != pv;
-            let delay = if cross { latency } else { 0.0 };
-            ready = ready.max(finish[ut] + delay);
-            ready0 = ready0.max(zero_finish[ut]);
-            if cross {
-                messages += 1;
-            }
+            let delay = if schedule.proc_of_cell(u) != pv {
+                latency
+            } else {
+                0.0
+            };
+            ready = ready.max(finish[TaskId::pack(u, dir, n).index()] + delay);
         }
         finish[t as usize] = ready + 1.0;
-        zero_finish[t as usize] = ready0 + 1.0;
+        proc_free[pv as usize] = finish[t as usize];
     }
-    LatencyReport {
-        makespan: finish.iter().copied().fold(0.0, f64::max),
-        zero_latency_makespan: zero_finish.iter().copied().fold(0.0, f64::max),
-        messages,
-    }
+    finish.iter().copied().fold(0.0, f64::max)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sweep_core::{greedy_schedule, validate, Assignment};
+    use sweep_core::{c1_interprocessor_edges, greedy_schedule, validate, Assignment};
     use sweep_dag::{SweepInstance, TaskDag};
 
     #[test]
@@ -118,11 +74,10 @@ mod tests {
         let s = greedy_schedule(&inst, a);
         validate(&inst, &s).unwrap();
         let r = latency_makespan(&inst, &s, 0.0);
-        assert!((r.makespan - r.zero_latency_makespan).abs() < 1e-12);
         // Greedy list schedules are non-idling replays, so the latency-0
         // completion time can only improve on (or match) the slotted
         // makespan.
-        assert!(r.makespan <= s.makespan() as f64 + 1e-9);
+        assert!(r <= s.makespan() as f64 + 1e-9);
     }
 
     #[test]
@@ -133,8 +88,8 @@ mod tests {
         let mut prev = 0.0;
         for lat in [0.0, 0.5, 1.0, 4.0, 16.0] {
             let r = latency_makespan(&inst, &s, lat);
-            assert!(r.makespan >= prev, "latency {lat}");
-            prev = r.makespan;
+            assert!(r >= prev, "latency {lat}");
+            prev = r;
         }
     }
 
@@ -144,9 +99,9 @@ mod tests {
         let s = greedy_schedule(&inst, Assignment::single(40));
         let r0 = latency_makespan(&inst, &s, 0.0);
         let r9 = latency_makespan(&inst, &s, 99.0);
-        assert_eq!(r0.messages, 0);
-        assert!((r0.makespan - r9.makespan).abs() < 1e-12);
-        assert_eq!(r0.makespan, inst.num_tasks() as f64);
+        assert_eq!(c1_interprocessor_edges(&inst, s.assignment()), 0);
+        assert!((r0 - r9).abs() < 1e-12);
+        assert_eq!(r0, inst.num_tasks() as f64);
     }
 
     #[test]
@@ -158,8 +113,8 @@ mod tests {
         let a = Assignment::from_vec(vec![0, 1, 0], 2);
         let s = greedy_schedule(&inst, a);
         let r = latency_makespan(&inst, &s, 10.0);
-        assert_eq!(r.messages, 2);
-        assert!((r.makespan - (3.0 + 20.0)).abs() < 1e-12);
+        assert_eq!(c1_interprocessor_edges(&inst, s.assignment()), 2);
+        assert!((r - (3.0 + 20.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -177,10 +132,10 @@ mod tests {
         let high = 5.0;
         let r_split = latency_makespan(&inst, &s_split, high);
         let r_solo = latency_makespan(&inst, &s_solo, high);
-        assert!(r_solo.makespan < r_split.makespan);
+        assert!(r_solo < r_split);
         let r_split0 = latency_makespan(&inst, &s_split, 0.0);
         let r_solo0 = latency_makespan(&inst, &s_solo, 0.0);
-        assert!((r_split0.makespan - r_solo0.makespan).abs() < 1e-12);
+        assert!((r_split0 - r_solo0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! The paper evaluates schedules by *simulation* (§5: "we will simulate
 //! the sweeps, instead of actually running them on a distributed
-//! machine"); this crate provides that simulator and two extensions:
+//! machine"). Its step-synchronous measures — makespan, C1 and C2 — are
+//! a schedule's `sweep_core::certify` certificate; this crate adds what
+//! the certificate does not carry:
 //!
-//! * [`simulate`] — step-synchronous replay under explicit compute/comm
-//!   cost models ([`CommModel::Ignore`], the paper's C2 measure
-//!   [`CommModel::MaxSend`], and [`CommModel::EdgeColoring`] based on the
-//!   distributed edge-coloring idea the paper cites);
-//! * [`coloring`] — greedy message edge coloring (≤ 2Δ−1 rounds);
+//! * [`coloring`] — greedy message edge coloring (≤ 2Δ−1 rounds) and
+//!   [`coloring_rounds`], a schedule's communication rounds when each
+//!   step's messages are edge-colored, the distributed realisation of C2
+//!   the paper cites;
 //! * [`latency_makespan`] — an overlap-capable message-latency model
 //!   sitting between the paper's two communication extremes;
 //! * [`async_makespan`] / [`async_makespan_faulty`] — the event-driven
@@ -30,18 +31,16 @@ pub mod async_exec;
 pub mod coloring;
 pub mod faulty;
 pub mod latency;
-pub mod sync_sim;
 pub mod transport;
 
 pub use async_exec::{
     async_makespan, async_makespan_traced, publish_trace, AsyncReport, AsyncTrace, TraceExec,
     TraceMessage,
 };
-pub use coloring::{color_edges, is_proper_coloring, max_degree};
+pub use coloring::{color_edges, coloring_rounds, is_proper_coloring, max_degree};
 pub use faulty::{
     async_makespan_faulty, degradation_csv, degradation_curve, publish_fault_report,
     DegradationPoint,
 };
-pub use latency::{latency_makespan, LatencyReport};
-pub use sync_sim::{simulate, CommModel, SimConfig, SimReport};
+pub use latency::latency_makespan;
 pub use transport::{Material, TransportResult, TransportSolver};

@@ -11,7 +11,7 @@
 //! | [`dag`] | per-direction dependence DAGs, levels, descendant counts, instance generators |
 //! | [`partition`] | multilevel graph partitioner (METIS stand-in) for block assignment |
 //! | [`core`] | Algorithms 1–3 (Random Delay family), Level/Descendant/DFDS heuristics, list-scheduling engine, C1/C2 metrics, lower bounds |
-//! | [`sim`] | step-synchronous simulator, edge-coloring communication rounds, toy S_n transport solver whose sweeps run in a certified schedule's order |
+//! | [`sim`] | edge-coloring communication rounds, latency and asynchronous execution models, toy S_n transport solver whose sweeps run in a certified schedule's order |
 //! | [`analyze`] | static analysis: SW0xx diagnostics (cycle witnesses, collect-all schedule validation, bound certification, message-race detection, parallel-determinism certification) with text/JSON/SARIF output |
 //! | [`pool`] | dependency-free work-stealing thread pool backing parallel DAG induction, best-of-`b` trials, and the bench grids |
 //!
@@ -68,7 +68,5 @@ pub mod prelude {
     pub use sweep_partition::{block_partition, CsrGraph, PartitionOptions};
     pub use sweep_pool::{set_global_threads, ThreadPool};
     pub use sweep_quadrature::{DirectionId, QuadratureSet};
-    pub use sweep_sim::{
-        latency_makespan, simulate, CommModel, Material, SimConfig, TransportSolver,
-    };
+    pub use sweep_sim::{latency_makespan, Material, TransportSolver};
 }

@@ -99,17 +99,6 @@ fn async_latency_never_halves_makespan() {
 }
 
 #[test]
-fn latency_model_matches_async_messages() {
-    for (inst, m, seed) in small_cases(30) {
-        let n = inst.num_cells();
-        let a = Assignment::random_cells(n, m, seed);
-        let s = greedy_schedule(&inst, a.clone());
-        let rep = latency_makespan(&inst, &s, 1.0);
-        assert_eq!(rep.messages, c1_interprocessor_edges(&inst, &a));
-    }
-}
-
-#[test]
 fn schedule_csv_round_trips() {
     for (inst, m, seed) in small_cases(30) {
         let a = Assignment::random_cells(inst.num_cells(), m, seed);
