@@ -490,8 +490,10 @@ mod tests {
 
     /// The solves' outputs, bit for bit, as read before the sweep moved
     /// onto the claim-order loop: a tetrahedral mesh, the cyclic
-    /// `warped.msh` (cut faces drop out of the stencil) and a
-    /// heterogeneous problem.
+    /// `warped.msh` (cut faces drop out of the stencil), a heterogeneous
+    /// problem and the Pillow preset (29 faces over 11 cell pairs, cut in
+    /// every direction: parallel faces merge in the DAG but stay separate
+    /// stencil entries).
     #[test]
     fn solve_outputs_are_pinned() {
         let tet = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.005).unwrap();
@@ -505,6 +507,7 @@ mod tests {
         );
         let square = TriMesh2d::unit_square(8, 8, 0.1, 4).unwrap();
         let dirs = QuadratureSet::uniform_2d(8).unwrap();
+        let pillow = sweep_mesh::PolyPreset::Pillow.build(12).unwrap();
         let got = [
             pin(&TransportSolver::new(&tet, &s2, uniform(0.5))
                 .unwrap()
@@ -517,11 +520,15 @@ mod tests {
                     .unwrap()
                     .solve(300, 1e-9),
             ),
+            pin(&TransportSolver::new(&pillow, &s4, uniform(0.9))
+                .unwrap()
+                .solve(500, 1e-10)),
         ];
         let want = [
             (17, 0x3e31_7f82_b000_0000, 0x27c7_46c5_c631_b9ca),
             (33, 0x3dd8_957c_0000_0000, 0x7e41_c689_be7f_0e7a),
             (13, 0x3e10_a09b_2800_0000, 0x8672_0578_b537_9cc1),
+            (62, 0x3dd4_ee38_0000_0000, 0x2a51_554d_2945_02e0),
         ];
         assert_eq!(got, want);
     }
