@@ -1775,6 +1775,25 @@ mod tests {
     }
 
     #[test]
+    fn transport_rejects_non_finite_material() {
+        for (flag, value) in [("--source", "nan"), ("--sigma-t", "inf")] {
+            let err = run(&args(&[
+                "transport",
+                "--preset",
+                "tetonly",
+                "--scale",
+                "0.005",
+                "--sn",
+                "2",
+                flag,
+                value,
+            ]))
+            .unwrap_err();
+            assert!(err.contains("must be finite"), "{flag} {value}: {err}");
+        }
+    }
+
+    #[test]
     fn optimal_command_runs() {
         let out = run(&args(&["optimal", "--n", "6", "--k", "2", "--m", "3"])).unwrap();
         assert!(out.contains("OPT ="), "{out}");

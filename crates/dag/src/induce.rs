@@ -4,7 +4,9 @@
 //! For sweep direction `ω`, every interior face with `a→b` unit normal `n`
 //! contributes the edge `a → b` when `n · ω > ε` and `b → a` when
 //! `n · ω < −ε` (faces nearly parallel to the sweep contribute nothing —
-//! no flux crosses them).
+//! no flux crosses them). That rule is written once, in [`upwind`]:
+//! induction, [`induce_raw`] and the transport solver's upwind stencil
+//! all read a face's orientation from it.
 //!
 //! What does not depend on `ω` is computed once per mesh: the face graph,
 //! every cell's neighbours in ascending order with the parallel faces of
@@ -27,7 +29,7 @@
 //! function by the edge-list route; `tests/induction_oracle.rs` holds
 //! this one to it.
 
-use sweep_mesh::{CellId, SweepMesh, Vec3};
+use sweep_mesh::{CellId, InteriorFace, SweepMesh, Vec3};
 use sweep_quadrature::QuadratureSet;
 use sweep_telemetry as telemetry;
 
@@ -36,6 +38,23 @@ use crate::graph::{Neighbours, PairGraph, TaskDag};
 /// Faces whose normal is within this tolerance of perpendicular to the
 /// sweep direction induce no dependence.
 pub const PARALLEL_EPS: f64 = 1e-12;
+
+/// The upwind rule (paper §1): along `omega`, `face` carries flux from
+/// its upwind cell into its downwind cell when `|n · ω| > PARALLEL_EPS`.
+/// Returns `(upwind, downwind, |n · ω|)`, or `None` for a face that is
+/// (nearly) parallel to `omega` and so couples nothing.
+#[inline(always)]
+pub fn upwind(face: &InteriorFace, omega: Vec3) -> Option<(CellId, CellId, f64)> {
+    let d = face.normal.dot(omega);
+    // Selects, not branches: the sign of a face is a coin flip to the
+    // branch predictor.
+    let (up, down) = if d > 0.0 {
+        (face.a, face.b)
+    } else {
+        (face.b, face.a)
+    };
+    (d.abs() > PARALLEL_EPS).then_some((up, down, d.abs()))
+}
 
 /// Statistics from inducing one direction's DAG.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,10 +100,7 @@ fn induce_with(graph: &PairGraph, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDa
     let faces = mesh.interior_faces();
     let mut sign: Vec<i8> = faces
         .iter()
-        .map(|f| {
-            let d = f.normal.dot(omega);
-            i8::from(d > PARALLEL_EPS) - i8::from(d < -PARALLEL_EPS)
-        })
+        .map(|f| upwind(f, omega).map_or(0, |(up, ..)| 2 * i8::from(up == f.a) - 1))
         .collect();
     let mut stats = InduceStats {
         raw_edges: sign.iter().filter(|&&s| s != 0).count(),
@@ -103,12 +119,8 @@ fn induce_with(graph: &PairGraph, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDa
         .map(|c| mesh.centroid(CellId(c)).dot(omega))
         .collect();
     for (f, s) in faces.iter().zip(&mut sign) {
-        let (u, v) = if *s > 0 {
-            (f.a.0, f.b.0)
-        } else {
-            (f.b.0, f.a.0)
-        };
-        if *s != 0 && breaks(&scc, &height, u, v) {
+        let up_down = upwind(f, omega).map(|(up, down, _)| (up.0, down.0));
+        if up_down.is_some_and(|(u, v)| breaks(&scc, &height, u, v)) {
             *s = 0;
             stats.dropped_edges += 1;
         }
@@ -140,16 +152,10 @@ fn induce_with(graph: &PairGraph, mesh: &impl SweepMesh, omega: Vec3) -> (TaskDa
 /// assert!(stats.dropped_edges > 0);
 /// ```
 pub fn induce_raw(mesh: &impl SweepMesh, omega: Vec3) -> Vec<(u32, u32)> {
-    let mut edges = Vec::with_capacity(mesh.interior_faces().len());
-    for f in mesh.interior_faces() {
-        let d = f.normal.dot(omega);
-        if d > PARALLEL_EPS {
-            edges.push((f.a.0, f.b.0));
-        } else if d < -PARALLEL_EPS {
-            edges.push((f.b.0, f.a.0));
-        }
-    }
-    edges
+    let faces = mesh.interior_faces().iter();
+    faces
+        .filter_map(|f| upwind(f, omega).map(|(up, down, _)| (up.0, down.0)))
+        .collect()
 }
 
 /// Induces all `k` DAGs for a quadrature set; returns the DAGs and the
@@ -169,12 +175,7 @@ pub fn induce_all(
     let graph = face_graph(mesh);
     let per_dir =
         sweep_pool::global().par_map(&omegas, |_, &omega| induce_with(&graph, mesh, omega));
-    let mut dags = Vec::with_capacity(quadrature.len());
-    let mut stats = Vec::with_capacity(quadrature.len());
-    for (d, s) in per_dir {
-        dags.push(d);
-        stats.push(s);
-    }
+    let (dags, stats): (Vec<TaskDag>, Vec<InduceStats>) = per_dir.into_iter().unzip();
     if telemetry::enabled() {
         telemetry::counter_add(
             "dag.induce.raw_edges",

@@ -88,15 +88,6 @@ pub fn b_levels(dag: &TaskDag) -> Vec<u32> {
     b
 }
 
-/// Length (in nodes) of the longest path in the DAG — the critical path,
-/// equal to the number of layers. `O(1)`: the DAG stores it.
-///
-/// # Panics
-/// Panics if the graph is cyclic.
-pub fn critical_path_len(dag: &TaskDag) -> usize {
-    dag.depth()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,7 +177,7 @@ mod tests {
             // path through v has level(v) + b(v) nodes ≤ depth.
             assert!(lv + bv <= l.depth() as u32);
         }
-        assert_eq!(critical_path_len(&g), l.depth());
+        assert_eq!(g.depth(), l.depth());
     }
 
     #[test]
@@ -195,7 +186,7 @@ mod tests {
         let l = levels(&g);
         assert_eq!(l.depth(), 1);
         assert_eq!(l.layer(0).len(), 4);
-        assert_eq!(critical_path_len(&g), 1);
+        assert_eq!(g.depth(), 1);
     }
 
     #[test]
@@ -211,7 +202,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = TaskDag::edgeless(0);
-        assert_eq!(critical_path_len(&g), 0);
+        assert_eq!(g.depth(), 0);
         let l = levels(&g);
         assert_eq!(l.depth(), 0);
     }

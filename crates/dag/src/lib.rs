@@ -44,9 +44,9 @@ pub use descendants::{
 };
 pub use graph::{Edges, Neighbours, TaskDag};
 pub use induce::{
-    break_cycles, cyclic_components, induce_all, induce_dag, induce_raw, InduceStats,
+    break_cycles, cyclic_components, induce_all, induce_dag, induce_raw, upwind, InduceStats,
 };
 pub use instance::{SweepInstance, TaskId};
-pub use levels::{b_levels, critical_path_len, levels, Levels};
+pub use levels::{b_levels, levels, Levels};
 pub use serialize::{from_text, from_text_unchecked, peek_counts, to_text};
 pub use stats::{dag_stats, instance_stats, to_dot, DagStats, InstanceStats};

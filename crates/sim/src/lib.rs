@@ -43,4 +43,4 @@ pub use faulty::{
     DegradationPoint,
 };
 pub use latency::latency_makespan;
-pub use transport::{Material, TransportResult, TransportSolver};
+pub use transport::{Material, MaterialError, TransportResult, TransportSolver};

@@ -18,13 +18,17 @@
 //! average, uniform characteristic cell size `h`): the point is to
 //! exercise the sweep machinery end-to-end — mesh → quadrature →
 //! per-direction DAGs → ordered cell solves — not to compete with
-//! production discretizations.
+//! production discretizations. A cell's upwind faces are those
+//! [`sweep_dag::upwind`] orients into it whose DAG edge survived cycle
+//! breaking: a cut face is deleted from the stencil, not lagged to the
+//! previous iterate, so a cyclic mesh converges to that stencil's fixed
+//! point.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
 use sweep_core::{validate, Schedule, ScheduleViolation};
-use sweep_dag::{levels, SweepInstance};
-use sweep_mesh::{CellId, SweepMesh};
+use sweep_dag::{levels, upwind, SweepInstance};
+use sweep_mesh::SweepMesh;
 use sweep_pool::ThreadPool;
 use sweep_quadrature::{DirectionId, QuadratureSet};
 
@@ -42,22 +46,48 @@ pub struct Material {
     pub source: f64,
 }
 
+/// A [`Material`] field outside its physical range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MaterialError {
+    /// `sigma_t`, `sigma_s`, `source` or `scattering ratio`.
+    pub field: &'static str,
+    /// The field's value.
+    pub value: f64,
+    /// What it must be: `finite`, `positive`, `in [0,1)` or `non-negative`.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for MaterialError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (field, value, expected) = (self.field, self.value, self.expected);
+        write!(f, "{field} must be {expected}, got {value}")
+    }
+}
+
+impl std::error::Error for MaterialError {}
+
 impl Material {
-    /// Validates physical constraints.
-    pub fn validated(self) -> Result<Material, String> {
-        if self.sigma_t <= 0.0 || self.sigma_t.is_nan() {
-            return Err(format!("sigma_t must be positive, got {}", self.sigma_t));
+    /// Validates physical constraints: every field finite, then `σ_t > 0`,
+    /// `0 ≤ σ_s/σ_t < 1` and `q ≥ 0`. The first one broken is the error.
+    pub fn validated(self) -> Result<Material, MaterialError> {
+        let (t, s, q) = (self.sigma_t, self.sigma_s, self.source);
+        let ratio_ok = (0.0..1.0).contains(&(s / t));
+        let checks = [
+            ("sigma_t", t, "finite", t.is_finite()),
+            ("sigma_s", s, "finite", s.is_finite()),
+            ("source", q, "finite", q.is_finite()),
+            ("sigma_t", t, "positive", t > 0.0),
+            ("scattering ratio", s / t, "in [0,1)", ratio_ok),
+            ("source", q, "non-negative", q >= 0.0),
+        ];
+        match checks.into_iter().find(|check| !check.3) {
+            None => Ok(self),
+            Some((field, value, expected, _)) => Err(MaterialError {
+                field,
+                value,
+                expected,
+            }),
         }
-        if !(0.0..1.0).contains(&(self.sigma_s / self.sigma_t)) {
-            return Err(format!(
-                "scattering ratio must be in [0,1), got {}",
-                self.sigma_s / self.sigma_t
-            ));
-        }
-        if self.source < 0.0 {
-            return Err("source must be non-negative".into());
-        }
-        Ok(self)
     }
 }
 
@@ -105,7 +135,6 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         quadrature: &'m QuadratureSet,
         material: Material,
     ) -> Result<TransportSolver<'m, M>, String> {
-        let material = material.validated()?;
         Self::with_materials(mesh, quadrature, vec![material; mesh.num_cells()])
     }
 
@@ -117,19 +146,14 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         quadrature: &'m QuadratureSet,
         materials: Vec<Material>,
     ) -> Result<TransportSolver<'m, M>, String> {
-        if materials.len() != mesh.num_cells() {
-            return Err(format!(
-                "need one material per cell: {} for {} cells",
-                materials.len(),
-                mesh.num_cells()
-            ));
+        let (n, got) = (mesh.num_cells(), materials.len());
+        if got != n {
+            return Err(format!("need one material per cell: {got} for {n} cells"));
         }
-        let materials: Vec<Material> = materials
-            .into_iter()
-            .map(Material::validated)
-            .collect::<Result<_, _>>()?;
-        let (instance, _) = SweepInstance::from_mesh(mesh, quadrature, "transport");
-        let n = mesh.num_cells();
+        for m in &materials {
+            m.validated().map_err(|e| e.to_string())?;
+        }
+        let (instance, stats) = SweepInstance::from_mesh(mesh, quadrature, "transport");
         let k = quadrature.len();
         let h = 1.0 / (n as f64).powf(1.0 / mesh.dim() as f64);
         // Flat arrays, so the sweep streams contiguous memory: the claim
@@ -139,17 +163,44 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         for (base, dag) in (0..).step_by(n.max(1)).zip(instance.dags()) {
             topo.extend(levels(dag).layer_nodes.into_iter().map(|v| base + v));
         }
-        let mut stencil_xadj = Vec::with_capacity(k * n + 1);
-        let mut stencil_up = Vec::new();
-        let mut stencil_w = Vec::new();
-        stencil_xadj.push(0u32);
-        for d in 0..k {
-            for cell in stencil_for_direction(mesh, &instance, quadrature, d) {
-                for (up, w) in cell {
-                    stencil_up.push(up);
-                    stencil_w.push(w);
+        let mut stencil_xadj = vec![0u32; k * n + 1];
+        let (mut stencil_up, mut stencil_w) = (Vec::new(), Vec::new());
+        let mut entries: Vec<(u32, u32, f64)> = Vec::new();
+        for (d, (dag, stats)) in instance.dags().iter().zip(&stats).enumerate() {
+            // One pass over the faces: `(downwind, upwind, area·|n·ω|)` of
+            // each face whose edge survived cycle breaking (every oriented
+            // face, unless the direction had edges cut), in face order.
+            let omega = quadrature.direction(DirectionId(d as u32));
+            let cut = stats.dropped_edges > 0;
+            entries.clear();
+            entries.extend(mesh.interior_faces().iter().filter_map(|f| {
+                let (up, down, dot) = upwind(f, omega)?;
+                let kept = !cut || dag.successors(up.0).any(|w| w == down.0);
+                kept.then_some((down.0, up.0, f.area * dot))
+            }));
+            // Counting sort by downwind cell, keeping face order in a row.
+            let xadj = &mut stencil_xadj[d * n..=(d + 1) * n];
+            for &(down, ..) in &entries {
+                xadj[down as usize + 1] += 1;
+            }
+            for r in 0..n {
+                xadj[r + 1] += xadj[r];
+            }
+            let mut cursor = xadj[..n].to_vec();
+            stencil_up.resize(xadj[n] as usize, 0);
+            stencil_w.resize(xadj[n] as usize, 0.0);
+            for &(down, up, w) in &entries {
+                let at = &mut cursor[down as usize];
+                (stencil_up[*at as usize], stencil_w[*at as usize]) = (up, w);
+                *at += 1;
+            }
+            // Normalise each row over its own slice, summing in face order.
+            for r in xadj.windows(2) {
+                let row = &mut stencil_w[r[0] as usize..r[1] as usize];
+                let total: f64 = row.iter().sum();
+                if total > 0.0 {
+                    row.iter_mut().for_each(|w| *w /= total);
                 }
-                stencil_xadj.push(stencil_up.len() as u32);
             }
         }
         Ok(TransportSolver {
@@ -236,11 +287,12 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
                     *p += o.weight * f64::from_bits(x.load(Ordering::Relaxed));
                 }
             }
+            // A NaN change (an overflowed `φ`) sticks: `f64::max` would drop it.
             residual = phi
                 .iter()
                 .zip(&phi_new)
                 .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
+                .fold(0.0, |r, d| if d > r || d.is_nan() { d } else { r });
             phi = phi_new;
             if residual <= tol {
                 break;
@@ -297,19 +349,6 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
             ready[t].store(parity, Ordering::Release);
         }
     }
-
-    /// Mean scalar flux over the mesh.
-    pub fn mean_flux(phi: &[f64]) -> f64 {
-        if phi.is_empty() {
-            return 0.0;
-        }
-        phi.iter().sum::<f64>() / phi.len() as f64
-    }
-
-    /// Centroid of the given cell (exposed for plotting in examples).
-    pub fn centroid(&self, c: u32) -> sweep_mesh::Point3 {
-        self.mesh.centroid(CellId(c))
-    }
 }
 
 /// Spins, yielding every 64 tries, until `flag` holds `parity`: the mark
@@ -329,45 +368,11 @@ fn spin_until(flag: &AtomicU8, parity: u8) {
     }
 }
 
-/// The per-cell incoming stencil of direction `d`: for each cell the list
-/// of `(upstream cell, normalized area weight)` pairs across faces whose
-/// induced edge survived cycle breaking.
-fn stencil_for_direction(
-    mesh: &impl SweepMesh,
-    instance: &SweepInstance,
-    quadrature: &QuadratureSet,
-    d: usize,
-) -> Vec<Vec<(u32, f64)>> {
-    let n = mesh.num_cells();
-    let dag = instance.dag(d);
-    let omega = quadrature.direction(DirectionId(d as u32));
-    let mut per_cell: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-    for f in mesh.interior_faces() {
-        let dot = f.normal.dot(omega);
-        if dot.abs() <= 1e-12 {
-            continue;
-        }
-        let (up, down) = if dot > 0.0 { (f.a, f.b) } else { (f.b, f.a) };
-        if dag.successors(up.0).any(|w| w == down.0) {
-            per_cell[down.index()].push((up.0, f.area * dot.abs()));
-        }
-    }
-    for cell in per_cell.iter_mut() {
-        let total: f64 = cell.iter().map(|&(_, w)| w).sum();
-        if total > 0.0 {
-            for e in cell.iter_mut() {
-                e.1 /= total;
-            }
-        }
-    }
-    per_cell
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sweep_core::{Algorithm, Assignment};
-    use sweep_mesh::TriMesh2d;
+    use sweep_mesh::{CellId, TriMesh2d};
 
     fn solver_on(
         mesh: &TriMesh2d,
@@ -428,11 +433,12 @@ mod tests {
                     phi_new[v] += w_d * psi[v];
                 }
             }
+            // A NaN change (an overflowed `φ`) sticks: `f64::max` would drop it.
             residual = phi
                 .iter()
                 .zip(&phi_new)
                 .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
+                .fold(0.0, |r, d| if d > r || d.is_nan() { d } else { r });
             phi = phi_new;
             if residual <= tol {
                 break;
@@ -444,6 +450,11 @@ mod tests {
             residual,
             converged: residual <= tol,
         }
+    }
+
+    /// Mean scalar flux over the mesh.
+    fn mean_flux(phi: &[f64]) -> f64 {
+        phi.iter().sum::<f64>() / phi.len() as f64
     }
 
     /// FNV-1a over the bit pattern of every `φ` entry.
@@ -531,6 +542,44 @@ mod tests {
             (62, 0x3dd4_ee38_0000_0000, 0x2a51_554d_2945_02e0),
         ];
         assert_eq!(got, want);
+    }
+
+    /// Per direction, the stencil holds exactly the faces whose edge
+    /// survived induction, `raw_edges − dropped_edges` of them (faces
+    /// parallel to the direction and cut faces drop out), and each entry
+    /// `up → v` is an edge of that direction's DAG: the premise of the
+    /// sweep's deadlock freedom (DESIGN.md §12). Returns the faces cut.
+    fn check_stencil<M: SweepMesh + Sync>(mesh: &M, quad: &QuadratureSet) -> usize {
+        let s = TransportSolver::new(mesh, quad, uniform(0.5)).unwrap();
+        let (_, stats) = SweepInstance::from_mesh(mesh, quad, "stencil");
+        let n = mesh.num_cells();
+        for (d, st) in stats.iter().enumerate() {
+            let (dag, xadj) = (s.instance().dag(d), &s.stencil_xadj[d * n..=(d + 1) * n]);
+            let entries = (xadj[n] - xadj[0]) as usize;
+            assert_eq!(entries, st.raw_edges - st.dropped_edges, "direction {d}");
+            for (v, r) in (0u32..).zip(xadj.windows(2)) {
+                for &up in &s.stencil_up[r[0] as usize..r[1] as usize] {
+                    assert!(dag.successors(up).any(|w| w == v), "{up} -> {v} in {d}");
+                }
+            }
+        }
+        stats.iter().map(|st| st.dropped_edges).sum()
+    }
+
+    #[test]
+    fn stencil_entries_are_the_faces_induction_kept() {
+        use sweep_mesh::PolyPreset;
+        let warped = warped_msh();
+        let s4 = QuadratureSet::level_symmetric(4).unwrap();
+        let mut cut: Vec<usize> = [2, 4, 6]
+            .map(|sn| check_stencil(&warped, &QuadratureSet::level_symmetric(sn).unwrap()))
+            .to_vec();
+        for preset in [PolyPreset::Pillow, PolyPreset::TripleRing] {
+            cut.push(check_stencil(&preset.build(12).unwrap(), &s4));
+        }
+        let tet = sweep_mesh::MeshPreset::Tetonly.build_scaled(0.05).unwrap();
+        cut.push(check_stencil(&tet, &s4));
+        assert_eq!(cut, [48, 312, 576, 288, 144, 0]);
     }
 
     /// Everything a solve returns, `φ` as bit patterns.
@@ -647,7 +696,7 @@ mod tests {
         let r = s.solve(60, 1e-10);
         assert!(r.converged, "residual {}", r.residual);
         assert!(r.phi.iter().all(|&x| x >= 0.0));
-        assert!(TransportSolver::<TriMesh2d>::mean_flux(&r.phi) > 0.0);
+        assert!(mean_flux(&r.phi) > 0.0);
         // No scattering ⇒ no φ feedback into ψ… except through the fixed
         // point detection; convergence must be quick.
         assert!(r.iterations <= 5, "{} iterations", r.iterations);
@@ -667,8 +716,8 @@ mod tests {
             none.iterations
         );
         // Scattering re-emits: flux must be higher.
-        let m_none = TransportSolver::<TriMesh2d>::mean_flux(&none.phi);
-        let m_some = TransportSolver::<TriMesh2d>::mean_flux(&some.phi);
+        let m_none = mean_flux(&none.phi);
+        let m_some = mean_flux(&some.phi);
         assert!(m_some > m_none, "{m_some} !> {m_none}");
     }
 
@@ -700,8 +749,8 @@ mod tests {
         .unwrap();
         let r1 = s1.solve(300, 1e-12);
         let r2 = s2.solve(300, 1e-12);
-        let m1 = TransportSolver::<TriMesh2d>::mean_flux(&r1.phi);
-        let m2 = TransportSolver::<TriMesh2d>::mean_flux(&r2.phi);
+        let m1 = mean_flux(&r1.phi);
+        let m2 = mean_flux(&r2.phi);
         assert!((m2 / m1 - 2.0).abs() < 1e-6, "ratio {}", m2 / m1);
     }
 
@@ -735,6 +784,67 @@ mod tests {
         }
         .validated()
         .is_ok());
+        // Non-finite fields: a NaN source once solved to a "converged"
+        // NaN flux, and an infinite σ_t to a converged zero.
+        let ok = uniform(0.5);
+        for (bad, name) in [
+            (
+                Material {
+                    source: f64::NAN,
+                    ..ok
+                },
+                "source",
+            ),
+            (
+                Material {
+                    source: f64::INFINITY,
+                    ..ok
+                },
+                "source",
+            ),
+            (
+                Material {
+                    sigma_t: f64::INFINITY,
+                    ..ok
+                },
+                "sigma_t",
+            ),
+            (
+                Material {
+                    sigma_t: f64::NAN,
+                    ..ok
+                },
+                "sigma_t",
+            ),
+            (
+                Material {
+                    sigma_s: f64::NEG_INFINITY,
+                    ..ok
+                },
+                "sigma_s",
+            ),
+        ] {
+            let err = bad.validated().unwrap_err();
+            assert_eq!((err.field, err.expected), (name, "finite"), "{bad:?}");
+        }
+    }
+
+    /// A finite source large enough to overflow `φ` gives a NaN change,
+    /// which must not read as convergence.
+    #[test]
+    fn overflowing_flux_does_not_converge() {
+        let mesh = TriMesh2d::unit_square(3, 3, 0.1, 1).unwrap();
+        let quad = QuadratureSet::uniform_2d(4).unwrap();
+        let huge = Material {
+            source: f64::MAX,
+            ..uniform(0.9)
+        };
+        let r = TransportSolver::new(&mesh, &quad, huge)
+            .unwrap()
+            .solve(5, 1e-8);
+        assert!(r.phi.iter().any(|x| !x.is_finite()), "{:?}", r.phi);
+        assert!(r.residual.is_nan() && !r.converged, "{r:?}");
+        assert_eq!(r.iterations, 5);
     }
 
     #[test]
@@ -754,7 +864,6 @@ mod tests {
         let mesh: &'static TriMesh2d = Box::leak(Box::new(mesh));
         let quad: &'static QuadratureSet =
             Box::leak(Box::new(QuadratureSet::uniform_2d(8).unwrap()));
-        use sweep_mesh::CellId;
         let mats: Vec<Material> = (0..mesh.num_cells())
             .map(|c| {
                 let left = mesh.centroid(CellId(c as u32)).x < 0.5;
