@@ -166,12 +166,12 @@ impl<'m, M: SweepMesh + Sync> TransportSolver<'m, M> {
         let mut stencil_xadj = vec![0u32; k * n + 1];
         let (mut stencil_up, mut stencil_w) = (Vec::new(), Vec::new());
         let mut entries: Vec<(u32, u32, f64)> = Vec::new();
-        for (d, (dag, stats)) in instance.dags().iter().zip(&stats).enumerate() {
+        for (d, (dag, st)) in instance.dags().iter().zip(&stats).enumerate() {
             // One pass over the faces: `(downwind, upwind, area·|n·ω|)` of
             // each face whose edge survived cycle breaking (every oriented
             // face, unless the direction had edges cut), in face order.
             let omega = quadrature.direction(DirectionId(d as u32));
-            let cut = stats.dropped_edges > 0;
+            let cut = st.dropped_edges > 0;
             entries.clear();
             entries.extend(mesh.interior_faces().iter().filter_map(|f| {
                 let (up, down, dot) = upwind(f, omega)?;
