@@ -173,26 +173,27 @@ fn kba_assignment_matches_manual_grid_math() {
     }
 }
 
+/// FNV-1a over the little-endian bytes of `words`, in order.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+        x.to_le_bytes()
+            .into_iter()
+            .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
 /// FNV-1a over every field of the trace, in trace order.
 fn trace_fnv(trace: &AsyncTrace) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for e in &trace.execs {
-        [e.task, e.proc as u64, e.start.to_bits(), e.finish.to_bits()]
-            .into_iter()
-            .for_each(&mut eat);
-    }
-    for m in &trace.messages {
+    let execs = trace
+        .execs
+        .iter()
+        .flat_map(|e| [e.task, e.proc as u64, e.start.to_bits(), e.finish.to_bits()]);
+    let messages = trace.messages.iter().flat_map(|m| {
         [m.from_task, m.from_proc as u64, m.send.to_bits()]
             .into_iter()
             .chain([m.to_task, m.to_proc as u64, m.arrive.to_bits()])
-            .for_each(&mut eat);
-    }
-    h
+    });
+    fnv1a(execs.chain(messages))
 }
 
 /// `(makespan, messages, execs.len(), messages.len(), trace_fnv)` of the
@@ -288,4 +289,54 @@ fn async_execution_reproduces_the_pinned_table() {
         }
     }
     assert!(pinned.next().is_none());
+}
+
+/// `(makespan, FNV-1a of the start vector)` of weighted Algorithm 2,
+/// read off the weighted scheduler before it ran on the event engine:
+/// tetonly 0.02 × S2 with weights `1 + (13v + s) mod 32`, random cells
+/// (seed `s`) and delay seed `s ^ 9`, m ∈ {8, 32, 128} × s ∈ 0..4 (s
+/// innermost), then three `random_layered` instances.
+const WEIGHTED_PINNED: [(u64, u64); 15] = [
+    (12986, 0xaa887c9bfe4bc599),
+    (13257, 0x7693cb6ffe72c872),
+    (12416, 0x82369fe1535374e2),
+    (11960, 0x5096680903a9452d),
+    (4227, 0xa54084e13d4d9695),
+    (3743, 0xd1326d8712ff9cea),
+    (4493, 0x7bb71b3d04231b40),
+    (4703, 0x2acb95a1cb8f7281),
+    (1719, 0x2ea967cd08c5d1e2),
+    (1770, 0x28f178c211cdaf0c),
+    (1783, 0xc9f038af2f9c1a6d),
+    (1878, 0x5f4037761440e314),
+    (1058, 0xee964631be069621),
+    (2155, 0x0560895f9f6444ed),
+    (1281, 0xbbd8ca903b319557),
+];
+
+#[test]
+fn weighted_schedules_are_pinned() {
+    let weights_for =
+        |n: usize, s: u64| -> Vec<u64> { (0..n as u64).map(|v| 1 + (v * 13 + s) % 32).collect() };
+    let mut got = Vec::new();
+    let mesh = MeshPreset::Tetonly.build_scaled(0.02).unwrap();
+    let quad = QuadratureSet::level_symmetric(2).unwrap();
+    let (inst, _) = SweepInstance::from_mesh(&mesh, &quad, "tetonly");
+    let n = inst.num_cells();
+    for m in [8usize, 32, 128] {
+        for s in 0..4u64 {
+            let w = weights_for(n, s);
+            let a = Assignment::random_cells(n, m, s);
+            let sched = weighted_random_delay_priorities(&inst, a, &w, s ^ 9);
+            got.push((sched.makespan, fnv1a(sched.start.iter().copied())));
+        }
+    }
+    for (n, k, depth, m, s) in [(60, 3, 6, 4, 1u64), (150, 5, 12, 8, 2), (209, 6, 9, 32, 3)] {
+        let inst = SweepInstance::random_layered(n, k, depth, 2, s);
+        let w = weights_for(n, s);
+        let a = Assignment::random_cells(n, m, s);
+        let sched = weighted_random_delay_priorities(&inst, a, &w, s ^ 9);
+        got.push((sched.makespan, fnv1a(sched.start.iter().copied())));
+    }
+    assert_eq!(got, WEIGHTED_PINNED);
 }
