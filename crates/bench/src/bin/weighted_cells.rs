@@ -13,11 +13,10 @@
 
 use rand::{RngExt, SeedableRng};
 use sweep_bench::{BenchArgs, CsvSink};
-use sweep_core::{
-    validate_weighted, weighted_lower_bound, weighted_random_delay_priorities, Assignment,
-};
+use sweep_core::Assignment;
 use sweep_mesh::{MeshPreset, SweepMesh};
 use sweep_partition::{block_partition, CsrGraph, PartitionOptions};
+use sweep_sim::{validate_weighted, weighted_lower_bound, weighted_random_delay_priorities};
 
 fn main() {
     let args = BenchArgs::parse();

@@ -22,6 +22,10 @@
 //! * [`certify`] / [`validate`] — an independent feasibility oracle for the
 //!   three sweep-scheduling constraints (`certify` also measures C1 and C2).
 //!
+//! Tasks here take one step each, as in the paper. Per-cell durations are
+//! `sweep-sim`'s `weighted` module, whose scheduler is that crate's event
+//! engine (which builds on this one).
+//!
 //! ```
 //! use sweep_dag::SweepInstance;
 //! use sweep_core::{certify, Algorithm, Assignment};
@@ -53,7 +57,6 @@ pub mod schedule;
 pub mod scratch;
 mod slots;
 pub mod trials;
-pub mod weighted;
 
 pub use algorithms::Algorithm;
 pub use assignment::Assignment;
@@ -79,8 +82,4 @@ pub use scratch::{TrialContext, TrialScratch};
 pub use trials::{
     best_of_trials, best_of_trials_seq, best_of_trials_with_pool, trial_seeds, BestOfTrials,
     TrialOutcome,
-};
-pub use weighted::{
-    validate_weighted, weighted_list_schedule, weighted_lower_bound,
-    weighted_random_delay_priorities, WeightedSchedule, WeightedViolation,
 };

@@ -2,8 +2,10 @@
 //! this crate — under a deterministic [`FaultPlan`].
 //!
 //! [`async_makespan`] (`async_exec`, which also documents the execution
-//! model) is this engine on [`FaultPlan::none`]; [`async_makespan_faulty`]
-//! replays the same model on an imperfect cluster:
+//! model) is this engine on [`FaultPlan::none`], and weighted list
+//! scheduling ([`weighted_list_schedule`](crate::weighted_list_schedule))
+//! is that at latency 0; [`async_makespan_faulty`] replays the same model
+//! on an imperfect cluster:
 //!
 //! * **Lossy links.** Every cross-processor face-flux message is sent
 //!   through an ack/timeout/retry protocol: a delivery attempt may be
@@ -365,10 +367,11 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The event loop behind [`async_makespan`] (the empty plan) and
-/// [`async_makespan_faulty`]: validates the inputs, runs `plan` to
-/// completion and returns the report with the trace of *successful*
-/// executions and *delivered* messages.
+/// The event loop behind [`async_makespan`] (the empty plan),
+/// [`weighted_list_schedule`](crate::weighted_list_schedule) (the empty
+/// plan at latency 0) and [`async_makespan_faulty`]: validates the
+/// inputs, runs `plan` to completion and returns the report with the
+/// trace of *successful* executions and *delivered* messages.
 pub(crate) fn execute(
     instance: &SweepInstance,
     assignment: &Assignment,

@@ -18,6 +18,9 @@
 //!   `sweep-faults` plan — lossy retried messaging, stragglers, link
 //!   partitions, crash recovery by whole-cell reassignment — and the
 //!   former is that call on the empty plan;
+//! * [`weighted`] — non-uniform cell costs: weighted list scheduling
+//!   (the same engine on the empty plan at latency 0), its independent
+//!   validator, and weighted lower bounds;
 //! * [`TransportSolver`] — a toy one-group S_n source-iteration solver,
 //!   the application sweeps exist for, and the crate's only code that
 //!   sweeps a mesh: [`TransportSolver::solve_scheduled`] runs its sweeps
@@ -32,6 +35,7 @@ pub mod coloring;
 pub mod faulty;
 pub mod latency;
 pub mod transport;
+pub mod weighted;
 
 pub use async_exec::{
     async_makespan, async_makespan_traced, publish_trace, AsyncReport, AsyncTrace, TraceExec,
@@ -44,3 +48,7 @@ pub use faulty::{
 };
 pub use latency::latency_makespan;
 pub use transport::{Material, MaterialError, TransportResult, TransportSolver};
+pub use weighted::{
+    validate_weighted, weighted_list_schedule, weighted_lower_bound,
+    weighted_random_delay_priorities, WeightedSchedule, WeightedViolation,
+};

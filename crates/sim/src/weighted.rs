@@ -2,22 +2,21 @@
 //!
 //! Real transport meshes have heterogeneous cells (local refinement,
 //! material interfaces), so production sweeps have per-cell work that
-//! varies by an order of magnitude. This module provides an event-driven
-//! weighted list scheduler (tasks of cell `v` take `weight[v]` time in
-//! every direction), a weighted feasibility validator, and weighted lower
-//! bounds. The random-delay priorities carry over unchanged — the delay
-//! argument only needs the *layering*, not unit durations — so
-//! [`weighted_random_delay_priorities`] is the natural weighted analogue
-//! of Algorithm 2.
+//! varies by an order of magnitude. This module provides weighted list
+//! scheduling (tasks of cell `v` take `weight[v]` time in every
+//! direction), a weighted feasibility validator, and weighted lower
+//! bounds. The scheduler is not a loop of its own: it is the crate's one
+//! event engine ([`faulty`](crate::faulty)) on the empty plan at latency
+//! 0, where every completion is visible at once. The random-delay
+//! priorities carry over unchanged — the delay argument only needs the
+//! *layering*, not unit durations — so [`weighted_random_delay_priorities`]
+//! is the natural weighted analogue of Algorithm 2.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use sweep_core::{delayed_level_priorities, random_delays, Assignment};
 use sweep_dag::{levels, SweepInstance, TaskId};
+use sweep_faults::FaultPlan;
 
-use crate::assignment::Assignment;
-use crate::list_schedule::task_in_degrees;
-use crate::random_delay::{delayed_level_priorities, random_delays};
+use crate::faulty::execute;
 
 /// A schedule with per-task durations: task `(v, i)` runs on
 /// `assignment.proc_of(v)` during `[start, start + weight[v])`.
@@ -37,85 +36,36 @@ fn check_weights(n: usize, weights: &[u64]) {
     assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
 }
 
-/// Event-driven weighted list scheduling: at every scheduling decision
-/// the freed processor takes its ready task of minimum `priority`
-/// (ties by task id).
+/// Weighted list scheduling: whenever a processor frees, it takes the
+/// ready task of minimum `priority` (ties by task id) among everything
+/// ready on it at that time, including what the completion that freed it
+/// readied.
+///
+/// # Panics
+/// Panics on mismatched array lengths, a zero weight, or a total work
+/// `k·Σw` of `2^53` or more (the engine's `f64` times are then no longer
+/// exact integers).
 pub fn weighted_list_schedule(
     instance: &SweepInstance,
     assignment: Assignment,
     weights: &[u64],
     priority: &[i64],
 ) -> WeightedSchedule {
-    let n = instance.num_cells();
-    let k = instance.num_directions();
-    check_weights(n, weights);
-    assert_eq!(priority.len(), n * k, "one priority per task");
-    let m = assignment.num_procs();
-    let mut start = vec![0u64; n * k];
-    if n == 0 {
-        return WeightedSchedule {
-            start,
-            assignment,
-            makespan: 0,
-        };
+    // No time passes the total work, so below 2^53 every start and
+    // finish is an exact integer in f64. `execute` checks the weights.
+    let work = weights.iter().map(|&w| u128::from(w)).sum::<u128>();
+    let k = instance.num_directions() as u128;
+    assert!(work * k < 1 << 53, "total work k·Σw must be below 2^53");
+    let plan = FaultPlan::none();
+    let (report, trace) = execute(instance, &assignment, priority, Some(weights), 0.0, &plan);
+    let mut start = vec![0u64; instance.num_tasks()];
+    for e in &trace.execs {
+        start[e.task as usize] = e.start as u64;
     }
-
-    let mut indeg: Vec<u32> = task_in_degrees(instance).collect();
-    // Ready heap per processor.
-    let mut ready: Vec<BinaryHeap<Reverse<(i64, u64)>>> = vec![BinaryHeap::new(); m];
-    for t in 0..(n * k) as u64 {
-        if indeg[t as usize] == 0 {
-            let v = (t % n as u64) as u32;
-            ready[assignment.proc_of(v) as usize].push(Reverse((priority[t as usize], t)));
-        }
-    }
-    // Event queue of task completions: (finish_time, proc, task).
-    let mut events: BinaryHeap<Reverse<(u64, u32, u64)>> = BinaryHeap::new();
-    let mut busy = vec![false; m];
-    let mut makespan = 0u64;
-    let mut pending = n * k;
-
-    // Helper closure semantics inlined: start best ready task on proc at t.
-    macro_rules! dispatch {
-        ($p:expr, $t:expr) => {{
-            let p: usize = $p;
-            let now: u64 = $t;
-            if !busy[p] {
-                if let Some(Reverse((_, task))) = ready[p].pop() {
-                    let v = (task % n as u64) as u32;
-                    start[task as usize] = now;
-                    let fin = now + weights[v as usize];
-                    makespan = makespan.max(fin);
-                    busy[p] = true;
-                    events.push(Reverse((fin, p as u32, task)));
-                }
-            }
-        }};
-    }
-
-    for p in 0..m {
-        dispatch!(p, 0);
-    }
-    while let Some(Reverse((t, p, task))) = events.pop() {
-        busy[p as usize] = false;
-        pending -= 1;
-        let (v, dir) = TaskId(task).unpack(n);
-        for w in instance.dag(dir as usize).successors(v) {
-            let wt = TaskId::pack(w, dir, n).index();
-            indeg[wt] -= 1;
-            if indeg[wt] == 0 {
-                let wp = assignment.proc_of(w) as usize;
-                ready[wp].push(Reverse((priority[wt], wt as u64)));
-                dispatch!(wp, t);
-            }
-        }
-        dispatch!(p as usize, t);
-    }
-    debug_assert_eq!(pending, 0, "all tasks must complete");
     WeightedSchedule {
         start,
         assignment,
-        makespan,
+        makespan: report.makespan as u64,
     }
 }
 
@@ -254,10 +204,10 @@ mod tests {
         let inst = SweepInstance::random_layered(60, 4, 6, 2, 1);
         let a = Assignment::random_cells(60, 6, 2);
         let w = vec![1u64; 60];
-        let prio = crate::priorities::level_priorities(&inst);
+        let prio = sweep_core::level_priorities(&inst);
         let ws = weighted_list_schedule(&inst, a.clone(), &w, &prio);
         validate_weighted(&inst, &ws, &w).unwrap();
-        let us = crate::list_schedule::list_schedule(&inst, a, &prio, None);
+        let us = sweep_core::list_schedule(&inst, a, &prio, None);
         // Event-driven dispatch can differ from slotted dispatch in tie
         // handling, so require equality only of the bound-level behaviour.
         assert!(ws.makespan <= us.makespan() as u64 + 2);
@@ -290,7 +240,7 @@ mod tests {
         let inst = SweepInstance::random_layered(30, 3, 5, 2, 2);
         let w = random_weights(30, 7);
         let total: u64 = w.iter().sum::<u64>() * 3;
-        let prio = crate::priorities::level_priorities(&inst);
+        let prio = sweep_core::level_priorities(&inst);
         let s = weighted_list_schedule(&inst, Assignment::single(30), &w, &prio);
         validate_weighted(&inst, &s, &w).unwrap();
         assert_eq!(s.makespan, total);
@@ -333,6 +283,27 @@ mod tests {
         let lb = weighted_lower_bound(&inst, &w, m);
         let ratio = s.makespan as f64 / lb as f64;
         assert!(ratio < 3.0, "weighted ratio {ratio:.2}");
+    }
+
+    #[test]
+    fn freed_processor_picks_among_everything_its_completion_readied() {
+        // 0 → 1 and 0 → 2 on one processor: finishing 0 readies both, and
+        // the processor must then take 2 (priority 1) before 1 (priority 5).
+        let dag = sweep_dag::TaskDag::from_edges(3, &[(0, 1), (0, 2)]);
+        let inst = SweepInstance::new(3, vec![dag], "fork");
+        let w = vec![1u64; 3];
+        let s = weighted_list_schedule(&inst, Assignment::single(3), &w, &[0, 5, 1]);
+        assert_eq!(s.start, vec![0, 2, 1]);
+        assert_eq!(s.makespan, 3);
+        validate_weighted(&inst, &s, &w).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "2^53")]
+    fn work_past_exact_f64_times_rejected() {
+        let inst = SweepInstance::identical_chains(2, 1);
+        let w = [1u64 << 52, 1 << 52];
+        weighted_list_schedule(&inst, Assignment::single(2), &w, &[0, 0]);
     }
 
     #[test]

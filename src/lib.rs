@@ -11,7 +11,7 @@
 //! | [`dag`] | per-direction dependence DAGs, levels, descendant counts, instance generators |
 //! | [`partition`] | multilevel graph partitioner (METIS stand-in) for block assignment |
 //! | [`core`] | Algorithms 1–3 (Random Delay family), Level/Descendant/DFDS heuristics, list-scheduling engine, C1/C2 metrics, lower bounds |
-//! | [`sim`] | edge-coloring communication rounds, latency and asynchronous execution models, toy S_n transport solver whose sweeps run in a certified schedule's order |
+//! | [`sim`] | edge-coloring communication rounds, latency and asynchronous execution models, weighted list scheduling on the asynchronous engine, toy S_n transport solver whose sweeps run in a certified schedule's order |
 //! | [`analyze`] | static analysis: SW0xx diagnostics (cycle witnesses, collect-all schedule validation, bound certification, message-race detection, parallel-determinism certification) with text/JSON/SARIF output |
 //! | [`pool`] | dependency-free work-stealing thread pool backing parallel DAG induction, best-of-`b` trials, and the bench grids |
 //!
@@ -56,8 +56,7 @@ pub mod prelude {
     };
     pub use sweep_core::{
         approx_ratio, c1_interprocessor_edges, c2_comm_delay, greedy_schedule, kba_assignment,
-        list_schedule, lower_bounds, optimal_sweep_makespan, render_gantt, validate,
-        validate_weighted, weighted_lower_bound, weighted_random_delay_priorities, Algorithm,
+        list_schedule, lower_bounds, optimal_sweep_makespan, render_gantt, validate, Algorithm,
         Assignment, BestOfTrials, Schedule,
     };
     pub use sweep_core::{best_of_trials, best_of_trials_seq};
@@ -68,5 +67,8 @@ pub mod prelude {
     pub use sweep_partition::{block_partition, CsrGraph, PartitionOptions};
     pub use sweep_pool::{set_global_threads, ThreadPool};
     pub use sweep_quadrature::{DirectionId, QuadratureSet};
-    pub use sweep_sim::{latency_makespan, Material, TransportSolver};
+    pub use sweep_sim::{
+        latency_makespan, validate_weighted, weighted_lower_bound,
+        weighted_random_delay_priorities, Material, TransportSolver,
+    };
 }

@@ -11,12 +11,12 @@ use rand::{RngExt, SeedableRng};
 
 use sweep_scheduling::core::{
     delayed_level_priorities, from_csv, optimal_makespan_fixed_assignment, optimal_sweep_makespan,
-    random_delays, to_csv, validate_weighted, weighted_list_schedule, weighted_lower_bound,
-    weighted_random_delay_priorities,
+    random_delays, to_csv,
 };
 use sweep_scheduling::prelude::*;
 use sweep_scheduling::sim::{
-    async_makespan, async_makespan_traced, color_edges, is_proper_coloring, max_degree, AsyncTrace,
+    async_makespan, async_makespan_traced, color_edges, is_proper_coloring, max_degree,
+    weighted_list_schedule, AsyncTrace,
 };
 
 /// Deterministic `(instance, m, seed)` cases mirroring the old proptest
