@@ -2,7 +2,7 @@
 //! harness and examples dispatch through [`Algorithm`] so all algorithms
 //! are driven identically.
 
-use sweep_dag::{DescendantMode, SweepInstance};
+use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
 use crate::assignment::Assignment;
@@ -127,7 +127,7 @@ impl Algorithm {
             }
             Algorithm::DescendantPriority { delays } => {
                 let _span = telemetry::span!("sched.priorities.descendant");
-                let prio = descendant_priorities(instance, DescendantMode::Approximate);
+                let prio = descendant_priorities(instance);
                 heuristic(prio, delays, assignment)
             }
             Algorithm::Dfds { delays } => {

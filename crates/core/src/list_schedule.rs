@@ -916,13 +916,9 @@ pub(crate) mod tests {
                             Algorithm::LevelPriority { delays } => {
                                 (level_priorities(&inst), delays)
                             }
-                            Algorithm::DescendantPriority { delays } => (
-                                descendant_priorities(
-                                    &inst,
-                                    sweep_dag::DescendantMode::Approximate,
-                                ),
-                                delays,
-                            ),
+                            Algorithm::DescendantPriority { delays } => {
+                                (descendant_priorities(&inst), delays)
+                            }
                             Algorithm::Dfds { delays } => (dfds_priorities(&inst, &a), delays),
                             Algorithm::RandomDelay | Algorithm::ImprovedRandomDelay => continue,
                         };

@@ -6,7 +6,7 @@
 //! values, so largest-first schemes are negated here). Each runs as an
 //! [`Algorithm`](crate::Algorithm), with or without random delays.
 
-use sweep_dag::{descendant_counts, levels, DescendantMode, SweepInstance};
+use sweep_dag::{descendant_counts_approx, levels, SweepInstance};
 
 use crate::assignment::Assignment;
 use crate::list_schedule::per_task_table;
@@ -19,15 +19,17 @@ pub fn level_priorities(instance: &SweepInstance) -> Vec<i64> {
     })
 }
 
-/// Descendant priorities: the number of descendants of `(v, i)` in `G_i`;
-/// *larger is preferred* (negated for the min-first engine). `mode`
-/// selects exact or path-count descendants (see `sweep_dag::descendants`).
-pub fn descendant_priorities(instance: &SweepInstance, mode: DescendantMode) -> Vec<i64> {
-    per_task_table(instance, |_, dag| {
-        // Saturate into i64 to keep the negation total-order intact.
-        let counts = descendant_counts(dag, mode).into_iter();
-        counts.map(|c| -(c.min(i64::MAX as u64) as i64))
-    })
+/// Descendant priorities: the number of descendants of `(v, i)` in `G_i`,
+/// counted as downward paths (`sweep_dag::descendant_counts_approx`);
+/// *larger is preferred* (negated for the min-first engine).
+pub fn descendant_priorities(instance: &SweepInstance) -> Vec<i64> {
+    per_task_table(instance, |_, dag| negated(descendant_counts_approx(dag)))
+}
+
+/// Descendant counts as min-first priorities, saturated into `i64` so
+/// the negation keeps their order.
+fn negated(counts: Vec<u64>) -> impl Iterator<Item = i64> {
+    counts.into_iter().map(|c| -(c.min(i64::MAX as u64) as i64))
 }
 
 /// DFDS priorities (Pautz). With `b(w)` the b-level of `w` and `K` a
@@ -191,11 +193,9 @@ mod tests {
         // (most preferred) priority.
         let dag = TaskDag::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let inst = SweepInstance::new(4, vec![dag], "chain");
-        for mode in [DescendantMode::Exact, DescendantMode::Approximate] {
-            let p = descendant_priorities(&inst, mode);
-            assert!(p[0] < p[1] && p[1] < p[2] && p[2] < p[3]);
-            assert_eq!(p[3], 0);
-        }
+        let p = descendant_priorities(&inst);
+        assert!(p[0] < p[1] && p[1] < p[2] && p[2] < p[3]);
+        assert_eq!(p[3], 0);
     }
 
     #[test]
@@ -242,7 +242,9 @@ mod tests {
         let inst = sample();
         // Exact descendant counts run through the engine directly: no
         // `Algorithm` selects them.
-        let exact = descendant_priorities(&inst, DescendantMode::Exact);
+        let exact = per_task_table(&inst, |_, dag| {
+            negated(sweep_dag::descendant_counts_exact(dag))
+        });
         for delays in [false, true] {
             for alg in [
                 Algorithm::LevelPriority { delays },

@@ -29,7 +29,7 @@
 //! asserts the count stays flat after warm-up for all ten algorithms, and
 //! the repo benchmark reports it as `core.scratch.grow_events`.
 
-use sweep_dag::{DescendantMode, SweepInstance};
+use sweep_dag::SweepInstance;
 use sweep_telemetry as telemetry;
 
 use crate::algorithms::Algorithm;
@@ -92,8 +92,7 @@ impl<'a> TrialContext<'a> {
             Algorithm::Greedy => fixed(vec![0; instance.num_tasks()], false),
             Algorithm::LevelPriority { delays } => fixed(level_priorities(instance), delays),
             Algorithm::DescendantPriority { delays } => {
-                let approximate = descendant_priorities(instance, DescendantMode::Approximate);
-                fixed(approximate, delays)
+                fixed(descendant_priorities(instance), delays)
             }
             Algorithm::Dfds { delays } => fixed(dfds_priorities(instance, assignment), delays),
         };

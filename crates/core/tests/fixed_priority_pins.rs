@@ -11,7 +11,7 @@
 #![allow(clippy::unwrap_used)]
 
 use sweep_core::{best_of_trials, descendant_priorities, dfds_priorities, Algorithm, Assignment};
-use sweep_dag::{DescendantMode, SweepInstance};
+use sweep_dag::{descendant_counts_exact, SweepInstance};
 use sweep_quadrature::QuadratureSet;
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -111,15 +111,22 @@ fn best_of_trials_outputs_are_pinned_on_a_random_layered_instance() {
     assert_eq!(best_of_4(&inst, 40), want);
 }
 
+/// Exact descendant counts as a min-first priority table: negated and
+/// saturated into `i64`, direction-major.
+fn exact_descendant_priorities(instance: &SweepInstance) -> Vec<i64> {
+    let negated = |c: u64| -(c.min(i64::MAX as u64) as i64);
+    let tables = instance.dags().iter().map(descendant_counts_exact);
+    tables
+        .flat_map(|counts| counts.into_iter().map(negated))
+        .collect()
+}
+
 /// `(exact descendants, approximate descendants, DFDS)` digests.
 fn priority_digests(instance: &SweepInstance, m: usize) -> [u64; 3] {
     let a = Assignment::random_cells(instance.num_cells(), m, 1);
     [
-        digest_i64(&descendant_priorities(instance, DescendantMode::Exact)),
-        digest_i64(&descendant_priorities(
-            instance,
-            DescendantMode::Approximate,
-        )),
+        digest_i64(&exact_descendant_priorities(instance)),
+        digest_i64(&descendant_priorities(instance)),
         digest_i64(&dfds_priorities(instance, &a)),
     ]
 }

@@ -10,10 +10,12 @@
 //!   `d(v) = Σ_{w ∈ succ(v)} (1 + d(w))` (saturating), which counts
 //!   *paths* rather than nodes and therefore overcounts shared
 //!   descendants. This is what large transport codes actually use as a
-//!   priority, and it only needs one linear pass.
+//!   priority, it only needs one linear pass, and it is the count
+//!   `sweep-core`'s Descendant priority reads.
 //!
 //! The approximate count dominates the exact one (every descendant is
-//! reached by at least one path), which the tests verify. Both walk the
+//! reached by at least one path), which the tests verify: the exact count
+//! is the reference the approximation is bounded against. Both walk the
 //! stored layers deepest first (one counting pass, no topological sort).
 
 use crate::graph::TaskDag;
@@ -82,24 +84,6 @@ pub fn descendant_counts_approx(dag: &TaskDag) -> Vec<u64> {
         d[v as usize] = acc;
     }
     d
-}
-
-/// Strategy for descendant-based priorities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DescendantMode {
-    /// Exact distinct-descendant counts (chunked bitsets).
-    Exact,
-    /// Path-count upper bound (single pass) — the production default.
-    #[default]
-    Approximate,
-}
-
-/// Dispatches on [`DescendantMode`].
-pub fn descendant_counts(dag: &TaskDag, mode: DescendantMode) -> Vec<u64> {
-    match mode {
-        DescendantMode::Exact => descendant_counts_exact(dag),
-        DescendantMode::Approximate => descendant_counts_approx(dag),
-    }
 }
 
 #[cfg(test)]
@@ -300,19 +284,5 @@ mod tests {
         );
         let ex = descendant_counts_exact(&g);
         assert_eq!(ex[0], (n - 1) as u64);
-    }
-
-    #[test]
-    fn mode_dispatch() {
-        let g = diamond();
-        assert_eq!(
-            descendant_counts(&g, DescendantMode::Exact),
-            vec![3, 1, 1, 0]
-        );
-        assert_eq!(
-            descendant_counts(&g, DescendantMode::Approximate),
-            vec![4, 1, 1, 0]
-        );
-        assert_eq!(DescendantMode::default(), DescendantMode::Approximate);
     }
 }

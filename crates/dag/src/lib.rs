@@ -8,8 +8,9 @@
 //!   from face normals, with geometric cycle breaking (paper §3);
 //! * [`levels()`](levels()) / [`b_levels`] — the layer structure `L_{i,j}` that both
 //!   the Random Delay algorithms and the Level/DFDS priorities consume;
-//! * [`descendant_counts`] — exact and approximate descendant counts for
-//!   the Plimpton-style priority;
+//! * [`descendant_counts_approx`] — the path-count descendants behind the
+//!   Plimpton-style priority, and [`descendant_counts_exact`], the
+//!   distinct-node count they upper-bound;
 //! * [`SweepInstance`] — the full instance (`n` cells, `k` DAGs) plus
 //!   synthetic and adversarial generators.
 //!
@@ -39,9 +40,7 @@ pub mod serialize;
 pub mod stats;
 
 pub use bitset::BitSet;
-pub use descendants::{
-    descendant_counts, descendant_counts_approx, descendant_counts_exact, DescendantMode,
-};
+pub use descendants::{descendant_counts_approx, descendant_counts_exact};
 pub use graph::{Edges, Neighbours, TaskDag};
 pub use induce::{
     break_cycles, cyclic_components, induce_all, induce_dag, induce_raw, upwind, InduceStats,
