@@ -1133,7 +1133,10 @@ fn cmd_transport(flags: &HashMap<String, String>) -> Result<String, String> {
     let max_iters: usize = get(flags, "max-iters", 500)?;
     let solver = sweep_sim::TransportSolver::new(&mesh, &quad, material)?;
     let r = solver.solve(max_iters, tol);
-    let mean = r.phi.iter().sum::<f64>() / r.phi.len().max(1) as f64;
+    // Each term is divided before the sum, so the mean of finite fluxes
+    // is finite even where their sum would overflow.
+    let cells = r.phi.len().max(1) as f64;
+    let mean: f64 = r.phi.iter().map(|&phi| phi / cells).sum();
     let max = r.phi.iter().fold(0.0f64, |a, &b| a.max(b));
     Ok(format!(
         "transport on {} ({} cells, {} directions): {} iterations, residual {:.2e}, \
@@ -1791,6 +1794,31 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("must be finite"), "{flag} {value}: {err}");
         }
+    }
+
+    #[test]
+    fn transport_mean_is_finite_when_every_flux_is() {
+        // The fluxes sum past f64::MAX while each stays finite.
+        let out = run(&args(&[
+            "transport",
+            "--preset",
+            "tetonly",
+            "--scale",
+            "0.005",
+            "--sn",
+            "2",
+            "--source",
+            "1e308",
+        ]))
+        .unwrap();
+        let field = |name: &str| -> f64 {
+            let rest = out.split(&format!("{name} ")).nth(1).expect(name);
+            let value = rest.split([',', '\n']).next().unwrap();
+            value.parse().unwrap()
+        };
+        let (mean, max) = (field("mean"), field("max"));
+        assert!(max.is_finite() && max > 1e307, "{out}");
+        assert!(mean.is_finite() && mean > 0.0 && mean <= max, "{out}");
     }
 
     #[test]
