@@ -36,10 +36,10 @@ fn check_weights(n: usize, weights: &[u64]) {
     assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
 }
 
-/// Weighted list scheduling: whenever a processor frees, it takes the
-/// ready task of minimum `priority` (ties by task id) among everything
-/// ready on it at that time, including what the completion that freed it
-/// readied.
+/// Weighted list scheduling: a processor freed by a completion takes its
+/// ready task of minimum `priority` (ties by task id), counting every
+/// task that completion readied on it; an idle processor starts a task
+/// the moment one becomes ready on it.
 ///
 /// # Panics
 /// Panics on mismatched array lengths, a zero weight, or a total work
